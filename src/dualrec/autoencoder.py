@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dualrec.numeric import DenseLayer, dense_layer, layer_backward, layer_forward, make_rng, sgd_step
+from dualrec.numeric import DenseLayer, check_finite_step, dense_layer, layer_backward, layer_forward, make_rng
 
 _L_AE_INIT = 0xAE01
 _L_AE_SHUFFLE = 0xAE02
@@ -80,18 +80,20 @@ def reconstruction_loss(ae: Autoencoder, vectors: np.ndarray) -> float:
 
 
 def loss_and_grads(ae: Autoencoder, xb: np.ndarray):
-    """Reconstruction loss on a batch plus gradients for all four parameter arrays.
+    """Reconstruction loss on a (n, input_dim) batch plus gradients for all four parameter arrays.
 
-    Returns (loss, (dW_enc, db_enc, dW_dec, db_dec)).
+    Returns (loss, (dW_enc, db_enc, dW_dec, db_dec)). Raises FloatingPointError
+    when the loss or any gradient is not finite.
     """
-    xb = np.atleast_2d(np.asarray(xb, dtype=np.float64))
     rec, (enc_cache, dec_cache) = _forward(ae, xb)
     diff = rec - xb
     loss = float(np.mean(np.sum(diff**2, axis=1)))
     dy = 2.0 * diff / xb.shape[0]
     d_emb, dw_dec, db_dec = layer_backward(ae.decoder, dec_cache, dy)
-    _, dw_enc, db_enc = layer_backward(ae.encoder, enc_cache, d_emb)
-    return loss, (dw_enc, db_enc, dw_dec, db_dec)
+    _, dw_enc, db_enc = layer_backward(ae.encoder, enc_cache, d_emb, need_dx=False)
+    grads = (dw_enc, db_enc, dw_dec, db_dec)
+    check_finite_step(loss, grads)
+    return loss, grads
 
 
 def train_autoencoder(
@@ -112,21 +114,19 @@ def train_autoencoder(
     x = np.asarray(vectors, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 1:
         raise ValueError("corpus must be a non-empty list of equal-length vectors")
+    if lr < 0:
+        raise ValueError("learning rate must be >= 0")
     ae = new_autoencoder(x.shape[1], embed_dim, seed, domain, entity)
+    params = (ae.encoder.weights, ae.encoder.bias, ae.decoder.weights, ae.decoder.bias)
     n = x.shape[0]
     trace: list[float] = []
     for epoch in range(epochs):
         shuffle = make_rng(seed, _L_AE_SHUFFLE, _stream_tag(domain, entity), epoch)
-        order = shuffle.permutation(n)
+        shuffled = x[shuffle.permutation(n)]
         for start in range(0, n, batch_size):
-            batch = x[order[start : start + batch_size]]
-            _, (dw_e, db_e, dw_d, db_d) = loss_and_grads(ae, batch)
-            ae.encoder.weights, ae.encoder.bias = sgd_step(
-                (ae.encoder.weights, ae.encoder.bias), (dw_e, db_e), lr
-            )
-            ae.decoder.weights, ae.decoder.bias = sgd_step(
-                (ae.decoder.weights, ae.decoder.bias), (dw_d, db_d), lr
-            )
+            _, grads = loss_and_grads(ae, shuffled[start : start + batch_size])
+            for p, g in zip(params, grads):
+                p -= lr * g
         trace.append(reconstruction_loss(ae, x))
     ae.trained = True
     return ae, trace

@@ -32,7 +32,7 @@ import numpy as np
 from dualrec.autoencoder import Autoencoder, ae_encode, autoencoder_arrays, autoencoder_from_arrays, train_autoencoder
 from dualrec.features import DomainDataset, FeatureSchema, encode, parse_schema, schema_to_text
 from dualrec.mapping import OrthogonalMap, align_map, init_map, ortho_penalty, project_orthogonal
-from dualrec.numeric import DenseLayer, dense_layer, layer_backward, layer_forward, make_rng, sgd_step
+from dualrec.numeric import DenseLayer, check_finite_step, dense_layer, layer_backward, layer_forward, make_rng
 
 _L_RS_INIT = 0x5C07
 _L_SHUFFLE = 0x50FF
@@ -104,28 +104,25 @@ def model_forward(model: RatingModel, x: np.ndarray):
     return h, caches
 
 
-def model_backward(model: RatingModel, caches, dy: np.ndarray):
-    """Returns (dx, per-layer [(dW, db), ...] parallel to model.layers)."""
+def model_backward(model: RatingModel, caches, dy: np.ndarray, need_dx: bool = True):
+    """Returns (dx, per-layer [(dW, db), ...] parallel to model.layers).
+
+    need_dx=False skips the first layer's input gradient and returns None for dx.
+    """
     grads = []
     d = dy
-    for layer, cache in zip(reversed(model.layers), reversed(caches)):
-        d, dw, db = layer_backward(layer, cache, d)
+    for k in range(len(model.layers) - 1, -1, -1):
+        d, dw, db = layer_backward(model.layers[k], caches[k], d, need_dx or k > 0)
         grads.append((dw, db))
     grads.reverse()
     return d, grads
 
 
-def zero_grads(model: RatingModel) -> list:
-    return [(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in model.layers]
-
-
-def add_grads(acc: list, extra: list) -> list:
-    return [(aw + ew, ab + eb) for (aw, ab), (ew, eb) in zip(acc, extra)]
-
-
 def apply_grads(model: RatingModel, grads: list, lr: float) -> None:
+    """In-place SGD step on every layer: W -= lr * dW, b -= lr * db."""
     for layer, (dw, db) in zip(model.layers, grads):
-        layer.weights, layer.bias = sgd_step((layer.weights, layer.bias), (dw, db), lr)
+        layer.weights -= lr * dw
+        layer.bias -= lr * db
 
 
 def score(model: RatingModel, user_emb: np.ndarray, item_emb: np.ndarray) -> float:
@@ -324,15 +321,6 @@ def prepare_domain(
     return TrainingArrays(user_rows, item_rows, y, overlap, tuple(r.user_id for r in chosen))
 
 
-def _slice(arrays: TrainingArrays, idx: np.ndarray):
-    return (
-        arrays.user_emb[idx],
-        arrays.item_emb[idx],
-        arrays.ratings[idx],
-        arrays.overlap[idx],
-    )
-
-
 # ---------------------------------------------------------------------------
 # loss and gradients
 
@@ -340,29 +328,31 @@ def _slice(arrays: TrainingArrays, idx: np.ndarray):
 def _domain_loss_grads(dm: DualModel, batch, domain_index: int):
     """Hybrid MSE on one domain's batch and gradients for everything it touches.
 
-    Returns (loss, grads_self, grads_other, grad_x). grads_other and grad_x
-    are exactly zero when every record's effective alpha is 0.
+    Returns (loss, grads_self, grads_other, grad_x). When every record's
+    effective alpha is 0 the cross channel carries no weight: it is skipped
+    and grads_other and grad_x are None.
     """
     u, i, y, overlap = batch
     n = u.shape[0]
     self_model = dm.scorer(domain_index)
+    y_w, caches_w = model_forward(self_model, np.concatenate([u, i], axis=1))
+    if dm.alpha == 0.0 or not overlap.any():
+        resid = y_w - y[:, None]
+        _, grads_self = model_backward(self_model, caches_w, 2.0 * resid / n, need_dx=False)
+        return float(np.mean(resid**2)), grads_self, None, None
+
     other_model = dm.scorer(1 - domain_index)
     alpha_vec = np.where(overlap, dm.alpha, 0.0)[:, None]  # (n, 1)
-
-    x_within = np.concatenate([u, i], axis=1)
-    y_w, caches_w = model_forward(self_model, x_within)
-
     x = dm.map.x
     mapped = u @ x.T if domain_index == 0 else u @ x
-    x_cross = np.concatenate([mapped, i], axis=1)
-    y_c, caches_c = model_forward(other_model, x_cross)
+    y_c, caches_c = model_forward(other_model, np.concatenate([mapped, i], axis=1))
 
-    pred = (1.0 - alpha_vec) * y_w + alpha_vec * y_c
-    resid = pred - y[:, None]
+    within_weight = 1.0 - alpha_vec
+    resid = within_weight * y_w + alpha_vec * y_c - y[:, None]
     loss = float(np.mean(resid**2))
 
     dpred = 2.0 * resid / n
-    _, grads_self = model_backward(self_model, caches_w, dpred * (1.0 - alpha_vec))
+    _, grads_self = model_backward(self_model, caches_w, dpred * within_weight, need_dx=False)
     dx_cross, grads_other = model_backward(other_model, caches_c, dpred * alpha_vec)
     d_mapped = dx_cross[:, : u.shape[1]]
     # mapped = u X^T (domain a) gives dX = d_mapped^T u; mapped = u X gives u^T d_mapped
@@ -370,33 +360,41 @@ def _domain_loss_grads(dm: DualModel, batch, domain_index: int):
     return loss, grads_self, grads_other, grad_x
 
 
+def _sum_grads(acc, extra):
+    if acc is None or extra is None:
+        return extra if acc is None else acc
+    return [(aw + ew, ab + eb) for (aw, ab), (ew, eb) in zip(acc, extra)]
+
+
 def dual_loss_and_grads(dm: DualModel, batch_a, batch_b, penalty_weight: float = 1.0):
     """Combined objective L_a + L_b + penalty and its exact gradients.
 
     batch_a / batch_b are (user_emb, item_emb, ratings, overlap) tuples; pass
     None to leave a domain out of this step. Returns
-    (total, loss_a, loss_b, grads_a, grads_b, grad_x).
+    (total, loss_a, loss_b, grads_a, grads_b, grad_x); grads_a or grads_b is
+    None when no term of this step touches that scorer. Raises
+    FloatingPointError when the total or any gradient is not finite.
     """
-    grads_a = zero_grads(dm.rs_a)
-    grads_b = zero_grads(dm.rs_b)
-    grad_x = np.zeros_like(dm.map.x)
-    loss_a = loss_b = 0.0
-    if batch_a is not None:
-        loss_a, g_self, g_other, gx = _domain_loss_grads(dm, batch_a, 0)
-        grads_a = add_grads(grads_a, g_self)
-        grads_b = add_grads(grads_b, g_other)
-        grad_x = grad_x + gx
-    if batch_b is not None:
-        loss_b, g_self, g_other, gx = _domain_loss_grads(dm, batch_b, 1)
-        grads_b = add_grads(grads_b, g_self)
-        grads_a = add_grads(grads_a, g_other)
-        grad_x = grad_x + gx
+    grads = [None, None]
+    losses = [0.0, 0.0]
+    grad_x = None
+    for k, batch in enumerate((batch_a, batch_b)):
+        if batch is None:
+            continue
+        losses[k], g_self, g_other, gx = _domain_loss_grads(dm, batch, k)
+        grads[k] = _sum_grads(grads[k], g_self)
+        grads[1 - k] = _sum_grads(grads[1 - k], g_other)
+        if gx is not None:
+            grad_x = gx if grad_x is None else grad_x + gx
     pen_loss, pen_grad = ortho_penalty(dm.map)
-    total = loss_a + loss_b + penalty_weight * pen_loss
-    grad_x = grad_x + penalty_weight * pen_grad
-    if not np.isfinite(total):
-        raise FloatingPointError("non-finite training loss; lower the learning rates")
-    return total, loss_a, loss_b, grads_a, grads_b, grad_x
+    total = losses[0] + losses[1] + penalty_weight * pen_loss
+    grad_x = penalty_weight * pen_grad if grad_x is None else grad_x + penalty_weight * pen_grad
+    arrays = [grad_x]
+    for model_grads in grads:
+        for pair in model_grads or ():
+            arrays.extend(pair)
+    check_finite_step(total, arrays)
+    return total, losses[0], losses[1], grads[0], grads[1], grad_x
 
 
 def evaluate_loss(dm: DualModel, arrays: TrainingArrays, domain) -> float:
@@ -423,9 +421,14 @@ def predict_batch(dm: DualModel, domain, arrays: TrainingArrays) -> np.ndarray:
 # training loop
 
 
-def _epoch_batches(n: int, batch_size: int, rng: np.random.Generator):
-    order = rng.permutation(n)
-    return [order[s : s + batch_size] for s in range(0, n, batch_size)]
+def _epoch_batches(arrays: TrainingArrays, batch_size: int, rng: np.random.Generator) -> list:
+    """One shuffled pass as (user_emb, item_emb, ratings, overlap) batches.
+
+    The rows are gathered in shuffled order once, so each batch is a slice.
+    """
+    order = rng.permutation(len(arrays))
+    rows = (arrays.user_emb[order], arrays.item_emb[order], arrays.ratings[order], arrays.overlap[order])
+    return [tuple(a[s : s + batch_size] for a in rows) for s in range(0, len(order), batch_size)]
 
 
 def train_epoch(
@@ -449,23 +452,26 @@ def train_epoch(
     """
     if len(arrays_a) == 0 or len(arrays_b) == 0:
         raise ValueError("both domains need at least one training record")
-    batches_a = _epoch_batches(len(arrays_a), batch_size, make_rng(seed, _L_SHUFFLE, 0, epoch))
-    batches_b = _epoch_batches(len(arrays_b), batch_size, make_rng(seed, _L_SHUFFLE, 1, epoch))
+    if min(lr_a, lr_b, lr_map) < 0:
+        raise ValueError("learning rates must be >= 0")
+    batches_a = _epoch_batches(arrays_a, batch_size, make_rng(seed, _L_SHUFFLE, 0, epoch))
+    batches_b = _epoch_batches(arrays_b, batch_size, make_rng(seed, _L_SHUFFLE, 1, epoch))
     losses_a: list[float] = []
     losses_b: list[float] = []
+    # the map is updated in place below, so a map the caller holds stays as it was
+    dm.map = dm.map.copy()
     for step in range(max(len(batches_a), len(batches_b))):
-        ba = _slice(arrays_a, batches_a[step]) if step < len(batches_a) else None
-        bb = _slice(arrays_b, batches_b[step]) if step < len(batches_b) else None
+        ba = batches_a[step] if step < len(batches_a) else None
+        bb = batches_b[step] if step < len(batches_b) else None
         _, loss_a, loss_b, grads_a, grads_b, grad_x = dual_loss_and_grads(dm, ba, bb, penalty_weight)
         if ba is not None:
             losses_a.append(loss_a)
         if bb is not None:
             losses_b.append(loss_b)
-        apply_grads(dm.rs_a, grads_a, lr_a)
-        apply_grads(dm.rs_b, grads_b, lr_b)
-        dm.map = OrthogonalMap(
-            np.asarray(sgd_step(dm.map.x, grad_x, lr_map)), dm.map.domain_pair
-        )
+        for model, grads, lr in ((dm.rs_a, grads_a, lr_a), (dm.rs_b, grads_b, lr_b)):
+            if grads is not None:
+                apply_grads(model, grads, lr)
+        dm.map.x -= lr_map * grad_x
     dm.map = project_orthogonal(dm.map)
     return float(np.mean(losses_a)), float(np.mean(losses_b))
 
@@ -535,18 +541,12 @@ def train_single(
         return float(np.mean((preds - arrays.ratings) ** 2))
 
     trace = [full_loss()]
-    n = len(arrays)
     for epoch in range(epochs):
-        batches = _epoch_batches(n, batch_size, make_rng(seed, _L_SHUFFLE, domain_index, epoch))
-        for idx in batches:
-            u, i, y, _ = _slice(arrays, idx)
-            x_in = np.concatenate([u, i], axis=1)
-            y_hat, caches = model_forward(model, x_in)
+        for u, i, y, _ in _epoch_batches(arrays, batch_size, make_rng(seed, _L_SHUFFLE, domain_index, epoch)):
+            y_hat, caches = model_forward(model, np.concatenate([u, i], axis=1))
             resid = y_hat - y[:, None]
-            if not np.isfinite(resid).all():
-                raise FloatingPointError("non-finite training loss; lower the learning rate")
-            dpred = 2.0 * resid / u.shape[0]
-            _, grads = model_backward(model, caches, dpred)
+            _, grads = model_backward(model, caches, 2.0 * resid / u.shape[0], need_dx=False)
+            check_finite_step(resid.sum(), [g for pair in grads for g in pair])
             apply_grads(model, grads, lr)
         trace.append(full_loss())
         if abs(trace[-1] - trace[-2]) < tol:

@@ -117,12 +117,6 @@ class FeatureSchema:
     def encoded_length(self) -> int:
         return sum(f.width for f in self.fields)
 
-    def field_named(self, name: str) -> FieldSpec:
-        for f in self.fields:
-            if f.name == name:
-                return f
-        raise KeyError(f"schema has no field named {name!r}")
-
 
 def _bucket(value: str, buckets: int) -> int:
     return zlib.crc32(value.encode("utf-8")) % buckets
@@ -146,6 +140,8 @@ def _scale_scalar(spec: FieldSpec, value) -> float:
         x = float(value)
     except (TypeError, ValueError):
         raise ValueError(f"field {spec.name!r}: cannot interpret {value!r} as a number") from None
+    if x != x:  # NaN fails both range comparisons below
+        raise ValueError(f"field {spec.name!r}: {value!r} is not a number")
     if x < spec.lo or x > spec.hi:
         warnings.warn(
             f"field {spec.name!r}: value {x} outside [{spec.lo}, {spec.hi}], clamped",

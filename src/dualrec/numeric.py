@@ -3,8 +3,10 @@
 Matrices are plain 2-D float64 numpy arrays (row-major); vectors are 1-D
 float64 arrays.  Everything downstream (autoencoders, rating scorers, the
 orthogonal mapping, the NMF lab) builds on the handful of operations here:
-validated matmul, dense-layer forward/backward with exact analytic
-gradients, an SGD step, and a central-difference gradient checker.
+dense-layer forward/backward with exact analytic gradients, a stable
+sigmoid, the one finite check each training step runs, and a
+central-difference gradient checker. The training loops apply their SGD
+updates in place.
 
 Randomness is never global: every consumer derives its own
 ``numpy.random.Generator`` through :func:`make_rng` with an explicit seed
@@ -45,29 +47,10 @@ def as_vector(v, name: str = "vector") -> np.ndarray:
     return v
 
 
-def require_finite(a: np.ndarray, name: str) -> np.ndarray:
-    if not np.all(np.isfinite(a)):
-        raise FloatingPointError(f"{name} contains non-finite entries")
-    return a
-
-
-def matmul(a, b) -> np.ndarray:
-    """Validated matrix product: shapes must chain, result must be finite."""
-    a = as_matrix(a, "left operand")
-    b = as_matrix(b, "right operand")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul dimension mismatch: {a.shape} x {b.shape}")
-    return require_finite(a @ b, "matmul result")
-
-
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    # Split by sign to stay overflow-free for large |z|.
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp(-|z|) never overflows; per sign this is 1/(1+exp(-z)) or exp(z)/(1+exp(z))
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def _apply_activation(name: str, z: np.ndarray) -> np.ndarray:
@@ -77,17 +60,6 @@ def _apply_activation(name: str, z: np.ndarray) -> np.ndarray:
         return sigmoid(z)
     if name == "relu":
         return np.maximum(z, 0.0)
-    raise ValueError(f"unknown activation {name!r}")
-
-
-def _activation_grad(name: str, z: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """d act(z)/dz, reusing the forward output y where that is cheaper."""
-    if name == "identity":
-        return np.ones_like(z)
-    if name == "sigmoid":
-        return y * (1.0 - y)
-    if name == "relu":
-        return (z > 0).astype(np.float64)
     raise ValueError(f"unknown activation {name!r}")
 
 
@@ -134,60 +106,46 @@ def dense_layer(rng: np.random.Generator, n_in: int, n_out: int, activation: str
 def layer_forward(layer: DenseLayer, x: np.ndarray):
     """Forward pass.  x is (n_in,) or a batch (n, n_in); returns (y, cache).
 
-    The cache keeps the input and pre-activation for :func:`layer_backward`.
+    The cache keeps the input, pre-activation and output for
+    :func:`layer_backward`.
     """
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
     xb = x[None, :] if single else x
-    if xb.ndim != 2 or xb.shape[1] != layer.n_in:
-        raise ValueError(f"layer input shape {x.shape} incompatible with weights {layer.weights.shape}")
     z = xb @ layer.weights.T + layer.bias
     y = _apply_activation(layer.activation, z)
-    cache = (xb, z, y, single)
-    return (y[0] if single else y), cache
+    return (y[0] if single else y), (xb, z, y, single)
 
 
-def layer_backward(layer: DenseLayer, cache, dy: np.ndarray):
+def layer_backward(layer: DenseLayer, cache, dy: np.ndarray, need_dx: bool = True):
     """Exact analytic gradients chained with dy.
 
     Returns (dx, dW, db) with dx matching the forward input's shape and
-    dW, db shaped like the layer parameters.
+    dW, db shaped like the layer parameters. need_dx=False skips dx and
+    returns None for it, for a first layer whose input gradient nothing reads.
     """
     xb, z, y, single = cache
-    dy = np.asarray(dy, dtype=np.float64)
-    dyb = dy[None, :] if single else dy
-    if dyb.shape != z.shape:
-        raise ValueError(f"dy shape {dy.shape} does not match forward output {z.shape}")
-    dz = dyb * _activation_grad(layer.activation, z, y)
-    dW = dz.T @ xb
-    db = dz.sum(axis=0)
-    dx = dz @ layer.weights
-    return (dx[0] if single else dx), dW, db
+    dz = dy[None, :] if single else dy
+    if layer.activation == "sigmoid":
+        dz = dz * (y * (1.0 - y))
+    elif layer.activation == "relu":
+        dz = dz * (z > 0)
+    dx = None
+    if need_dx:
+        dx = dz @ layer.weights
+        if single:
+            dx = dx[0]
+    return dx, dz.T @ xb, dz.sum(axis=0)
 
 
-def sgd_step(params, grads, lr: float):
-    """Elementwise p <- p - lr * g over parallel lists of arrays.
+def check_finite_step(loss: float, grads) -> None:
+    """One finite check per training step over its loss and gradient arrays.
 
-    Returns new arrays; inputs are never mutated.  Non-finite gradients are
-    an error (they mean the loss blew up upstream).
+    A NaN or inf anywhere makes the sum non-finite; so does a sum that
+    overflows, which only a diverging run reaches.
     """
-    if lr < 0:
-        raise ValueError("learning rate must be >= 0")
-    single = isinstance(params, np.ndarray)
-    plist = [params] if single else list(params)
-    glist = [grads] if single else list(grads)
-    if len(plist) != len(glist):
-        raise ValueError(f"{len(plist)} params vs {len(glist)} grads")
-    out = []
-    for p, g in zip(plist, glist):
-        p = np.asarray(p, dtype=np.float64)
-        g = np.asarray(g, dtype=np.float64)
-        if p.shape != g.shape:
-            raise ValueError(f"param shape {p.shape} != grad shape {g.shape}")
-        if not np.all(np.isfinite(g)):
-            raise FloatingPointError("non-finite gradient in sgd_step")
-        out.append(p - lr * g)
-    return out[0] if single else out
+    if not np.isfinite(loss + np.concatenate([g.ravel() for g in grads]).sum()):
+        raise FloatingPointError("non-finite training loss or gradient; lower the learning rate")
 
 
 def grad_check(loss_and_grad, params, h: float = 1e-5) -> float:

@@ -94,6 +94,14 @@ class TestEncode:
         with pytest.raises(ValueError, match="trait"):
             encode(schema, {})
 
+    @pytest.mark.parametrize("kind", ["numeric", "date"])
+    @pytest.mark.parametrize("value", ["nan", "NaN", float("nan")])
+    def test_nan_is_an_error_naming_the_field(self, kind, value):
+        # NaN fails both range comparisons, so it would pass the clamp silently
+        schema = FeatureSchema((FieldSpec("trait", kind, lo=0, hi=100),))
+        with pytest.raises(ValueError, match="'trait'.*not a number"):
+            encode(schema, {"trait": value})
+
 
 class TestSchemaText:
     def test_round_trip(self):

@@ -1,22 +1,24 @@
-"""Dense linear algebra and backprop kernel tests.
+"""Dense layer and backprop kernel tests.
 
-Analytic gradients are checked against central finite differences; matrix
-products against a naive triple-loop oracle computed here, independently of
-numpy's BLAS path.
+Analytic gradients are checked against central finite differences; a layer's
+affine map against a naive triple-loop oracle computed here, independently of
+numpy's BLAS path. tests/test_training_kernel.py checks the sigmoid against
+the sign-masked form it replaced. The training loops apply the SGD step in
+place; TestSgdStep checks it through one step of the autoencoder's loop.
 """
 
 import numpy as np
 import pytest
 
+from dualrec.autoencoder import loss_and_grads, new_autoencoder, reconstruction_loss, train_autoencoder
 from dualrec.numeric import (
     DenseLayer,
+    check_finite_step,
     dense_layer,
     grad_check,
     layer_backward,
     layer_forward,
     make_rng,
-    matmul,
-    sgd_step,
     sigmoid,
 )
 
@@ -36,38 +38,6 @@ def triple_loop_matmul(a, b):
     return out
 
 
-class TestMatmul:
-    def test_identity_leaves_matrix_unchanged(self):
-        a = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]])
-        np.testing.assert_array_equal(matmul(np.eye(3), a), a)
-
-    def test_hand_checked_2x2_times_column(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        b = np.array([[0.0], [1.0]])
-        np.testing.assert_array_equal(matmul(a, b), np.array([[2.0], [4.0]]))
-
-    def test_random_product_matches_triple_loop_oracle(self):
-        rng = make_rng(42)
-        a = rng.normal(size=(5, 4))
-        b = rng.normal(size=(4, 3))
-        got = matmul(a, b)
-        want = triple_loop_matmul(a, b)
-        assert np.max(np.abs(got - want)) <= 1e-12
-
-    def test_associativity(self):
-        rng = make_rng(7)
-        a = rng.normal(size=(4, 5))
-        b = rng.normal(size=(5, 6))
-        c = rng.normal(size=(6, 3))
-        left = matmul(matmul(a, b), c)
-        right = matmul(a, matmul(b, c))
-        assert np.max(np.abs(left - right)) <= 1e-9
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            matmul(np.ones((2, 3)), np.ones((2, 3)))
-
-
 class TestSigmoid:
     def test_zero_maps_to_half(self):
         assert sigmoid(np.array([0.0]))[0] == 0.5
@@ -81,6 +51,9 @@ class TestSigmoid:
     def test_symmetry(self):
         z = np.linspace(-5, 5, 11)
         np.testing.assert_allclose(sigmoid(z) + sigmoid(-z), 1.0, atol=1e-15)
+
+    def test_nan_gives_nan(self):
+        assert np.isnan(sigmoid(np.array([np.nan, 1.0, -np.nan]))).tolist() == [True, False, True]
 
 
 class TestLayerForward:
@@ -120,6 +93,14 @@ class TestLayerForward:
             yi, _ = layer_forward(layer, xb[i])
             # batched and single-row matmuls may take different BLAS kernels
             np.testing.assert_allclose(yb[i], yi, atol=1e-12)
+
+    def test_identity_layer_matches_triple_loop_oracle(self):
+        rng = make_rng(42)
+        layer = DenseLayer(rng.normal(size=(3, 4)), rng.normal(size=3), "identity")
+        xb = rng.normal(size=(5, 4))
+        y, _ = layer_forward(layer, xb)
+        want = triple_loop_matmul(xb, layer.weights.T) + layer.bias
+        assert np.max(np.abs(y - want)) <= 1e-12
 
     def test_wrong_width_rejected(self):
         layer = DenseLayer(np.eye(3), np.zeros(3), "identity")
@@ -179,39 +160,81 @@ class TestLayerBackward:
         np.testing.assert_allclose(dW, dW_sum, atol=1e-12)
         np.testing.assert_allclose(db, db_sum, atol=1e-12)
 
+    def test_skipping_dx_keeps_the_parameter_gradients(self):
+        rng = make_rng(10)
+        layer = dense_layer(rng, 3, 2, "relu")
+        _, cache = layer_forward(layer, rng.normal(size=(4, 3)))
+        dyb = rng.normal(size=(4, 2))
+        dx, dW, db = layer_backward(layer, cache, dyb, need_dx=False)
+        _, dW_full, db_full = layer_backward(layer, cache, dyb)
+        assert dx is None
+        np.testing.assert_array_equal(dW, dW_full)
+        np.testing.assert_array_equal(db, db_full)
+
+
+class TestCheckFiniteStep:
+    def test_finite_step_passes(self):
+        check_finite_step(0.5, [np.ones((2, 3)), -np.ones(3)])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_one_bad_gradient_entry_raises(self, bad):
+        g = np.ones((2, 3))
+        g[1, 2] = bad
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            check_finite_step(0.5, [np.zeros(3), g])
+
+    def test_non_finite_loss_raises(self):
+        with pytest.raises(FloatingPointError):
+            check_finite_step(float("nan"), [np.zeros(3)])
+
+
+def one_sgd_step(lr):
+    """An autoencoder before and after one SGD step on a one-row corpus."""
+    x = np.array([[0.2, 0.9, 0.4, 0.7]])
+    before = new_autoencoder(x.shape[1], 2, seed=0)
+    after, _ = train_autoencoder(x, embed_dim=2, lr=lr, epochs=1, batch_size=1, seed=0)
+    return x, before, after
+
+
+def ae_params(ae):
+    return (ae.encoder.weights, ae.encoder.bias, ae.decoder.weights, ae.decoder.bias)
+
 
 class TestSgdStep:
     def test_zero_lr_is_identity(self):
-        p = np.array([1.0, -2.0])
-        out = sgd_step(p, np.array([5.0, 5.0]), 0.0)
-        np.testing.assert_array_equal(out, p)
+        _, before, after = one_sgd_step(0.0)
+        for got, want in zip(ae_params(after), ae_params(before)):
+            np.testing.assert_array_equal(got, want)
 
     def test_hand_arithmetic(self):
-        out = sgd_step(np.array([1.0]), np.array([2.0]), 0.1)
-        np.testing.assert_allclose(out, [0.8])
+        # every parameter array p becomes p - lr * g, with g the batch gradient at p
+        x, before, after = one_sgd_step(0.1)
+        _, grads = loss_and_grads(before, x)
+        for got, p, g in zip(ae_params(after), ae_params(before), grads):
+            np.testing.assert_array_equal(got, p - 0.1 * g)
 
     def test_one_step_on_square_loss_decreases(self):
-        # f(p) = p^2, f'(p) = 2p; from p=1 with lr=0.1 the step lands on 0.8
-        p = np.array([1.0])
-        new = sgd_step(p, 2.0 * p, 0.1)
-        np.testing.assert_allclose(new, [0.8])
-        assert new[0] ** 2 < p[0] ** 2
+        x, before, after = one_sgd_step(0.05)
+        assert reconstruction_loss(after, x) < reconstruction_loss(before, x)
 
     def test_inputs_not_mutated_and_lists_supported(self):
-        p1 = np.array([1.0, 2.0])
-        p2 = np.array([[3.0]])
-        out = sgd_step([p1, p2], [np.ones(2), np.ones((1, 1))], 0.5)
-        np.testing.assert_array_equal(p1, [1.0, 2.0])
-        np.testing.assert_array_equal(out[0], [0.5, 1.5])
-        np.testing.assert_array_equal(out[1], [[2.5]])
+        corpus = [[0.2, 0.9, 0.4, 0.7], [0.5, 0.1, 0.8, 0.3], [0.6, 0.6, 0.0, 1.0]]
+        x = np.array(corpus)
+        from_list, _ = train_autoencoder(corpus, embed_dim=2, lr=0.1, epochs=3, batch_size=2, seed=0)
+        from_array, _ = train_autoencoder(x, embed_dim=2, lr=0.1, epochs=3, batch_size=2, seed=0)
+        assert x.tolist() == corpus
+        for got, want in zip(ae_params(from_list), ae_params(from_array)):
+            np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the blow-up overflows on purpose
     def test_non_finite_gradient_raises(self):
+        corpus = make_rng(5).random(size=(40, 6))
         with pytest.raises(FloatingPointError):
-            sgd_step(np.array([1.0]), np.array([np.nan]), 0.1)
+            train_autoencoder(corpus, embed_dim=3, lr=1e6, epochs=50, seed=0)
 
     def test_negative_lr_rejected(self):
-        with pytest.raises(ValueError):
-            sgd_step(np.array([1.0]), np.array([1.0]), -0.1)
+        with pytest.raises(ValueError, match="learning rate"):
+            train_autoencoder(make_rng(5).random(size=(4, 6)), embed_dim=3, lr=-0.1, epochs=1)
 
 
 class TestGradCheck:

@@ -1,0 +1,287 @@
+"""The training kernel against the per-layer loop it replaced.
+
+The oracle below is the earlier implementation of both training loops, kept
+here verbatim in behaviour: per-layer forward and backward calls with shape
+checks, a sign-masked sigmoid, gradients summed into zero-filled lists, an
+SGD step that returns new arrays and checks each gradient for finiteness,
+and a cross channel that is computed and weighted by zero when alpha is 0.
+`train_pair` must give the same bytes with either loop.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from dualrec import autoencoder, dualmodel
+from dualrec.dualmodel import TrainConfig, fit, train_epoch, train_pair
+from dualrec.features import synth_pair
+from dualrec.mapping import OrthogonalMap, ortho_penalty, project_orthogonal
+from dualrec.numeric import make_rng, sigmoid
+
+# ---------------------------------------------------------------------------
+# oracle: the per-layer loop
+
+
+def oracle_sigmoid(z):
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def oracle_layer_forward(layer, xb):
+    if xb.ndim != 2 or xb.shape[1] != layer.n_in:
+        raise ValueError("layer input shape incompatible with weights")
+    z = xb @ layer.weights.T + layer.bias
+    if layer.activation == "sigmoid":
+        y = oracle_sigmoid(z)
+    elif layer.activation == "relu":
+        y = np.maximum(z, 0.0)
+    else:
+        y = z
+    return y, (xb, z, y)
+
+
+def oracle_layer_backward(layer, cache, dy):
+    xb, z, y = cache
+    if dy.shape != z.shape:
+        raise ValueError("dy shape does not match forward output")
+    if layer.activation == "sigmoid":
+        grad = y * (1.0 - y)
+    elif layer.activation == "relu":
+        grad = (z > 0).astype(np.float64)
+    else:
+        grad = np.ones_like(z)
+    dz = dy * grad
+    return dz @ layer.weights, dz.T @ xb, dz.sum(axis=0)
+
+
+def oracle_sgd_step(params, grads, lr):
+    out = []
+    for p, g in zip(params, grads):
+        if p.shape != g.shape:
+            raise ValueError("param shape != grad shape")
+        if not np.all(np.isfinite(g)):
+            raise FloatingPointError("non-finite gradient in sgd_step")
+        out.append(p - lr * g)
+    return out
+
+
+def oracle_model_forward(model, x):
+    caches = []
+    for layer in model.layers:
+        x, cache = oracle_layer_forward(layer, x)
+        caches.append(cache)
+    return x, caches
+
+
+def oracle_model_backward(model, caches, dy):
+    grads = []
+    for layer, cache in zip(reversed(model.layers), reversed(caches)):
+        dy, dw, db = oracle_layer_backward(layer, cache, dy)
+        grads.append((dw, db))
+    grads.reverse()
+    return dy, grads
+
+
+def oracle_train_autoencoder(vectors, embed_dim, lr, epochs, batch_size, seed, domain, entity):
+    x = np.asarray(vectors, dtype=np.float64)
+    ae = autoencoder.new_autoencoder(x.shape[1], embed_dim, seed, domain, entity)
+    tag = autoencoder._stream_tag(domain, entity)
+    trace = []
+    for epoch in range(epochs):
+        order = make_rng(seed, autoencoder._L_AE_SHUFFLE, tag, epoch).permutation(x.shape[0])
+        for start in range(0, x.shape[0], batch_size):
+            xb = x[order[start : start + batch_size]]
+            emb, enc_cache = oracle_layer_forward(ae.encoder, xb)
+            rec, dec_cache = oracle_layer_forward(ae.decoder, emb)
+            d_emb, dw_d, db_d = oracle_layer_backward(ae.decoder, dec_cache, 2.0 * (rec - xb) / xb.shape[0])
+            _, dw_e, db_e = oracle_layer_backward(ae.encoder, enc_cache, d_emb)
+            ae.encoder.weights, ae.encoder.bias = oracle_sgd_step((ae.encoder.weights, ae.encoder.bias), (dw_e, db_e), lr)
+            ae.decoder.weights, ae.decoder.bias = oracle_sgd_step((ae.decoder.weights, ae.decoder.bias), (dw_d, db_d), lr)
+        rec, _ = oracle_layer_forward(ae.decoder, oracle_layer_forward(ae.encoder, x)[0])
+        trace.append(float(np.mean(np.sum((x - rec) ** 2, axis=1))))
+    ae.trained = True
+    return ae, trace
+
+
+def oracle_domain_loss_grads(dm, batch, k):
+    u, i, y, overlap = batch
+    self_model, other_model = dm.scorer(k), dm.scorer(1 - k)
+    alpha_vec = np.where(overlap, dm.alpha, 0.0)[:, None]
+    y_w, caches_w = oracle_model_forward(self_model, np.concatenate([u, i], axis=1))
+    mapped = u @ dm.map.x.T if k == 0 else u @ dm.map.x
+    y_c, caches_c = oracle_model_forward(other_model, np.concatenate([mapped, i], axis=1))
+    resid = (1.0 - alpha_vec) * y_w + alpha_vec * y_c - y[:, None]
+    dpred = 2.0 * resid / u.shape[0]
+    _, grads_self = oracle_model_backward(self_model, caches_w, dpred * (1.0 - alpha_vec))
+    dx_cross, grads_other = oracle_model_backward(other_model, caches_c, dpred * alpha_vec)
+    d_mapped = dx_cross[:, : u.shape[1]]
+    grad_x = d_mapped.T @ u if k == 0 else u.T @ d_mapped
+    return float(np.mean(resid**2)), grads_self, grads_other, grad_x
+
+
+def oracle_train_epoch(dm, arrays_a, arrays_b, cfg, seed, epoch):
+    def add(acc, extra):
+        return [(aw + ew, ab + eb) for (aw, ab), (ew, eb) in zip(acc, extra)]
+
+    def zeros(model):
+        return [(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in model.layers]
+
+    batches = []
+    for k, arrays in enumerate((arrays_a, arrays_b)):
+        order = make_rng(seed, dualmodel._L_SHUFFLE, k, epoch).permutation(len(arrays))
+        batches.append([order[s : s + cfg.batch_size] for s in range(0, len(order), cfg.batch_size)])
+    for step in range(max(map(len, batches))):
+        grads = [zeros(dm.rs_a), zeros(dm.rs_b)]
+        grad_x = np.zeros_like(dm.map.x)
+        total = 0.0
+        for k, arrays in enumerate((arrays_a, arrays_b)):
+            if step < len(batches[k]):
+                idx = batches[k][step]
+                batch = (arrays.user_emb[idx], arrays.item_emb[idx], arrays.ratings[idx], arrays.overlap[idx])
+                loss, g_self, g_other, gx = oracle_domain_loss_grads(dm, batch, k)
+                total += loss
+                grads[k] = add(grads[k], g_self)
+                grads[1 - k] = add(grads[1 - k], g_other)
+                grad_x = grad_x + gx
+        pen_loss, pen_grad = ortho_penalty(dm.map)
+        total += cfg.penalty_weight * pen_loss
+        grad_x = grad_x + cfg.penalty_weight * pen_grad
+        if not np.isfinite(total):
+            raise FloatingPointError("non-finite training loss")
+        for model, model_grads, lr in ((dm.rs_a, grads[0], cfg.lr_a), (dm.rs_b, grads[1], cfg.lr_b)):
+            for layer, (dw, db) in zip(model.layers, model_grads):
+                layer.weights, layer.bias = oracle_sgd_step((layer.weights, layer.bias), (dw, db), lr)
+        dm.map = OrthogonalMap(oracle_sgd_step([dm.map.x], [grad_x], cfg.lr_map)[0], dm.map.domain_pair)
+    dm.map = project_orthogonal(dm.map)
+
+
+def oracle_eval_loss(dm, arrays, k):
+    within, _ = oracle_model_forward(dm.scorer(k), np.concatenate([arrays.user_emb, arrays.item_emb], axis=1))
+    preds = within[:, 0]
+    if dm.alpha != 0.0:
+        mapped = arrays.user_emb @ dm.map.x.T if k == 0 else arrays.user_emb @ dm.map.x
+        cross, _ = oracle_model_forward(dm.scorer(1 - k), np.concatenate([mapped, arrays.item_emb], axis=1))
+        alpha_vec = np.where(arrays.overlap, dm.alpha, 0.0)
+        preds = (1.0 - alpha_vec) * preds + alpha_vec * cross[:, 0]
+    return float(np.mean((preds - arrays.ratings) ** 2))
+
+
+def oracle_fit(dm, arrays_a, arrays_b, cfg, seed=0):
+    traces = ([oracle_eval_loss(dm, arrays_a, 0)], [oracle_eval_loss(dm, arrays_b, 1)])
+    for epoch in range(cfg.epochs):
+        oracle_train_epoch(dm, arrays_a, arrays_b, cfg, seed, epoch)
+        for k, arrays in enumerate((arrays_a, arrays_b)):
+            traces[k].append(oracle_eval_loss(dm, arrays, k))
+        if abs(traces[0][-2] + traces[1][-2] - traces[0][-1] - traces[1][-1]) < cfg.tol:
+            break
+    return traces
+
+
+# ---------------------------------------------------------------------------
+# the kernel against the oracle
+
+
+def test_sigmoid_gives_the_bits_of_the_masked_form():
+    edges = [0.0, 1e-300, 709.8, 745.0, np.inf]
+    z = np.concatenate([edges, np.negative(edges), make_rng(17).normal(scale=20.0, size=2000)])
+    got = sigmoid(z)
+    assert got.tobytes() == oracle_sigmoid(z).tobytes()
+    assert np.signbit(z[len(edges)]) and got[len(edges)] == 0.5  # -0.0 maps like +0.0
+
+
+def small_config(**overrides):
+    base = dict(alpha=0.03, embed_dim=4, epochs=4, tol=0.0, hidden=(8, 4), ae_epochs=30, ae_lr=0.05)
+    base.update(overrides)
+    return TrainConfig(**base)
+
+
+@pytest.fixture(scope="module")
+def partial_pair():
+    """A small pair in which every fifth user of domain a has no domain-b ratings."""
+    ds_a, ds_b, _ = synth_pair(n_users=40, n_items_per_domain=15, latent_dim=4, density=0.4, seed=3)
+    only_a = sorted({r.user_id for r in ds_a.interactions})[::5]
+    kept = tuple(r for r in ds_b.interactions if r.user_id not in only_a)
+    return ds_a, dataclasses.replace(ds_b, interactions=kept), only_a
+
+
+def bundle(dm) -> dict:
+    out = {"map": dm.map.x}
+    for tag in ("rs_a", "rs_b"):
+        for n, layer in enumerate(getattr(dm, tag).layers):
+            out[f"{tag}{n}w"], out[f"{tag}{n}b"] = layer.weights, layer.bias
+    for tag in ("ae_user_a", "ae_item_a", "ae_user_b", "ae_item_b"):
+        for part in ("encoder", "decoder"):
+            layer = getattr(getattr(dm, tag), part)
+            out[f"{tag}.{part}.w"], out[f"{tag}.{part}.b"] = layer.weights, layer.bias
+    return out
+
+
+@pytest.mark.parametrize("alpha", [0.03, 0.0])
+def test_train_pair_is_byte_identical_to_the_per_layer_loop(partial_pair, monkeypatch, alpha):
+    ds_a, ds_b, only_a = partial_pair
+    cfg = small_config(alpha=alpha)
+    dm, traces = train_pair(ds_a, ds_b, cfg, seed=2)
+    with monkeypatch.context() as m:
+        m.setattr(dualmodel, "train_autoencoder", oracle_train_autoencoder)
+        m.setattr(dualmodel, "fit", oracle_fit)
+        want_dm, want_traces = train_pair(ds_a, ds_b, cfg, seed=2)
+    assert np.array(traces).tobytes() == np.array(want_traces).tobytes()
+    got, want = bundle(dm), bundle(want_dm)
+    assert got.keys() == want.keys()
+    for key in want:
+        assert got[key].tobytes() == want[key].tobytes(), key
+    # the pair exercises rows without a partner user and a domain that runs out first
+    users_b = {r.user_id for r in ds_b.interactions}
+    assert only_a and not users_b & set(only_a)
+    assert len(ds_a.interactions) > len(ds_b.interactions) + cfg.batch_size
+
+
+@pytest.fixture(scope="module")
+def fitted_inputs(partial_pair):
+    ds_a, ds_b, _ = partial_pair
+    cfg = small_config()
+    ae_ua, ae_ia = dualmodel.train_domain_autoencoders(ds_a, cfg, seed=0)
+    ae_ub, ae_ib = dualmodel.train_domain_autoencoders(ds_b, cfg, seed=0)
+    arrays_a = dualmodel.prepare_domain(ds_a, ae_ua, ae_ia)
+    arrays_b = dualmodel.prepare_domain(ds_b, ae_ub, ae_ib)
+    return (ae_ua, ae_ia, ae_ub, ae_ib), arrays_a, arrays_b
+
+
+def new_model(aes):
+    return dualmodel.new_dual_model(*aes, 0.03, seed=0, hidden=(8, 4))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_fit_raises_when_the_learning_rate_blows_up(fitted_inputs):
+    # the penalty gradient 4 X (X^T X - I) is cubic in X, so a large map step diverges;
+    # a large scorer step does not, since its relu units die and the output saturates
+    aes, arrays_a, arrays_b = fitted_inputs
+    with pytest.raises(FloatingPointError, match="non-finite"):
+        fit(new_model(aes), arrays_a, arrays_b, small_config(lr_map=1e3), seed=0)
+
+
+def test_train_epoch_rejects_a_negative_learning_rate(fitted_inputs):
+    aes, arrays_a, arrays_b = fitted_inputs
+    dm = new_model(aes)
+    before = [layer.weights.copy() for layer in dm.rs_a.layers]
+    with pytest.raises(ValueError, match="learning rates"):
+        train_epoch(dm, arrays_a, arrays_b, lr_a=0.1, lr_b=0.1, lr_map=-0.01)
+    for layer, w in zip(dm.rs_a.layers, before):
+        np.testing.assert_array_equal(layer.weights, w)
+
+
+def test_fit_leaves_the_callers_map_array_untouched(fitted_inputs):
+    aes, arrays_a, arrays_b = fitted_inputs
+    dm = new_model(aes)
+    held_map = dm.map
+    held = dm.map.x
+    want = held.copy()
+    fit(dm, arrays_a, arrays_b, small_config(epochs=2), seed=0)
+    assert held.tobytes() == want.tobytes()
+    assert held_map.x is held
+    assert dm.map.x.tobytes() != want.tobytes()  # the model's own map did move
