@@ -9,12 +9,15 @@ synthetic domain pair as CSV triples plus a ground-truth latent file,
 and emits its loss trace.
 
 Configuration is a flat ``key=value`` text file; command-line flags
-override file keys, file keys override defaults. Unknown keys and
-out-of-range values fail fast with a one-line error. Every run writes the
-effective configuration next to its outputs so results are re-derivable.
-Reruns with the same config and seed produce byte-identical text outputs
-(CSV, JSON, config echo). Set DUALREC_VERBOSE=1 for progress lines on
-stderr.
+override file keys, file keys override defaults. The keys are every
+``TrainConfig`` key (``hidden`` is written ``16,8``) plus the keys of
+evaluation, data generation, the sweep and the NMF lab. The transfer rate
+alpha, and every entry of ``alphas``, lies in [0, 0.5]. Unknown keys and
+out-of-range values fail fast with a one-line error that names the key.
+Every run writes the effective configuration next to its outputs so results
+are re-derivable. Reruns with the same config and seed produce byte-identical
+text outputs (CSV, JSON, config echo). Set DUALREC_VERBOSE=1 for progress
+lines on stderr.
 """
 
 from __future__ import annotations
@@ -29,30 +32,22 @@ from pathlib import Path
 import numpy as np
 
 from dualrec import evaluate, features, nmflab
-from dualrec.dualmodel import TrainConfig, save_dual_model, train_pair
+from dualrec.dualmodel import TrainConfig, check_alpha, check_at_least, save_dual_model, train_pair
 from dualrec.features import load_domain, load_schema, require_disjoint_items, save_schema, synth_pair, write_domain
 
 
 @dataclass
-class ExperimentConfig:
-    """Every knob of every pipeline, with standard defaults."""
+class ExperimentConfig(TrainConfig):
+    """Every knob of every pipeline, with standard defaults.
 
-    alpha: float = 0.03
-    embed_dim: int = 8
-    epochs: int = 100
-    tol: float = 1e-5
-    lr_a: float = 0.1
-    lr_b: float = 0.1
-    lr_map: float = 0.01
-    batch_size: int = 32
-    penalty_weight: float = 1.0
+    The training keys are TrainConfig's, checked there; this class adds the
+    keys of evaluation, data generation, the sweep and the NMF lab.
+    """
+
     folds: int = 5
     seed: int = 0
     rank_k: int = 5
     tau: float = 0.5
-    ae_epochs: int = 500
-    ae_lr: float = 0.05
-    ae_batch_size: int = 32
     # synthetic pair generation
     rho: float = 0.8
     sigma: float = 0.05
@@ -67,9 +62,34 @@ class ExperimentConfig:
     nmf_cols: int = 15
     nmf_rank: int = 4
     nmf_alpha: float = 0.1
-    nmf_iters: int = 5000
+    nmf_iters: int = 200_000
     nmf_tol: float = 1e-8
     nmf_scale: float = 1.0
+
+    def __post_init__(self):
+        super().__post_init__()
+        check_at_least(self, ("folds",), 2)
+        check_at_least(
+            self, ("rank_k", "n_users", "n_items", "latent_dim", "nmf_rows", "nmf_cols", "nmf_rank", "nmf_iters"), 1
+        )
+        check_at_least(self, ("seed", "sigma", "nmf_tol"), 0)
+        for key, ok, bound in (
+            ("tau", 0.0 < self.tau < 1.0, "(0, 1)"),
+            ("rho", 0.0 <= self.rho <= 1.0, "[0, 1]"),
+            ("density", 0.0 < self.density <= 1.0, "(0, 1]"),
+            # the NMF reduction divides by 1 - 2 * alpha, so 0.5 is out
+            ("nmf_alpha", 0.0 <= self.nmf_alpha < 0.5, "[0, 0.5)"),
+            ("nmf_scale", self.nmf_scale > 0.0, "(0, inf)"),
+        ):
+            if not ok:
+                raise ValueError(f"{key}={getattr(self, key)} outside {bound}")
+        rates = parse_alphas(self.alphas)
+        if not rates:
+            raise ValueError("alphas names no transfer rate")
+        for a in rates:
+            check_alpha(a, "alphas entry")
+        if self.nmf_rank > min(self.nmf_rows, self.nmf_cols):
+            raise ValueError(f"nmf_rank={self.nmf_rank} above min(nmf_rows, nmf_cols)={min(self.nmf_rows, self.nmf_cols)}")
 
 
 _FIELDS = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
@@ -82,40 +102,19 @@ def _parse_value(key: str, raw: str):
             return int(raw)
         if kind == "float":
             return float(raw)
+        if kind == "tuple[int, ...]":
+            return tuple(int(part) for part in raw.split(",") if part.strip() != "")
         return raw
     except ValueError:
         raise ValueError(f"config key {key} expects a {kind}, got {raw!r}") from None
 
 
-def validate_config(cfg: ExperimentConfig) -> None:
-    """Bounds checks; every message names the violated bound."""
-    if not 0.0 <= cfg.alpha < 0.5:
-        raise ValueError(f"alpha={cfg.alpha} outside [0, 0.5)")
-    if not 0.0 <= cfg.nmf_alpha < 0.5:
-        raise ValueError(f"nmf_alpha={cfg.nmf_alpha} outside [0, 0.5)")
-    if not 0.0 <= cfg.rho <= 1.0:
-        raise ValueError(f"rho={cfg.rho} outside [0, 1]")
-    if not 0.0 < cfg.density <= 1.0:
-        raise ValueError(f"density={cfg.density} outside (0, 1]")
-    if not 0.0 < cfg.tau < 1.0:
-        raise ValueError(f"tau={cfg.tau} outside (0, 1)")
-    if cfg.sigma < 0:
-        raise ValueError(f"sigma={cfg.sigma} below 0")
-    if cfg.tol < 0 or cfg.nmf_tol < 0:
-        raise ValueError("tol and nmf_tol must be >= 0")
-    for key in ("embed_dim", "epochs", "batch_size", "folds", "rank_k", "ae_epochs",
-                "ae_batch_size", "n_users", "n_items", "latent_dim",
-                "nmf_rows", "nmf_cols", "nmf_rank", "nmf_iters"):
-        if getattr(cfg, key) < 1:
-            raise ValueError(f"{key}={getattr(cfg, key)} below 1")
-    for key in ("lr_a", "lr_b", "lr_map", "ae_lr", "penalty_weight"):
-        if getattr(cfg, key) < 0:
-            raise ValueError(f"{key}={getattr(cfg, key)} below 0")
-    for a in parse_alphas(cfg.alphas):
-        if not 0.0 <= a < 0.5:
-            raise ValueError(f"alphas entry {a} outside [0, 0.5)")
-    if cfg.nmf_rank > min(cfg.nmf_rows, cfg.nmf_cols):
-        raise ValueError(f"nmf_rank={cfg.nmf_rank} above min(nmf_rows, nmf_cols)={min(cfg.nmf_rows, cfg.nmf_cols)}")
+def _format_value(value) -> str:
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, tuple):
+        return ",".join(str(part) for part in value)
+    return str(value)
 
 
 def parse_alphas(text: str) -> list[float]:
@@ -127,7 +126,7 @@ def parse_alphas(text: str) -> list[float]:
 
 def load_config(path) -> ExperimentConfig:
     """Flat key=value file; unknown keys are an error, absent keys default."""
-    cfg = ExperimentConfig()
+    values = {}
     with open(path, encoding="utf-8") as fh:
         for ln, line in enumerate(fh, start=1):
             line = line.strip()
@@ -139,34 +138,17 @@ def load_config(path) -> ExperimentConfig:
                 raise ValueError(f"{path}:{ln}: expected key=value, got {line!r}")
             if key not in _FIELDS:
                 raise ValueError(f"{path}:{ln}: unknown config key {key!r}")
-            setattr(cfg, key, _parse_value(key, raw.strip()))
-    return cfg
+            values[key] = _parse_value(key, raw.strip())
+    try:
+        return ExperimentConfig(**values)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_config(cfg: ExperimentConfig, path) -> None:
     """Effective-config echo; reloading reproduces the exact config."""
-    lines = []
-    for name in sorted(_FIELDS):
-        value = getattr(cfg, name)
-        lines.append(f"{name}={value!r}" if isinstance(value, float) else f"{name}={value}")
+    lines = [f"{name}={_format_value(getattr(cfg, name))}" for name in sorted(_FIELDS)]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def to_train_config(cfg: ExperimentConfig) -> TrainConfig:
-    return TrainConfig(
-        alpha=cfg.alpha,
-        embed_dim=cfg.embed_dim,
-        epochs=cfg.epochs,
-        tol=cfg.tol,
-        lr_a=cfg.lr_a,
-        lr_b=cfg.lr_b,
-        lr_map=cfg.lr_map,
-        batch_size=cfg.batch_size,
-        penalty_weight=cfg.penalty_weight,
-        ae_lr=cfg.ae_lr,
-        ae_epochs=cfg.ae_epochs,
-        ae_batch_size=cfg.ae_batch_size,
-    )
 
 
 def _log(msg: str) -> None:
@@ -246,7 +228,7 @@ def cmd_synth(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 def cmd_train(cfg: ExperimentConfig, data_dir: Path, out_dir: Path) -> int:
     ds_a, ds_b = load_pair(data_dir)
-    dm, (trace_a, trace_b) = train_pair(ds_a, ds_b, to_train_config(cfg), seed=cfg.seed)
+    dm, (trace_a, trace_b) = train_pair(ds_a, ds_b, cfg, seed=cfg.seed)
     save_dual_model(dm, out_dir / "model.npz")
     evaluate.write_trace_csv(
         out_dir / "loss_trace.csv",
@@ -261,7 +243,7 @@ def cmd_train(cfg: ExperimentConfig, data_dir: Path, out_dir: Path) -> int:
 def cmd_eval(cfg: ExperimentConfig, data_dir: Path, out_dir: Path) -> int:
     ds_a, ds_b = load_pair(data_dir)
     rep_a, rep_b = evaluate.run_cv(
-        ds_a, ds_b, to_train_config(cfg), k=cfg.folds, seed=cfg.seed, rank_k=cfg.rank_k, tau=cfg.tau
+        ds_a, ds_b, cfg, k=cfg.folds, seed=cfg.seed, rank_k=cfg.rank_k, tau=cfg.tau
     )
     evaluate.write_report_csv(out_dir / "report.csv", [rep_a, rep_b])
     evaluate.write_summary_json(out_dir / "summary.json", evaluate.report_summary([rep_a, rep_b]))
@@ -273,14 +255,7 @@ def cmd_eval(cfg: ExperimentConfig, data_dir: Path, out_dir: Path) -> int:
 def cmd_alpha_sweep(cfg: ExperimentConfig, data_dir: Path, out_dir: Path) -> int:
     ds_a, ds_b = load_pair(data_dir)
     points = evaluate.alpha_sweep(
-        ds_a,
-        ds_b,
-        parse_alphas(cfg.alphas),
-        to_train_config(cfg),
-        k=cfg.folds,
-        seed=cfg.seed,
-        rank_k=cfg.rank_k,
-        tau=cfg.tau,
+        ds_a, ds_b, parse_alphas(cfg.alphas), cfg, k=cfg.folds, seed=cfg.seed, rank_k=cfg.rank_k, tau=cfg.tau
     )
     evaluate.write_sweep_csv(out_dir / "sweep.csv", points)
     summary = {
@@ -359,14 +334,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_train = sub.add_parser("train", help="train the dual model on a domain pair")
     p_train.add_argument("--data", required=True, help="directory produced by synth (or same layout)")
     p_train.add_argument("--out", required=True, help="output directory")
-    _add_override(p_train, "--alpha", "alpha", "transfer rate in [0, 0.5)")
+    _add_override(p_train, "--alpha", "alpha", "transfer rate in [0, 0.5]")
     _add_override(p_train, "--epochs", "epochs", "epoch budget")
     _add_override(p_train, "--embed-dim", "embed_dim", "embedding size")
 
     p_eval = sub.add_parser("eval", help="cross-validate and write metric reports")
     p_eval.add_argument("--data", required=True, help="dataset directory")
     p_eval.add_argument("--out", required=True, help="output directory")
-    _add_override(p_eval, "--alpha", "alpha", "transfer rate in [0, 0.5)")
+    _add_override(p_eval, "--alpha", "alpha", "transfer rate in [0, 0.5]")
     _add_override(p_eval, "--folds", "folds", "cross-validation folds")
     _add_override(p_eval, "--epochs", "epochs", "epoch budget")
 
@@ -396,11 +371,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config) if args.config else ExperimentConfig()
-        for key in _FIELDS:
-            override = getattr(args, key, None)
-            if override is not None:
-                setattr(cfg, key, override)
-        validate_config(cfg)
+        overrides = {key: getattr(args, key) for key in _FIELDS if getattr(args, key, None) is not None}
+        cfg = dataclasses.replace(cfg, **overrides)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "synth":

@@ -14,8 +14,8 @@ scorers and the map receive their gradients together (the map accumulates
 both domains' cross terms plus the orthogonality penalty), and the map is
 re-projected onto the orthogonal manifold at the end of each epoch. With
 alpha = 0 the coupling vanishes exactly and training degenerates to two
-independent single-domain runs, bit for bit, which `train_single`
-reproduces. Users who only exist in one domain get an effective alpha of 0
+independent single-domain runs, bit for bit, which the tests' single-domain
+oracle reproduces. Users who only exist in one domain get an effective alpha of 0
 so no cross signal is fabricated for them.
 
 `MultiModel` generalizes prediction to n domains, averaging the n-1 cross
@@ -40,9 +40,26 @@ _L_SHUFFLE = 0x50FF
 _DUMP_VERSION = "dualrec-dual-1"
 
 
+def check_alpha(alpha: float, name: str = "alpha") -> None:
+    """The transfer-rate bound of every rating model, [0, 0.5]; 0.5 weighs both channels alike."""
+    if not 0.0 <= alpha <= 0.5:
+        raise ValueError(f"{name} {alpha} outside [0, 0.5]")
+
+
+def check_at_least(cfg, keys, low) -> None:
+    """Raise ValueError naming the first of cfg's keys whose value is below low (or NaN)."""
+    for key in keys:
+        value = getattr(cfg, key)
+        if not value >= low:
+            raise ValueError(f"{key}={value} below {low}")
+
+
 @dataclass
 class TrainConfig:
-    """Knobs for the full pipeline; defaults are the package's standard run."""
+    """Knobs for the full pipeline; defaults are the package's standard run.
+
+    Every key is checked on construction, and an error names its key.
+    """
 
     alpha: float = 0.03
     embed_dim: int = 8
@@ -59,12 +76,12 @@ class TrainConfig:
     ae_batch_size: int = 32
 
     def __post_init__(self):
-        if not 0.0 <= self.alpha <= 0.5:
-            raise ValueError(f"alpha {self.alpha} outside [0, 0.5]")
-        if self.embed_dim < 1 or self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("embed_dim, epochs and batch_size must be >= 1")
-        if min(self.lr_a, self.lr_b, self.lr_map, self.ae_lr) < 0 or self.tol < 0:
-            raise ValueError("learning rates and tol must be >= 0")
+        self.hidden = tuple(self.hidden)
+        check_alpha(self.alpha)
+        check_at_least(self, ("embed_dim", "epochs", "batch_size", "ae_epochs", "ae_batch_size"), 1)
+        check_at_least(self, ("tol", "lr_a", "lr_b", "lr_map", "penalty_weight", "ae_lr"), 0)
+        if not all(width >= 1 for width in self.hidden):
+            raise ValueError(f"hidden={self.hidden} has a width below 1")
 
 
 # ---------------------------------------------------------------------------
@@ -76,10 +93,6 @@ class RatingModel:
     """MLP over concat(user embedding, item embedding) -> rating in (0, 1)."""
 
     layers: list[DenseLayer]
-
-    @property
-    def n_inputs(self) -> int:
-        return self.layers[0].n_in
 
     def copy(self) -> "RatingModel":
         return RatingModel([l.copy() for l in self.layers])
@@ -158,11 +171,22 @@ class DualModel:
     item_schema_b: FeatureSchema | None = None
 
     def __post_init__(self):
-        if not 0.0 <= self.alpha <= 0.5:
-            raise ValueError(f"alpha {self.alpha} outside [0, 0.5]")
+        """The model contract, checked on build and on load; each error names its field."""
+        check_alpha(self.alpha)
         d = self.ae_user_a.embed_dim
+        for name in ("ae_item_a", "ae_user_b", "ae_item_b"):
+            if getattr(self, name).embed_dim != d:
+                raise ValueError(f"{name} embed_dim {getattr(self, name).embed_dim} != ae_user_a embed_dim {d}")
+        for name in ("rs_a", "rs_b"):
+            want, source = 2 * d, f"2 * embed_dim = {2 * d}"
+            for k, layer in enumerate(getattr(self, name).layers):
+                if layer.n_in != want:
+                    raise ValueError(f"{name} layer {k} takes {layer.n_in} inputs, expected {source}")
+                want, source = layer.n_out, f"the {layer.n_out} outputs of layer {k}"
+            if want != 1:
+                raise ValueError(f"{name} ends in {want} outputs, expected 1")
         if self.map.dim != d:
-            raise ValueError(f"map dimension {self.map.dim} != embed_dim {d}")
+            raise ValueError(f"map is {self.map.dim}x{self.map.dim}, expected embed_dim {d}x{d}")
 
     @property
     def embed_dim(self) -> int:
@@ -205,9 +229,6 @@ def new_dual_model(
     schemas_b: tuple[FeatureSchema, FeatureSchema] | None = None,
 ) -> DualModel:
     d = ae_user_a.embed_dim
-    for ae in (ae_item_a, ae_user_b, ae_item_b):
-        if ae.embed_dim != d:
-            raise ValueError("all four autoencoders must share one embed_dim")
     schemas_a = schemas_a or (None, None)
     schemas_b = schemas_b or (None, None)
     return DualModel(
@@ -514,47 +535,6 @@ def fit(
 
 
 # ---------------------------------------------------------------------------
-# single-domain baseline (the alpha = 0 degeneration, run standalone)
-
-
-def train_single(
-    arrays: TrainingArrays,
-    domain_index: int,
-    embed_dim: int,
-    seed: int,
-    epochs: int = 100,
-    tol: float = 1e-5,
-    lr: float = 0.01,
-    batch_size: int = 32,
-    hidden: tuple[int, ...] = (16, 8),
-) -> tuple[RatingModel, list[float]]:
-    """Train one domain's scorer alone.
-
-    Uses the same init and shuffle streams as the dual loop, so with
-    alpha = 0 and tol = 0 the dual model's scorer follows the exact same
-    trajectory (the independence degeneration, testable bitwise).
-    """
-    model = make_rating_model(embed_dim, seed, domain_index, hidden)
-
-    def full_loss() -> float:
-        preds = score_batch(model, arrays.user_emb, arrays.item_emb)
-        return float(np.mean((preds - arrays.ratings) ** 2))
-
-    trace = [full_loss()]
-    for epoch in range(epochs):
-        for u, i, y, _ in _epoch_batches(arrays, batch_size, make_rng(seed, _L_SHUFFLE, domain_index, epoch)):
-            y_hat, caches = model_forward(model, np.concatenate([u, i], axis=1))
-            resid = y_hat - y[:, None]
-            _, grads = model_backward(model, caches, 2.0 * resid / u.shape[0], need_dx=False)
-            check_finite_step(resid.sum(), [g for pair in grads for g in pair])
-            apply_grads(model, grads, lr)
-        trace.append(full_loss())
-        if abs(trace[-1] - trace[-2]) < tol:
-            break
-    return model, trace
-
-
-# ---------------------------------------------------------------------------
 # multi-domain extension
 
 
@@ -579,8 +559,7 @@ class MultiModel:
         expected = {(j, k) for j in range(n) for k in range(j + 1, n)}
         if set(self.maps) != expected:
             raise ValueError(f"maps must cover exactly the unordered pairs {sorted(expected)}")
-        if not 0.0 <= self.alpha <= 0.5:
-            raise ValueError(f"alpha {self.alpha} outside [0, 0.5]")
+        check_alpha(self.alpha)
 
     @property
     def n_domains(self) -> int:
@@ -715,8 +694,6 @@ def train_pair(
     ds_b: DomainDataset,
     cfg: TrainConfig,
     seed: int = 0,
-    records_a=None,
-    records_b=None,
 ) -> tuple[DualModel, tuple[list[float], list[float]]]:
     """Full pipeline on one domain pair: autoencoders, dual model, fit.
 
@@ -744,8 +721,8 @@ def train_pair(
         dm.map = warm
     users_a = {r.user_id for r in ds_a.interactions}
     users_b = {r.user_id for r in ds_b.interactions}
-    arrays_a = prepare_domain(ds_a, ae_user_a, ae_item_a, records_a, partner_users=users_b)
-    arrays_b = prepare_domain(ds_b, ae_user_b, ae_item_b, records_b, partner_users=users_a)
+    arrays_a = prepare_domain(ds_a, ae_user_a, ae_item_a, partner_users=users_b)
+    arrays_b = prepare_domain(ds_b, ae_user_b, ae_item_b, partner_users=users_a)
     traces = fit(dm, arrays_a, arrays_b, cfg, seed)
     return dm, traces
 
@@ -776,6 +753,13 @@ def _model_from_arrays(data, prefix: str) -> RatingModel:
     return RatingModel(layers)
 
 
+# (DualModel field, bundle key or key prefix) of every scorer, autoencoder and schema
+_SCORER_KEYS = (("rs_a", "rs0_"), ("rs_b", "rs1_"))
+_AE_KEYS = (("ae_user_a", "ae_u0_"), ("ae_item_a", "ae_i0_"), ("ae_user_b", "ae_u1_"), ("ae_item_b", "ae_i1_"))
+_SCHEMA_KEYS = (("user_schema_a", "schema_u0"), ("item_schema_a", "schema_i0"),
+                ("user_schema_b", "schema_u1"), ("item_schema_b", "schema_i1"))
+
+
 def save_dual_model(dm: DualModel, path) -> None:
     """Persist every weight plus alpha and any attached schemas to one npz."""
     payload = {
@@ -784,44 +768,41 @@ def save_dual_model(dm: DualModel, path) -> None:
         "map_x": dm.map.x,
         "map_pair": np.array(list(dm.map.domain_pair), dtype=np.str_),
     }
-    payload.update(_model_arrays(dm.rs_a, "rs0_"))
-    payload.update(_model_arrays(dm.rs_b, "rs1_"))
-    for prefix, ae in (
-        ("ae_u0_", dm.ae_user_a),
-        ("ae_i0_", dm.ae_item_a),
-        ("ae_u1_", dm.ae_user_b),
-        ("ae_i1_", dm.ae_item_b),
-    ):
-        payload.update(autoencoder_arrays(ae, prefix))
-    for key, schema in (
-        ("schema_u0", dm.user_schema_a),
-        ("schema_i0", dm.item_schema_a),
-        ("schema_u1", dm.user_schema_b),
-        ("schema_i1", dm.item_schema_b),
-    ):
-        if schema is not None:
-            payload[key] = np.array(schema_to_text(schema))
+    for field, prefix in _SCORER_KEYS:
+        payload.update(_model_arrays(getattr(dm, field), prefix))
+    for field, prefix in _AE_KEYS:
+        payload.update(autoencoder_arrays(getattr(dm, field), prefix))
+    for field, key in _SCHEMA_KEYS:
+        if getattr(dm, field) is not None:
+            payload[key] = np.array(schema_to_text(getattr(dm, field)))
     np.savez(path, **payload)
 
 
+class _Bundle(dict):
+    """The arrays of a saved model by key; a missing key is a ValueError naming it."""
+
+    def __missing__(self, key):
+        raise ValueError(f"model bundle has no key {key!r}")
+
+
 def load_dual_model(path) -> DualModel:
-    with np.load(path, allow_pickle=False) as data:
-        if str(data["version"]) != _DUMP_VERSION:
-            raise ValueError(f"unsupported dump version {data['version']!r}")
-        schemas = {}
-        for key in ("schema_u0", "schema_i0", "schema_u1", "schema_i1"):
-            schemas[key] = parse_schema(str(data[key])) if key in data else None
-        return DualModel(
-            rs_a=_model_from_arrays(data, "rs0_"),
-            rs_b=_model_from_arrays(data, "rs1_"),
-            map=OrthogonalMap(np.array(data["map_x"]), tuple(str(s) for s in data["map_pair"])),
-            alpha=float(data["alpha"]),
-            ae_user_a=autoencoder_from_arrays(data, "ae_u0_"),
-            ae_item_a=autoencoder_from_arrays(data, "ae_i0_"),
-            ae_user_b=autoencoder_from_arrays(data, "ae_u1_"),
-            ae_item_b=autoencoder_from_arrays(data, "ae_i1_"),
-            user_schema_a=schemas["schema_u0"],
-            item_schema_a=schemas["schema_i0"],
-            user_schema_b=schemas["schema_u1"],
-            item_schema_b=schemas["schema_i1"],
-        )
+    """Rebuild a saved model; a missing key, or an array that breaks the
+    DualModel contract, raises ValueError naming the key or the field."""
+    with np.load(path, allow_pickle=False) as npz:
+        data = _Bundle((key, npz[key]) for key in npz.files)
+    if str(data["version"]) != _DUMP_VERSION:
+        raise ValueError(f"unsupported dump version {data['version']!r}")
+    parts = {}
+    for build, keys in ((_model_from_arrays, _SCORER_KEYS), (autoencoder_from_arrays, _AE_KEYS)):
+        for field, prefix in keys:
+            try:
+                parts[field] = build(data, prefix)
+            except ValueError as exc:
+                raise ValueError(f"{field} (bundle keys {prefix}*): {exc}") from None
+    for field, key in _SCHEMA_KEYS:
+        parts[field] = parse_schema(str(data[key])) if key in data else None
+    return DualModel(
+        map=OrthogonalMap(np.array(data["map_x"]), tuple(str(s) for s in data["map_pair"])),
+        alpha=float(data["alpha"]),
+        **parts,
+    )

@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -167,29 +167,18 @@ def run_cv(
     (cfg, k, seed).
     """
     require_disjoint_items(ds_a, ds_b)
+    # split first, so a bad k fails before any autoencoder trains
+    split_a = kfold(ds_a, k, seed)
+    split_b = kfold(ds_b, k, seed)
     ae_user_a, ae_item_a = train_domain_autoencoders(ds_a, cfg, seed)
     ae_user_b, ae_item_b = train_domain_autoencoders(ds_b, cfg, seed)
     # Shared across folds like the autoencoders it is built from: the
     # alignment sees entity features only, never ratings.
     warm_map = shared_user_alignment(ds_a, ds_b, ae_user_a, ae_user_b)
-    split_a = kfold(ds_a, k, seed)
-    split_b = kfold(ds_b, k, seed)
     users_a = {r.user_id for r in ds_a.interactions}
     users_b = {r.user_id for r in ds_b.interactions}
-    config_echo = {
-        "alpha": cfg.alpha,
-        "embed_dim": cfg.embed_dim,
-        "epochs": cfg.epochs,
-        "tol": cfg.tol,
-        "lr_a": cfg.lr_a,
-        "lr_b": cfg.lr_b,
-        "lr_map": cfg.lr_map,
-        "batch_size": cfg.batch_size,
-        "folds": k,
-        "seed": seed,
-        "rank_k": rank_k,
-        "tau": tau,
-    }
+    config_echo = {f.name: getattr(cfg, f.name) for f in fields(TrainConfig)}
+    config_echo.update(folds=k, seed=seed, rank_k=rank_k, tau=tau)
     folds_a: list[FoldMetrics] = []
     folds_b: list[FoldMetrics] = []
     for fold in range(k):
@@ -258,15 +247,8 @@ def alpha_sweep(
     tau: float = 0.5,
 ) -> list[SweepPoint]:
     """One cross-validation run per transfer rate, seeds shared across rates."""
-    alphas = [float(a) for a in alphas]
-    for a in alphas:
-        if not 0.0 <= a < 0.5:
-            raise ValueError(f"sweep alpha {a} outside [0, 0.5)")
-    points = []
-    for a in alphas:
-        ra, rb = run_cv(ds_a, ds_b, replace(cfg, alpha=a), k=k, seed=seed, rank_k=rank_k, tau=tau)
-        points.append(SweepPoint(a, ra, rb))
-    return points
+    configs = [replace(cfg, alpha=float(a)) for a in alphas]  # checks every rate before the first run
+    return [SweepPoint(c.alpha, *run_cv(ds_a, ds_b, c, k=k, seed=seed, rank_k=rank_k, tau=tau)) for c in configs]
 
 
 # ---------------------------------------------------------------------------

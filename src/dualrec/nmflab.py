@@ -219,7 +219,7 @@ def mu_step(p: DualNmfProblem, s: DualNmfState) -> DualNmfState:
     return DualNmfState(w_a, h_a, w_b, h_b, list(s.loss_trace))
 
 
-def run_nmf(p: DualNmfProblem, max_iters: int = 5000, tol: float = 1e-8,
+def run_nmf(p: DualNmfProblem, max_iters: int = 200_000, tol: float = 1e-8,
             seed: int = 0, state: DualNmfState | None = None) -> DualNmfState:
     """Iterate mu_step until |delta loss| < tol or the iteration budget ends.
 
@@ -228,7 +228,9 @@ def run_nmf(p: DualNmfProblem, max_iters: int = 5000, tol: float = 1e-8,
     carries the full loss trace: entry 0 is the initial loss, one entry per
     step after that.  The loop is mu_step and coupled_loss_via_reduction
     with the reduced targets and the (1-2a)^2 factor computed once per call;
-    trace and factors are bitwise the same as composing those two.
+    trace and factors are bitwise the same as composing those two.  The
+    default budget covers the slowest measured settle of a perturbed random
+    problem (167,861 iterations).
     """
     conds = check_conditions(p)
     failing = [name for name, ok in conds.items() if not ok]

@@ -38,7 +38,6 @@ from dualrec.dualmodel import (
     score_batch,
     train_domain_autoencoders,
     train_pair,
-    train_single,
 )
 from dualrec.evaluate import alpha_sweep, precision_recall_at_k, rmse, run_cv
 from dualrec.features import kfold, synth_pair
@@ -52,6 +51,7 @@ from dualrec.nmflab import (
     run_nmf,
 )
 from dualrec.numeric import grad_check, make_rng
+from single_domain import train_single
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,18 @@
 """End-to-end command-line pipeline tests on a miniature dataset."""
 
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from dualrec.cli import ExperimentConfig, load_config, main, save_config, validate_config
+from dualrec import evaluate
+from dualrec.cli import ExperimentConfig, load_config, load_pair, main, save_config
+from dualrec.dualmodel import TrainConfig, load_dual_model
+from dualrec.evaluate import alpha_sweep
 
 SMALL = {
     "n_users": 30,
@@ -20,6 +26,19 @@ SMALL = {
     "sigma": 0.05,
     "alphas": "0,0.03",
 }
+
+
+# out-of-range values, at least one per config key, as written in a config file
+OUT_OF_RANGE = [
+    ("alpha", "0.6"), ("alpha", "nan"), ("embed_dim", "0"), ("epochs", "0"), ("tol", "-1e-9"),
+    ("lr_a", "-0.1"), ("lr_b", "nan"), ("lr_map", "-1"), ("batch_size", "0"),
+    ("penalty_weight", "-1"), ("hidden", "8,0"), ("ae_lr", "-0.05"), ("ae_epochs", "0"),
+    ("ae_batch_size", "0"), ("folds", "1"), ("seed", "-1"), ("rank_k", "0"), ("tau", "1.0"),
+    ("rho", "1.5"), ("sigma", "-0.1"), ("density", "0"), ("n_users", "0"), ("n_items", "0"),
+    ("latent_dim", "0"), ("alphas", "0,0.6"), ("nmf_rows", "0"), ("nmf_cols", "0"),
+    ("nmf_rank", "0"), ("nmf_alpha", "0.5"), ("nmf_iters", "0"), ("nmf_tol", "-1"),
+    ("nmf_scale", "0"),
+]
 
 
 def write_small_config(path, **extra):
@@ -70,8 +89,78 @@ class TestConfig:
             load_config(p)
 
     def test_alpha_bound_named_in_error(self):
-        with pytest.raises(ValueError, match=r"\[0, 0.5\)"):
-            validate_config(ExperimentConfig(alpha=0.6))
+        with pytest.raises(ValueError, match=r"^alpha 0.6 outside \[0, 0.5\]$"):
+            ExperimentConfig(alpha=0.6)
+
+    def test_hidden_is_a_config_key(self, tmp_path):
+        p = tmp_path / "c.txt"
+        p.write_text("hidden=12,6\n", encoding="utf-8")
+        cfg = load_config(p)
+        assert cfg.hidden == (12, 6)
+        save_config(cfg, tmp_path / "echo.txt")
+        assert "hidden=12,6\n" in (tmp_path / "echo.txt").read_text(encoding="utf-8")
+
+    def test_declares_no_training_key_twice(self):
+        own = set(ExperimentConfig.__annotations__)
+        assert own.isdisjoint(f.name for f in dataclasses.fields(TrainConfig))
+        assert len(dataclasses.fields(ExperimentConfig)) == 31
+
+    @pytest.mark.parametrize("key, bad", OUT_OF_RANGE)
+    def test_out_of_range_value_names_its_key(self, tmp_path, key, bad):
+        p = tmp_path / "c.txt"
+        p.write_text(f"{key}={bad}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=key):
+            load_config(p)
+
+    def test_every_key_has_an_out_of_range_case(self):
+        assert {key for key, _ in OUT_OF_RANGE} == {f.name for f in dataclasses.fields(ExperimentConfig)}
+
+    def test_empty_alpha_grid_rejected(self):
+        with pytest.raises(ValueError, match="alphas"):
+            ExperimentConfig(alphas=",")
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_save_then_load_is_identity(self, tmp_path, data):
+        rate = st.floats(0.0, 0.5)
+        nonneg = st.floats(0.0, 1e3)
+        count = st.integers(1, 10_000)
+        rows, cols = data.draw(st.integers(1, 40)), data.draw(st.integers(1, 40))
+        cfg = ExperimentConfig(
+            alpha=data.draw(rate),
+            embed_dim=data.draw(count),
+            epochs=data.draw(count),
+            tol=data.draw(nonneg),
+            lr_a=data.draw(nonneg),
+            lr_b=data.draw(nonneg),
+            lr_map=data.draw(nonneg),
+            batch_size=data.draw(count),
+            penalty_weight=data.draw(nonneg),
+            hidden=tuple(data.draw(st.lists(count, max_size=4))),
+            ae_lr=data.draw(nonneg),
+            ae_epochs=data.draw(count),
+            ae_batch_size=data.draw(count),
+            folds=data.draw(st.integers(2, 20)),
+            seed=data.draw(st.integers(0, 2**32)),
+            rank_k=data.draw(count),
+            tau=data.draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+            rho=data.draw(st.floats(0.0, 1.0)),
+            sigma=data.draw(nonneg),
+            density=data.draw(st.floats(0.0, 1.0, exclude_min=True)),
+            n_users=data.draw(count),
+            n_items=data.draw(count),
+            latent_dim=data.draw(count),
+            alphas=",".join(repr(a) for a in data.draw(st.lists(rate, min_size=1, max_size=5))),
+            nmf_rows=rows,
+            nmf_cols=cols,
+            nmf_rank=data.draw(st.integers(1, min(rows, cols))),
+            nmf_alpha=data.draw(st.floats(0.0, 0.5, exclude_max=True)),
+            nmf_iters=data.draw(count),
+            nmf_tol=data.draw(nonneg),
+            nmf_scale=data.draw(st.floats(0.0, 1e3, exclude_min=True)),
+        )
+        save_config(cfg, tmp_path / "c.txt")
+        assert load_config(tmp_path / "c.txt") == cfg
 
     def test_invalid_config_exits_nonzero(self, tmp_path, capsys):
         p = tmp_path / "c.txt"
@@ -138,6 +227,27 @@ class TestTrainEval:
         assert (out1 / "report.csv").read_bytes() == (out2 / "report.csv").read_bytes()
         assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
 
+    def test_summary_config_rebuilds_the_train_config(self, pipeline_dir, tmp_path):
+        _, cfg, data = pipeline_dir
+        out = tmp_path / "e"
+        assert main(["eval", "--config", str(cfg), "--data", str(data), "--seed", "3", "--out", str(out)]) == 0
+        echo = json.loads((out / "summary.json").read_text(encoding="utf-8"))["config"]
+        run = load_config(cfg)
+        train_keys = [f.name for f in dataclasses.fields(TrainConfig)]
+        assert TrainConfig(**{k: echo[k] for k in train_keys}) == TrainConfig(**{k: getattr(run, k) for k in train_keys})
+        assert (echo["folds"], echo["seed"], echo["rank_k"], echo["tau"]) == (run.folds, 3, run.rank_k, run.tau)
+
+    def test_one_fold_fails_before_any_autoencoder_trains(self, pipeline_dir, tmp_path, capsys, monkeypatch):
+        _, cfg, data = pipeline_dir
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an autoencoder trained")
+
+        monkeypatch.setattr(evaluate, "train_domain_autoencoders", refuse)
+        code = main(["eval", "--config", str(cfg), "--data", str(data), "--folds", "1", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "folds=1 below 2" in capsys.readouterr().err
+
     def test_eval_on_missing_data_dir_exits_nonzero(self, tmp_path, capsys):
         code = main(["eval", "--data", str(tmp_path / "nope"), "--out", str(tmp_path / "o")])
         assert code == 2
@@ -154,7 +264,54 @@ class TestTrainEval:
         assert summary["alphas"] == [0.0, 0.03]
 
 
+class TestAlphaBound:
+    """alpha 0.5 is accepted and 0.5000001 refused, with one message, on every path."""
+
+    MESSAGE = "alpha 0.5000001 outside [0, 0.5]"
+
+    def test_train_config(self):
+        assert TrainConfig(alpha=0.5).alpha == 0.5
+        with pytest.raises(ValueError) as exc:
+            TrainConfig(alpha=0.5000001)
+        assert str(exc.value) == self.MESSAGE
+
+    def test_train_flag_and_load(self, pipeline_dir, tmp_path, capsys):
+        _, cfg, data = pipeline_dir
+        argv = ["train", "--config", str(cfg), "--data", str(data)]
+        assert main([*argv, "--alpha", "0.5", "--out", str(tmp_path / "ok")]) == 0
+        capsys.readouterr()
+        assert main([*argv, "--alpha", "0.5000001", "--out", str(tmp_path / "no")]) == 2
+        assert capsys.readouterr().err == f"error: {self.MESSAGE}\n"
+        assert load_dual_model(tmp_path / "ok" / "model.npz").alpha == 0.5
+        with np.load(tmp_path / "ok" / "model.npz") as npz:
+            arrays = dict(npz)
+        arrays["alpha"] = np.array(0.5000001)
+        np.savez(tmp_path / "bad.npz", **arrays)
+        with pytest.raises(ValueError) as exc:
+            load_dual_model(tmp_path / "bad.npz")
+        assert str(exc.value) == self.MESSAGE
+
+    def test_alpha_sweep(self, pipeline_dir, monkeypatch):
+        _, cfg, data = pipeline_dir
+        ds_a, ds_b = load_pair(data)
+        run = load_config(cfg)
+        with monkeypatch.context() as m:
+            m.setattr(evaluate, "run_cv", None)  # the refusal comes before the first run
+            with pytest.raises(ValueError) as exc:
+                alpha_sweep(ds_a, ds_b, [0.0, 0.5000001], run, k=2)
+        assert str(exc.value) == self.MESSAGE
+        (point,) = alpha_sweep(ds_a, ds_b, [0.5], run, k=2)
+        assert point.alpha == 0.5 and np.isfinite(point.report_a.rmse)
+
+
 class TestNmfLab:
+    def test_defaults_converge(self, tmp_path):
+        out = tmp_path / "nmf"
+        assert main(["nmf-lab", "--out", str(out)]) == 0
+        summary = json.loads((out / "nmf_summary.json").read_text(encoding="utf-8"))
+        assert summary["perturbation_applied"]
+        assert summary["converged"] is True
+
     def test_trace_is_monotone_and_summary_coherent(self, tmp_path):
         out = tmp_path / "nmf"
         assert main(["nmf-lab", "--alpha", "0.1", "--seed", "1", "--iters", "400", "--out", str(out)]) == 0

@@ -1,11 +1,14 @@
 """Hybrid dual-domain scorer, joint training loop, and n-domain extension."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from dualrec.autoencoder import ae_encode, train_autoencoder
 from dualrec.dualmodel import (
     DualModel,
+    RatingModel,
     TrainConfig,
     TrainingArrays,
     dual_loss_and_grads,
@@ -25,11 +28,11 @@ from dualrec.dualmodel import (
     score,
     shared_user_alignment,
     train_pair,
-    train_single,
 )
 from dualrec.features import encode, synth_pair
 from dualrec.mapping import OrthogonalMap, orthogonality_defect
 from dualrec.numeric import grad_check, make_rng
+from single_domain import train_single
 
 
 def small_config(**overrides):
@@ -73,6 +76,10 @@ class TestTrainConfig:
             TrainConfig(alpha=0.6)
         with pytest.raises(ValueError):
             TrainConfig(alpha=-0.1)
+
+    def test_hidden_is_stored_as_a_tuple(self):
+        assert TrainConfig(hidden=[12, 6]) == TrainConfig(hidden=(12, 6))
+        assert TrainConfig(hidden=()).hidden == ()
 
 
 class TestPredict:
@@ -347,6 +354,75 @@ class TestTrainPair:
         want = predict(dm, "a", ds_a.user_features[rec.user_id], ds_a.item_features[rec.item_id])
         got = predict(back, "a", ds_a.user_features[rec.user_id], ds_a.item_features[rec.item_id])
         assert got == want
+
+
+class TestModelContract:
+    """DualModel checks its dimension chain whether it is built or loaded."""
+
+    def test_scorer_takes_twice_the_embed_dim(self, trained_small):
+        dm, _ = trained_small
+        with pytest.raises(ValueError, match=r"rs_b layer 0 takes 6 inputs, expected 2 \* embed_dim = 8"):
+            dataclasses.replace(dm, rs_b=make_rating_model(3, 0, 1, (8, 4)))
+
+    def test_layers_chain(self, trained_small):
+        dm, _ = trained_small
+        skipped = RatingModel([dm.rs_a.layers[0], dm.rs_a.layers[2]])
+        with pytest.raises(ValueError, match="rs_a layer 1 takes 4 inputs"):
+            dataclasses.replace(dm, rs_a=skipped)
+
+    def test_scorer_ends_in_one_output(self, trained_small):
+        dm, _ = trained_small
+        with pytest.raises(ValueError, match="rs_a ends in 4 outputs"):
+            dataclasses.replace(dm, rs_a=RatingModel(dm.rs_a.layers[:-1]))
+
+    def test_map_is_d_by_d(self, trained_small):
+        dm, _ = trained_small
+        with pytest.raises(ValueError, match="map is 3x3"):
+            dataclasses.replace(dm, map=OrthogonalMap(np.eye(3)))
+
+    def test_autoencoders_share_one_embed_dim(self, trained_small):
+        dm, _ = trained_small
+        corpus = make_rng(99).random(size=(6, 5))
+        ae3, _ = train_autoencoder(corpus, embed_dim=3, epochs=1, seed=0)
+        with pytest.raises(ValueError, match="ae_user_b embed_dim 3 != ae_user_a embed_dim 4"):
+            new_dual_model(dm.ae_user_a, dm.ae_item_a, ae3, dm.ae_item_b, 0.03, 0)
+
+
+class TestBundle:
+    """A bundle that breaks the model contract fails on load, naming the cause."""
+
+    def edited(self, dm, tmp_path, edit):
+        save_dual_model(dm, tmp_path / "m.npz")
+        with np.load(tmp_path / "m.npz") as npz:
+            arrays = dict(npz)
+        edit(arrays)
+        np.savez(tmp_path / "edited.npz", **arrays)
+        return tmp_path / "edited.npz"
+
+    def test_transposed_scorer_weight(self, trained_small, tmp_path):
+        dm, _ = trained_small
+        path = self.edited(dm, tmp_path, lambda a: a.update(rs0_l1_w=a["rs0_l1_w"].T))
+        with pytest.raises(ValueError, match=r"rs_a \(bundle keys rs0_\*\)"):
+            load_dual_model(path)
+
+    def test_transposed_autoencoder_weight(self, trained_small, tmp_path):
+        dm, _ = trained_small
+        path = self.edited(dm, tmp_path, lambda a: a.update(ae_i1_enc_w=a["ae_i1_enc_w"].T))
+        with pytest.raises(ValueError, match=r"ae_item_b \(bundle keys ae_i1_\*\)"):
+            load_dual_model(path)
+
+    @pytest.mark.parametrize("key", ["rs1_l2_b", "ae_u0_meta", "map_x", "alpha"])
+    def test_dropped_key(self, trained_small, tmp_path, key):
+        dm, _ = trained_small
+        path = self.edited(dm, tmp_path, lambda a: a.pop(key))
+        with pytest.raises(ValueError, match=f"model bundle has no key '{key}'"):
+            load_dual_model(path)
+
+    def test_truncated_scorer(self, trained_small, tmp_path):
+        dm, _ = trained_small
+        path = self.edited(dm, tmp_path, lambda a: a.update(rs0_n=np.array(2)))
+        with pytest.raises(ValueError, match="rs_a ends in 4 outputs, expected 1"):
+            load_dual_model(path)
 
 
 class TestEvaluateLoss:

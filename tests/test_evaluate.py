@@ -7,7 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from dualrec.dualmodel import TrainConfig, prepare_domain, score_batch, train_domain_autoencoders, train_single
+from dualrec import evaluate
+from dualrec.dualmodel import TrainConfig, prepare_domain, score_batch, train_domain_autoencoders
 from dualrec.evaluate import (
     alpha_sweep,
     mae,
@@ -22,6 +23,7 @@ from dualrec.evaluate import (
 )
 from dualrec.features import kfold, synth_pair
 from dualrec.numeric import make_rng
+from single_domain import train_single
 
 
 class TestPointMetrics:
@@ -135,6 +137,20 @@ class TestRunCv:
         assert rep_a.domain == "a" and rep_b.domain == "b"
         assert len(rep_a.per_fold) == 2
 
+    def test_config_echo_covers_every_training_key(self, small_pair):
+        ds_a, ds_b, _ = small_pair
+        cfg = small_cfg(penalty_weight=0.5)
+        rep_a, _ = run_cv(ds_a, ds_b, cfg, k=2, seed=4, rank_k=3, tau=0.4)
+        echo = dict(rep_a.config)
+        assert (echo.pop("folds"), echo.pop("seed"), echo.pop("rank_k"), echo.pop("tau")) == (2, 4, 3, 0.4)
+        assert TrainConfig(**echo) == cfg
+
+    def test_one_fold_fails_before_any_autoencoder_trains(self, small_pair, monkeypatch):
+        ds_a, ds_b, _ = small_pair
+        monkeypatch.setattr(evaluate, "train_domain_autoencoders", None)
+        with pytest.raises(ValueError, match="k must be >= 2"):
+            run_cv(ds_a, ds_b, small_cfg(), k=1)
+
     def test_deterministic_per_seed(self, small_pair):
         ds_a, ds_b, _ = small_pair
         r1 = run_cv(ds_a, ds_b, small_cfg(), k=2, seed=3)
@@ -193,8 +209,8 @@ class TestAlphaSweep:
 
     def test_alphas_outside_range_rejected(self, small_pair):
         ds_a, ds_b, _ = small_pair
-        with pytest.raises(ValueError):
-            alpha_sweep(ds_a, ds_b, [0.0, 0.5], small_cfg(), k=2, seed=0)
+        with pytest.raises(ValueError, match=r"alpha 0.5000001 outside \[0, 0.5\]"):
+            alpha_sweep(ds_a, ds_b, [0.0, 0.5000001], small_cfg(), k=2, seed=0)
 
 
 @pytest.fixture(scope="module")
