@@ -298,6 +298,14 @@ class TrainingArrays:
     def __len__(self) -> int:
         return self.ratings.shape[0]
 
+    def rows(self, indices) -> "TrainingArrays":
+        """The rows at the given indices, in that order (a fold's slice of a whole domain)."""
+        idx = np.asarray(indices, dtype=np.intp)
+        return TrainingArrays(
+            self.user_emb[idx], self.item_emb[idx], self.ratings[idx], self.overlap[idx],
+            tuple(self.user_ids[i] for i in idx),
+        )
+
 
 def prepare_domain(
     dataset: DomainDataset,
@@ -786,12 +794,16 @@ class _Bundle(dict):
 
 
 def load_dual_model(path) -> DualModel:
-    """Rebuild a saved model; a missing key, or an array that breaks the
-    DualModel contract, raises ValueError naming the key or the field."""
+    """Rebuild a saved model; a missing key, a non-finite number, or an array
+    that breaks the DualModel contract raises ValueError naming the key or
+    the field."""
     with np.load(path, allow_pickle=False) as npz:
         data = _Bundle((key, npz[key]) for key in npz.files)
     if str(data["version"]) != _DUMP_VERSION:
         raise ValueError(f"unsupported dump version {data['version']!r}")
+    for key, array in data.items():
+        if array.dtype.kind in "fc" and not np.isfinite(array).all():
+            raise ValueError(f"model bundle key {key!r} holds a non-finite value")
     parts = {}
     for build, keys in ((_model_from_arrays, _SCORER_KEYS), (autoencoder_from_arrays, _AE_KEYS)):
         for field, prefix in keys:

@@ -5,13 +5,19 @@ user-averaged precision@k / recall@k, where an item counts as relevant when
 its true rating clears a threshold tau on the [0, 1] scale. Cross
 validation is record-stratified: interaction records are dealt into k
 balanced folds, each fold is held out once, and the dual model is retrained
-from scratch on the remaining records of both domains. Feature
-autoencoders are trained once per domain on the full entity corpora; they
-see only entity attributes, never ratings, so fold isolation of the rating
-data is preserved.
+from scratch on the remaining records of both domains.
 
-The sweep reruns cross validation across a grid of transfer rates with
-shared seeds, which makes the alpha = 0 column an exact baseline.
+Nothing that cross validation builds before its first fold depends on the
+transfer rate, so it is built once per prepared pair (`prepare_pair`): the
+fold splits, the four feature autoencoders, the Procrustes warm map and one
+encoding of each whole domain. The autoencoders and the warm map see only
+entity attributes, never ratings, so fold isolation of the rating data is
+preserved. A fold's training and test arrays are row slices of the whole
+domain's encoding.
+
+The sweep reruns the folds across a grid of transfer rates with shared
+seeds and one prepared pair shared by every point, which makes the
+alpha = 0 column an exact baseline.
 """
 
 from __future__ import annotations
@@ -23,8 +29,10 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
+from dualrec.autoencoder import Autoencoder
 from dualrec.dualmodel import (
     TrainConfig,
+    TrainingArrays,
     fit,
     new_dual_model,
     predict_batch,
@@ -32,7 +40,8 @@ from dualrec.dualmodel import (
     shared_user_alignment,
     train_domain_autoencoders,
 )
-from dualrec.features import DomainDataset, kfold, require_disjoint_items
+from dualrec.features import DomainDataset, FoldSplit, kfold, require_disjoint_items
+from dualrec.mapping import OrthogonalMap
 
 
 def _paired(pred, truth):
@@ -151,6 +160,64 @@ def _fold_seed(seed: int, fold: int) -> int:
     return seed * 10_000 + fold
 
 
+# the config keys the autoencoders are trained with; a prepared pair also depends on k and seed
+_AE_CONFIG_KEYS = ("embed_dim", "ae_lr", "ae_epochs", "ae_batch_size")
+
+
+def _prepared_key(cfg: TrainConfig, k: int, seed: int) -> dict:
+    return {"k": k, "seed": seed, **{name: getattr(cfg, name) for name in _AE_CONFIG_KEYS}}
+
+
+@dataclass(frozen=True)
+class PreparedPair:
+    """What run_cv builds before its first fold, none of which depends on alpha.
+
+    Per domain (a, b): the fold split, the (user, item) autoencoders and the
+    whole domain encoded with partner-user overlap flags; plus the shared
+    Procrustes warm map (None when too few users are shared). `key` holds
+    the arguments it was built for.
+    """
+
+    key: dict
+    datasets: tuple[DomainDataset, DomainDataset]
+    splits: tuple[FoldSplit, FoldSplit]
+    encoders: tuple[tuple[Autoencoder, Autoencoder], tuple[Autoencoder, Autoencoder]]
+    warm_map: OrthogonalMap | None
+    arrays: tuple[TrainingArrays, TrainingArrays]
+
+
+def prepare_pair(ds_a: DomainDataset, ds_b: DomainDataset, cfg: TrainConfig, k: int = 5, seed: int = 0) -> PreparedPair:
+    """Split, train the autoencoders, warm-start the map and encode both domains, once.
+
+    Uses only cfg's embed_dim and ae_* keys, so one prepared pair serves
+    run_cv at every alpha and every other training key.
+    """
+    require_disjoint_items(ds_a, ds_b)
+    # split first, so a bad k fails before any autoencoder trains
+    splits = (kfold(ds_a, k, seed), kfold(ds_b, k, seed))
+    enc_a = train_domain_autoencoders(ds_a, cfg, seed)
+    enc_b = train_domain_autoencoders(ds_b, cfg, seed)
+    # the alignment sees entity features only, never ratings
+    warm_map = shared_user_alignment(ds_a, ds_b, enc_a[0], enc_b[0])
+    users_a = {r.user_id for r in ds_a.interactions}
+    users_b = {r.user_id for r in ds_b.interactions}
+    arrays = (
+        prepare_domain(ds_a, *enc_a, partner_users=users_b),
+        prepare_domain(ds_b, *enc_b, partner_users=users_a),
+    )
+    return PreparedPair(_prepared_key(cfg, k, seed), (ds_a, ds_b), splits, (enc_a, enc_b), warm_map, arrays)
+
+
+def _check_prepared(prepared: PreparedPair, ds_a, ds_b, cfg: TrainConfig, k: int, seed: int) -> None:
+    if prepared.datasets[0] is not ds_a or prepared.datasets[1] is not ds_b:
+        raise ValueError("prepared pair was built for other datasets")
+    for name, want in _prepared_key(cfg, k, seed).items():
+        if prepared.key[name] != want:
+            raise ValueError(
+                f"prepared pair was built with {name}={prepared.key[name]!r}, this run asks for {name}={want!r}"
+            )
+
+
 def run_cv(
     ds_a: DomainDataset,
     ds_b: DomainDataset,
@@ -159,24 +226,21 @@ def run_cv(
     seed: int = 0,
     rank_k: int = 5,
     tau: float = 0.5,
+    prepared: PreparedPair | None = None,
 ) -> tuple[MetricsReport, MetricsReport]:
     """k-fold cross validation of the dual model on a domain pair.
 
     Every fold retrains scorers and map from scratch on the other k-1 folds
     of both domains and scores the held-out records. Deterministic per
-    (cfg, k, seed).
+    (cfg, k, seed). `prepared` reuses a `prepare_pair(ds_a, ds_b, cfg, k,
+    seed)` result; one built for other datasets, another k or seed, or
+    another embed_dim or ae_* key is refused with an error naming the key.
     """
-    require_disjoint_items(ds_a, ds_b)
-    # split first, so a bad k fails before any autoencoder trains
-    split_a = kfold(ds_a, k, seed)
-    split_b = kfold(ds_b, k, seed)
-    ae_user_a, ae_item_a = train_domain_autoencoders(ds_a, cfg, seed)
-    ae_user_b, ae_item_b = train_domain_autoencoders(ds_b, cfg, seed)
-    # Shared across folds like the autoencoders it is built from: the
-    # alignment sees entity features only, never ratings.
-    warm_map = shared_user_alignment(ds_a, ds_b, ae_user_a, ae_user_b)
-    users_a = {r.user_id for r in ds_a.interactions}
-    users_b = {r.user_id for r in ds_b.interactions}
+    if prepared is None:
+        prepared = prepare_pair(ds_a, ds_b, cfg, k, seed)
+    _check_prepared(prepared, ds_a, ds_b, cfg, k, seed)
+    (ae_user_a, ae_item_a), (ae_user_b, ae_item_b) = prepared.encoders
+    arrays_a, arrays_b = prepared.arrays
     config_echo = {f.name: getattr(cfg, f.name) for f in fields(TrainConfig)}
     config_echo.update(folds=k, seed=seed, rank_k=rank_k, tau=tau)
     folds_a: list[FoldMetrics] = []
@@ -194,18 +258,11 @@ def run_cv(
             schemas_a=(ds_a.user_schema, ds_a.item_schema),
             schemas_b=(ds_b.user_schema, ds_b.item_schema),
         )
-        if warm_map is not None:
-            dm.map = warm_map.copy()
-        tr_a, te_a = split_a.fold_indices(fold)
-        tr_b, te_b = split_b.fold_indices(fold)
-        arr_tr_a = prepare_domain(ds_a, ae_user_a, ae_item_a, tr_a, partner_users=users_b)
-        arr_tr_b = prepare_domain(ds_b, ae_user_b, ae_item_b, tr_b, partner_users=users_a)
-        fit(dm, arr_tr_a, arr_tr_b, cfg, seed=fseed)
-        for domain_index, ds, ae_u, ae_i, te, partner, sink in (
-            (0, ds_a, ae_user_a, ae_item_a, te_a, users_b, folds_a),
-            (1, ds_b, ae_user_b, ae_item_b, te_b, users_a, folds_b),
-        ):
-            arr_te = prepare_domain(ds, ae_u, ae_i, te, partner_users=partner)
+        if prepared.warm_map is not None:
+            dm.map = prepared.warm_map.copy()
+        (tr_a, te_a), (tr_b, te_b) = (split.fold_indices(fold) for split in prepared.splits)
+        fit(dm, arrays_a.rows(tr_a), arrays_b.rows(tr_b), cfg, seed=fseed)
+        for domain_index, arr_te, sink in ((0, arrays_a.rows(te_a), folds_a), (1, arrays_b.rows(te_b), folds_b)):
             preds = predict_batch(dm, domain_index, arr_te)
             pr = precision_recall_at_k(arr_te.user_ids, preds, arr_te.ratings, k=rank_k, tau=tau)
             sink.append(
@@ -246,9 +303,23 @@ def alpha_sweep(
     rank_k: int = 5,
     tau: float = 0.5,
 ) -> list[SweepPoint]:
-    """One cross-validation run per transfer rate, seeds shared across rates."""
+    """One cross-validation run per transfer rate, seeds shared across rates.
+
+    The pair is prepared once (`prepare_pair`: splits, autoencoders, warm
+    map, encoded arrays) and every point runs its folds on it, so each point
+    equals `run_cv` at its alpha. Each point's folds stop by cfg's own `tol`
+    rule, so different alphas may train for different epoch counts: on the
+    standard pair (`dualrec synth --seed 101 --sigma 0.02`, sweep seed 0)
+    the folds stop at epochs [9, 37, 59, 9, 26] at alpha 0 and
+    [9, 27, 12, 9, 26] at alpha 0.03. `tol=0` gives every point the same
+    budget of cfg.epochs, as the transfer-benefit criterion and demo 05 use.
+    """
     configs = [replace(cfg, alpha=float(a)) for a in alphas]  # checks every rate before the first run
-    return [SweepPoint(c.alpha, *run_cv(ds_a, ds_b, c, k=k, seed=seed, rank_k=rank_k, tau=tau)) for c in configs]
+    prepared = prepare_pair(ds_a, ds_b, cfg, k, seed)
+    return [
+        SweepPoint(c.alpha, *run_cv(ds_a, ds_b, c, k=k, seed=seed, rank_k=rank_k, tau=tau, prepared=prepared))
+        for c in configs
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -377,20 +377,21 @@ def test_criterion_6_transfer_benefit():
     domain a +0.016 percent (sd 0.045), domain b +0.207 percent (sd 0.093),
     overall +0.111 percent. Sub-assertions (i), (ii), (iii) pass.
     """
-    cfg_base = TrainConfig(alpha=0.0, tol=0.0)  # tol=0 gives both runs the same
-    cfg_dual = TrainConfig(alpha=0.03, tol=0.0)  # epoch budget: no stopping skew
+    # tol=0 gives both runs the same epoch budget: no stopping skew. Each
+    # seed's baseline and transfer run are one sweep, so they share one
+    # preparation (autoencoders, warm map, encoded folds).
+    cfg_base = TrainConfig(alpha=0.0, tol=0.0)
     base_a, base_b, dual_a, dual_b = [], [], [], []
     for s in range(5):
         ds_a, ds_b, _ = synth_pair(
             n_users=500, n_items_per_domain=200, latent_dim=8,
             cross_correlation=0.8, noise=0.02, density=0.05, seed=100 + s,
         )
-        rb_a, rb_b = run_cv(ds_a, ds_b, cfg_base, k=5, seed=s)
-        rd_a, rd_b = run_cv(ds_a, ds_b, cfg_dual, k=5, seed=s)
-        base_a.append(rb_a.rmse)
-        base_b.append(rb_b.rmse)
-        dual_a.append(rd_a.rmse)
-        dual_b.append(rd_b.rmse)
+        base, dual = alpha_sweep(ds_a, ds_b, [0.0, 0.03], cfg_base, k=5, seed=s)
+        base_a.append(base.report_a.rmse)
+        base_b.append(base.report_b.rmse)
+        dual_a.append(dual.report_a.rmse)
+        dual_b.append(dual.report_b.rmse)
     mean_base_a, mean_dual_a = float(np.mean(base_a)), float(np.mean(dual_a))
     mean_base_b, mean_dual_b = float(np.mean(base_b)), float(np.mean(dual_b))
     gain_a = (mean_base_a - mean_dual_a) / mean_base_a

@@ -263,6 +263,18 @@ class TestTrainEval:
         summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
         assert summary["alphas"] == [0.0, 0.03]
 
+    def test_sweep_points_equal_eval_at_each_alpha(self, pipeline_dir, tmp_path):
+        _, cfg, data = pipeline_dir
+        sweep = tmp_path / "sweep"
+        argv = ["--config", str(cfg), "--data", str(data), "--seed", "3"]
+        assert main(["alpha-sweep", *argv, "--alphas", "0,0.03", "--out", str(sweep)]) == 0
+        points = json.loads((sweep / "summary.json").read_text(encoding="utf-8"))["points"]
+        for alpha in ("0", "0.03"):
+            out = tmp_path / f"eval-{alpha}"
+            assert main(["eval", *argv, "--alpha", alpha, "--out", str(out)]) == 0
+            alone = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+            assert points[repr(float(alpha))]["domains"] == alone["domains"]
+
 
 class TestAlphaBound:
     """alpha 0.5 is accepted and 0.5000001 refused, with one message, on every path."""

@@ -418,6 +418,20 @@ class TestBundle:
         with pytest.raises(ValueError, match=f"model bundle has no key '{key}'"):
             load_dual_model(path)
 
+    @pytest.mark.parametrize(
+        "key, value", [("rs0_l0_w", np.nan), ("map_x", np.inf), ("ae_u1_enc_w", -np.inf)]
+    )
+    def test_non_finite_value_refused(self, trained_small, tmp_path, key, value):
+        dm, _ = trained_small
+
+        def corrupt(arrays):
+            arrays[key] = arrays[key].copy()
+            arrays[key][0, 0] = value
+
+        path = self.edited(dm, tmp_path, corrupt)
+        with pytest.raises(ValueError, match=f"model bundle key '{key}' holds a non-finite value"):
+            load_dual_model(path)
+
     def test_truncated_scorer(self, trained_small, tmp_path):
         dm, _ = trained_small
         path = self.edited(dm, tmp_path, lambda a: a.update(rs0_n=np.array(2)))

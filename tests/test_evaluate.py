@@ -1,6 +1,7 @@
 """Metrics, the cross-validation driver, the transfer-rate sweep, and emission."""
 
 import csv
+import dataclasses
 import json
 import math
 
@@ -13,6 +14,7 @@ from dualrec.evaluate import (
     alpha_sweep,
     mae,
     precision_recall_at_k,
+    prepare_pair,
     report_summary,
     rmse,
     run_cv,
@@ -202,6 +204,26 @@ class TestAlphaSweep:
         assert points[0].report_a == base_a
         assert points[0].report_b == base_b
 
+    def test_every_point_equals_an_independent_run(self, small_pair):
+        ds_a, ds_b, _ = small_pair
+        cfg = small_cfg(epochs=3)
+        points = alpha_sweep(ds_a, ds_b, [0.0, 0.03, 0.2], cfg, k=2, seed=5, rank_k=3, tau=0.4)
+        for pt, alpha in zip(points, [0.0, 0.03, 0.2]):
+            alone = run_cv(ds_a, ds_b, small_cfg(epochs=3, alpha=alpha), k=2, seed=5, rank_k=3, tau=0.4)
+            assert (pt.alpha, pt.report_a, pt.report_b) == (alpha, *alone)
+
+    def test_autoencoders_train_once_per_sweep(self, small_pair, monkeypatch):
+        ds_a, ds_b, _ = small_pair
+        calls = []
+
+        def counted(dataset, cfg, seed):
+            calls.append(dataset.domain_name)
+            return train_domain_autoencoders(dataset, cfg, seed)
+
+        monkeypatch.setattr(evaluate, "train_domain_autoencoders", counted)
+        alpha_sweep(ds_a, ds_b, [0.0, 0.03, 0.1], small_cfg(epochs=1), k=2, seed=0)
+        assert calls == ["a", "b"]
+
     def test_points_follow_requested_order(self, small_pair):
         ds_a, ds_b, _ = small_pair
         points = alpha_sweep(ds_a, ds_b, [0.05, 0.0], small_cfg(epochs=1), k=2, seed=0)
@@ -211,6 +233,61 @@ class TestAlphaSweep:
         ds_a, ds_b, _ = small_pair
         with pytest.raises(ValueError, match=r"alpha 0.5000001 outside \[0, 0.5\]"):
             alpha_sweep(ds_a, ds_b, [0.0, 0.5000001], small_cfg(), k=2, seed=0)
+
+
+class TestPreparedPair:
+    def test_fold_rows_equal_a_fresh_encoding_bytewise(self, small_pair):
+        ds_a, ds_b, _ = small_pair
+        # every fifth user of domain a has no domain-b ratings, so overlap flags vary
+        only_a = sorted({r.user_id for r in ds_a.interactions})[::5]
+        ds_b = dataclasses.replace(ds_b, interactions=tuple(r for r in ds_b.interactions if r.user_id not in only_a))
+        cfg = small_cfg()
+        prepared = prepare_pair(ds_a, ds_b, cfg, k=3, seed=2)
+        partners = ({r.user_id for r in ds_b.interactions}, {r.user_id for r in ds_a.interactions})
+        for ds, split, (ae_u, ae_i), arrays, partner in zip(
+            (ds_a, ds_b), prepared.splits, prepared.encoders, prepared.arrays, partners
+        ):
+            for fold in range(3):
+                for idx in split.fold_indices(fold):
+                    got = arrays.rows(idx)
+                    want = prepare_domain(ds, ae_u, ae_i, idx, partner_users=partner)
+                    assert got.user_ids == want.user_ids
+                    for name in ("user_emb", "item_emb", "ratings", "overlap"):
+                        a, b = getattr(got, name), getattr(want, name)
+                        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+        assert not prepared.arrays[0].overlap.all() and prepared.arrays[1].overlap.all()
+
+    def test_prepared_run_equals_a_fresh_run(self, small_pair):
+        ds_a, ds_b, _ = small_pair
+        prepared = prepare_pair(ds_a, ds_b, small_cfg(), k=2, seed=1)
+        cfg = small_cfg(alpha=0.1, epochs=3, lr_a=0.2, hidden=(6,))  # keys the preparation does not use
+        assert run_cv(ds_a, ds_b, cfg, k=2, seed=1, prepared=prepared) == run_cv(ds_a, ds_b, cfg, k=2, seed=1)
+
+    @pytest.mark.parametrize(
+        "key, run_args, cfg_overrides",
+        [
+            ("k", dict(k=3), {}),
+            ("seed", dict(seed=1), {}),
+            ("embed_dim", {}, dict(embed_dim=3)),
+            ("ae_lr", {}, dict(ae_lr=0.04)),
+            ("ae_epochs", {}, dict(ae_epochs=121)),
+            ("ae_batch_size", {}, dict(ae_batch_size=16)),
+        ],
+    )
+    def test_mismatched_pair_refused_naming_the_key(self, small_pair, monkeypatch, key, run_args, cfg_overrides):
+        ds_a, ds_b, _ = small_pair
+        prepared = prepare_pair(ds_a, ds_b, small_cfg(), k=2, seed=0)
+        monkeypatch.setattr(evaluate, "fit", None)  # refused before any fold trains
+        args = dict(k=2, seed=0) | run_args
+        with pytest.raises(ValueError, match=f"prepared pair was built with {key}="):
+            run_cv(ds_a, ds_b, small_cfg(**cfg_overrides), prepared=prepared, **args)
+
+    def test_pair_for_other_datasets_refused(self, small_pair, monkeypatch):
+        ds_a, ds_b, _ = small_pair
+        prepared = prepare_pair(ds_a, ds_b, small_cfg(), k=2, seed=0)
+        monkeypatch.setattr(evaluate, "fit", None)
+        with pytest.raises(ValueError, match="prepared pair was built for other datasets"):
+            run_cv(ds_a, dataclasses.replace(ds_b), small_cfg(), k=2, seed=0, prepared=prepared)
 
 
 @pytest.fixture(scope="module")
