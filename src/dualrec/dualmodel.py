@@ -18,6 +18,13 @@ independent single-domain runs, bit for bit, which the tests' single-domain
 oracle reproduces. Users who only exist in one domain get an effective alpha of 0
 so no cross signal is fabricated for them.
 
+The training kernel (`fit_models`) trains K models of one shape and alpha
+in lockstep: their scorer weights, biases and maps are stacked on a leading
+model axis, so every step runs one forward pass, one backward pass, one
+penalty and one SGD update for all K. Each model keeps its own seed,
+shuffles, starting map and `tol` stop, and follows the trajectory it would
+follow alone bit for bit. `fit` is the kernel at K = 1.
+
 `MultiModel` generalizes prediction to n domains, averaging the n-1 cross
 terms; one orthogonal map is stored per unordered domain pair and the
 reverse direction uses its transpose.
@@ -32,7 +39,9 @@ import numpy as np
 from dualrec.autoencoder import Autoencoder, ae_encode, autoencoder_arrays, autoencoder_from_arrays, train_autoencoder
 from dualrec.features import DomainDataset, FeatureSchema, encode, parse_schema, schema_to_text
 from dualrec.mapping import OrthogonalMap, align_map, init_map, ortho_penalty, project_orthogonal
-from dualrec.numeric import DenseLayer, check_finite_step, dense_layer, layer_backward, layer_forward, make_rng
+from dualrec.numeric import (
+    DenseLayer, check_finite_step, dense_layer, layer_backward, layer_forward, make_rng, sigmoid,
+)
 
 _L_RS_INIT = 0x5C07
 _L_SHUFFLE = 0x50FF
@@ -129,13 +138,6 @@ def model_backward(model: RatingModel, caches, dy: np.ndarray, need_dx: bool = T
         grads.append((dw, db))
     grads.reverse()
     return d, grads
-
-
-def apply_grads(model: RatingModel, grads: list, lr: float) -> None:
-    """In-place SGD step on every layer: W -= lr * dW, b -= lr * db."""
-    for layer, (dw, db) in zip(model.layers, grads):
-        layer.weights -= lr * dw
-        layer.bias -= lr * db
 
 
 def score(model: RatingModel, user_emb: np.ndarray, item_emb: np.ndarray) -> float:
@@ -293,7 +295,10 @@ class TrainingArrays:
     item_emb: np.ndarray  # (n, d)
     ratings: np.ndarray  # (n,)
     overlap: np.ndarray  # (n,) bool: user also present in the partner domain
-    user_ids: tuple[str, ...]
+    user_ids: np.ndarray  # (n,) str
+
+    def __post_init__(self):
+        self.user_ids = np.asarray(self.user_ids, dtype=np.str_)
 
     def __len__(self) -> int:
         return self.ratings.shape[0]
@@ -301,10 +306,8 @@ class TrainingArrays:
     def rows(self, indices) -> "TrainingArrays":
         """The rows at the given indices, in that order (a fold's slice of a whole domain)."""
         idx = np.asarray(indices, dtype=np.intp)
-        return TrainingArrays(
-            self.user_emb[idx], self.item_emb[idx], self.ratings[idx], self.overlap[idx],
-            tuple(self.user_ids[i] for i in idx),
-        )
+        columns = (self.user_emb, self.item_emb, self.ratings, self.overlap, self.user_ids)
+        return TrainingArrays(*(a.take(idx, axis=0) for a in columns))
 
 
 def prepare_domain(
@@ -347,83 +350,157 @@ def prepare_domain(
         y[k] = rec.rating
         if partner_users is not None:
             overlap[k] = rec.user_id in partner_users
-    return TrainingArrays(user_rows, item_rows, y, overlap, tuple(r.user_id for r in chosen))
+    return TrainingArrays(user_rows, item_rows, y, overlap, [r.user_id for r in chosen])
 
 
 # ---------------------------------------------------------------------------
-# loss and gradients
+# loss and gradients of K stacked models
 
 
-def _domain_loss_grads(dm: DualModel, batch, domain_index: int):
-    """Hybrid MSE on one domain's batch and gradients for everything it touches.
+@dataclass
+class ModelStack:
+    """The trainable arrays of K dual models of one shape and alpha, on a
+    leading model axis. layers[k] lists scorer k's (weights (K, out, in),
+    bias (K, 1, out), activation); x (K, d, d) holds the maps. ids number
+    the models in errors; None for one model trained alone."""
 
-    Returns (loss, grads_self, grads_other, grad_x). When every record's
-    effective alpha is 0 the cross channel carries no weight: it is skipped
-    and grads_other and grad_x are None.
+    layers: tuple[list, list]
+    x: np.ndarray
+    alpha: float
+    ids: tuple[int, ...] | None = None
+
+    def __post_init__(self):
+        # the forward pass reads transposed views, which follow the in-place SGD updates
+        self.forward = tuple([(w.transpose(0, 2, 1), b, act) for w, b, act in scorer] for scorer in self.layers)
+
+    @classmethod
+    def of(cls, models: list[DualModel], ids=None) -> "ModelStack":
+        """Stack copies of the models' arrays and point each model's layers and
+        map at its slice; arrays a caller holds (a shared warm map) stay as
+        they were. ids default to the positions when there are several."""
+        shapes = [[(l.weights.shape, l.activation) for rs in (dm.rs_a, dm.rs_b) for l in rs.layers] for dm in models]
+        for m, dm in enumerate(models):
+            if dm.alpha != models[0].alpha:
+                raise ValueError(f"model {m} has alpha {dm.alpha}, model 0 {models[0].alpha}; a stack shares one alpha")
+            if shapes[m] != shapes[0]:
+                raise ValueError(f"model {m}'s scorers differ in shape from model 0's; a stack needs one shape")
+        layers = tuple(
+            [(np.stack([dm.scorer(k).layers[n].weights for dm in models]),
+              np.stack([dm.scorer(k).layers[n].bias[None] for dm in models]), layer.activation)
+             for n, layer in enumerate(models[0].scorer(k).layers)]
+            for k in (0, 1)
+        )
+        if ids is None and len(models) > 1:
+            ids = range(len(models))
+        stack = cls(layers, np.stack([dm.map.x for dm in models]), models[0].alpha, None if ids is None else tuple(ids))
+        for m, dm in enumerate(models):
+            for k in (0, 1):
+                for layer, (w, b, _) in zip(dm.scorer(k).layers, layers[k]):
+                    layer.weights, layer.bias = w[m], b[m, 0]
+            dm.map = OrthogonalMap(stack.x[m], dm.map.domain_pair)
+        return stack
+
+    def part(self, m: int) -> "ModelStack":
+        """Model m alone: a stack of one whose arrays are views into this one."""
+        s = slice(m, m + 1)
+        layers = tuple([(w[s], b[s], act) for w, b, act in scorer] for scorer in self.layers)
+        return ModelStack(layers, self.x[s], self.alpha, None if self.ids is None else self.ids[s])
+
+
+def _release(dm: DualModel) -> None:
+    """Give a model copies of the stack slices it points at, so it owns its arrays."""
+    for layer in dm.rs_a.layers + dm.rs_b.layers:
+        layer.weights, layer.bias = layer.weights.copy(), layer.bias.copy()
+    dm.map = OrthogonalMap(dm.map.x.copy(), dm.map.domain_pair)
+
+
+def _stack_forward(layers: list, h: np.ndarray):
+    """Forward pass of a stacked scorer, given as ModelStack.forward, on h (K, n, 2d);
+    slice k is model_forward's, bit for bit."""
+    caches = []
+    for wt, b, act in layers:
+        z = h @ wt + b
+        y = sigmoid(z) if act == "sigmoid" else np.maximum(z, 0.0) if act == "relu" else z
+        caches.append((h, z, y))
+        h = y
+    return h, caches
+
+
+def _stack_backward(layers: list, caches, dy: np.ndarray, need_dx: bool = True):
+    """(dx, per-layer [(dW, db), ...]) with slice k equal to model_backward's; dx is None without need_dx."""
+    grads = []
+    for n in range(len(layers) - 1, -1, -1):
+        (w, _, act), (h, z, y) = layers[n], caches[n]
+        if act == "sigmoid":
+            dy = dy * (y * (1.0 - y))
+        elif act == "relu":
+            dy = dy * (z > 0)
+        grads.append((dy.transpose(0, 2, 1) @ h, np.add.reduce(dy, axis=1, keepdims=True)))
+        dy = dy @ w if need_dx or n > 0 else None
+    return dy, grads[::-1]
+
+
+def _domain_loss_grads(stack: ModelStack, batch, domain_index: int):
+    """Hybrid MSE of one domain's stacked batch, (K,), and the gradients it gives.
+
+    Returns (loss, grads_own, grads_other, grad_x). When no record of any
+    model carries cross weight the cross channel is skipped and grads_other
+    and grad_x are None; a model whose records carry none gets exact zeros.
     """
     u, i, y, overlap = batch
-    n = u.shape[0]
-    self_model = dm.scorer(domain_index)
-    y_w, caches_w = model_forward(self_model, np.concatenate([u, i], axis=1))
-    if dm.alpha == 0.0 or not overlap.any():
-        resid = y_w - y[:, None]
-        _, grads_self = model_backward(self_model, caches_w, 2.0 * resid / n, need_dx=False)
-        return float(np.mean(resid**2)), grads_self, None, None
+    n = u.shape[1]
+    own = stack.layers[domain_index]
+    y_w, caches_w = _stack_forward(stack.forward[domain_index], np.concatenate([u, i], axis=2))
+    if stack.alpha == 0.0 or not overlap.any():
+        resid = y_w - y[..., None]
+        _, grads_own = _stack_backward(own, caches_w, 2.0 * resid / n, need_dx=False)
+        return (resid * resid).sum(axis=(1, 2)) / n, grads_own, None, None
 
-    other_model = dm.scorer(1 - domain_index)
-    alpha_vec = np.where(overlap, dm.alpha, 0.0)[:, None]  # (n, 1)
-    x = dm.map.x
-    mapped = u @ x.T if domain_index == 0 else u @ x
-    y_c, caches_c = model_forward(other_model, np.concatenate([mapped, i], axis=1))
+    other = stack.layers[1 - domain_index]
+    alpha_vec = np.where(overlap, stack.alpha, 0.0)[..., None]  # (K, n, 1)
+    mapped = u @ stack.x.transpose(0, 2, 1) if domain_index == 0 else u @ stack.x
+    y_c, caches_c = _stack_forward(stack.forward[1 - domain_index], np.concatenate([mapped, i], axis=2))
 
     within_weight = 1.0 - alpha_vec
-    resid = within_weight * y_w + alpha_vec * y_c - y[:, None]
-    loss = float(np.mean(resid**2))
-
+    resid = within_weight * y_w + alpha_vec * y_c - y[..., None]
     dpred = 2.0 * resid / n
-    _, grads_self = model_backward(self_model, caches_w, dpred * within_weight, need_dx=False)
-    dx_cross, grads_other = model_backward(other_model, caches_c, dpred * alpha_vec)
-    d_mapped = dx_cross[:, : u.shape[1]]
+    _, grads_own = _stack_backward(own, caches_w, dpred * within_weight, need_dx=False)
+    dx_cross, grads_other = _stack_backward(other, caches_c, dpred * alpha_vec)
+    d_mapped = dx_cross[..., : u.shape[2]]
     # mapped = u X^T (domain a) gives dX = d_mapped^T u; mapped = u X gives u^T d_mapped
-    grad_x = d_mapped.T @ u if domain_index == 0 else u.T @ d_mapped
-    return loss, grads_self, grads_other, grad_x
+    grad_x = d_mapped.transpose(0, 2, 1) @ u if domain_index == 0 else u.transpose(0, 2, 1) @ d_mapped
+    return (resid * resid).sum(axis=(1, 2)) / n, grads_own, grads_other, grad_x
 
 
-def _sum_grads(acc, extra):
-    if acc is None or extra is None:
-        return extra if acc is None else acc
-    return [(aw + ew, ab + eb) for (aw, ab), (ew, eb) in zip(acc, extra)]
+def dual_loss_and_grads(stack: ModelStack, batch_a, batch_b, penalty_weight: float = 1.0):
+    """Combined objective L_a + L_b + penalty of K stacked models and its exact gradients.
 
-
-def dual_loss_and_grads(dm: DualModel, batch_a, batch_b, penalty_weight: float = 1.0):
-    """Combined objective L_a + L_b + penalty and its exact gradients.
-
-    batch_a / batch_b are (user_emb, item_emb, ratings, overlap) tuples; pass
-    None to leave a domain out of this step. Returns
-    (total, loss_a, loss_b, grads_a, grads_b, grad_x); grads_a or grads_b is
+    batch_a / batch_b are (user_emb, item_emb, ratings, overlap) tuples with
+    a leading model axis, (K, n, d), (K, n, d), (K, n), (K, n); pass None to
+    leave a domain out of this step. Returns (total (K,), grads_a, grads_b,
+    grad_x (K, d, d)); grads_a or grads_b is a per-layer [(dW, db)] list, or
     None when no term of this step touches that scorer. Raises
-    FloatingPointError when the total or any gradient is not finite.
+    FloatingPointError naming the model whose total or gradient is not finite.
     """
     grads = [None, None]
-    losses = [0.0, 0.0]
+    total = 0.0
     grad_x = None
     for k, batch in enumerate((batch_a, batch_b)):
         if batch is None:
             continue
-        losses[k], g_self, g_other, gx = _domain_loss_grads(dm, batch, k)
-        grads[k] = _sum_grads(grads[k], g_self)
-        grads[1 - k] = _sum_grads(grads[1 - k], g_other)
+        loss, g_own, g_other, gx = _domain_loss_grads(stack, batch, k)
+        total = total + loss
+        for j, g in ((k, g_own), (1 - k, g_other)):
+            if g is not None:
+                grads[j] = g if grads[j] is None else [(aw + ew, ab + eb) for (aw, ab), (ew, eb) in zip(grads[j], g)]
         if gx is not None:
             grad_x = gx if grad_x is None else grad_x + gx
-    pen_loss, pen_grad = ortho_penalty(dm.map)
-    total = losses[0] + losses[1] + penalty_weight * pen_loss
+    pen_loss, pen_grad = ortho_penalty(stack.x)
+    total = total + penalty_weight * pen_loss
     grad_x = penalty_weight * pen_grad if grad_x is None else grad_x + penalty_weight * pen_grad
-    arrays = [grad_x]
-    for model_grads in grads:
-        for pair in model_grads or ():
-            arrays.extend(pair)
-    check_finite_step(total, arrays)
-    return total, losses[0], losses[1], grads[0], grads[1], grad_x
+    arrays = [grad_x] + [g for model_grads in grads for pair in model_grads or () for g in pair]
+    check_finite_step(total, arrays, stack.ids)
+    return total, grads[0], grads[1], grad_x
 
 
 def evaluate_loss(dm: DualModel, arrays: TrainingArrays, domain) -> float:
@@ -450,59 +527,128 @@ def predict_batch(dm: DualModel, domain, arrays: TrainingArrays) -> np.ndarray:
 # training loop
 
 
-def _epoch_batches(arrays: TrainingArrays, batch_size: int, rng: np.random.Generator) -> list:
-    """One shuffled pass as (user_emb, item_emb, ratings, overlap) batches.
+def apply_grads(layers: list, grads: list, lr: float) -> None:
+    """In-place SGD step on every layer of a stacked scorer: W -= lr * dW, b -= lr * db."""
+    for (w, b, _), (dw, db) in zip(layers, grads):
+        w -= lr * dw
+        b -= lr * db
 
-    The rows are gathered in shuffled order once, so each batch is a slice.
+
+def _train_step(stack: ModelStack, batches, cfg: TrainConfig) -> None:
+    _, grads_a, grads_b, grad_x = dual_loss_and_grads(stack, *batches, cfg.penalty_weight)
+    for layers, grads, lr in zip(stack.layers, (grads_a, grads_b), (cfg.lr_a, cfg.lr_b)):
+        if grads is not None:
+            apply_grads(layers, grads, lr)
+    stack.x -= cfg.lr_map * grad_x
+
+
+def _schedule(counts: np.ndarray, batch_size: int) -> list:
+    """An epoch's steps for counts (K, 2) of rows per model and domain: (first
+    row, per-model batch sizes (K, 2), uniform), uniform when all K agree."""
+    starts = np.arange(0, counts.max(), batch_size)
+    sizes = np.clip(counts[None] - starts[:, None, None], 0, batch_size)  # (steps, K, 2)
+    return list(zip(starts.tolist(), sizes.tolist(), (sizes == sizes[:, :1]).all(axis=(1, 2)).tolist()))
+
+
+def _epoch_batches(domains, order):
+    """batch(k, models, start, n): the stacked (user_emb, item_emb, ratings,
+    overlap) batch of epoch rows start..start+n of the models (a slice) in
+    domain k, or None when n is 0. order[k] holds each model's shuffled rows.
+
+    A lone model gathers its whole epoch at once, as much memory as one copy
+    of its rows; a stack gathers each step's rows, so it never holds K copies.
     """
-    order = rng.permutation(len(arrays))
-    rows = (arrays.user_emb[order], arrays.item_emb[order], arrays.ratings[order], arrays.overlap[order])
-    return [tuple(a[s : s + batch_size] for a in rows) for s in range(0, len(order), batch_size)]
+    def gather(arrays, rows):
+        return tuple(a.take(rows, axis=0) for a in (arrays.user_emb, arrays.item_emb, arrays.ratings, arrays.overlap))
+
+    if order[0].shape[0] == 1:
+        whole = [gather(arrays, rows) for arrays, rows in zip(domains, order)]
+        return lambda k, models, start, n: tuple(a[models, start : start + n] for a in whole[k]) if n else None
+    return lambda k, models, start, n: gather(domains[k], order[k][models, start : start + n]) if n else None
 
 
-def train_epoch(
-    dm: DualModel,
+def fit_models(
+    models: list[DualModel],
     arrays_a: TrainingArrays,
     arrays_b: TrainingArrays,
-    lr_a: float = 0.01,
-    lr_b: float = 0.01,
-    lr_map: float = 0.01,
-    batch_size: int = 32,
-    seed: int = 0,
-    epoch: int = 0,
-    penalty_weight: float = 1.0,
-) -> tuple[float, float]:
-    """One interleaved pass over both domains.
+    cfg: TrainConfig,
+    seeds: list[int],
+    rows: tuple[list, list] | None = None,
+) -> list[tuple[list[float], list[float]]]:
+    """Train K models of one shape and alpha in lockstep, each bit for bit as alone.
 
-    Every step pairs the next mini-batch from each domain (the shorter
-    domain simply runs out first), pushes gradients into both scorers and
-    the map together, and at the end of the pass the map is projected back
-    onto the orthogonal manifold. Returns mean per-domain batch losses.
+    Model m trains on rows[0][m] of arrays_a and rows[1][m] of arrays_b (all
+    rows when rows is None), shuffled by seeds[m]. Each step pairs the next
+    mini-batch of each domain (the shorter domain runs out first) and updates
+    both scorers and the map of every live model; a step whose batch sizes
+    differ between models runs model by model. Each epoch ends by projecting
+    every map onto the orthogonal manifold. A model leaves the stack after
+    cfg.epochs, or after the first epoch whose combined full-pass loss moves
+    less than cfg.tol. Returns each model's (trace_a, trace_b) of full-pass
+    losses, index 0 before training and index e after epoch e; each model
+    ends up owning its arrays. Raises FloatingPointError naming the model
+    when a step is not finite, or when a domain's full-pass loss ends an
+    epoch above twice its pre-training value (its lr_a or lr_b is too high).
     """
-    if len(arrays_a) == 0 or len(arrays_b) == 0:
-        raise ValueError("both domains need at least one training record")
-    if min(lr_a, lr_b, lr_map) < 0:
-        raise ValueError("learning rates must be >= 0")
-    batches_a = _epoch_batches(arrays_a, batch_size, make_rng(seed, _L_SHUFFLE, 0, epoch))
-    batches_b = _epoch_batches(arrays_b, batch_size, make_rng(seed, _L_SHUFFLE, 1, epoch))
-    losses_a: list[float] = []
-    losses_b: list[float] = []
-    # the map is updated in place below, so a map the caller holds stays as it was
-    dm.map = dm.map.copy()
-    for step in range(max(len(batches_a), len(batches_b))):
-        ba = batches_a[step] if step < len(batches_a) else None
-        bb = batches_b[step] if step < len(batches_b) else None
-        _, loss_a, loss_b, grads_a, grads_b, grad_x = dual_loss_and_grads(dm, ba, bb, penalty_weight)
-        if ba is not None:
-            losses_a.append(loss_a)
-        if bb is not None:
-            losses_b.append(loss_b)
-        for model, grads, lr in ((dm.rs_a, grads_a, lr_a), (dm.rs_b, grads_b, lr_b)):
-            if grads is not None:
-                apply_grads(model, grads, lr)
-        dm.map.x -= lr_map * grad_x
-    dm.map = project_orthogonal(dm.map)
-    return float(np.mean(losses_a)), float(np.mean(losses_b))
+    n_models = len(models)
+    if len(seeds) != n_models or (rows is not None and not len(rows[0]) == len(rows[1]) == n_models):
+        raise ValueError(f"{n_models} models need as many seeds and row sets")
+    domains = (arrays_a, arrays_b)
+    # rows[k][m]: model m's row indices into domain k, or None for every row
+    rows = [[None] * n_models] * 2 if rows is None else [[np.asarray(r, dtype=np.intp) for r in rs] for rs in rows]
+    counts = np.array([[len(d) if r is None else len(r) for d, r in zip(domains, model_rows)] for model_rows in zip(*rows)])
+    in_model = (lambda m: f" in model {m}") if n_models > 1 else (lambda m: "")
+    empty = np.flatnonzero((counts == 0).any(axis=1))
+    if empty.size:
+        raise ValueError(f"both domains need at least one training record{in_model(empty[0])}")
+
+    def full_pass(m, k):
+        return evaluate_loss(models[m], domains[k] if rows[k][m] is None else domains[k].rows(rows[k][m]), k)
+
+    traces = [([full_pass(m, 0)], [full_pass(m, 1)]) for m in range(n_models)]
+    live = list(range(n_models))
+    stack = ModelStack.of(models)
+    schedule = _schedule(counts, cfg.batch_size)
+    for epoch in range(cfg.epochs):
+        # per domain, each live model's shuffled rows, one model per row of order[k]
+        order = [np.zeros((len(live), counts[live, k].max()), dtype=np.intp) for k in (0, 1)]
+        for k in (0, 1):
+            for j, m in enumerate(live):
+                perm = make_rng(seeds[m], _L_SHUFFLE, k, epoch).permutation(counts[m, k])
+                order[k][j, : counts[m, k]] = perm if rows[k][m] is None else rows[k][m][perm]
+        batch = _epoch_batches(domains, order)
+        for start, sizes, uniform in schedule:
+            if uniform:
+                _train_step(stack, [batch(k, slice(None), start, n) for k, n in enumerate(sizes[0])], cfg)
+                continue
+            for j, model_sizes in enumerate(sizes):  # batch sizes differ: model by model
+                if any(model_sizes):
+                    part = [batch(k, slice(j, j + 1), start, n) for k, n in enumerate(model_sizes)]
+                    _train_step(stack.part(j), part, cfg)
+        stopped = []
+        for j, m in enumerate(live):
+            stack.x[j] = project_orthogonal(models[m].map).x
+            for k, trace in enumerate(traces[m]):
+                trace.append(full_pass(m, k))
+                if trace[-1] > 2.0 * trace[0]:
+                    raise FloatingPointError(
+                        f"domain {'ab'[k]} full-pass loss {trace[-1]:.6g} after epoch {epoch + 1} exceeds twice "
+                        f"its pre-training value {trace[0]:.6g}{in_model(m)}; lower {('lr_a', 'lr_b')[k]}"
+                    )
+            trace_a, trace_b = traces[m]
+            if abs(trace_a[-2] + trace_b[-2] - trace_a[-1] - trace_b[-1]) < cfg.tol:
+                stopped.append(m)
+        if len(stopped) == len(live):
+            break
+        if stopped:
+            for m in stopped:
+                _release(models[m])
+            live = [m for m in live if m not in stopped]
+            stack = ModelStack.of([models[m] for m in live], live)
+            schedule = _schedule(counts[live], cfg.batch_size)
+    for m in live:
+        _release(models[m])
+    return traces
 
 
 def fit(
@@ -512,34 +658,13 @@ def fit(
     cfg: TrainConfig,
     seed: int = 0,
 ) -> tuple[list[float], list[float]]:
-    """Run train_epoch until the epoch budget or until the combined
-    full-pass loss moves less than cfg.tol between consecutive epochs.
+    """Train one model (`fit_models` at K = 1) until the epoch budget or until
+    the combined full-pass loss moves less than cfg.tol between epochs.
 
-    Returns per-domain traces of the full-pass evaluation loss; index 0 is
-    the pre-training loss, index e the loss after epoch e.
+    Returns per-domain traces of the full-pass loss; index 0 is the
+    pre-training loss, index e the loss after epoch e.
     """
-    trace_a = [evaluate_loss(dm, arrays_a, 0)]
-    trace_b = [evaluate_loss(dm, arrays_b, 1)]
-    for epoch in range(cfg.epochs):
-        train_epoch(
-            dm,
-            arrays_a,
-            arrays_b,
-            lr_a=cfg.lr_a,
-            lr_b=cfg.lr_b,
-            lr_map=cfg.lr_map,
-            batch_size=cfg.batch_size,
-            seed=seed,
-            epoch=epoch,
-            penalty_weight=cfg.penalty_weight,
-        )
-        trace_a.append(evaluate_loss(dm, arrays_a, 0))
-        trace_b.append(evaluate_loss(dm, arrays_b, 1))
-        prev = trace_a[-2] + trace_b[-2]
-        cur = trace_a[-1] + trace_b[-1]
-        if abs(prev - cur) < cfg.tol:
-            break
-    return trace_a, trace_b
+    return fit_models([dm], arrays_a, arrays_b, cfg, [seed])[0]
 
 
 # ---------------------------------------------------------------------------

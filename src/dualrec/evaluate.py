@@ -5,7 +5,10 @@ user-averaged precision@k / recall@k, where an item counts as relevant when
 its true rating clears a threshold tau on the [0, 1] scale. Cross
 validation is record-stratified: interaction records are dealt into k
 balanced folds, each fold is held out once, and the dual model is retrained
-from scratch on the remaining records of both domains.
+from scratch on the remaining records of both domains. The k fold models
+train in lockstep, as one stacked program (`dualmodel.fit_models`); each
+keeps its own seed, shuffles and `tol` stop, and ends bit for bit as it
+would trained alone.
 
 Nothing that cross validation builds before its first fold depends on the
 transfer rate, so it is built once per prepared pair (`prepare_pair`): the
@@ -33,7 +36,7 @@ from dualrec.autoencoder import Autoencoder
 from dualrec.dualmodel import (
     TrainConfig,
     TrainingArrays,
-    fit,
+    fit_models,
     new_dual_model,
     predict_batch,
     prepare_domain,
@@ -230,38 +233,36 @@ def run_cv(
 ) -> tuple[MetricsReport, MetricsReport]:
     """k-fold cross validation of the dual model on a domain pair.
 
-    Every fold retrains scorers and map from scratch on the other k-1 folds
-    of both domains and scores the held-out records. Deterministic per
-    (cfg, k, seed). `prepared` reuses a `prepare_pair(ds_a, ds_b, cfg, k,
-    seed)` result; one built for other datasets, another k or seed, or
-    another embed_dim or ae_* key is refused with an error naming the key.
+    Every fold trains fresh scorers and a fresh map on the other k-1 folds
+    of both domains and scores the held-out records. The k fold models
+    train in lockstep, as one stacked program (`fit_models`): each keeps its
+    own seed, shuffles and `tol` stop, and ends exactly as it would trained
+    alone. Deterministic per (cfg, k, seed). `prepared` reuses a
+    `prepare_pair(ds_a, ds_b, cfg, k, seed)` result; one built for other
+    datasets, another k or seed, or another embed_dim or ae_* key is
+    refused with an error naming the key.
     """
     if prepared is None:
         prepared = prepare_pair(ds_a, ds_b, cfg, k, seed)
     _check_prepared(prepared, ds_a, ds_b, cfg, k, seed)
-    (ae_user_a, ae_item_a), (ae_user_b, ae_item_b) = prepared.encoders
     arrays_a, arrays_b = prepared.arrays
     config_echo = {f.name: getattr(cfg, f.name) for f in fields(TrainConfig)}
     config_echo.update(folds=k, seed=seed, rank_k=rank_k, tau=tau)
     folds_a: list[FoldMetrics] = []
     folds_b: list[FoldMetrics] = []
-    for fold in range(k):
-        fseed = _fold_seed(seed, fold)
-        dm = new_dual_model(
-            ae_user_a,
-            ae_item_a,
-            ae_user_b,
-            ae_item_b,
-            cfg.alpha,
-            fseed,
-            cfg.hidden,
-            schemas_a=(ds_a.user_schema, ds_a.item_schema),
-            schemas_b=(ds_b.user_schema, ds_b.item_schema),
-        )
+    seeds = [_fold_seed(seed, fold) for fold in range(k)]
+    models = []
+    for fseed in seeds:
+        dm = new_dual_model(*prepared.encoders[0], *prepared.encoders[1], cfg.alpha, fseed, cfg.hidden,
+                            (ds_a.user_schema, ds_a.item_schema), (ds_b.user_schema, ds_b.item_schema))
         if prepared.warm_map is not None:
-            dm.map = prepared.warm_map.copy()
-        (tr_a, te_a), (tr_b, te_b) = (split.fold_indices(fold) for split in prepared.splits)
-        fit(dm, arrays_a.rows(tr_a), arrays_b.rows(tr_b), cfg, seed=fseed)
+            dm.map = prepared.warm_map  # fit_models trains a copy
+        models.append(dm)
+    # per domain, the (train, test) record indices of every fold
+    splits = [[split.fold_indices(fold) for fold in range(k)] for split in prepared.splits]
+    fit_models(models, arrays_a, arrays_b, cfg, seeds, rows=tuple([tr for tr, _ in folds] for folds in splits))
+    for fold, dm in enumerate(models):
+        (_, te_a), (_, te_b) = splits[0][fold], splits[1][fold]
         for domain_index, arr_te, sink in ((0, arrays_a.rows(te_a), folds_a), (1, arrays_b.rows(te_b), folds_b)):
             preds = predict_batch(dm, domain_index, arr_te)
             pr = precision_recall_at_k(arr_te.user_ids, preds, arr_te.ratings, k=rank_k, tau=tau)

@@ -100,12 +100,15 @@ def map_inverse(m: OrthogonalMap, e: np.ndarray) -> np.ndarray:
     return e @ m.x
 
 
-def ortho_penalty(m: OrthogonalMap):
-    """Soft orthogonality loss ||X^T X - I||_F^2 and its gradient 4 X (X^T X - I)."""
-    e = m.x.T @ m.x - np.eye(m.dim)
-    loss = float(np.sum(e * e))
-    grad = 4.0 * m.x @ e
-    return loss, grad
+def ortho_penalty(m):
+    """Soft orthogonality loss ||X^T X - I||_F^2 and its gradient 4 X (X^T X - I).
+
+    m is a map, or K maps stacked as a (K, d, d) array, which give (K,) losses.
+    """
+    x = m.x if isinstance(m, OrthogonalMap) else m
+    e = np.swapaxes(x, -1, -2) @ x - np.eye(x.shape[-1])
+    loss = (e * e).sum(axis=(-2, -1))
+    return (float(loss) if x.ndim == 2 else loss), 4.0 * x @ e
 
 
 def project_orthogonal(m: OrthogonalMap, tol: float = ORTHO_TOL) -> OrthogonalMap:

@@ -138,14 +138,23 @@ def layer_backward(layer: DenseLayer, cache, dy: np.ndarray, need_dx: bool = Tru
     return dx, dz.T @ xb, dz.sum(axis=0)
 
 
-def check_finite_step(loss: float, grads) -> None:
+def check_finite_step(loss, grads, ids=None) -> None:
     """One finite check per training step over its loss and gradient arrays.
 
     A NaN or inf anywhere makes the sum non-finite; so does a sum that
-    overflows, which only a diverging run reaches.
+    overflows, which only a diverging run reaches. A step of K stacked
+    models passes a (K,) loss and gradients with a leading model axis, and
+    ids (one per model) to name the first model whose own sum is not finite.
     """
-    if not np.isfinite(loss + np.concatenate([g.ravel() for g in grads]).sum()):
-        raise FloatingPointError("non-finite training loss or gradient; lower the learning rate")
+    if np.isfinite(loss + np.concatenate([g.ravel() for g in grads]).sum()).all():
+        return
+    losses = np.atleast_1d(loss)
+    k = losses.shape[0]
+    # the sum over all K models may overflow where no model's own sum does
+    bad = np.flatnonzero(~np.isfinite(losses + np.concatenate([g.reshape(k, -1) for g in grads], axis=1).sum(axis=1)))
+    if bad.size:
+        where = "" if ids is None else f" in model {ids[bad[0]]}"
+        raise FloatingPointError(f"non-finite training loss or gradient{where}; lower the learning rate")
 
 
 def grad_check(loss_and_grad, params, h: float = 1e-5) -> float:

@@ -10,8 +10,6 @@ from dualrec.dualmodel import (
     _L_SHUFFLE,
     RatingModel,
     TrainingArrays,
-    _epoch_batches,
-    apply_grads,
     make_rating_model,
     model_backward,
     model_forward,
@@ -45,12 +43,17 @@ def train_single(
 
     trace = [full_loss()]
     for epoch in range(epochs):
-        for u, i, y, _ in _epoch_batches(arrays, batch_size, make_rng(seed, _L_SHUFFLE, domain_index, epoch)):
+        order = make_rng(seed, _L_SHUFFLE, domain_index, epoch).permutation(len(arrays))
+        for start in range(0, len(order), batch_size):
+            idx = order[start : start + batch_size]
+            u, i, y = arrays.user_emb[idx], arrays.item_emb[idx], arrays.ratings[idx]
             y_hat, caches = model_forward(model, np.concatenate([u, i], axis=1))
             resid = y_hat - y[:, None]
             _, grads = model_backward(model, caches, 2.0 * resid / u.shape[0], need_dx=False)
             check_finite_step(resid.sum(), [g for pair in grads for g in pair])
-            apply_grads(model, grads, lr)
+            for layer, (dw, db) in zip(model.layers, grads):
+                layer.weights -= lr * dw
+                layer.bias -= lr * db
         trace.append(full_loss())
         if abs(trace[-1] - trace[-2]) < tol:
             break

@@ -28,6 +28,7 @@ from dualrec.autoencoder import new_autoencoder, train_autoencoder
 from dualrec.cli import main as cli_main
 from dualrec.dualmodel import (
     DualModel,
+    ModelStack,
     TrainConfig,
     dual_loss_and_grads,
     make_rating_model,
@@ -150,40 +151,40 @@ def test_criterion_2_gradient_integrity():
         mlp_err = grad_check(mlp_wrapped, params)
         assert mlp_err <= 1e-4, f"scorer {domain_index} gradient error {mlp_err:.3e}"
 
-    # full dual objective including the orthogonality penalty
+    # full dual objective including the orthogonality penalty, for two
+    # models trained as one stack: each model's gradient is its own slice
     corpus = make_rng(41).random(size=(6, 9))
     ae_small, _ = train_autoencoder(corpus, embed_dim=4, epochs=1, seed=0)
-    dm = DualModel(
-        make_rating_model(4, 7, 0, (8, 4)),
-        make_rating_model(4, 7, 1, (8, 4)),
-        init_map(4, 7),
-        0.1,
-        ae_small, ae_small, ae_small, ae_small,
-    )
+    stack = ModelStack.of([
+        DualModel(
+            make_rating_model(4, seed, 0, (8, 4)),
+            make_rating_model(4, seed, 1, (8, 4)),
+            init_map(4, seed),
+            0.1,
+            ae_small, ae_small, ae_small, ae_small,
+        )
+        for seed in (7, 8)
+    ])
     rng = make_rng(43)
-    batch_a = (rng.random((6, 4)), rng.random((6, 4)), rng.random(6), np.ones(6, dtype=bool))
-    batch_b = (rng.random((6, 4)), rng.random((6, 4)), rng.random(6), np.ones(6, dtype=bool))
+    batch_a = (rng.random((2, 6, 4)), rng.random((2, 6, 4)), rng.random((2, 6)), np.ones((2, 6), dtype=bool))
+    batch_b = (rng.random((2, 6, 4)), rng.random((2, 6, 4)), rng.random((2, 6)), np.ones((2, 6), dtype=bool))
 
     def dual_wrapped(params):
-        k = 0
-        for scorer in (dm.rs_a, dm.rs_b):
-            for layer in scorer.layers:
-                layer.weights, layer.bias = params[k], params[k + 1]
-                k += 2
-        dm.map = OrthogonalMap(params[k], dm.map.domain_pair)
-        total, _, _, ga, gb, gx = dual_loss_and_grads(dm, batch_a, batch_b)
+        it = iter(params)
+        layers = tuple([(next(it), next(it), act) for _, _, act in scorer] for scorer in stack.layers)
+        total, ga, gb, gx = dual_loss_and_grads(ModelStack(layers, next(it), stack.alpha), batch_a, batch_b)
         flat = []
         for g in (ga, gb):
             for dw, db in g:
                 flat.extend([dw, db])
         flat.append(gx)
-        return total, flat
+        return float(total.sum()), flat
 
     params = []
-    for scorer in (dm.rs_a, dm.rs_b):
-        for layer in scorer.layers:
-            params.extend([layer.weights, layer.bias])
-    params.append(dm.map.x)
+    for scorer in stack.layers:
+        for w, b, _ in scorer:
+            params.extend([w, b])
+    params.append(stack.x)
     dual_err = grad_check(dual_wrapped, params)
     assert dual_err <= 1e-4, f"dual objective gradient error {dual_err:.3e}"
 

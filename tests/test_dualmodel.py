@@ -8,9 +8,11 @@ import pytest
 from dualrec.autoencoder import ae_encode, train_autoencoder
 from dualrec.dualmodel import (
     DualModel,
+    ModelStack,
     RatingModel,
     TrainConfig,
     TrainingArrays,
+    apply_grads,
     dual_loss_and_grads,
     evaluate_loss,
     fit,
@@ -148,12 +150,13 @@ class TestPredict:
 
 
 def make_batch(d, n, seed, overlap_value=True):
+    """One model's batch with the leading model axis of a stack of one."""
     rng = make_rng(seed)
     return (
-        rng.random(size=(n, d)),
-        rng.random(size=(n, d)),
-        rng.random(size=n),
-        np.full(n, overlap_value),
+        rng.random(size=(1, n, d)),
+        rng.random(size=(1, n, d)),
+        rng.random(size=(1, n)),
+        np.full((1, n), overlap_value),
     )
 
 
@@ -169,12 +172,28 @@ def build_bare_model(alpha, d=3, seed=0, hidden=(4,)):
     return DualModel(rs_a, rs_b, init_map(d, seed), alpha, ae, ae, ae, ae)
 
 
+def stack_params(stack):
+    """The arrays of a stack in a fixed order: per scorer, per layer, weights then biases; the maps last."""
+    return [a for layers in stack.layers for w, b, _ in layers for a in (w, b)] + [stack.x]
+
+
+def stack_from_params(stack, params):
+    """A stack shaped like `stack` holding `params` (in stack_params order)."""
+    it = iter(params)
+    layers = tuple([(next(it), next(it), act) for _, _, act in scorer] for scorer in stack.layers)
+    return ModelStack(layers, next(it), stack.alpha)
+
+
+def flat_grads(ga, gb, gx):
+    return [a for g in (ga, gb) for pair in g for a in pair] + [gx]
+
+
 class TestDualLossAndGrads:
     def test_alpha_zero_decouples_the_domains(self):
-        dm = build_bare_model(alpha=0.0)
+        stack = ModelStack.of([build_bare_model(alpha=0.0)])
         batch_b = make_batch(3, 5, seed=1)
-        _, _, _, _, grads_b_1, _ = dual_loss_and_grads(dm, make_batch(3, 5, seed=2), batch_b)
-        _, _, _, _, grads_b_2, _ = dual_loss_and_grads(dm, make_batch(3, 5, seed=3), batch_b)
+        _, _, grads_b_1, _ = dual_loss_and_grads(stack, make_batch(3, 5, seed=2), batch_b)
+        _, _, grads_b_2, _ = dual_loss_and_grads(stack, make_batch(3, 5, seed=3), batch_b)
         # rs_b's gradient is independent of whatever domain a saw
         for (w1, b1), (w2, b2) in zip(grads_b_1, grads_b_2):
             np.testing.assert_array_equal(w1, w2)
@@ -184,59 +203,48 @@ class TestDualLossAndGrads:
         dm = build_bare_model(alpha=0.0)
         from dualrec.mapping import ortho_penalty
 
-        *_, grad_x = dual_loss_and_grads(dm, make_batch(3, 5, seed=1), make_batch(3, 5, seed=2))
+        *_, grad_x = dual_loss_and_grads(ModelStack.of([dm]), make_batch(3, 5, seed=1), make_batch(3, 5, seed=2))
         _, pen_grad = ortho_penalty(dm.map)
-        np.testing.assert_array_equal(grad_x, pen_grad)
+        np.testing.assert_array_equal(grad_x[0], pen_grad)
 
     def test_gradients_match_finite_differences(self):
-        dm = build_bare_model(alpha=0.1, seed=7)
-        batch_a = make_batch(3, 6, seed=11)
-        batch_b = make_batch(3, 6, seed=12)
-
-        def pack(model):
-            out = []
-            for l in model.layers:
-                out.extend([l.weights, l.bias])
-            return out
+        # two models of one stack: the total of their objectives, so each
+        # model's gradient must come from its own slice alone
+        stack = ModelStack.of([build_bare_model(alpha=0.1, seed=7), build_bare_model(alpha=0.1, seed=8)])
+        rng = make_rng(11)
+        batch_a = (rng.random((2, 6, 3)), rng.random((2, 6, 3)), rng.random((2, 6)), rng.random((2, 6)) < 0.7)
+        batch_b = (rng.random((2, 6, 3)), rng.random((2, 6, 3)), rng.random((2, 6)), np.ones((2, 6), dtype=bool))
 
         def wrapped(params):
-            k = 0
-            for model in (dm.rs_a, dm.rs_b):
-                for l in model.layers:
-                    l.weights, l.bias = params[k], params[k + 1]
-                    k += 2
-            dm.map = OrthogonalMap(params[k], dm.map.domain_pair)
-            total, _, _, ga, gb, gx = dual_loss_and_grads(dm, batch_a, batch_b)
-            grads = []
-            for g in (ga, gb):
-                for dw, db in g:
-                    grads.extend([dw, db])
-            grads.append(gx)
-            return total, grads
+            total, ga, gb, gx = dual_loss_and_grads(stack_from_params(stack, params), batch_a, batch_b)
+            return float(total.sum()), flat_grads(ga, gb, gx)
 
-        params = pack(dm.rs_a) + pack(dm.rs_b) + [dm.map.x]
-        assert grad_check(wrapped, params) <= 1e-4
+        assert grad_check(wrapped, stack_params(stack)) <= 1e-4
 
     def test_one_small_step_reduces_the_combined_loss(self):
-        from dualrec.dualmodel import apply_grads
-
-        dm = build_bare_model(alpha=0.05, seed=3)
+        stack = ModelStack.of([build_bare_model(alpha=0.05, seed=3)])
         batch_a = make_batch(3, 8, seed=21)
         batch_b = make_batch(3, 8, seed=22)
-        total0, *_, ga, gb, gx = dual_loss_and_grads(dm, batch_a, batch_b)
-        apply_grads(dm.rs_a, ga, 1e-3)
-        apply_grads(dm.rs_b, gb, 1e-3)
-        dm.map = OrthogonalMap(dm.map.x - 1e-3 * gx, dm.map.domain_pair)
-        total1, *_ = dual_loss_and_grads(dm, batch_a, batch_b)
-        assert total1 < total0
+        total0, ga, gb, gx = dual_loss_and_grads(stack, batch_a, batch_b)
+        apply_grads(stack.layers[0], ga, 1e-3)
+        apply_grads(stack.layers[1], gb, 1e-3)
+        stack.x -= 1e-3 * gx
+        total1, *_ = dual_loss_and_grads(stack, batch_a, batch_b)
+        assert total1[0] < total0[0]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf is injected on purpose
     def test_non_finite_loss_raises(self):
-        dm = build_bare_model(alpha=0.1)
+        stack = ModelStack.of([build_bare_model(alpha=0.1)])
         u, i, y, ov = make_batch(3, 4, seed=5)
-        u[0, 0] = np.inf
-        with pytest.raises(FloatingPointError):
-            dual_loss_and_grads(dm, (u, i, y, ov), None)
+        u[0, 0, 0] = np.inf
+        with pytest.raises(FloatingPointError, match="non-finite training loss or gradient; lower the learning rate"):
+            dual_loss_and_grads(stack, (u, i, y, ov), None)
+
+    def test_a_stack_shares_one_alpha_and_one_shape(self):
+        with pytest.raises(ValueError, match="model 1 has alpha 0.2, model 0 0.1; a stack shares one alpha"):
+            ModelStack.of([build_bare_model(alpha=0.1), build_bare_model(alpha=0.2)])
+        with pytest.raises(ValueError, match="model 1's scorers differ in shape from model 0's"):
+            ModelStack.of([build_bare_model(alpha=0.1), build_bare_model(alpha=0.1, hidden=(5,))])
 
 
 @pytest.fixture(scope="module")

@@ -1,11 +1,12 @@
 """The training kernel against the per-layer loop it replaced.
 
 The oracle below is the earlier implementation of both training loops, kept
-here verbatim in behaviour: per-layer forward and backward calls with shape
-checks, a sign-masked sigmoid, gradients summed into zero-filled lists, an
-SGD step that returns new arrays and checks each gradient for finiteness,
-and a cross channel that is computed and weighted by zero when alpha is 0.
-`train_pair` must give the same bytes with either loop.
+here verbatim in behaviour: one model at a time, per-layer forward and
+backward calls with shape checks, a sign-masked sigmoid, gradients summed
+into zero-filled lists, an SGD step that returns new arrays and checks each
+gradient for finiteness, and a cross channel that is computed and weighted
+by zero when alpha is 0. `train_pair` must give the same bytes with either
+loop, and so must every fold model that `run_cv` trains in its stack.
 """
 
 import dataclasses
@@ -13,8 +14,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from dualrec import autoencoder, dualmodel
-from dualrec.dualmodel import TrainConfig, fit, train_epoch, train_pair
+from dualrec import autoencoder, dualmodel, evaluate
+from dualrec.dualmodel import TrainConfig, fit, fit_models, train_pair
 from dualrec.features import synth_pair
 from dualrec.mapping import OrthogonalMap, ortho_penalty, project_orthogonal
 from dualrec.numeric import make_rng, sigmoid
@@ -265,16 +266,6 @@ def test_fit_raises_when_the_learning_rate_blows_up(fitted_inputs):
         fit(new_model(aes), arrays_a, arrays_b, small_config(lr_map=1e3), seed=0)
 
 
-def test_train_epoch_rejects_a_negative_learning_rate(fitted_inputs):
-    aes, arrays_a, arrays_b = fitted_inputs
-    dm = new_model(aes)
-    before = [layer.weights.copy() for layer in dm.rs_a.layers]
-    with pytest.raises(ValueError, match="learning rates"):
-        train_epoch(dm, arrays_a, arrays_b, lr_a=0.1, lr_b=0.1, lr_map=-0.01)
-    for layer, w in zip(dm.rs_a.layers, before):
-        np.testing.assert_array_equal(layer.weights, w)
-
-
 def test_fit_leaves_the_callers_map_array_untouched(fitted_inputs):
     aes, arrays_a, arrays_b = fitted_inputs
     dm = new_model(aes)
@@ -285,3 +276,134 @@ def test_fit_leaves_the_callers_map_array_untouched(fitted_inputs):
     assert held.tobytes() == want.tobytes()
     assert held_map.x is held
     assert dm.map.x.tobytes() != want.tobytes()  # the model's own map did move
+
+
+# ---------------------------------------------------------------------------
+# the stacked fold models of run_cv against the oracle, fold by fold
+
+
+@pytest.fixture(scope="module")
+def cv_prepared(partial_pair):
+    ds_a, ds_b, _ = partial_pair
+    return evaluate.prepare_pair(ds_a, ds_b, small_config(), k=3, seed=0)
+
+
+def cv_fold_models(monkeypatch, partial_pair, cfg, prepared):
+    """run_cv's fold models and traces, caught at its one fit_models call."""
+    ds_a, ds_b, _ = partial_pair
+    real, seen = evaluate.fit_models, {}
+
+    def spy(models, *args, **kwargs):
+        seen["models"], seen["traces"] = models, real(models, *args, **kwargs)
+        return seen["traces"]
+
+    with monkeypatch.context() as m:
+        m.setattr(evaluate, "fit_models", spy)
+        evaluate.run_cv(ds_a, ds_b, cfg, k=3, seed=0, prepared=prepared)
+    return seen["models"], seen["traces"]
+
+
+def train_rows(prepared, domain):
+    return [split_rows for split_rows, _ in map(prepared.splits[domain].fold_indices, range(3))]
+
+
+# Domain a has 173, 173 and 174 training records per fold and domain b 124,
+# so domain b runs out of batches first; a fifth of domain a's users have no
+# domain-b ratings.
+CV_CASES = {
+    "ragged": dict(batch_size=32, tol=0.0),  # domain a's last batches: 13, 13, 14 rows
+    "uneven-stops": dict(batch_size=7, tol=2e-4),  # folds stop by tol after 4, 3 and 3 epochs
+    "one-row": dict(batch_size=4, tol=0.0),  # domain a's last batches: 1, 1, 2 rows
+}
+
+
+@pytest.mark.parametrize("alpha", [0.03, 0.0])
+@pytest.mark.parametrize("case", CV_CASES)
+def test_run_cv_fold_models_are_byte_identical_to_the_oracle_per_fold(partial_pair, cv_prepared, monkeypatch, case, alpha):
+    cfg = small_config(alpha=alpha, epochs=12, **CV_CASES[case])
+    models, traces = cv_fold_models(monkeypatch, partial_pair, cfg, cv_prepared)
+    (ua, ia), (ub, ib) = cv_prepared.encoders
+    rows = [train_rows(cv_prepared, d) for d in (0, 1)]
+    for fold in range(3):
+        seed = evaluate._fold_seed(0, fold)
+        want_dm = dualmodel.new_dual_model(ua, ia, ub, ib, alpha, seed, cfg.hidden)
+        want_dm.map = cv_prepared.warm_map.copy()
+        arrays = [cv_prepared.arrays[d].rows(rows[d][fold]) for d in (0, 1)]
+        want_traces = oracle_fit(want_dm, *arrays, cfg, seed=seed)
+        assert np.array(traces[fold]).tobytes() == np.array(want_traces).tobytes(), fold
+        got, want = bundle(models[fold]), bundle(want_dm)
+        for key in want:
+            assert got[key].tobytes() == want[key].tobytes(), (fold, key)
+    # each case exercises what its name says
+    last_a = [len(r) % cfg.batch_size for r in rows[0]]
+    assert len(set(last_a)) > 1
+    assert -(-len(rows[1][0]) // cfg.batch_size) < -(-len(rows[0][0]) // cfg.batch_size)
+    assert not cv_prepared.arrays[0].overlap.all()
+    if case == "uneven-stops":
+        assert len({len(t[0]) for t in traces}) > 1
+    if case == "one-row":
+        # A step whose batch sizes differ between folds runs fold by fold, so
+        # the 1-row products take numpy's gemv path, as they do alone, and
+        # the bytes still match.
+        assert 1 in last_a and max(last_a) > 1
+
+
+def test_fold_models_own_their_arrays_and_leave_the_warm_map(partial_pair, cv_prepared, monkeypatch):
+    warm = cv_prepared.warm_map.x.copy()
+    models, _ = cv_fold_models(monkeypatch, partial_pair, small_config(epochs=2), cv_prepared)
+    assert cv_prepared.warm_map.x.tobytes() == warm.tobytes()
+    trained = [[dm.map.x] + [a for rs in (dm.rs_a, dm.rs_b) for l in rs.layers for a in (l.weights, l.bias)]
+               for dm in models]
+    assert all(a.flags.owndata for arrays in trained for a in arrays)
+    before = [a.copy() for a in trained[1]]
+    for a in trained[0]:
+        a[...] = 0.0
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(trained[1], before))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf is injected on purpose
+def test_a_non_finite_step_names_its_model(fitted_inputs):
+    aes, arrays_a, arrays_b = fitted_inputs
+    bad = 5
+    arrays_a = dataclasses.replace(arrays_a, user_emb=arrays_a.user_emb.copy())
+    arrays_a.user_emb[bad, 0] = np.inf
+    everything = np.arange(len(arrays_a))
+    rows_a = [np.delete(everything, bad), np.delete(everything, bad), everything]  # only model 2 trains on it
+    rows_b = [np.arange(len(arrays_b))] * 3
+    with pytest.raises(FloatingPointError, match=r"^non-finite training loss or gradient in model 2; lower the learning rate$"):
+        fit_models([new_model(aes) for _ in range(3)], arrays_a, arrays_b, small_config(), [0, 1, 2], rows=(rows_a, rows_b))
+
+
+# ---------------------------------------------------------------------------
+# the full-pass divergence guard
+
+
+@pytest.fixture(scope="module")
+def found_pair():
+    """The pair on which lr_a = lr_b = 1e3 once wrecked the model silently."""
+    ds_a, ds_b, _ = synth_pair(n_users=40, seed=3)
+    return ds_a, ds_b
+
+
+@pytest.mark.parametrize("lr_a, lr_b, key", [(1e3, 1e3, "lr_a"), (0.1, 1e3, "lr_b")])
+def test_a_diverging_scorer_rate_is_refused_by_its_key(found_pair, lr_a, lr_b, key):
+    # after epoch 1 the diverging domain's full-pass loss is 5.2 (a) or 4.2 (b) times its pre-training value
+    cfg = TrainConfig(embed_dim=4, hidden=(8, 4), lr_a=lr_a, lr_b=lr_b)
+    domain = key[-1]
+    with pytest.raises(FloatingPointError, match=rf"^domain {domain} full-pass loss \S+ after epoch 1 exceeds twice "
+                                                 rf"its pre-training value \S+; lower {key}$"):
+        train_pair(*found_pair, cfg, seed=0)
+
+
+def test_a_stable_scorer_rate_passes_the_guard(found_pair):
+    cfg = TrainConfig(embed_dim=4, hidden=(8, 4), lr_a=1.0, lr_b=1.0, epochs=30, tol=0.0)
+    _, traces = train_pair(*found_pair, cfg, seed=0)
+    for trace in traces:
+        assert len(trace) == 31 and max(trace[1:]) < trace[0]
+
+
+def test_the_guard_names_the_model_of_a_stack(fitted_inputs):
+    aes, arrays_a, arrays_b = fitted_inputs
+    cfg = small_config(lr_a=1e3, lr_b=1e3)
+    with pytest.raises(FloatingPointError, match=r"in model 0; lower lr_a$"):
+        fit_models([new_model(aes), new_model(aes)], arrays_a, arrays_b, cfg, [0, 1])
