@@ -3,9 +3,16 @@
 Each autoencoder is a one-layer sigmoid encoder plus a one-layer identity
 decoder, trained by mini-batch gradient descent on mean squared
 reconstruction error over one entity corpus. A domain pair uses four of
-them (user/item times two domains), trained separately so no information
-crosses corpora. Once trained they are frozen: downstream training treats
-embeddings as fixed inputs and never updates encoder weights.
+them (user/item times two domains). Autoencoders whose corpora have the same
+shape (the user autoencoders of both domains, and the item autoencoders)
+train in lockstep as one stacked program (`train_autoencoders`): their
+weights sit on a leading axis and every step is one forward pass, one
+backward pass and one SGD update for all of them. Each keeps its own init,
+shuffle stream and trace, and its loss and gradients come from its own
+corpus alone, so no information crosses corpora: each ends bit for bit as
+it would trained alone. `train_autoencoder` is the kernel for one corpus.
+Once trained they are frozen: downstream training treats embeddings as
+fixed inputs and never updates encoder weights.
 """
 
 from __future__ import annotations
@@ -15,7 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dualrec.numeric import DenseLayer, check_finite_step, dense_layer, layer_backward, layer_forward, make_rng
+from dualrec.numeric import (
+    DenseLayer, check_finite_step, dense_layer, layer_forward, make_rng, stack_backward, stack_forward,
+)
 
 _L_AE_INIT = 0xAE01
 _L_AE_SHUFFLE = 0xAE02
@@ -66,34 +75,96 @@ def _stream_tag(domain: str, entity: str) -> int:
     return zlib.crc32(entity.encode("utf-8"))
 
 
-def _forward(ae: Autoencoder, xb: np.ndarray):
-    emb, enc_cache = layer_forward(ae.encoder, xb)
-    rec, dec_cache = layer_forward(ae.decoder, emb)
-    return rec, (enc_cache, dec_cache)
-
-
 def reconstruction_loss(ae: Autoencoder, vectors: np.ndarray) -> float:
     """Mean over vectors of the squared L2 reconstruction error."""
     xb = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
-    rec, _ = _forward(ae, xb)
+    emb, _ = layer_forward(ae.encoder, xb)
+    rec, _ = layer_forward(ae.decoder, emb)
     return float(np.mean(np.sum((xb - rec) ** 2, axis=1)))
 
 
-def loss_and_grads(ae: Autoencoder, xb: np.ndarray):
-    """Reconstruction loss on a (n, input_dim) batch plus gradients for all four parameter arrays.
+def stack_layers(aes: list[Autoencoder]) -> list:
+    """Copies of the autoencoders' encoder and decoder stacked on a leading axis:
+    [(weights (K, out, in), bias (K, 1, out), activation)] for `loss_and_grads`."""
+    return [
+        (np.stack([l.weights for l in layers]), np.stack([l.bias[None] for l in layers]), layers[0].activation)
+        for layers in ([ae.encoder for ae in aes], [ae.decoder for ae in aes])
+    ]
 
-    Returns (loss, (dW_enc, db_enc, dW_dec, db_dec)). Raises FloatingPointError
-    when the loss or any gradient is not finite.
+
+def loss_and_grads(layers: list, xb: np.ndarray, names=None):
+    """Reconstruction loss of K stacked autoencoders (`stack_layers`) on their
+    batches xb (K, n, input_dim), and the gradients of every parameter array.
+
+    Returns (loss (K,), [(dW_enc, db_enc), (dW_dec, db_dec)]) shaped like the
+    stacked layers. Raises FloatingPointError when a loss or gradient is not
+    finite, naming the autoencoder (names, one per slice) and ae_lr.
     """
-    rec, (enc_cache, dec_cache) = _forward(ae, xb)
+    rec, caches = stack_forward(layers, xb)
     diff = rec - xb
-    loss = float(np.mean(np.sum(diff**2, axis=1)))
-    dy = 2.0 * diff / xb.shape[0]
-    d_emb, dw_dec, db_dec = layer_backward(ae.decoder, dec_cache, dy)
-    _, dw_enc, db_enc = layer_backward(ae.encoder, enc_cache, d_emb, need_dx=False)
-    grads = (dw_enc, db_enc, dw_dec, db_dec)
-    check_finite_step(loss, grads)
+    n = xb.shape[-2]
+    loss = (diff * diff).sum(axis=-1).sum(axis=-1) / n
+    _, grads = stack_backward(layers, caches, 2.0 * diff / n, need_dx=False)
+    check_finite_step(loss, [g for pair in grads for g in pair], names, "lower ae_lr")
     return loss, grads
+
+
+def train_autoencoders(
+    corpora,
+    tags,
+    embed_dim: int = 8,
+    lr: float = 0.01,
+    epochs: int = 200,
+    batch_size: int = 32,
+    seed: int = 0,
+) -> list[tuple[Autoencoder, list[float]]]:
+    """Train one autoencoder per corpus; tags gives each one's (domain, entity).
+
+    Autoencoders whose corpora have the same shape train in lockstep as one
+    stack, the others alone; each ends bit for bit as it would alone.
+    Returns each corpus's (trained autoencoder, per-epoch trace of the
+    full-corpus reconstruction loss evaluated after each epoch), in order.
+    """
+    xs = [np.asarray(c, dtype=np.float64) for c in corpora]
+    for x in xs:
+        if x.ndim != 2 or x.shape[0] < 1:
+            raise ValueError("corpus must be a non-empty list of equal-length vectors")
+    if lr < 0:
+        raise ValueError("learning rate must be >= 0")
+    out = [None] * len(xs)
+    for shape in dict.fromkeys(x.shape for x in xs):
+        group = [j for j, x in enumerate(xs) if x.shape == shape]
+        trained = _train_stack(np.stack([xs[j] for j in group]), [tags[j] for j in group],
+                               embed_dim, lr, epochs, batch_size, seed)
+        for j, result in zip(group, trained):
+            out[j] = result
+    return out
+
+
+def _train_stack(x, tags, embed_dim, lr, epochs, batch_size, seed):
+    """The lockstep kernel: K autoencoders on corpora x (K, n, input_dim)."""
+    aes = [new_autoencoder(x.shape[2], embed_dim, seed, domain, entity) for domain, entity in tags]
+    layers = stack_layers(aes)
+    names = [f"the {entity} autoencoder" + (f" of domain {domain}" if domain else "") for domain, entity in tags]
+    stream_tags = [_stream_tag(domain, entity) for domain, entity in tags]
+    n = x.shape[1]
+    traces: list[list[float]] = [[] for _ in aes]
+    for epoch in range(epochs):
+        order = np.stack([make_rng(seed, _L_AE_SHUFFLE, tag, epoch).permutation(n) for tag in stream_tags])
+        shuffled = np.take_along_axis(x, order[..., None], axis=1)
+        for start in range(0, n, batch_size):
+            _, grads = loss_and_grads(layers, shuffled[:, start : start + batch_size], names)
+            for (w, b, _), (dw, db) in zip(layers, grads):
+                w -= lr * dw
+                b -= lr * db
+        rec, _ = stack_forward(layers, x)
+        for trace, loss in zip(traces, np.mean(np.sum((x - rec) ** 2, axis=-1), axis=-1)):
+            trace.append(float(loss))
+    for k, ae in enumerate(aes):
+        for layer, (w, b, _) in zip((ae.encoder, ae.decoder), layers):
+            layer.weights, layer.bias = w[k].copy(), b[k, 0].copy()
+        ae.trained = True
+    return list(zip(aes, traces))
 
 
 def train_autoencoder(
@@ -106,30 +177,12 @@ def train_autoencoder(
     domain: str = "",
     entity: str = "user",
 ) -> tuple[Autoencoder, list[float]]:
-    """Train one autoencoder on an entity corpus.
+    """Train one autoencoder on an entity corpus (`train_autoencoders` for one corpus).
 
     Returns the trained (frozen) autoencoder and a per-epoch trace of the
     full-corpus reconstruction loss evaluated after each epoch.
     """
-    x = np.asarray(vectors, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] < 1:
-        raise ValueError("corpus must be a non-empty list of equal-length vectors")
-    if lr < 0:
-        raise ValueError("learning rate must be >= 0")
-    ae = new_autoencoder(x.shape[1], embed_dim, seed, domain, entity)
-    params = (ae.encoder.weights, ae.encoder.bias, ae.decoder.weights, ae.decoder.bias)
-    n = x.shape[0]
-    trace: list[float] = []
-    for epoch in range(epochs):
-        shuffle = make_rng(seed, _L_AE_SHUFFLE, _stream_tag(domain, entity), epoch)
-        shuffled = x[shuffle.permutation(n)]
-        for start in range(0, n, batch_size):
-            _, grads = loss_and_grads(ae, shuffled[start : start + batch_size])
-            for p, g in zip(params, grads):
-                p -= lr * g
-        trace.append(reconstruction_loss(ae, x))
-    ae.trained = True
-    return ae, trace
+    return train_autoencoders([vectors], [(domain, entity)], embed_dim, lr, epochs, batch_size, seed)[0]
 
 
 def ae_encode(ae: Autoencoder, v: np.ndarray) -> np.ndarray:

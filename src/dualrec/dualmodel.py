@@ -19,9 +19,16 @@ oracle reproduces. Users who only exist in one domain get an effective alpha of 
 so no cross signal is fabricated for them.
 
 The training kernel (`fit_models`) trains K models of one shape and alpha
-in lockstep: their scorer weights, biases and maps are stacked on a leading
-model axis, so every step runs one forward pass, one backward pass, one
-penalty and one SGD update for all K. Each model keeps its own seed,
+in lockstep. Each scorer layer of the stack is one array with a domain axis
+and a model axis, (2, K, out, in); the maps are stacked on the model axis.
+Both scorers share one architecture, so a step runs the within channels of
+both domains as one forward and one backward pass over these arrays, and
+both cross channels as one pass over the domain-swapped view (each domain's
+batch through its partner's scorer). Each scorer's gradient is its within
+term plus the cross term of its partner's batch, and one in-place SGD update
+per layer, with lr_a and lr_b on the domain axis, moves both. A step whose
+domains bring batches of different sizes runs each domain through the same
+kernel with a domain axis of length one. Each model keeps its own seed,
 shuffles, starting map and `tol` stop, and follows the trajectory it would
 follow alone bit for bit. `fit` is the kernel at K = 1.
 
@@ -36,11 +43,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dualrec.autoencoder import Autoencoder, ae_encode, autoencoder_arrays, autoencoder_from_arrays, train_autoencoder
+from dualrec.autoencoder import Autoencoder, ae_encode, autoencoder_arrays, autoencoder_from_arrays, train_autoencoders
 from dualrec.features import DomainDataset, FeatureSchema, encode, parse_schema, schema_to_text
 from dualrec.mapping import OrthogonalMap, align_map, init_map, ortho_penalty, project_orthogonal
 from dualrec.numeric import (
-    DenseLayer, check_finite_step, dense_layer, layer_backward, layer_forward, make_rng, sigmoid,
+    DenseLayer, check_finite_step, dense_layer, layer_forward, make_rng, stack_backward, stack_forward,
 )
 
 _L_RS_INIT = 0x5C07
@@ -126,20 +133,6 @@ def model_forward(model: RatingModel, x: np.ndarray):
     return h, caches
 
 
-def model_backward(model: RatingModel, caches, dy: np.ndarray, need_dx: bool = True):
-    """Returns (dx, per-layer [(dW, db), ...] parallel to model.layers).
-
-    need_dx=False skips the first layer's input gradient and returns None for dx.
-    """
-    grads = []
-    d = dy
-    for k in range(len(model.layers) - 1, -1, -1):
-        d, dw, db = layer_backward(model.layers[k], caches[k], d, need_dx or k > 0)
-        grads.append((dw, db))
-    grads.reverse()
-    return d, grads
-
-
 def score(model: RatingModel, user_emb: np.ndarray, item_emb: np.ndarray) -> float:
     """One within-scorer rating for an embedding pair."""
     x = np.concatenate([np.asarray(user_emb, dtype=np.float64), np.asarray(item_emb, dtype=np.float64)])
@@ -155,6 +148,11 @@ def score_batch(model: RatingModel, user_emb: np.ndarray, item_emb: np.ndarray) 
 
 # ---------------------------------------------------------------------------
 # dual model
+
+
+# (schema field, autoencoder field) of every schema a model may carry
+_SCHEMA_ENCODERS = (("user_schema_a", "ae_user_a"), ("item_schema_a", "ae_item_a"),
+                    ("user_schema_b", "ae_user_b"), ("item_schema_b", "ae_item_b"))
 
 
 @dataclass
@@ -189,6 +187,10 @@ class DualModel:
                 raise ValueError(f"{name} ends in {want} outputs, expected 1")
         if self.map.dim != d:
             raise ValueError(f"map is {self.map.dim}x{self.map.dim}, expected embed_dim {d}x{d}")
+        for field, ae_field in _SCHEMA_ENCODERS:
+            schema, ae = getattr(self, field), getattr(self, ae_field)
+            if schema is not None and schema.encoded_length != ae.input_dim:
+                raise ValueError(f"{field} encodes {schema.encoded_length} columns, {ae_field} takes {ae.input_dim}")
 
     @property
     def embed_dim(self) -> int:
@@ -359,19 +361,27 @@ def prepare_domain(
 
 @dataclass
 class ModelStack:
-    """The trainable arrays of K dual models of one shape and alpha, on a
-    leading model axis. layers[k] lists scorer k's (weights (K, out, in),
-    bias (K, 1, out), activation); x (K, d, d) holds the maps. ids number
-    the models in errors; None for one model trained alone."""
+    """The trainable arrays of K dual models of one shape and alpha. scorers
+    lists each scorer layer as (weights (2, K, out, in), bias (2, K, 1, out),
+    activation): a domain axis, then a model axis. layers[k] holds the views
+    of domain k's scorer; x (K, d, d) holds the maps. ids number the models
+    in errors; None for one model trained alone."""
 
-    layers: tuple[list, list]
+    scorers: list
     x: np.ndarray
     alpha: float
     ids: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        # the forward pass reads transposed views, which follow the in-place SGD updates
-        self.forward = tuple([(w.transpose(0, 2, 1), b, act) for w, b, act in scorer] for scorer in self.layers)
+        self.layers = tuple([(w[k], b[k], act) for w, b, act in self.scorers] for k in (0, 1))
+        # (within, cross) layers of the domains a pass runs: both (None), or domain k alone;
+        # the cross channel runs each domain's batch through its partner's scorer
+        flipped = [(w[::-1], b[::-1], act) for w, b, act in self.scorers]
+        self.channels = {None: (self.scorers, flipped)}
+        for k in (0, 1):
+            self.channels[k] = ([(w[k : k + 1], b[k : k + 1], act) for w, b, act in self.scorers],
+                                [(w[k : k + 1], b[k : k + 1], act) for w, b, act in flipped])
+        self.names = None if self.ids is None else [f"model {m}" for m in self.ids]
 
     @classmethod
     def of(cls, models: list[DualModel], ids=None) -> "ModelStack":
@@ -384,18 +394,17 @@ class ModelStack:
                 raise ValueError(f"model {m} has alpha {dm.alpha}, model 0 {models[0].alpha}; a stack shares one alpha")
             if shapes[m] != shapes[0]:
                 raise ValueError(f"model {m}'s scorers differ in shape from model 0's; a stack needs one shape")
-        layers = tuple(
-            [(np.stack([dm.scorer(k).layers[n].weights for dm in models]),
-              np.stack([dm.scorer(k).layers[n].bias[None] for dm in models]), layer.activation)
-             for n, layer in enumerate(models[0].scorer(k).layers)]
-            for k in (0, 1)
-        )
+        scorers = [
+            (np.stack([[dm.scorer(k).layers[n].weights for dm in models] for k in (0, 1)]),
+             np.stack([[dm.scorer(k).layers[n].bias[None] for dm in models] for k in (0, 1)]), layer.activation)
+            for n, layer in enumerate(models[0].rs_a.layers)
+        ]
         if ids is None and len(models) > 1:
             ids = range(len(models))
-        stack = cls(layers, np.stack([dm.map.x for dm in models]), models[0].alpha, None if ids is None else tuple(ids))
+        stack = cls(scorers, np.stack([dm.map.x for dm in models]), models[0].alpha, None if ids is None else tuple(ids))
         for m, dm in enumerate(models):
             for k in (0, 1):
-                for layer, (w, b, _) in zip(dm.scorer(k).layers, layers[k]):
+                for layer, (w, b, _) in zip(dm.scorer(k).layers, stack.layers[k]):
                     layer.weights, layer.bias = w[m], b[m, 0]
             dm.map = OrthogonalMap(stack.x[m], dm.map.domain_pair)
         return stack
@@ -403,8 +412,8 @@ class ModelStack:
     def part(self, m: int) -> "ModelStack":
         """Model m alone: a stack of one whose arrays are views into this one."""
         s = slice(m, m + 1)
-        layers = tuple([(w[s], b[s], act) for w, b, act in scorer] for scorer in self.layers)
-        return ModelStack(layers, self.x[s], self.alpha, None if self.ids is None else self.ids[s])
+        scorers = [(w[:, s], b[:, s], act) for w, b, act in self.scorers]
+        return ModelStack(scorers, self.x[s], self.alpha, None if self.ids is None else self.ids[s])
 
 
 def _release(dm: DualModel) -> None:
@@ -414,62 +423,65 @@ def _release(dm: DualModel) -> None:
     dm.map = OrthogonalMap(dm.map.x.copy(), dm.map.domain_pair)
 
 
-def _stack_forward(layers: list, h: np.ndarray):
-    """Forward pass of a stacked scorer, given as ModelStack.forward, on h (K, n, 2d);
-    slice k is model_forward's, bit for bit."""
-    caches = []
-    for wt, b, act in layers:
-        z = h @ wt + b
-        y = sigmoid(z) if act == "sigmoid" else np.maximum(z, 0.0) if act == "relu" else z
-        caches.append((h, z, y))
-        h = y
-    return h, caches
+def _domain_pass(stack: ModelStack, k, ui, y, overlap):
+    """Hybrid MSE and gradients of the domains a pass runs: both (k None) or domain k.
 
-
-def _stack_backward(layers: list, caches, dy: np.ndarray, need_dx: bool = True):
-    """(dx, per-layer [(dW, db), ...]) with slice k equal to model_backward's; dx is None without need_dx."""
-    grads = []
-    for n in range(len(layers) - 1, -1, -1):
-        (w, _, act), (h, z, y) = layers[n], caches[n]
-        if act == "sigmoid":
-            dy = dy * (y * (1.0 - y))
-        elif act == "relu":
-            dy = dy * (z > 0)
-        grads.append((dy.transpose(0, 2, 1) @ h, np.add.reduce(dy, axis=1, keepdims=True)))
-        dy = dy @ w if need_dx or n > 0 else None
-    return dy, grads[::-1]
-
-
-def _domain_loss_grads(stack: ModelStack, batch, domain_index: int):
-    """Hybrid MSE of one domain's stacked batch, (K,), and the gradients it gives.
-
-    Returns (loss, grads_own, grads_other, grad_x). When no record of any
-    model carries cross weight the cross channel is skipped and grads_other
-    and grad_x are None; a model whose records carry none gets exact zeros.
+    ui (D, K, n, 2d) holds each domain's user and item embeddings side by
+    side, y and overlap (D, K, n), with D = 2 or 1. The within channel is one
+    forward and backward pass over the domains' own scorers, the cross
+    channel one over their partners'. Returns (loss (D, K), within grads,
+    cross grads, map grads (D, K, d, d)): cross grads belong to the partner
+    scorers, and the map grad is dX^T for domain a and dX for domain b. When
+    no record carries cross weight the cross channel is skipped and both are
+    None; a domain whose records carry none gets exact zeros.
     """
-    u, i, y, overlap = batch
-    n = u.shape[1]
-    own = stack.layers[domain_index]
-    y_w, caches_w = _stack_forward(stack.forward[domain_index], np.concatenate([u, i], axis=2))
+    n = ui.shape[-2]
+    own, other = stack.channels[k]
+    y_w, caches_w = stack_forward(own, ui)
     if stack.alpha == 0.0 or not overlap.any():
         resid = y_w - y[..., None]
-        _, grads_own = _stack_backward(own, caches_w, 2.0 * resid / n, need_dx=False)
-        return (resid * resid).sum(axis=(1, 2)) / n, grads_own, None, None
+        _, grads_own = stack_backward(own, caches_w, 2.0 * resid / n, need_dx=False)
+        return (resid * resid).sum(axis=(-2, -1)) / n, grads_own, None, None
 
-    other = stack.layers[1 - domain_index]
-    alpha_vec = np.where(overlap, stack.alpha, 0.0)[..., None]  # (K, n, 1)
-    mapped = u @ stack.x.transpose(0, 2, 1) if domain_index == 0 else u @ stack.x
-    y_c, caches_c = _stack_forward(stack.forward[1 - domain_index], np.concatenate([mapped, i], axis=2))
+    d = stack.x.shape[-1]
+    u = ui[..., :d]
+    x_t = stack.x.swapaxes(-1, -2)
+    # domain a maps by u X^T, domain b by u X; one pass of each alone reads the
+    # transposed view itself, since a 1-row product's bits follow its layout
+    maps = np.array((x_t, stack.x)) if k is None else (x_t, stack.x)[k][None]
+    alpha_vec = np.where(overlap, stack.alpha, 0.0)[..., None]  # (D, K, n, 1)
+    y_c, caches_c = stack_forward(other, np.concatenate([u @ maps, ui[..., d:]], axis=-1))
 
     within_weight = 1.0 - alpha_vec
     resid = within_weight * y_w + alpha_vec * y_c - y[..., None]
     dpred = 2.0 * resid / n
-    _, grads_own = _stack_backward(own, caches_w, dpred * within_weight, need_dx=False)
-    dx_cross, grads_other = _stack_backward(other, caches_c, dpred * alpha_vec)
-    d_mapped = dx_cross[..., : u.shape[2]]
-    # mapped = u X^T (domain a) gives dX = d_mapped^T u; mapped = u X gives u^T d_mapped
-    grad_x = d_mapped.transpose(0, 2, 1) @ u if domain_index == 0 else u.transpose(0, 2, 1) @ d_mapped
-    return (resid * resid).sum(axis=(1, 2)) / n, grads_own, grads_other, grad_x
+    _, grads_own = stack_backward(own, caches_w, dpred * within_weight, need_dx=False)
+    dx_cross, grads_other = stack_backward(other, caches_c, dpred * alpha_vec)
+    return (resid * resid).sum(axis=(-2, -1)) / n, grads_own, grads_other, u.swapaxes(-1, -2) @ dx_cross[..., :d]
+
+
+def _one_domain_passes(stack: ModelStack, batches):
+    """Each present domain's batch through `_domain_pass` alone, combined as one
+    pass of both combines them: (total, grads, grad_x or None)."""
+    total, grad_x = None, None
+    terms = ([], [])  # per scorer, flat gradient lists to add up, its within term first
+    for k, batch in enumerate(batches):
+        if batch is None:
+            continue
+        u, i, y, overlap = batch
+        loss, grads_own, grads_cross, grad_m = _domain_pass(stack, k, np.concatenate((u, i), axis=-1)[None],
+                                                            y[None], overlap[None])
+        total = loss[0] if total is None else total + loss[0]
+        terms[k].insert(0, [g[0] for pair in grads_own for g in pair])
+        if grads_cross is not None:
+            terms[1 - k].append([g[0] for pair in grads_cross for g in pair])
+            gx = grad_m[0].swapaxes(-1, -2) if k == 0 else grad_m[0]
+            grad_x = gx if grad_x is None else grad_x + gx
+    shapes = (terms[0] or terms[1])[0]
+    per_scorer = [[sum(parts[1:], parts[0]) for parts in zip(*t)] if t else [np.zeros_like(a) for a in shapes]
+                  for t in terms]
+    stacked = [np.stack(pair) for pair in zip(*per_scorer)]
+    return total, list(zip(stacked[::2], stacked[1::2])), grad_x
 
 
 def dual_loss_and_grads(stack: ModelStack, batch_a, batch_b, penalty_weight: float = 1.0):
@@ -477,30 +489,31 @@ def dual_loss_and_grads(stack: ModelStack, batch_a, batch_b, penalty_weight: flo
 
     batch_a / batch_b are (user_emb, item_emb, ratings, overlap) tuples with
     a leading model axis, (K, n, d), (K, n, d), (K, n), (K, n); pass None to
-    leave a domain out of this step. Returns (total (K,), grads_a, grads_b,
-    grad_x (K, d, d)); grads_a or grads_b is a per-layer [(dW, db)] list, or
-    None when no term of this step touches that scorer. Raises
+    leave a domain out of this step. When both domains bring batches of the
+    same size above one row, both run as one stacked program on a domain
+    axis; otherwise each runs through the same kernel alone. Returns (total
+    (K,), grads, grad_x (K, d, d)); grads is a per-layer [(dW (2, K, out,
+    in), db (2, K, 1, out))] list whose domain axis indexes the scorer, with
+    zeros for a scorer no term of this step touches. Raises
     FloatingPointError naming the model whose total or gradient is not finite.
     """
-    grads = [None, None]
-    total = 0.0
-    grad_x = None
-    for k, batch in enumerate((batch_a, batch_b)):
-        if batch is None:
-            continue
-        loss, g_own, g_other, gx = _domain_loss_grads(stack, batch, k)
-        total = total + loss
-        for j, g in ((k, g_own), (1 - k, g_other)):
-            if g is not None:
-                grads[j] = g if grads[j] is None else [(aw + ew, ab + eb) for (aw, ab), (ew, eb) in zip(grads[j], g)]
-        if gx is not None:
-            grad_x = gx if grad_x is None else grad_x + gx
+    if batch_a is not None and batch_b is not None and batch_a[2].shape[1] == batch_b[2].shape[1] > 1:
+        (u_a, i_a, y_a, o_a), (u_b, i_b, y_b, o_b) = batch_a, batch_b
+        # np.array stacks arrays of one shape on a new leading axis, as np.stack does, at a fraction of its cost
+        ui = np.concatenate((np.array((u_a, u_b)), np.array((i_a, i_b))), axis=-1)
+        loss, grads, grads_cross, grad_m = _domain_pass(stack, None, ui, np.array((y_a, y_b)), np.array((o_a, o_b)))
+        total, grad_x = loss[0] + loss[1], None
+        if grads_cross is not None:
+            # each scorer's gradient: its within term plus the cross term of its partner's batch
+            grads = [(w + cw[::-1], b + cb[::-1]) for (w, b), (cw, cb) in zip(grads, grads_cross)]
+            grad_x = grad_m[0].swapaxes(-1, -2) + grad_m[1]
+    else:
+        total, grads, grad_x = _one_domain_passes(stack, (batch_a, batch_b))
     pen_loss, pen_grad = ortho_penalty(stack.x)
     total = total + penalty_weight * pen_loss
     grad_x = penalty_weight * pen_grad if grad_x is None else grad_x + penalty_weight * pen_grad
-    arrays = [grad_x] + [g for model_grads in grads for pair in model_grads or () for g in pair]
-    check_finite_step(total, arrays, stack.ids)
-    return total, grads[0], grads[1], grad_x
+    check_finite_step(total, [grad_x] + [g for pair in grads for g in pair], stack.names)
+    return total, grads, grad_x
 
 
 def evaluate_loss(dm: DualModel, arrays: TrainingArrays, domain) -> float:
@@ -527,18 +540,19 @@ def predict_batch(dm: DualModel, domain, arrays: TrainingArrays) -> np.ndarray:
 # training loop
 
 
-def apply_grads(layers: list, grads: list, lr: float) -> None:
-    """In-place SGD step on every layer of a stacked scorer: W -= lr * dW, b -= lr * db."""
+def apply_grads(layers: list, grads: list, lr) -> None:
+    """In-place SGD step on every layer of a stack: W -= lr * dW, b -= lr * db.
+
+    lr is a number, or per-domain rates shaped to broadcast on the domain axis.
+    """
     for (w, b, _), (dw, db) in zip(layers, grads):
         w -= lr * dw
         b -= lr * db
 
 
-def _train_step(stack: ModelStack, batches, cfg: TrainConfig) -> None:
-    _, grads_a, grads_b, grad_x = dual_loss_and_grads(stack, *batches, cfg.penalty_weight)
-    for layers, grads, lr in zip(stack.layers, (grads_a, grads_b), (cfg.lr_a, cfg.lr_b)):
-        if grads is not None:
-            apply_grads(layers, grads, lr)
+def _train_step(stack: ModelStack, batches, cfg: TrainConfig, lrs: np.ndarray) -> None:
+    _, grads, grad_x = dual_loss_and_grads(stack, *batches, cfg.penalty_weight)
+    apply_grads(stack.scorers, grads, lrs)
     stack.x -= cfg.lr_map * grad_x
 
 
@@ -580,8 +594,9 @@ def fit_models(
     Model m trains on rows[0][m] of arrays_a and rows[1][m] of arrays_b (all
     rows when rows is None), shuffled by seeds[m]. Each step pairs the next
     mini-batch of each domain (the shorter domain runs out first) and updates
-    both scorers and the map of every live model; a step whose batch sizes
-    differ between models runs model by model. Each epoch ends by projecting
+    both scorers and the map of every live model, both domains in one stacked
+    pass (`dual_loss_and_grads`); a step whose batch sizes differ between
+    models runs model by model. Each epoch ends by projecting
     every map onto the orthogonal manifold. A model leaves the stack after
     cfg.epochs, or after the first epoch whose combined full-pass loss moves
     less than cfg.tol. Returns each model's (trace_a, trace_b) of full-pass
@@ -609,6 +624,7 @@ def fit_models(
     live = list(range(n_models))
     stack = ModelStack.of(models)
     schedule = _schedule(counts, cfg.batch_size)
+    lrs = np.array([cfg.lr_a, cfg.lr_b]).reshape(2, 1, 1, 1)  # broadcast on the scorers' domain axis
     for epoch in range(cfg.epochs):
         # per domain, each live model's shuffled rows, one model per row of order[k]
         order = [np.zeros((len(live), counts[live, k].max()), dtype=np.intp) for k in (0, 1)]
@@ -619,12 +635,12 @@ def fit_models(
         batch = _epoch_batches(domains, order)
         for start, sizes, uniform in schedule:
             if uniform:
-                _train_step(stack, [batch(k, slice(None), start, n) for k, n in enumerate(sizes[0])], cfg)
+                _train_step(stack, [batch(k, slice(None), start, n) for k, n in enumerate(sizes[0])], cfg, lrs)
                 continue
             for j, model_sizes in enumerate(sizes):  # batch sizes differ: model by model
                 if any(model_sizes):
                     part = [batch(k, slice(j, j + 1), start, n) for k, n in enumerate(model_sizes)]
-                    _train_step(stack.part(j), part, cfg)
+                    _train_step(stack.part(j), part, cfg, lrs)
         stopped = []
         for j, m in enumerate(live):
             stack.x[j] = project_orthogonal(models[m].map).x
@@ -773,30 +789,24 @@ def predict_multi(mm: MultiModel, domain_index: int, user_raw: dict, item_raw: d
 # pipeline helpers
 
 
-def train_domain_autoencoders(dataset: DomainDataset, cfg: TrainConfig, seed: int) -> tuple[Autoencoder, Autoencoder]:
-    """Train the (user, item) autoencoder pair for one domain.
+def train_pair_autoencoders(
+    ds_a: DomainDataset, ds_b: DomainDataset, cfg: TrainConfig, seed: int
+) -> tuple[tuple[Autoencoder, Autoencoder], tuple[Autoencoder, Autoencoder]]:
+    """Train the (user, item) autoencoders of both domains; returns them per domain.
 
     Corpora are the encoded feature vectors of every entity in the domain,
-    iterated in sorted-id order for determinism.
+    iterated in sorted-id order for determinism. Autoencoders whose corpora
+    have the same shape train in lockstep (`train_autoencoders`).
     """
-    out = []
-    for entity, table, schema in (
-        ("user", dataset.user_features, dataset.user_schema),
-        ("item", dataset.item_features, dataset.item_schema),
-    ):
-        corpus = np.stack([encode(schema, table[eid]) for eid in sorted(table)])
-        ae, _ = train_autoencoder(
-            corpus,
-            embed_dim=cfg.embed_dim,
-            lr=cfg.ae_lr,
-            epochs=cfg.ae_epochs,
-            batch_size=cfg.ae_batch_size,
-            seed=seed,
-            domain=dataset.domain_name,
-            entity=entity,
-        )
-        out.append(ae)
-    return out[0], out[1]
+    corpora, tags = [], []
+    for ds in (ds_a, ds_b):
+        for entity, table, schema in (("user", ds.user_features, ds.user_schema), ("item", ds.item_features, ds.item_schema)):
+            corpora.append(np.stack([encode(schema, table[eid]) for eid in sorted(table)]))
+            tags.append((ds.domain_name, entity))
+    (ua, _), (ia, _), (ub, _), (ib, _) = train_autoencoders(
+        corpora, tags, embed_dim=cfg.embed_dim, lr=cfg.ae_lr, epochs=cfg.ae_epochs, batch_size=cfg.ae_batch_size, seed=seed
+    )
+    return (ua, ia), (ub, ib)
 
 
 def shared_user_alignment(
@@ -836,8 +846,7 @@ def train_pair(
     gradient through the alpha-weighted cross term is too weak to rotate a
     random X into alignment within any reasonable epoch budget.
     """
-    ae_user_a, ae_item_a = train_domain_autoencoders(ds_a, cfg, seed)
-    ae_user_b, ae_item_b = train_domain_autoencoders(ds_b, cfg, seed)
+    (ae_user_a, ae_item_a), (ae_user_b, ae_item_b) = train_pair_autoencoders(ds_a, ds_b, cfg, seed)
     dm = new_dual_model(
         ae_user_a,
         ae_item_a,
@@ -938,8 +947,15 @@ def load_dual_model(path) -> DualModel:
                 raise ValueError(f"{field} (bundle keys {prefix}*): {exc}") from None
     for field, key in _SCHEMA_KEYS:
         parts[field] = parse_schema(str(data[key])) if key in data else None
-    return DualModel(
-        map=OrthogonalMap(np.array(data["map_x"]), tuple(str(s) for s in data["map_pair"])),
-        alpha=float(data["alpha"]),
-        **parts,
-    )
+    try:
+        return DualModel(
+            map=OrthogonalMap(np.array(data["map_x"]), tuple(str(s) for s in data["map_pair"])),
+            alpha=float(data["alpha"]),
+            **parts,
+        )
+    except ValueError as exc:
+        # a schema that does not fit its autoencoder: the error opens with the schema's field
+        key = dict(_SCHEMA_KEYS).get(str(exc).split(" ", 1)[0])
+        if key is None:
+            raise
+        raise ValueError(f"{exc} (bundle key {key})") from None

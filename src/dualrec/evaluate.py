@@ -6,13 +6,15 @@ its true rating clears a threshold tau on the [0, 1] scale. Cross
 validation is record-stratified: interaction records are dealt into k
 balanced folds, each fold is held out once, and the dual model is retrained
 from scratch on the remaining records of both domains. The k fold models
-train in lockstep, as one stacked program (`dualmodel.fit_models`); each
-keeps its own seed, shuffles and `tol` stop, and ends bit for bit as it
-would trained alone.
+train in lockstep, as one stacked program (`dualmodel.fit_models`) whose
+scorer arrays carry a domain axis and a fold axis, so one step runs both
+domains of every live fold; each fold keeps its own seed, shuffles and `tol`
+stop, and ends bit for bit as it would trained alone.
 
 Nothing that cross validation builds before its first fold depends on the
 transfer rate, so it is built once per prepared pair (`prepare_pair`): the
-fold splits, the four feature autoencoders, the Procrustes warm map and one
+fold splits, the four feature autoencoders (those with corpora of one shape
+train in lockstep on a domain axis), the Procrustes warm map and one
 encoding of each whole domain. The autoencoders and the warm map see only
 entity attributes, never ratings, so fold isolation of the rating data is
 preserved. A fold's training and test arrays are row slices of the whole
@@ -41,7 +43,7 @@ from dualrec.dualmodel import (
     predict_batch,
     prepare_domain,
     shared_user_alignment,
-    train_domain_autoencoders,
+    train_pair_autoencoders,
 )
 from dualrec.features import DomainDataset, FoldSplit, kfold, require_disjoint_items
 from dualrec.mapping import OrthogonalMap
@@ -198,8 +200,7 @@ def prepare_pair(ds_a: DomainDataset, ds_b: DomainDataset, cfg: TrainConfig, k: 
     require_disjoint_items(ds_a, ds_b)
     # split first, so a bad k fails before any autoencoder trains
     splits = (kfold(ds_a, k, seed), kfold(ds_b, k, seed))
-    enc_a = train_domain_autoencoders(ds_a, cfg, seed)
-    enc_b = train_domain_autoencoders(ds_b, cfg, seed)
+    enc_a, enc_b = train_pair_autoencoders(ds_a, ds_b, cfg, seed)
     # the alignment sees entity features only, never ratings
     warm_map = shared_user_alignment(ds_a, ds_b, enc_a[0], enc_b[0])
     users_a = {r.user_id for r in ds_a.interactions}

@@ -8,6 +8,13 @@ sigmoid, the one finite check each training step runs, and a
 central-difference gradient checker. The training loops apply their SGD
 updates in place.
 
+The training kernels run stacks of same-shaped networks as one program:
+:func:`stack_forward` and :func:`stack_backward` take layers whose weights
+carry any leading axes (a model axis, a domain axis) and batches with the
+same leading axes. Every slice is the 2-D layer math of that network alone,
+bit for bit: numpy runs one BLAS product per slice, and the reductions run
+along the row axis of each slice.
+
 Randomness is never global: every consumer derives its own
 ``numpy.random.Generator`` through :func:`make_rng` with an explicit seed
 plus integer stream labels, so identical seeds reproduce identical
@@ -138,23 +145,61 @@ def layer_backward(layer: DenseLayer, cache, dy: np.ndarray, need_dx: bool = Tru
     return dx, dz.T @ xb, dz.sum(axis=0)
 
 
-def check_finite_step(loss, grads, ids=None) -> None:
+def stack_forward(layers, h):
+    """Forward pass of stacked dense layers [(weights (..., out, in), bias (..., 1, out), activation)]
+    on h (..., n, in) with the same leading axes; returns (y, caches) for :func:`stack_backward`."""
+    caches = []
+    for w, b, act in layers:
+        z = h @ w.swapaxes(-1, -2) + b
+        y = sigmoid(z) if act == "sigmoid" else np.maximum(z, 0.0) if act == "relu" else z
+        caches.append((h, z, y))
+        h = y
+    return h, caches
+
+
+def stack_backward(layers, caches, dy, need_dx: bool = True):
+    """Exact gradients of stacked layers chained with dy (..., n, out).
+
+    Returns (dx, per-layer [(dW, db), ...]) shaped like the weights and
+    biases; need_dx=False skips the first layer's input gradient and returns
+    None for dx.
+    """
+    grads = []
+    for n in range(len(layers) - 1, -1, -1):
+        (w, _, act), (h, z, y) = layers[n], caches[n]
+        if act == "sigmoid":
+            dy = dy * (y * (1.0 - y))
+        elif act == "relu":
+            dy = dy * (z > 0)
+        grads.append((dy.swapaxes(-1, -2) @ h, np.add.reduce(dy, axis=-2, keepdims=True)))
+        dy = dy @ w if need_dx or n > 0 else None
+    return dy, grads[::-1]
+
+
+def check_finite_step(loss, grads, names=None, remedy: str = "lower the learning rate") -> None:
     """One finite check per training step over its loss and gradient arrays.
 
     A NaN or inf anywhere makes the sum non-finite; so does a sum that
     overflows, which only a diverging run reaches. A step of K stacked
-    models passes a (K,) loss and gradients with a leading model axis, and
-    ids (one per model) to name the first model whose own sum is not finite.
+    networks passes a (K,) loss and stacked gradients whose axis -3 is the
+    network axis (weights (..., K, out, in), biases (..., K, 1, out)), and
+    names (one per network) to name the first network whose own sum is not
+    finite. The error ends with the remedy.
     """
     if np.isfinite(loss + np.concatenate([g.ravel() for g in grads]).sum()).all():
         return
     losses = np.atleast_1d(loss)
-    k = losses.shape[0]
-    # the sum over all K models may overflow where no model's own sum does
-    bad = np.flatnonzero(~np.isfinite(losses + np.concatenate([g.reshape(k, -1) for g in grads], axis=1).sum(axis=1)))
-    if bad.size:
-        where = "" if ids is None else f" in model {ids[bad[0]]}"
-        raise FloatingPointError(f"non-finite training loss or gradient{where}; lower the learning rate")
+    k, bad = losses.shape[0], 0
+    if k > 1:
+        # the sum over all K networks may overflow where no network's own sum does
+        for g in grads:
+            losses = losses + g.sum(axis=(-2, -1)).reshape(-1, k).sum(axis=0)
+        flagged = np.flatnonzero(~np.isfinite(losses))
+        if not flagged.size:
+            return
+        bad = flagged[0]
+    where = "" if names is None else f" in {names[bad]}"
+    raise FloatingPointError(f"non-finite training loss or gradient{where}; {remedy}")
 
 
 def grad_check(loss_and_grad, params, h: float = 1e-5) -> float:

@@ -1,21 +1,51 @@
-"""Single-domain training oracle: one domain's scorer trained alone.
+"""Single-domain training oracle: one domain's autoencoders and scorer trained alone.
 
 With alpha = 0 the dual loop must follow this trajectory bit for bit, since
-both draw the scorer init and the batch shuffles from the same streams.
+both draw the scorer init and the batch shuffles from the same streams; and
+each autoencoder trained alone must equal its slice of the lockstep stack.
 """
 
 import numpy as np
 
+from dualrec.autoencoder import train_autoencoder
 from dualrec.dualmodel import (
     _L_SHUFFLE,
     RatingModel,
     TrainingArrays,
     make_rating_model,
-    model_backward,
     model_forward,
     score_batch,
 )
-from dualrec.numeric import check_finite_step, make_rng
+from dualrec.features import DomainDataset, encode
+from dualrec.numeric import check_finite_step, layer_backward, make_rng
+
+
+def model_backward(model: RatingModel, caches, dy: np.ndarray, need_dx: bool = True):
+    """One scorer's backward pass, layer by layer: (dx, per-layer [(dW, db), ...]).
+
+    need_dx=False skips the first layer's input gradient and returns None for dx.
+    """
+    grads = []
+    d = dy
+    for k in range(len(model.layers) - 1, -1, -1):
+        d, dw, db = layer_backward(model.layers[k], caches[k], d, need_dx or k > 0)
+        grads.append((dw, db))
+    grads.reverse()
+    return d, grads
+
+
+def domain_autoencoders(dataset: DomainDataset, cfg, seed: int):
+    """One domain's (user, item) autoencoders, each trained alone on its corpus
+    of encoded entities in sorted-id order."""
+    return tuple(
+        train_autoencoder(
+            np.stack([encode(schema, table[eid]) for eid in sorted(table)]),
+            embed_dim=cfg.embed_dim, lr=cfg.ae_lr, epochs=cfg.ae_epochs, batch_size=cfg.ae_batch_size,
+            seed=seed, domain=dataset.domain_name, entity=entity,
+        )[0]
+        for entity, table, schema in (("user", dataset.user_features, dataset.user_schema),
+                                      ("item", dataset.item_features, dataset.item_schema))
+    )
 
 
 def train_single(

@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from dualrec.autoencoder import loss_and_grads as ae_loss_and_grads
-from dualrec.autoencoder import new_autoencoder, train_autoencoder
+from dualrec.autoencoder import new_autoencoder, stack_layers, train_autoencoder
 from dualrec.cli import main as cli_main
 from dualrec.dualmodel import (
     DualModel,
@@ -32,12 +32,10 @@ from dualrec.dualmodel import (
     TrainConfig,
     dual_loss_and_grads,
     make_rating_model,
-    model_backward,
     model_forward,
     predict_from_embeddings,
     prepare_domain,
     score_batch,
-    train_domain_autoencoders,
     train_pair,
 )
 from dualrec.evaluate import alpha_sweep, precision_recall_at_k, rmse, run_cv
@@ -52,7 +50,7 @@ from dualrec.nmflab import (
     run_nmf,
 )
 from dualrec.numeric import grad_check, make_rng
-from single_domain import train_single
+from single_domain import domain_autoencoders, model_backward, train_single
 
 
 # ---------------------------------------------------------------------------
@@ -114,18 +112,16 @@ def test_criterion_1_orthogonal_transfer(converged_run):
 
 def test_criterion_2_gradient_integrity():
     """Every analytic gradient matches central differences at <= 1e-4."""
-    # autoencoder reconstruction loss, all four parameter arrays
-    xb = make_rng(31).random(size=(8, 12))
-    ae = new_autoencoder(12, 5, seed=2)
+    # autoencoder reconstruction loss, all four parameter arrays, as a stack of one
+    xb = make_rng(31).random(size=(1, 8, 12))
+    ae_layers = stack_layers([new_autoencoder(12, 5, seed=2)])
 
     def ae_wrapped(params):
-        ae.encoder.weights, ae.encoder.bias, ae.decoder.weights, ae.decoder.bias = params
-        loss, grads = ae_loss_and_grads(ae, xb)
-        return loss, list(grads)
+        it = iter(params)
+        loss, grads = ae_loss_and_grads([(next(it), next(it), act) for _, _, act in ae_layers], xb)
+        return float(loss[0]), [g for pair in grads for g in pair]
 
-    ae_err = grad_check(
-        ae_wrapped, [ae.encoder.weights, ae.encoder.bias, ae.decoder.weights, ae.decoder.bias]
-    )
+    ae_err = grad_check(ae_wrapped, [a for w, b, _ in ae_layers for a in (w, b)])
     assert ae_err <= 1e-4, f"autoencoder gradient error {ae_err:.3e}"
 
     # each rating scorer: gradient of the raw score w.r.t. every weight
@@ -171,19 +167,17 @@ def test_criterion_2_gradient_integrity():
 
     def dual_wrapped(params):
         it = iter(params)
-        layers = tuple([(next(it), next(it), act) for _, _, act in scorer] for scorer in stack.layers)
-        total, ga, gb, gx = dual_loss_and_grads(ModelStack(layers, next(it), stack.alpha), batch_a, batch_b)
+        scorers = [(next(it), next(it), act) for _, _, act in stack.scorers]
+        total, grads, gx = dual_loss_and_grads(ModelStack(scorers, next(it), stack.alpha), batch_a, batch_b)
         flat = []
-        for g in (ga, gb):
-            for dw, db in g:
-                flat.extend([dw, db])
+        for dw, db in grads:
+            flat.extend([dw, db])
         flat.append(gx)
         return float(total.sum()), flat
 
     params = []
-    for scorer in stack.layers:
-        for w, b, _ in scorer:
-            params.extend([w, b])
+    for w, b, _ in stack.scorers:
+        params.extend([w, b])
     params.append(stack.x)
     dual_err = grad_check(dual_wrapped, params)
     assert dual_err <= 1e-4, f"dual objective gradient error {dual_err:.3e}"
@@ -206,7 +200,7 @@ def test_criterion_3_degeneration_identities():
 
     # mirror of the protocol with plain single-domain training
     for ds, rep, domain_index, lr in ((ds_a, rep_a, 0, cfg.lr_a), (ds_b, rep_b, 1, cfg.lr_b)):
-        ae_u, ae_i = train_domain_autoencoders(ds, cfg, seed)
+        ae_u, ae_i = domain_autoencoders(ds, cfg, seed)
         split = kfold(ds, k, seed)
         fold_rmse, fold_prec = [], []
         for fold in range(k):

@@ -15,6 +15,7 @@ from dualrec.autoencoder import (
     new_autoencoder,
     reconstruction_loss,
     save_autoencoder,
+    stack_layers,
     train_autoencoder,
 )
 from dualrec.numeric import grad_check, make_rng, sigmoid
@@ -59,16 +60,17 @@ class TestTraining:
             train_autoencoder(np.zeros((0, 4)))
 
     def test_analytic_gradients_match_finite_differences(self):
-        xb = fixture_corpus(n=6, dim=5, seed=9)
-        ae = new_autoencoder(5, 3, seed=4)
+        # two autoencoders of one stack: the total of their losses, so each
+        # one's gradient must come from its own slice alone
+        xb = np.stack([fixture_corpus(n=6, dim=5, seed=9), fixture_corpus(n=6, dim=5, seed=10)])
+        layers = stack_layers([new_autoencoder(5, 3, seed=4), new_autoencoder(5, 3, seed=5)])
 
         def wrapped(params):
-            ae.encoder.weights, ae.encoder.bias, ae.decoder.weights, ae.decoder.bias = params
-            loss, grads = loss_and_grads(ae, xb)
-            return loss, list(grads)
+            it = iter(params)
+            loss, grads = loss_and_grads([(next(it), next(it), act) for _, _, act in layers], xb)
+            return float(loss.sum()), [g for pair in grads for g in pair]
 
-        params = [ae.encoder.weights, ae.encoder.bias, ae.decoder.weights, ae.decoder.bias]
-        assert grad_check(wrapped, params) <= 1e-4
+        assert grad_check(wrapped, [a for w, b, _ in layers for a in (w, b)]) <= 1e-4
 
 
 @pytest.fixture(scope="module")

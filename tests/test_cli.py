@@ -243,7 +243,7 @@ class TestTrainEval:
         def refuse(*args, **kwargs):
             raise AssertionError("an autoencoder trained")
 
-        monkeypatch.setattr(evaluate, "train_domain_autoencoders", refuse)
+        monkeypatch.setattr(evaluate, "train_pair_autoencoders", refuse)
         code = main(["eval", "--config", str(cfg), "--data", str(data), "--folds", "1", "--out", str(tmp_path / "o")])
         assert code == 2
         assert "folds=1 below 2" in capsys.readouterr().err

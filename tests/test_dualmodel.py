@@ -30,6 +30,7 @@ from dualrec.dualmodel import (
     score,
     shared_user_alignment,
     train_pair,
+    train_pair_autoencoders,
 )
 from dualrec.features import encode, synth_pair
 from dualrec.mapping import OrthogonalMap, orthogonality_defect
@@ -173,31 +174,30 @@ def build_bare_model(alpha, d=3, seed=0, hidden=(4,)):
 
 
 def stack_params(stack):
-    """The arrays of a stack in a fixed order: per scorer, per layer, weights then biases; the maps last."""
-    return [a for layers in stack.layers for w, b, _ in layers for a in (w, b)] + [stack.x]
+    """The arrays of a stack in a fixed order: per layer, weights then biases of both scorers; the maps last."""
+    return [a for w, b, _ in stack.scorers for a in (w, b)] + [stack.x]
 
 
 def stack_from_params(stack, params):
     """A stack shaped like `stack` holding `params` (in stack_params order)."""
     it = iter(params)
-    layers = tuple([(next(it), next(it), act) for _, _, act in scorer] for scorer in stack.layers)
-    return ModelStack(layers, next(it), stack.alpha)
+    return ModelStack([(next(it), next(it), act) for _, _, act in stack.scorers], next(it), stack.alpha)
 
 
-def flat_grads(ga, gb, gx):
-    return [a for g in (ga, gb) for pair in g for a in pair] + [gx]
+def flat_grads(grads, gx):
+    return [a for pair in grads for a in pair] + [gx]
 
 
 class TestDualLossAndGrads:
     def test_alpha_zero_decouples_the_domains(self):
         stack = ModelStack.of([build_bare_model(alpha=0.0)])
         batch_b = make_batch(3, 5, seed=1)
-        _, _, grads_b_1, _ = dual_loss_and_grads(stack, make_batch(3, 5, seed=2), batch_b)
-        _, _, grads_b_2, _ = dual_loss_and_grads(stack, make_batch(3, 5, seed=3), batch_b)
-        # rs_b's gradient is independent of whatever domain a saw
-        for (w1, b1), (w2, b2) in zip(grads_b_1, grads_b_2):
-            np.testing.assert_array_equal(w1, w2)
-            np.testing.assert_array_equal(b1, b2)
+        _, grads_1, _ = dual_loss_and_grads(stack, make_batch(3, 5, seed=2), batch_b)
+        _, grads_2, _ = dual_loss_and_grads(stack, make_batch(3, 5, seed=3), batch_b)
+        # rs_b's gradient (domain slot 1) is independent of whatever domain a saw
+        for (w1, b1), (w2, b2) in zip(grads_1, grads_2):
+            np.testing.assert_array_equal(w1[1], w2[1])
+            np.testing.assert_array_equal(b1[1], b2[1])
 
     def test_alpha_zero_map_gradient_is_pure_penalty(self):
         dm = build_bare_model(alpha=0.0)
@@ -216,8 +216,8 @@ class TestDualLossAndGrads:
         batch_b = (rng.random((2, 6, 3)), rng.random((2, 6, 3)), rng.random((2, 6)), np.ones((2, 6), dtype=bool))
 
         def wrapped(params):
-            total, ga, gb, gx = dual_loss_and_grads(stack_from_params(stack, params), batch_a, batch_b)
-            return float(total.sum()), flat_grads(ga, gb, gx)
+            total, grads, gx = dual_loss_and_grads(stack_from_params(stack, params), batch_a, batch_b)
+            return float(total.sum()), flat_grads(grads, gx)
 
         assert grad_check(wrapped, stack_params(stack)) <= 1e-4
 
@@ -225,9 +225,8 @@ class TestDualLossAndGrads:
         stack = ModelStack.of([build_bare_model(alpha=0.05, seed=3)])
         batch_a = make_batch(3, 8, seed=21)
         batch_b = make_batch(3, 8, seed=22)
-        total0, ga, gb, gx = dual_loss_and_grads(stack, batch_a, batch_b)
-        apply_grads(stack.layers[0], ga, 1e-3)
-        apply_grads(stack.layers[1], gb, 1e-3)
+        total0, grads, gx = dual_loss_and_grads(stack, batch_a, batch_b)
+        apply_grads(stack.scorers, grads, 1e-3)
         stack.x -= 1e-3 * gx
         total1, *_ = dual_loss_and_grads(stack, batch_a, batch_b)
         assert total1[0] < total0[0]
@@ -251,10 +250,7 @@ class TestDualLossAndGrads:
 def arrays_pair(small_pair):
     ds_a, ds_b, _ = small_pair
     cfg = small_config()
-    from dualrec.dualmodel import train_domain_autoencoders
-
-    ae_ua, ae_ia = train_domain_autoencoders(ds_a, cfg, seed=0)
-    ae_ub, ae_ib = train_domain_autoencoders(ds_b, cfg, seed=0)
+    (ae_ua, ae_ia), (ae_ub, ae_ib) = train_pair_autoencoders(ds_a, ds_b, cfg, seed=0)
     arrays_a = prepare_domain(ds_a, ae_ua, ae_ia)
     arrays_b = prepare_domain(ds_b, ae_ub, ae_ib)
     return (ae_ua, ae_ia, ae_ub, ae_ib), arrays_a, arrays_b
@@ -314,10 +310,7 @@ class TestTrainPair:
         ds_a, ds_b, _ = small_pair
         cfg = small_config(epochs=1)
         dm, _ = train_pair(ds_a, ds_b, cfg, seed=0)
-        from dualrec.dualmodel import train_domain_autoencoders
-
-        ae_ua, _ = train_domain_autoencoders(ds_a, cfg, seed=0)
-        ae_ub, _ = train_domain_autoencoders(ds_b, cfg, seed=0)
+        (ae_ua, _), (ae_ub, _) = train_pair_autoencoders(ds_a, ds_b, cfg, seed=0)
         warm = shared_user_alignment(ds_a, ds_b, ae_ua, ae_ub)
         assert warm is not None
         # one epoch of updates moves X little; it must still be near the warm
@@ -327,11 +320,7 @@ class TestTrainPair:
     def test_alignment_requires_enough_shared_users(self, small_pair):
         ds_a, ds_b, _ = small_pair
         cfg = small_config()
-        from dualrec.dualmodel import train_domain_autoencoders
-
-        ae_ua, _ = train_domain_autoencoders(ds_a, cfg, seed=0)
-        ae_ub, _ = train_domain_autoencoders(ds_b, cfg, seed=0)
-        import dataclasses
+        (ae_ua, _), (ae_ub, _) = train_pair_autoencoders(ds_a, ds_b, cfg, seed=0)
 
         keep = sorted(ds_b.user_features)[:3]  # below embed_dim=4
         recs = tuple(r for r in ds_b.interactions if r.user_id in keep)
@@ -438,6 +427,16 @@ class TestBundle:
 
         path = self.edited(dm, tmp_path, corrupt)
         with pytest.raises(ValueError, match=f"model bundle key '{key}' holds a non-finite value"):
+            load_dual_model(path)
+
+    def test_schema_narrower_than_its_autoencoder(self, trained_small, tmp_path):
+        # a schema without its last field encodes fewer columns than ae_user_a reads;
+        # predict would fail later with a bare matmul shape error
+        dm, _ = trained_small
+        path = self.edited(dm, tmp_path, lambda a: a.update(schema_u0=np.array(str(a["schema_u0"]).rstrip("\n").rsplit("\n", 1)[0])))
+        width = dm.ae_user_a.input_dim
+        with pytest.raises(ValueError, match=rf"^user_schema_a encodes \d+ columns, ae_user_a takes {width} "
+                                             r"\(bundle key schema_u0\)$"):
             load_dual_model(path)
 
     def test_truncated_scorer(self, trained_small, tmp_path):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from dualrec import evaluate
-from dualrec.dualmodel import TrainConfig, prepare_domain, score_batch, train_domain_autoencoders
+from dualrec.dualmodel import TrainConfig, prepare_domain, score_batch, train_pair_autoencoders
 from dualrec.evaluate import (
     alpha_sweep,
     mae,
@@ -25,7 +25,7 @@ from dualrec.evaluate import (
 )
 from dualrec.features import kfold, synth_pair
 from dualrec.numeric import make_rng
-from single_domain import train_single
+from single_domain import domain_autoencoders, train_single
 
 
 class TestPointMetrics:
@@ -149,7 +149,7 @@ class TestRunCv:
 
     def test_one_fold_fails_before_any_autoencoder_trains(self, small_pair, monkeypatch):
         ds_a, ds_b, _ = small_pair
-        monkeypatch.setattr(evaluate, "train_domain_autoencoders", None)
+        monkeypatch.setattr(evaluate, "train_pair_autoencoders", None)
         with pytest.raises(ValueError, match="k must be >= 2"):
             run_cv(ds_a, ds_b, small_cfg(), k=1)
 
@@ -176,7 +176,7 @@ class TestRunCv:
         k, seed = 2, 0
         rep_a, rep_b = run_cv(ds_a, ds_b, cfg, k=k, seed=seed)
         for ds, rep, domain_index in ((ds_a, rep_a, 0), (ds_b, rep_b, 1)):
-            ae_u, ae_i = train_domain_autoencoders(ds, cfg, seed)
+            ae_u, ae_i = domain_autoencoders(ds, cfg, seed)
             split = kfold(ds, k, seed)
             fold_rmses = []
             for fold in range(k):
@@ -216,13 +216,13 @@ class TestAlphaSweep:
         ds_a, ds_b, _ = small_pair
         calls = []
 
-        def counted(dataset, cfg, seed):
-            calls.append(dataset.domain_name)
-            return train_domain_autoencoders(dataset, cfg, seed)
+        def counted(first, second, cfg, seed):
+            calls.append((first.domain_name, second.domain_name))
+            return train_pair_autoencoders(first, second, cfg, seed)
 
-        monkeypatch.setattr(evaluate, "train_domain_autoencoders", counted)
+        monkeypatch.setattr(evaluate, "train_pair_autoencoders", counted)
         alpha_sweep(ds_a, ds_b, [0.0, 0.03, 0.1], small_cfg(epochs=1), k=2, seed=0)
-        assert calls == ["a", "b"]
+        assert calls == [("a", "b")]
 
     def test_points_follow_requested_order(self, small_pair):
         ds_a, ds_b, _ = small_pair

@@ -10,7 +10,7 @@ place; TestSgdStep checks it through one step of the autoencoder's loop.
 import numpy as np
 import pytest
 
-from dualrec.autoencoder import loss_and_grads, new_autoencoder, reconstruction_loss, train_autoencoder
+from dualrec.autoencoder import loss_and_grads, new_autoencoder, reconstruction_loss, stack_layers, train_autoencoder
 from dualrec.numeric import (
     DenseLayer,
     check_finite_step,
@@ -20,6 +20,8 @@ from dualrec.numeric import (
     layer_forward,
     make_rng,
     sigmoid,
+    stack_backward,
+    stack_forward,
 )
 
 
@@ -187,6 +189,19 @@ class TestCheckFiniteStep:
         with pytest.raises(FloatingPointError):
             check_finite_step(float("nan"), [np.zeros(3)])
 
+    def test_names_the_network_on_axis_minus_three(self):
+        # a domain axis before the network axis, as the coupled step passes its scorer gradients
+        grads = [np.zeros((3, 4, 4)), np.zeros((2, 3, 4, 5)), np.zeros((2, 3, 1, 4))]
+        grads[1][1, 2, 0, 0] = np.inf
+        with pytest.raises(FloatingPointError, match=r"^non-finite training loss or gradient in net 2; lower x$"):
+            check_finite_step(np.zeros(3), grads, ["net 0", "net 1", "net 2"], "lower x")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the total overflows on purpose
+    def test_an_overflow_only_across_networks_passes(self):
+        # each network's own sum is finite; only their total overflows
+        big = np.full((2, 1, 1), 1e308)
+        check_finite_step(np.zeros(2), [big], ["net 0", "net 1"])
+
 
 def one_sgd_step(lr):
     """An autoencoder before and after one SGD step on a one-row corpus."""
@@ -209,9 +224,10 @@ class TestSgdStep:
     def test_hand_arithmetic(self):
         # every parameter array p becomes p - lr * g, with g the batch gradient at p
         x, before, after = one_sgd_step(0.1)
-        _, grads = loss_and_grads(before, x)
-        for got, p, g in zip(ae_params(after), ae_params(before), grads):
-            np.testing.assert_array_equal(got, p - 0.1 * g)
+        _, grads = loss_and_grads(stack_layers([before]), x[None])
+        flat = [g for pair in grads for g in pair]
+        for got, p, g in zip(ae_params(after), ae_params(before), flat):
+            np.testing.assert_array_equal(got, p - 0.1 * g.reshape(p.shape))
 
     def test_one_step_on_square_loss_decreases(self):
         x, before, after = one_sgd_step(0.05)
@@ -290,3 +306,102 @@ class TestRngStreams:
         a = make_rng(1234, 7).normal(size=5)
         b = make_rng(1234, 8).normal(size=5)
         assert np.max(np.abs(a - b)) > 1e-3
+
+
+class TestStackKernel:
+    """stack_forward/stack_backward against the 2-D layer kernel, slice by slice."""
+
+    def test_each_slice_is_the_2d_layer_math_bit_for_bit(self):
+        rng = make_rng(29)
+        dims, acts = [6, 5, 4, 1], ["relu", "sigmoid", "identity"]
+        lead = (2, 3)
+        layers = [(rng.normal(size=(*lead, o, i)), rng.normal(size=(*lead, 1, o)), act)
+                  for i, o, act in zip(dims, dims[1:], acts)]
+        h = rng.normal(size=(*lead, 7, dims[0]))
+        dy = rng.normal(size=(*lead, 7, 1))
+        y, caches = stack_forward(layers, h)
+        dx, grads = stack_backward(layers, caches, dy)
+        for idx in np.ndindex(*lead):
+            dense = [DenseLayer(w[idx], b[idx][0], act) for w, b, act in layers]
+            x, layer_caches = h[idx], []
+            for layer in dense:
+                x, cache = layer_forward(layer, x)
+                layer_caches.append(cache)
+            assert y[idx].tobytes() == x.tobytes()
+            d = dy[idx]
+            for n in range(len(dense) - 1, -1, -1):
+                d, dw, db = layer_backward(dense[n], layer_caches[n], d)
+                assert grads[n][0][idx].tobytes() == dw.tobytes()
+                assert grads[n][1][idx][0].tobytes() == db.tobytes()
+            assert dx[idx].tobytes() == d.tobytes()
+
+
+def per_slice(a, b):
+    """a @ b as one 2-D product per slice of the leading axes."""
+    out = np.empty(a.shape[:-1] + b.shape[-1:])
+    for idx in np.ndindex(*a.shape[:-2]):
+        out[idx] = a[idx] @ b[idx]
+    return out
+
+
+class TestBlasPremise:
+    """The training kernels stack products on leading axes and must match the
+    per-network 2-D products bit for bit. numpy runs one BLAS call per slice;
+    these checks pin that the result does not depend on the operands' memory
+    layout (transposed views, row strides, the reversed domain axis) at the
+    kernels' own shapes. If a numpy or OpenBLAS upgrade breaks the premise,
+    these fail by name. The one layout dependence known, a 1-row product whose
+    matrix is a copied transpose, is why the coupled step runs 1-row batches
+    domain by domain and reads the map's transposed view itself."""
+
+    SIZES = [1, 2, 7, 13, 31, 32, 40, 64]
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_scorer_layers_and_their_domain_swapped_view(self, n):
+        rng = make_rng(31, n)
+        k, d = 3, 8
+        for n_in, n_out in ((2 * d, 16), (16, 8), (8, 1)):
+            w = rng.normal(size=(2, k, n_out, n_in))
+            h = rng.normal(size=(2, k, n, n_in))
+            dy = rng.normal(size=(2, k, n, n_out))
+            for weights in (w, w[::-1]):
+                # forward through the transposed view, input gradient, weight gradient
+                assert (h @ weights.swapaxes(-1, -2)).tobytes() == per_slice(h, weights.swapaxes(-1, -2)).tobytes()
+                assert (dy @ weights).tobytes() == per_slice(dy, weights).tobytes()
+            assert (dy.swapaxes(-1, -2) @ h).tobytes() == per_slice(dy.swapaxes(-1, -2), h).tobytes()
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_map_products_on_the_domain_axis(self, n):
+        rng = make_rng(37, n)
+        k, d = 3, 8
+        ui = rng.normal(size=(2, k, n, 2 * d))  # user and item embeddings side by side
+        u = ui[..., :d]
+        x = rng.normal(size=(k, d, d))
+        x_t = x.swapaxes(-1, -2)
+        d_mapped = rng.normal(size=(2, k, n, 2 * d))[..., :d]
+        for m in range(k):
+            alone_a, alone_b = np.ascontiguousarray(u[0, m]), np.ascontiguousarray(u[1, m])
+            # a pass of one domain reads the transposed view, as one model alone does
+            assert (u[:1] @ x_t[None])[0, m].tobytes() == (alone_a @ x[m].T).tobytes()
+            assert (u[1:] @ x[None])[0, m].tobytes() == (alone_b @ x[m]).tobytes()
+            # dX = d_mapped^T u (domain a) is the transpose of u^T d_mapped
+            grad_m = u.swapaxes(-1, -2) @ d_mapped
+            want_a = np.ascontiguousarray(d_mapped[0, m]).T @ alone_a
+            assert grad_m[0, m].T.tobytes() == want_a.tobytes()
+            assert grad_m[1, m].tobytes() == (alone_b.T @ np.ascontiguousarray(d_mapped[1, m])).tobytes()
+            if n > 1:  # both domains in one product: a copied transpose for domain a
+                both = u @ np.stack((x_t, x))
+                assert both[0, m].tobytes() == (alone_a @ x[m].T).tobytes()
+                assert both[1, m].tobytes() == (alone_b @ x[m]).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 4, 32, 500])
+    def test_autoencoder_layers(self, n):
+        rng = make_rng(41, n)
+        x = rng.normal(size=(2, n, 20))
+        enc = rng.normal(size=(2, 8, 20))
+        dec = rng.normal(size=(2, 20, 8))
+        emb = x @ enc.swapaxes(-1, -2)
+        assert emb.tobytes() == per_slice(x, enc.swapaxes(-1, -2)).tobytes()
+        assert (emb @ dec.swapaxes(-1, -2)).tobytes() == per_slice(emb, dec.swapaxes(-1, -2)).tobytes()
+        for m in range(2):  # the lone network's 2-D call
+            assert emb[m].tobytes() == (x[m] @ enc[m].T).tobytes()

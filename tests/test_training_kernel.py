@@ -6,13 +6,17 @@ backward calls with shape checks, a sign-masked sigmoid, gradients summed
 into zero-filled lists, an SGD step that returns new arrays and checks each
 gradient for finiteness, and a cross channel that is computed and weighted
 by zero when alpha is 0. `train_pair` must give the same bytes with either
-loop, and so must every fold model that `run_cv` trains in its stack.
+loop, and so must every fold model that `run_cv` trains in its stack, and
+every autoencoder of a lockstep stack. The domain-axis step must give the
+gradients the oracle gives, summed per scorer, bit for bit.
 """
 
 import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dualrec import autoencoder, dualmodel, evaluate
 from dualrec.dualmodel import TrainConfig, fit, fit_models, train_pair
@@ -107,6 +111,12 @@ def oracle_train_autoencoder(vectors, embed_dim, lr, epochs, batch_size, seed, d
         trace.append(float(np.mean(np.sum((x - rec) ** 2, axis=1))))
     ae.trained = True
     return ae, trace
+
+
+def oracle_train_autoencoders(corpora, tags, embed_dim, lr, epochs, batch_size, seed):
+    """Each corpus's autoencoder trained alone by the oracle loop."""
+    return [oracle_train_autoencoder(c, embed_dim, lr, epochs, batch_size, seed, domain, entity)
+            for c, (domain, entity) in zip(corpora, tags)]
 
 
 def oracle_domain_loss_grads(dm, batch, k):
@@ -222,13 +232,12 @@ def bundle(dm) -> dict:
     return out
 
 
-@pytest.mark.parametrize("alpha", [0.03, 0.0])
-def test_train_pair_is_byte_identical_to_the_per_layer_loop(partial_pair, monkeypatch, alpha):
-    ds_a, ds_b, only_a = partial_pair
+def assert_train_pair_matches_the_oracle(pair, monkeypatch, alpha):
+    ds_a, ds_b, only_a = pair
     cfg = small_config(alpha=alpha)
     dm, traces = train_pair(ds_a, ds_b, cfg, seed=2)
     with monkeypatch.context() as m:
-        m.setattr(dualmodel, "train_autoencoder", oracle_train_autoencoder)
+        m.setattr(dualmodel, "train_autoencoders", oracle_train_autoencoders)
         m.setattr(dualmodel, "fit", oracle_fit)
         want_dm, want_traces = train_pair(ds_a, ds_b, cfg, seed=2)
     assert np.array(traces).tobytes() == np.array(want_traces).tobytes()
@@ -240,14 +249,62 @@ def test_train_pair_is_byte_identical_to_the_per_layer_loop(partial_pair, monkey
     users_b = {r.user_id for r in ds_b.interactions}
     assert only_a and not users_b & set(only_a)
     assert len(ds_a.interactions) > len(ds_b.interactions) + cfg.batch_size
+    # item corpora share one shape, so the item autoencoders train as a stack of two
+    assert len(ds_a.item_features) == len(ds_b.item_features)
+
+
+@pytest.mark.parametrize("alpha", [0.03, 0.0])
+def test_train_pair_is_byte_identical_to_the_per_layer_loop(partial_pair, monkeypatch, alpha):
+    # both user corpora share one shape too: the four autoencoders train as two stacks
+    assert len(partial_pair[0].user_features) == len(partial_pair[1].user_features)
+    assert_train_pair_matches_the_oracle(partial_pair, monkeypatch, alpha)
+
+
+@pytest.mark.parametrize("alpha", [0.03, 0.0])
+def test_train_pair_with_user_corpora_of_two_shapes_is_byte_identical_to_the_per_layer_loop(
+    partial_pair, monkeypatch, alpha
+):
+    # domain b's user table keeps only the users who rate there, so each user autoencoder trains alone
+    ds_a, ds_b, only_a = partial_pair
+    active = {r.user_id for r in ds_b.interactions}
+    ds_b = dataclasses.replace(ds_b, user_features={u: f for u, f in ds_b.user_features.items() if u in active})
+    assert len(ds_a.user_features) != len(ds_b.user_features)
+    assert_train_pair_matches_the_oracle((ds_a, ds_b, only_a), monkeypatch, alpha)
+
+
+def test_lockstep_autoencoders_are_byte_identical_to_the_oracle():
+    # corpora 0 and 2 share a shape and train as one stack; corpus 1 trains alone.
+    # The stacked two differ in entity, so their init and shuffle streams differ.
+    # 21 rows in batches of 4 end each epoch on a 1-row batch.
+    rng = make_rng(23)
+    corpora = [rng.random((21, 7)), rng.random((12, 7)), rng.random((21, 7))]
+    tags = [("a", "user"), ("a", "item"), ("b", "item")]
+    got = autoencoder.train_autoencoders(corpora, tags, embed_dim=3, lr=0.3, epochs=6, batch_size=4, seed=5)
+    want = oracle_train_autoencoders(corpora, tags, 3, 0.3, 6, 4, 5)
+    for (ae, trace), (want_ae, want_trace) in zip(got, want):
+        assert (ae.domain, ae.entity) == (want_ae.domain, want_ae.entity)
+        assert np.array(trace).tobytes() == np.array(want_trace).tobytes()
+        for part in ("encoder", "decoder"):
+            layer, want_layer = getattr(ae, part), getattr(want_ae, part)
+            assert layer.weights.tobytes() == want_layer.weights.tobytes()
+            assert layer.bias.tobytes() == want_layer.bias.tobytes()
+            assert layer.weights.flags.owndata and layer.bias.flags.owndata
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the blow-up overflows on purpose
+def test_a_diverging_autoencoder_is_named_with_its_rate(partial_pair):
+    # in the stack of both user autoencoders, domain b's turns non-finite first
+    ds_a, ds_b, _ = partial_pair
+    with pytest.raises(FloatingPointError, match=r"^non-finite training loss or gradient in the user autoencoder "
+                                                 r"of domain b; lower ae_lr$"):
+        train_pair(ds_a, ds_b, TrainConfig(ae_lr=2.0), seed=0)
 
 
 @pytest.fixture(scope="module")
 def fitted_inputs(partial_pair):
     ds_a, ds_b, _ = partial_pair
     cfg = small_config()
-    ae_ua, ae_ia = dualmodel.train_domain_autoencoders(ds_a, cfg, seed=0)
-    ae_ub, ae_ib = dualmodel.train_domain_autoencoders(ds_b, cfg, seed=0)
+    (ae_ua, ae_ia), (ae_ub, ae_ib) = dualmodel.train_pair_autoencoders(ds_a, ds_b, cfg, seed=0)
     arrays_a = dualmodel.prepare_domain(ds_a, ae_ua, ae_ia)
     arrays_b = dualmodel.prepare_domain(ds_b, ae_ub, ae_ib)
     return (ae_ua, ae_ia, ae_ub, ae_ib), arrays_a, arrays_b
@@ -407,3 +464,72 @@ def test_the_guard_names_the_model_of_a_stack(fitted_inputs):
     cfg = small_config(lr_a=1e3, lr_b=1e3)
     with pytest.raises(FloatingPointError, match=r"in model 0; lower lr_a$"):
         fit_models([new_model(aes), new_model(aes)], arrays_a, arrays_b, cfg, [0, 1])
+
+
+# ---------------------------------------------------------------------------
+# the domain-axis step against the oracle, summed per scorer
+
+
+def zero_signs_dropped(a) -> bytes:
+    # Adding +0.0 turns -0.0 into +0.0 and leaves every other value as it is.
+    # A skipped cross channel leaves a scorer its within term alone, where the
+    # oracle adds a term of signed zeros; no update can see the difference,
+    # since w - lr * (+-0.0) is w for every weight training reaches (never -0.0).
+    return (np.asarray(a) + 0.0).tobytes()
+
+
+@st.composite
+def coupled_steps(draw):
+    """K stacked models and one step's batches: sizes 1-40 per domain, equal or
+    not, one domain sometimes left out, overlap masks from none to all."""
+    n_models = draw(st.integers(1, 3))
+    alpha = draw(st.sampled_from([0.0, 0.03]))
+    n_a = draw(st.integers(1, 40))
+    n_b = n_a if draw(st.booleans()) else draw(st.integers(1, 40))
+    absent = draw(st.sampled_from([None, None, 0, 1]))
+    masks = [draw(st.sampled_from(["none", "all", "mixed"])) for _ in (0, 1)]
+    return n_models, alpha, (n_a, n_b), absent, masks, draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=200, deadline=None)
+@given(coupled_steps())
+@example((2, 0.03, (1, 1), None, ["all", "all"], 7))  # 1-row batches in both domains run domain by domain
+@example((3, 0.03, (9, 9), None, ["none", "mixed"], 8))  # one domain without cross weight in a stacked pass
+def test_domain_axis_step_equals_the_oracle_per_scorer(case):
+    n_models, alpha, sizes, absent, masks, seed = case
+    d, pw = 4, 0.7
+    rng = make_rng(seed)
+    ae = autoencoder.new_autoencoder(6, d, seed=0)
+    models = []
+    for m in range(n_models):
+        dm = dualmodel.new_dual_model(ae, ae, ae, ae, alpha, seed=seed + m, hidden=(8, 4))
+        dm.map = OrthogonalMap(dm.map.x + 0.05 * rng.standard_normal((d, d)))  # off the manifold: a live penalty
+        models.append(dm)
+    batches = []
+    for k, n in enumerate(sizes):
+        overlap = {"none": np.zeros((n_models, n), bool), "all": np.ones((n_models, n), bool),
+                   "mixed": rng.random((n_models, n)) < 0.5}[masks[k]]
+        batch = (rng.random((n_models, n, d)), rng.random((n_models, n, d)), rng.random((n_models, n)), overlap)
+        batches.append(None if k == absent else batch)
+    stack = dualmodel.ModelStack.of(models)
+    total, grads, grad_x = dualmodel.dual_loss_and_grads(stack, *batches, penalty_weight=pw)
+
+    for m, dm in enumerate(models):  # the models' arrays are views of the stack, as the oracle reads them
+        terms = ([], [])  # per scorer, within term first
+        want_total, want_x = 0.0, 0.0
+        for k, batch in enumerate(batches):
+            if batch is None:
+                continue
+            loss, g_self, g_other, gx = oracle_domain_loss_grads(dm, tuple(a[m] for a in batch), k)
+            terms[k].insert(0, g_self)
+            terms[1 - k].append(g_other)
+            want_total, want_x = want_total + loss, want_x + gx
+        pen_loss, pen_grad = ortho_penalty(dm.map)
+        assert total[m] == want_total + pw * pen_loss
+        assert zero_signs_dropped(grad_x[m]) == zero_signs_dropped(want_x + pw * pen_grad)
+        for j in (0, 1):
+            for n, (dw, db) in enumerate(grads):
+                for got, part in ((dw[j, m], 0), (db[j, m, 0], 1)):
+                    parts = [t[n][part] for t in terms[j]]
+                    want = sum(parts[1:], parts[0]) if parts else np.zeros_like(got)
+                    assert zero_signs_dropped(got) == zero_signs_dropped(want), (j, n, part)
