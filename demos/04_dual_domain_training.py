@@ -14,11 +14,11 @@ import numpy as np
 
 from dualrec.dualmodel import (
     TrainConfig,
+    embed_pair,
     load_dual_model,
-    multi_from_dual,
     predict,
-    predict_multi,
     save_dual_model,
+    score,
     train_pair,
 )
 from dualrec.features import synth_pair
@@ -38,7 +38,7 @@ def main():
     for e in range(0, len(trace_a), 3):
         label = "pre-training" if e == 0 else f"after epoch {e:2d}"
         print(f"{label}: loss a {trace_a[e]:.5f}, loss b {trace_b[e]:.5f}")
-    print(f"mapping stayed orthogonal: defect {orthogonality_defect(dm.map.x):.2e}")
+    print(f"mapping stayed orthogonal: defect {orthogonality_defect(dm.maps[(0, 1)].x):.2e}")
 
     print("\n== predictions from raw feature dicts ==")
     uid = sorted(ds_a.user_ids & ds_b.user_ids)[0]
@@ -61,8 +61,11 @@ def main():
               f"reloaded prediction identical: {same}")
 
     print("\n== the same model as an n-domain system ==")
-    mm = multi_from_dual(dm)
-    p2 = predict_multi(mm, 0, user_raw, item_raw)
+    # the n-domain blend by hand: domain a's own score and the mean of its n-1 partners' scores
+    n = len(dm.domains)
+    u, i = embed_pair(dm, "a", user_raw, item_raw)
+    cross = sum(score(dom.scorer, dm.cross_matrix(j, 0) @ u, i) for j, dom in enumerate(dm.domains) if j != 0)
+    p2 = (1 - dm.alpha) * score(dm.domains[0].scorer, u, i) + dm.alpha / (n - 1) * cross
     print(f"two-domain instance of the n-domain form agrees: "
           f"{np.isclose(p2, with_transfer, atol=1e-15)} ({p2:.4f})")
 

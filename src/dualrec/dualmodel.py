@@ -1,17 +1,23 @@
 """Dual-transfer rating model and its training loop.
 
-Each domain owns a small rating MLP that scores a (user embedding, item
-embedding) pair. Predictions hybridize the two domains: the target domain's
-own scorer handles the within-domain part, and the partner domain's scorer,
-fed the user embedding pushed through the shared orthogonal map, contributes
-a cross-domain part weighted by the transfer rate alpha:
+A model holds n >= 2 domains that share users. Each domain owns feature
+autoencoders and a small rating MLP that scores a (user embedding, item
+embedding) pair, and each unordered domain pair (j, k), j < k, shares an
+orthogonal map X_jk taking domain-j user embeddings into domain k's space;
+the reverse direction is its transpose. Predictions hybridize the domains:
+the target domain's own scorer handles the within-domain part, and the n-1
+partner scorers, each fed the user embedding mapped into its space,
+contribute a cross-domain part weighted by the transfer rate alpha:
 
-    r_a(u, i) = (1 - alpha) * rs_a(u, i) + alpha * rs_b(X u, i)
-    r_b(u, i) = (1 - alpha) * rs_b(u, i) + alpha * rs_a(X^T u, i)
+    r_k(u, i) = (1 - alpha) * rs_k(u, i) + alpha / (n - 1) * sum_{j != k} rs_j(X_kj u, i)
 
-Training interleaves mini-batches from both domains; every step both
-scorers and the map receive their gradients together (the map accumulates
-both domains' cross terms plus the orthogonality penalty), and the map is
+At n = 2 this is r_a = (1 - alpha) rs_a(u, i) + alpha rs_b(X u, i) and
+r_b = (1 - alpha) rs_b(u, i) + alpha rs_a(X^T u, i). Domains are named a, b,
+c, ... by index, in errors and in the domain argument of `predict`.
+
+Training takes two domains. It interleaves mini-batches from both; every
+step both scorers and the map receive their gradients together (the map
+accumulates both domains' cross terms plus the orthogonality penalty), and the map is
 re-projected onto the orthogonal manifold at the end of each epoch. With
 alpha = 0 the coupling vanishes exactly and training degenerates to two
 independent single-domain runs, bit for bit, which the tests' single-domain
@@ -31,10 +37,6 @@ domains bring batches of different sizes runs each domain through the same
 kernel with a domain axis of length one. Each model keeps its own seed,
 shuffles, starting map and `tol` stop, and follows the trajectory it would
 follow alone bit for bit. `fit` is the kernel at K = 1.
-
-`MultiModel` generalizes prediction to n domains, averaging the n-1 cross
-terms; one orthogonal map is stored per unordered domain pair and the
-reverse direction uses its transpose.
 """
 
 from __future__ import annotations
@@ -150,133 +152,162 @@ def score_batch(model: RatingModel, user_emb: np.ndarray, item_emb: np.ndarray) 
 # dual model
 
 
-# (schema field, autoencoder field) of every schema a model may carry
-_SCHEMA_ENCODERS = (("user_schema_a", "ae_user_a"), ("item_schema_a", "ae_item_a"),
-                    ("user_schema_b", "ae_user_b"), ("item_schema_b", "ae_item_b"))
+def _letter(k: int) -> str:
+    """Domain k's name: a, b, c, ..."""
+    return chr(ord("a") + k)
+
+
+@dataclass
+class Domain:
+    """One domain of a model: its scorer, its (user, item) autoencoders, and the
+    schemas that encode raw features for them (None in a model fed embeddings)."""
+
+    scorer: RatingModel
+    ae_user: Autoencoder
+    ae_item: Autoencoder
+    user_schema: FeatureSchema | None = None
+    item_schema: FeatureSchema | None = None
+
+
+class _SchemaWidthError(ValueError):
+    """A schema that encodes another number of columns than its autoencoder
+    reads; domain and entity ("user" or "item") locate it."""
+
+    def __init__(self, message: str, domain: int, entity: str):
+        super().__init__(message)
+        self.domain, self.entity = domain, entity
 
 
 @dataclass
 class DualModel:
-    rs_a: RatingModel
-    rs_b: RatingModel
-    map: OrthogonalMap
+    """A rating model over n >= 2 domains: domains[k] holds domain k's parts, and
+    maps[(j, k)], j < k, takes domain-j user embeddings into domain k's space."""
+
+    domains: list[Domain]
+    maps: dict[tuple[int, int], OrthogonalMap]
     alpha: float
-    ae_user_a: Autoencoder
-    ae_item_a: Autoencoder
-    ae_user_b: Autoencoder
-    ae_item_b: Autoencoder
-    user_schema_a: FeatureSchema | None = None
-    item_schema_a: FeatureSchema | None = None
-    user_schema_b: FeatureSchema | None = None
-    item_schema_b: FeatureSchema | None = None
 
     def __post_init__(self):
-        """The model contract, checked on build and on load; each error names its field."""
+        """The model contract, checked on build and on load; each error names its
+        part by domain letter (rs_a, ae_user_b, user_schema_c, ...)."""
         check_alpha(self.alpha)
-        d = self.ae_user_a.embed_dim
-        for name in ("ae_item_a", "ae_user_b", "ae_item_b"):
-            if getattr(self, name).embed_dim != d:
-                raise ValueError(f"{name} embed_dim {getattr(self, name).embed_dim} != ae_user_a embed_dim {d}")
-        for name in ("rs_a", "rs_b"):
+        n = len(self.domains)
+        if n < 2:
+            raise ValueError(f"a model needs at least two domains, got {n}")
+        pairs = [(j, k) for j in range(n) for k in range(j + 1, n)]
+        if len(self.maps) != len(pairs) or not all(pair in self.maps for pair in pairs):
+            raise ValueError(f"maps must cover exactly the unordered pairs {pairs}, got {list(self.maps)}")
+        d = self.embed_dim
+        for k, dom in enumerate(self.domains):
+            tag = _letter(k)
+            for entity, ae in (("user", dom.ae_user), ("item", dom.ae_item)):
+                if ae.embed_dim != d:
+                    raise ValueError(f"ae_{entity}_{tag} embed_dim {ae.embed_dim} != ae_user_a embed_dim {d}")
             want, source = 2 * d, f"2 * embed_dim = {2 * d}"
-            for k, layer in enumerate(getattr(self, name).layers):
+            for i, layer in enumerate(dom.scorer.layers):
                 if layer.n_in != want:
-                    raise ValueError(f"{name} layer {k} takes {layer.n_in} inputs, expected {source}")
-                want, source = layer.n_out, f"the {layer.n_out} outputs of layer {k}"
+                    raise ValueError(f"rs_{tag} layer {i} takes {layer.n_in} inputs, expected {source}")
+                want, source = layer.n_out, f"the {layer.n_out} outputs of layer {i}"
             if want != 1:
-                raise ValueError(f"{name} ends in {want} outputs, expected 1")
-        if self.map.dim != d:
-            raise ValueError(f"map is {self.map.dim}x{self.map.dim}, expected embed_dim {d}x{d}")
-        for field, ae_field in _SCHEMA_ENCODERS:
-            schema, ae = getattr(self, field), getattr(self, ae_field)
-            if schema is not None and schema.encoded_length != ae.input_dim:
-                raise ValueError(f"{field} encodes {schema.encoded_length} columns, {ae_field} takes {ae.input_dim}")
+                raise ValueError(f"rs_{tag} ends in {want} outputs, expected 1")
+            for entity, schema, ae in (("user", dom.user_schema, dom.ae_user), ("item", dom.item_schema, dom.ae_item)):
+                if schema is not None and schema.encoded_length != ae.input_dim:
+                    raise _SchemaWidthError(f"{entity}_schema_{tag} encodes {schema.encoded_length} columns, "
+                                            f"ae_{entity}_{tag} takes {ae.input_dim}", k, entity)
+        for (j, k), link in self.maps.items():
+            if link.dim != d:
+                name = "map" if n == 2 else f"map {_letter(j)}{_letter(k)}"
+                raise ValueError(f"{name} is {link.dim}x{link.dim}, expected embed_dim {d}x{d}")
 
     @property
     def embed_dim(self) -> int:
-        return self.ae_user_a.embed_dim
+        return self.domains[0].ae_user.embed_dim
 
-    def encoders(self, domain_index: int) -> tuple[Autoencoder, Autoencoder]:
-        return (self.ae_user_a, self.ae_item_a) if domain_index == 0 else (self.ae_user_b, self.ae_item_b)
+    def index(self, domain) -> int:
+        """The index of a domain given by index or by letter."""
+        n = len(self.domains)
+        if domain in range(n):
+            return int(domain)
+        letters = [_letter(k) for k in range(n)]
+        if isinstance(domain, str) and domain.lower() in letters:
+            return letters.index(domain.lower())
+        names = f"{'/'.join(map(repr, letters))} or {'/'.join(map(str, range(n)))}"
+        raise ValueError(f"unknown domain {domain!r}, expected {names}")
 
-    def schemas(self, domain_index: int) -> tuple[FeatureSchema, FeatureSchema]:
-        pair = (
-            (self.user_schema_a, self.item_schema_a)
-            if domain_index == 0
-            else (self.user_schema_b, self.item_schema_b)
-        )
-        if pair[0] is None or pair[1] is None:
-            raise ValueError("model carries no schemas; use predict_from_embeddings instead")
-        return pair
+    def cross_matrix(self, into: int, out_of: int) -> np.ndarray:
+        """The matrix taking domain `out_of` user embeddings into domain `into`."""
+        return self.maps[(out_of, into)].x if out_of < into else self.maps[(into, out_of)].x.T
 
-    def scorer(self, domain_index: int) -> RatingModel:
-        return self.rs_a if domain_index == 0 else self.rs_b
-
-
-def _domain_index(domain) -> int:
-    if domain in (0, 1):
-        return int(domain)
-    if isinstance(domain, str) and domain.lower() in ("a", "b"):
-        return 0 if domain.lower() == "a" else 1
-    raise ValueError(f"unknown domain {domain!r}, expected 'a'/'b' or 0/1")
+    # The two-domain names below have one reader, the benchmark's
+    # TrainStandard.model_arrays (benchmark/run.py); they go with ROADMAP item 1.
+    rs_a = property(lambda self: self.domains[0].scorer)
+    rs_b = property(lambda self: self.domains[1].scorer)
+    ae_user_a = property(lambda self: self.domains[0].ae_user)
+    ae_item_a = property(lambda self: self.domains[0].ae_item)
+    ae_user_b = property(lambda self: self.domains[1].ae_user)
+    ae_item_b = property(lambda self: self.domains[1].ae_item)
+    user_schema_a = property(lambda self: self.domains[0].user_schema)
+    item_schema_a = property(lambda self: self.domains[0].item_schema)
+    user_schema_b = property(lambda self: self.domains[1].user_schema)
+    item_schema_b = property(lambda self: self.domains[1].item_schema)
+    map = property(lambda self: self.maps[(0, 1)])
 
 
 def new_dual_model(
-    ae_user_a: Autoencoder,
-    ae_item_a: Autoencoder,
-    ae_user_b: Autoencoder,
-    ae_item_b: Autoencoder,
+    encoders,
+    *compat_aes: Autoencoder,
     alpha: float,
     seed: int,
     hidden: tuple[int, ...] = (16, 8),
+    schemas: list[tuple[FeatureSchema, FeatureSchema]] | None = None,
     schemas_a: tuple[FeatureSchema, FeatureSchema] | None = None,
     schemas_b: tuple[FeatureSchema, FeatureSchema] | None = None,
 ) -> DualModel:
-    d = ae_user_a.embed_dim
-    schemas_a = schemas_a or (None, None)
-    schemas_b = schemas_b or (None, None)
-    return DualModel(
-        rs_a=make_rating_model(d, seed, 0, hidden),
-        rs_b=make_rating_model(d, seed, 1, hidden),
-        map=init_map(d, seed),
-        alpha=alpha,
-        ae_user_a=ae_user_a,
-        ae_item_a=ae_item_a,
-        ae_user_b=ae_user_b,
-        ae_item_b=ae_item_b,
-        user_schema_a=schemas_a[0],
-        item_schema_a=schemas_a[1],
-        user_schema_b=schemas_b[0],
-        item_schema_b=schemas_b[1],
-    )
+    """A fresh model over encoders, one (user AE, item AE) pair per domain, and
+    schemas, one (user schema, item schema) pair per domain or None. Domain k's
+    scorer draws from (seed, k); every map starts from init_map(embed_dim, seed).
+
+    new_dual_model(ae_user_a, ae_item_a, ae_user_b, ae_item_b, alpha=, seed=,
+    schemas_a=, schemas_b=) builds the same two-domain model. Its one caller is
+    benchmark/selftest.py, and it goes with ROADMAP item 1.
+    """
+    if compat_aes:
+        encoders = [(encoders, compat_aes[0]), tuple(compat_aes[1:])]
+        schemas = None if schemas_a is None else [schemas_a, schemas_b]
+    n = len(encoders)
+    d = encoders[0][0].embed_dim
+    schemas = schemas or [(None, None)] * n
+    domains = [Domain(make_rating_model(d, seed, k, hidden), *aes, *pair)
+               for k, (aes, pair) in enumerate(zip(encoders, schemas))]
+    maps = {(j, k): init_map(d, seed, (_letter(j), _letter(k))) for j in range(n) for k in range(j + 1, n)}
+    return DualModel(domains, maps, alpha)
 
 
 def embed_pair(dm: DualModel, domain, user_raw: dict, item_raw: dict) -> tuple[np.ndarray, np.ndarray]:
     """Raw feature dicts -> (user embedding, item embedding) for one domain."""
-    idx = _domain_index(domain)
-    ae_user, ae_item = dm.encoders(idx)
-    user_schema, item_schema = dm.schemas(idx)
-    return (
-        ae_encode(ae_user, encode(user_schema, user_raw)),
-        ae_encode(ae_item, encode(item_schema, item_raw)),
-    )
+    dom = dm.domains[dm.index(domain)]
+    if dom.user_schema is None or dom.item_schema is None:
+        raise ValueError("model carries no schemas; use predict_from_embeddings instead")
+    return (ae_encode(dom.ae_user, encode(dom.user_schema, user_raw)),
+            ae_encode(dom.ae_item, encode(dom.item_schema, item_raw)))
 
 
 def predict_from_embeddings(dm: DualModel, domain, user_emb: np.ndarray, item_emb: np.ndarray, in_overlap: bool = True) -> float:
     """Hybrid rating from precomputed embeddings.
 
     in_overlap=False zeroes the transfer rate for this record (the user has
-    no presence in the partner domain, so there is nothing to transfer).
+    no presence in the partner domains, so there is nothing to transfer).
     """
-    idx = _domain_index(domain)
+    k = dm.index(domain)
     alpha = dm.alpha if in_overlap else 0.0
-    within = score(dm.scorer(idx), user_emb, item_emb)
+    within = score(dm.domains[k].scorer, user_emb, item_emb)
     if alpha == 0.0:
         return within
-    x = dm.map.x
-    mapped = x @ user_emb if idx == 0 else x.T @ user_emb
-    cross = score(dm.scorer(1 - idx), mapped, item_emb)
-    return (1.0 - alpha) * within + alpha * cross
+    cross = 0.0
+    for j, dom in enumerate(dm.domains):
+        if j != k:
+            cross += score(dom.scorer, dm.cross_matrix(j, k) @ user_emb, item_emb)
+    return (1.0 - alpha) * within + alpha / (len(dm.domains) - 1) * cross
 
 
 def predict(dm: DualModel, domain, user_raw: dict, item_raw: dict, in_overlap: bool = True) -> float:
@@ -388,25 +419,29 @@ class ModelStack:
         """Stack copies of the models' arrays and point each model's layers and
         map at its slice; arrays a caller holds (a shared warm map) stay as
         they were. ids default to the positions when there are several."""
-        shapes = [[(l.weights.shape, l.activation) for rs in (dm.rs_a, dm.rs_b) for l in rs.layers] for dm in models]
+        shapes = [[(l.weights.shape, l.activation) for dom in dm.domains for l in dom.scorer.layers] for dm in models]
         for m, dm in enumerate(models):
+            if len(dm.domains) != 2:
+                raise ValueError(f"model {m} has {len(dm.domains)} domains; the training kernel runs two")
             if dm.alpha != models[0].alpha:
                 raise ValueError(f"model {m} has alpha {dm.alpha}, model 0 {models[0].alpha}; a stack shares one alpha")
             if shapes[m] != shapes[0]:
                 raise ValueError(f"model {m}'s scorers differ in shape from model 0's; a stack needs one shape")
+        per_domain = list(zip(*(dm.domains for dm in models)))  # per_domain[k][m]: domain k of model m
         scorers = [
-            (np.stack([[dm.scorer(k).layers[n].weights for dm in models] for k in (0, 1)]),
-             np.stack([[dm.scorer(k).layers[n].bias[None] for dm in models] for k in (0, 1)]), layer.activation)
-            for n, layer in enumerate(models[0].rs_a.layers)
+            (np.stack([[dom.scorer.layers[n].weights for dom in doms] for doms in per_domain]),
+             np.stack([[dom.scorer.layers[n].bias[None] for dom in doms] for doms in per_domain]), layer.activation)
+            for n, layer in enumerate(models[0].domains[0].scorer.layers)
         ]
         if ids is None and len(models) > 1:
             ids = range(len(models))
-        stack = cls(scorers, np.stack([dm.map.x for dm in models]), models[0].alpha, None if ids is None else tuple(ids))
+        maps = np.stack([dm.maps[(0, 1)].x for dm in models])
+        stack = cls(scorers, maps, models[0].alpha, None if ids is None else tuple(ids))
         for m, dm in enumerate(models):
-            for k in (0, 1):
-                for layer, (w, b, _) in zip(dm.scorer(k).layers, stack.layers[k]):
+            for dom, layers in zip(dm.domains, stack.layers):
+                for layer, (w, b, _) in zip(dom.scorer.layers, layers):
                     layer.weights, layer.bias = w[m], b[m, 0]
-            dm.map = OrthogonalMap(stack.x[m], dm.map.domain_pair)
+            dm.maps[(0, 1)] = OrthogonalMap(stack.x[m], dm.maps[(0, 1)].domain_pair)
         return stack
 
     def part(self, m: int) -> "ModelStack":
@@ -418,9 +453,10 @@ class ModelStack:
 
 def _release(dm: DualModel) -> None:
     """Give a model copies of the stack slices it points at, so it owns its arrays."""
-    for layer in dm.rs_a.layers + dm.rs_b.layers:
-        layer.weights, layer.bias = layer.weights.copy(), layer.bias.copy()
-    dm.map = OrthogonalMap(dm.map.x.copy(), dm.map.domain_pair)
+    for dom in dm.domains:
+        for layer in dom.scorer.layers:
+            layer.weights, layer.bias = layer.weights.copy(), layer.bias.copy()
+    dm.maps = {pair: link.copy() for pair, link in dm.maps.items()}
 
 
 def _domain_pass(stack: ModelStack, k, ui, y, overlap):
@@ -525,15 +561,14 @@ def evaluate_loss(dm: DualModel, arrays: TrainingArrays, domain) -> float:
 
 
 def predict_batch(dm: DualModel, domain, arrays: TrainingArrays) -> np.ndarray:
-    idx = _domain_index(domain)
-    within = score_batch(dm.scorer(idx), arrays.user_emb, arrays.item_emb)
+    k = dm.index(domain)
+    within = score_batch(dm.domains[k].scorer, arrays.user_emb, arrays.item_emb)
     if dm.alpha == 0.0:
         return within
-    x = dm.map.x
-    mapped = arrays.user_emb @ x.T if idx == 0 else arrays.user_emb @ x
-    cross = score_batch(dm.scorer(1 - idx), mapped, arrays.item_emb)
+    cross = sum(score_batch(dom.scorer, arrays.user_emb @ dm.cross_matrix(j, k).T, arrays.item_emb)
+                for j, dom in enumerate(dm.domains) if j != k)
     alpha_vec = np.where(arrays.overlap, dm.alpha, 0.0)
-    return (1.0 - alpha_vec) * within + alpha_vec * cross
+    return (1.0 - alpha_vec) * within + alpha_vec / (len(dm.domains) - 1) * cross
 
 
 # ---------------------------------------------------------------------------
@@ -643,7 +678,7 @@ def fit_models(
                     _train_step(stack.part(j), part, cfg, lrs)
         stopped = []
         for j, m in enumerate(live):
-            stack.x[j] = project_orthogonal(models[m].map).x
+            stack.x[j] = project_orthogonal(models[m].maps[(0, 1)]).x
             for k, trace in enumerate(traces[m]):
                 trace.append(full_pass(m, k))
                 if trace[-1] > 2.0 * trace[0]:
@@ -681,108 +716,6 @@ def fit(
     pre-training loss, index e the loss after epoch e.
     """
     return fit_models([dm], arrays_a, arrays_b, cfg, [seed])[0]
-
-
-# ---------------------------------------------------------------------------
-# multi-domain extension
-
-
-@dataclass
-class MultiModel:
-    """n-domain generalization: one scorer per domain, one map per pair.
-
-    maps[(j, k)] with j < k holds the matrix taking domain-k user embeddings
-    into domain j's space; the opposite direction is its transpose.
-    """
-
-    models: list[RatingModel]
-    maps: dict
-    alpha: float
-    encoders: list[tuple[Autoencoder, Autoencoder]]  # per domain (user, item)
-    schemas: list[tuple[FeatureSchema, FeatureSchema]] | None = None
-
-    def __post_init__(self):
-        n = len(self.models)
-        if n < 2:
-            raise ValueError("a MultiModel needs at least two domains")
-        expected = {(j, k) for j in range(n) for k in range(j + 1, n)}
-        if set(self.maps) != expected:
-            raise ValueError(f"maps must cover exactly the unordered pairs {sorted(expected)}")
-        check_alpha(self.alpha)
-
-    @property
-    def n_domains(self) -> int:
-        return len(self.models)
-
-    def cross_matrix(self, into: int, out_of: int) -> np.ndarray:
-        """Matrix taking domain `out_of` user embeddings into domain `into`."""
-        if into == out_of:
-            raise ValueError("cross_matrix needs two distinct domains")
-        if into < out_of:
-            return self.maps[(into, out_of)].x
-        return self.maps[(out_of, into)].x.T
-
-
-def new_multi_model(
-    encoders: list[tuple[Autoencoder, Autoencoder]],
-    alpha: float,
-    seed: int,
-    hidden: tuple[int, ...] = (16, 8),
-) -> MultiModel:
-    n = len(encoders)
-    d = encoders[0][0].embed_dim
-    models = [make_rating_model(d, seed, k, hidden) for k in range(n)]
-    maps = {(j, k): init_map(d, seed, domain_pair=(str(j), str(k))) for j in range(n) for k in range(j + 1, n)}
-    return MultiModel(models, maps, alpha, list(encoders))
-
-
-def multi_from_dual(dm: DualModel) -> MultiModel:
-    """View a trained DualModel as the n=2 special case."""
-    # dm.map takes domain-0 embeddings into domain 1, so the (0, 1) slot
-    # (domain 1 -> domain 0) is its transpose
-    pair_map = OrthogonalMap(dm.map.x.T, (dm.map.domain_pair[1], dm.map.domain_pair[0]))
-    schemas = None
-    if dm.user_schema_a is not None and dm.user_schema_b is not None:
-        schemas = [(dm.user_schema_a, dm.item_schema_a), (dm.user_schema_b, dm.item_schema_b)]
-    return MultiModel(
-        models=[dm.rs_a, dm.rs_b],
-        maps={(0, 1): pair_map},
-        alpha=dm.alpha,
-        encoders=[(dm.ae_user_a, dm.ae_item_a), (dm.ae_user_b, dm.ae_item_b)],
-        schemas=schemas,
-    )
-
-
-def predict_multi_from_embeddings(mm: MultiModel, domain_index: int, user_emb: np.ndarray, item_emb: np.ndarray) -> float:
-    n = mm.n_domains
-    if not 0 <= domain_index < n:
-        raise ValueError(f"unknown domain index {domain_index}, model has {n} domains")
-    within = score(mm.models[domain_index], user_emb, item_emb)
-    if mm.alpha == 0.0:
-        return within
-    cross_sum = 0.0
-    for j in range(n):
-        if j == domain_index:
-            continue
-        mapped = mm.cross_matrix(j, domain_index) @ user_emb
-        cross_sum += score(mm.models[j], mapped, item_emb)
-    return (1.0 - mm.alpha) * within + (mm.alpha / (n - 1)) * cross_sum
-
-
-def predict_multi(mm: MultiModel, domain_index: int, user_raw: dict, item_raw: dict) -> float:
-    """Hybrid rating in an n-domain model from raw feature dicts."""
-    if not 0 <= domain_index < mm.n_domains:
-        raise ValueError(f"unknown domain index {domain_index}, model has {mm.n_domains} domains")
-    if mm.schemas is None:
-        raise ValueError("model carries no schemas; use predict_multi_from_embeddings instead")
-    ae_user, ae_item = mm.encoders[domain_index]
-    user_schema, item_schema = mm.schemas[domain_index]
-    return predict_multi_from_embeddings(
-        mm,
-        domain_index,
-        ae_encode(ae_user, encode(user_schema, user_raw)),
-        ae_encode(ae_item, encode(item_schema, item_raw)),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -847,20 +780,11 @@ def train_pair(
     random X into alignment within any reasonable epoch budget.
     """
     (ae_user_a, ae_item_a), (ae_user_b, ae_item_b) = train_pair_autoencoders(ds_a, ds_b, cfg, seed)
-    dm = new_dual_model(
-        ae_user_a,
-        ae_item_a,
-        ae_user_b,
-        ae_item_b,
-        cfg.alpha,
-        seed,
-        cfg.hidden,
-        schemas_a=(ds_a.user_schema, ds_a.item_schema),
-        schemas_b=(ds_b.user_schema, ds_b.item_schema),
-    )
+    dm = new_dual_model([(ae_user_a, ae_item_a), (ae_user_b, ae_item_b)], alpha=cfg.alpha, seed=seed, hidden=cfg.hidden,
+                        schemas=[(ds.user_schema, ds.item_schema) for ds in (ds_a, ds_b)])
     warm = shared_user_alignment(ds_a, ds_b, ae_user_a, ae_user_b)
     if warm is not None:
-        dm.map = warm
+        dm.maps[(0, 1)] = warm
     users_a = {r.user_id for r in ds_a.interactions}
     users_b = {r.user_id for r in ds_b.interactions}
     arrays_a = prepare_domain(ds_a, ae_user_a, ae_item_a, partner_users=users_b)
@@ -895,28 +819,28 @@ def _model_from_arrays(data, prefix: str) -> RatingModel:
     return RatingModel(layers)
 
 
-# (DualModel field, bundle key or key prefix) of every scorer, autoencoder and schema
-_SCORER_KEYS = (("rs_a", "rs0_"), ("rs_b", "rs1_"))
-_AE_KEYS = (("ae_user_a", "ae_u0_"), ("ae_item_a", "ae_i0_"), ("ae_user_b", "ae_u1_"), ("ae_item_b", "ae_i1_"))
-_SCHEMA_KEYS = (("user_schema_a", "schema_u0"), ("item_schema_a", "schema_i0"),
-                ("user_schema_b", "schema_u1"), ("item_schema_b", "schema_i1"))
-
-
 def save_dual_model(dm: DualModel, path) -> None:
-    """Persist every weight plus alpha and any attached schemas to one npz."""
+    """Persist every weight plus alpha and any attached schemas to one npz, in
+    the dualrec-dual-1 format, which holds two domains."""
+    if len(dm.domains) != 2:
+        raise ValueError(f"a {_DUMP_VERSION} bundle holds two domains, this model has {len(dm.domains)}")
+    link = dm.maps[(0, 1)]
     payload = {
         "version": np.array(_DUMP_VERSION),
         "alpha": np.array(dm.alpha),
-        "map_x": dm.map.x,
-        "map_pair": np.array(list(dm.map.domain_pair), dtype=np.str_),
+        "map_x": link.x,
+        "map_pair": np.array(list(link.domain_pair), dtype=np.str_),
     }
-    for field, prefix in _SCORER_KEYS:
-        payload.update(_model_arrays(getattr(dm, field), prefix))
-    for field, prefix in _AE_KEYS:
-        payload.update(autoencoder_arrays(getattr(dm, field), prefix))
-    for field, key in _SCHEMA_KEYS:
-        if getattr(dm, field) is not None:
-            payload[key] = np.array(schema_to_text(getattr(dm, field)))
+    # the format's key order: every scorer, then every autoencoder, then every schema
+    for k, dom in enumerate(dm.domains):
+        payload.update(_model_arrays(dom.scorer, f"rs{k}_"))
+    for k, dom in enumerate(dm.domains):
+        payload.update(autoencoder_arrays(dom.ae_user, f"ae_u{k}_"))
+        payload.update(autoencoder_arrays(dom.ae_item, f"ae_i{k}_"))
+    for k, dom in enumerate(dm.domains):
+        for key, schema in ((f"schema_u{k}", dom.user_schema), (f"schema_i{k}", dom.item_schema)):
+            if schema is not None:
+                payload[key] = np.array(schema_to_text(schema))
     np.savez(path, **payload)
 
 
@@ -926,11 +850,25 @@ class _Bundle(dict):
     def __missing__(self, key):
         raise ValueError(f"model bundle has no key {key!r}")
 
+    def shaped(self, key: str, shape: tuple) -> np.ndarray:
+        """The array at key; one of another shape is a ValueError naming the key."""
+        if self[key].shape != shape:
+            raise ValueError(f"model bundle key {key!r} holds shape {self[key].shape}, expected {shape}")
+        return self[key]
+
+
+def _named(part: str, keys: str, build):
+    """build(), with an error that names the model part and its bundle keys."""
+    try:
+        return build()
+    except (ValueError, TypeError) as exc:
+        raise ValueError(f"{part} ({keys}): {exc}") from None
+
 
 def load_dual_model(path) -> DualModel:
     """Rebuild a saved model; a missing key, a non-finite number, or an array
     that breaks the DualModel contract raises ValueError naming the key or
-    the field."""
+    the part."""
     with np.load(path, allow_pickle=False) as npz:
         data = _Bundle((key, npz[key]) for key in npz.files)
     if str(data["version"]) != _DUMP_VERSION:
@@ -938,24 +876,19 @@ def load_dual_model(path) -> DualModel:
     for key, array in data.items():
         if array.dtype.kind in "fc" and not np.isfinite(array).all():
             raise ValueError(f"model bundle key {key!r} holds a non-finite value")
-    parts = {}
-    for build, keys in ((_model_from_arrays, _SCORER_KEYS), (autoencoder_from_arrays, _AE_KEYS)):
-        for field, prefix in keys:
-            try:
-                parts[field] = build(data, prefix)
-            except ValueError as exc:
-                raise ValueError(f"{field} (bundle keys {prefix}*): {exc}") from None
-    for field, key in _SCHEMA_KEYS:
-        parts[field] = parse_schema(str(data[key])) if key in data else None
+    domains = []
+    for k in range(2):
+        tag = _letter(k)
+        scorer = _named(f"rs_{tag}", f"bundle keys rs{k}_*", lambda: _model_from_arrays(data, f"rs{k}_"))
+        aes = [_named(f"ae_{entity}_{tag}", f"bundle keys ae_{entity[0]}{k}_*",
+                      lambda: autoencoder_from_arrays(data, f"ae_{entity[0]}{k}_")) for entity in ("user", "item")]
+        schemas = [_named(f"{entity}_schema_{tag}", f"bundle key {key}", lambda: parse_schema(str(data[key])))
+                   if key in data else None
+                   for entity, key in (("user", f"schema_u{k}"), ("item", f"schema_i{k}"))]
+        domains.append(Domain(scorer, *aes, *schemas))
+    x, pair = data["map_x"], tuple(str(s) for s in data.shaped("map_pair", (2,)))
+    link = _named("map", "bundle key map_x", lambda: OrthogonalMap(np.array(x), pair))
     try:
-        return DualModel(
-            map=OrthogonalMap(np.array(data["map_x"]), tuple(str(s) for s in data["map_pair"])),
-            alpha=float(data["alpha"]),
-            **parts,
-        )
-    except ValueError as exc:
-        # a schema that does not fit its autoencoder: the error opens with the schema's field
-        key = dict(_SCHEMA_KEYS).get(str(exc).split(" ", 1)[0])
-        if key is None:
-            raise
-        raise ValueError(f"{exc} (bundle key {key})") from None
+        return DualModel(domains, {(0, 1): link}, float(data.shaped("alpha", ())))
+    except _SchemaWidthError as exc:
+        raise ValueError(f"{exc} (bundle key schema_{exc.entity[0]}{exc.domain})") from None

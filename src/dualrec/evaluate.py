@@ -254,10 +254,10 @@ def run_cv(
     seeds = [_fold_seed(seed, fold) for fold in range(k)]
     models = []
     for fseed in seeds:
-        dm = new_dual_model(*prepared.encoders[0], *prepared.encoders[1], cfg.alpha, fseed, cfg.hidden,
-                            (ds_a.user_schema, ds_a.item_schema), (ds_b.user_schema, ds_b.item_schema))
+        dm = new_dual_model(list(prepared.encoders), alpha=cfg.alpha, seed=fseed, hidden=cfg.hidden,
+                            schemas=[(ds.user_schema, ds.item_schema) for ds in (ds_a, ds_b)])
         if prepared.warm_map is not None:
-            dm.map = prepared.warm_map  # fit_models trains a copy
+            dm.maps[(0, 1)] = prepared.warm_map  # fit_models trains a copy
         models.append(dm)
     # per domain, the (train, test) record indices of every fold
     splits = [[split.fold_indices(fold) for fold in range(k)] for split in prepared.splits]

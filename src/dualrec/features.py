@@ -27,6 +27,7 @@ import csv
 import warnings
 import zlib
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -91,9 +92,9 @@ class FieldSpec:
             return self.buckets
         raise ValueError(f"field {self.name!r} is not categorical")
 
-    @property
+    @cached_property
     def width(self) -> int:
-        """Encoded block length."""
+        """Encoded block length, computed once per spec."""
         if self.kind == "one_hot":
             # explicit vocabularies reserve a trailing out-of-vocabulary slot
             return self.cardinality + (1 if self.values is not None else 0)
@@ -113,7 +114,7 @@ class FeatureSchema:
         if len(set(names)) != len(names):
             raise ValueError("field names must be unique")
 
-    @property
+    @cached_property
     def encoded_length(self) -> int:
         return sum(f.width for f in self.fields)
 

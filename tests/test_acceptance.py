@@ -27,6 +27,7 @@ from dualrec.autoencoder import loss_and_grads as ae_loss_and_grads
 from dualrec.autoencoder import new_autoencoder, stack_layers, train_autoencoder
 from dualrec.cli import main as cli_main
 from dualrec.dualmodel import (
+    Domain,
     DualModel,
     ModelStack,
     TrainConfig,
@@ -87,7 +88,7 @@ def converged_run():
 def test_criterion_1_orthogonal_transfer(converged_run):
     """The trained map is orthogonal and transfer preserves geometry."""
     dm, _, _, _ = converged_run
-    m = dm.map
+    m = dm.maps[(0, 1)]
     assert orthogonality_defect(m.x) <= 1e-6, "trained map drifted off the orthogonal manifold"
 
     rng = make_rng(2024)
@@ -152,13 +153,8 @@ def test_criterion_2_gradient_integrity():
     corpus = make_rng(41).random(size=(6, 9))
     ae_small, _ = train_autoencoder(corpus, embed_dim=4, epochs=1, seed=0)
     stack = ModelStack.of([
-        DualModel(
-            make_rating_model(4, seed, 0, (8, 4)),
-            make_rating_model(4, seed, 1, (8, 4)),
-            init_map(4, seed),
-            0.1,
-            ae_small, ae_small, ae_small, ae_small,
-        )
+        DualModel([Domain(make_rating_model(4, seed, k, (8, 4)), ae_small, ae_small) for k in (0, 1)],
+                  {(0, 1): init_map(4, seed)}, 0.1)
         for seed in (7, 8)
     ])
     rng = make_rng(43)
@@ -228,8 +224,8 @@ def test_criterion_3_degeneration_identities():
     corpus = make_rng(99).random(size=(6, 9))
     ae_small, _ = train_autoencoder(corpus, embed_dim=6, epochs=1, seed=0)
     shared = make_rating_model(6, seed=3, domain_index=0, hidden=(12, 6))
-    tied = DualModel(shared, shared.copy(), OrthogonalMap(np.eye(6)), 0.5,
-                     ae_small, ae_small, ae_small, ae_small)
+    tied = DualModel([Domain(shared, ae_small, ae_small), Domain(shared.copy(), ae_small, ae_small)],
+                     {(0, 1): OrthogonalMap(np.eye(6))}, 0.5)
     rng = make_rng(17)
     for _ in range(100):
         u, i = rng.random(6), rng.random(6)

@@ -1,12 +1,14 @@
-"""Hybrid dual-domain scorer, joint training loop, and n-domain extension."""
+"""Hybrid n-domain scorer, joint two-domain training loop, and persistence."""
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dualrec.autoencoder import ae_encode, train_autoencoder
 from dualrec.dualmodel import (
+    Domain,
     DualModel,
     ModelStack,
     RatingModel,
@@ -18,22 +20,20 @@ from dualrec.dualmodel import (
     fit,
     load_dual_model,
     make_rating_model,
-    multi_from_dual,
     new_dual_model,
-    new_multi_model,
     predict,
     predict_batch,
     predict_from_embeddings,
-    predict_multi_from_embeddings,
     prepare_domain,
     save_dual_model,
     score,
+    score_batch,
     shared_user_alignment,
     train_pair,
     train_pair_autoencoders,
 )
 from dualrec.features import encode, synth_pair
-from dualrec.mapping import OrthogonalMap, orthogonality_defect
+from dualrec.mapping import OrthogonalMap, init_map, orthogonality_defect
 from dualrec.numeric import grad_check, make_rng
 from single_domain import train_single
 
@@ -90,25 +90,21 @@ class TestPredict:
         dm, _ = trained_small
         u, i = random_embeddings(dm, 1, seed=2)
         u, i = u[0], i[0]
-        base = DualModel(
-            dm.rs_a, dm.rs_b, dm.map, 0.0,
-            dm.ae_user_a, dm.ae_item_a, dm.ae_user_b, dm.ae_item_b,
-        )
+        base = DualModel(dm.domains, dm.maps, 0.0)
         for domain, idx in (("a", 0), ("b", 1)):
-            assert predict_from_embeddings(base, domain, u, i) == score(base.scorer(idx), u, i)
+            assert predict_from_embeddings(base, domain, u, i) == score(base.domains[idx].scorer, u, i)
 
     def test_out_of_overlap_user_gets_within_score_only(self, trained_small):
         dm, _ = trained_small
         u, i = random_embeddings(dm, 1, seed=3)
         u, i = u[0], i[0]
-        assert predict_from_embeddings(dm, "a", u, i, in_overlap=False) == score(dm.rs_a, u, i)
+        assert predict_from_embeddings(dm, "a", u, i, in_overlap=False) == score(dm.domains[0].scorer, u, i)
 
     def test_half_alpha_tied_weights_make_domain_labels_interchangeable(self, trained_small):
         dm, _ = trained_small
-        tied = DualModel(
-            dm.rs_a, dm.rs_a.copy(), OrthogonalMap(np.eye(dm.embed_dim)), 0.5,
-            dm.ae_user_a, dm.ae_item_a, dm.ae_user_b, dm.ae_item_b,
-        )
+        a, b = dm.domains
+        tied = DualModel([a, dataclasses.replace(b, scorer=a.scorer.copy())],
+                         {(0, 1): OrthogonalMap(np.eye(dm.embed_dim))}, 0.5)
         u, i = random_embeddings(dm, 1, seed=4)
         u, i = u[0], i[0]
         assert predict_from_embeddings(tied, "a", u, i) == predict_from_embeddings(tied, "b", u, i)
@@ -118,17 +114,19 @@ class TestPredict:
         assert dm.alpha == pytest.approx(0.03)
         u, i = random_embeddings(dm, 1, seed=5)
         u, i = u[0], i[0]
-        want_a = (1 - dm.alpha) * score(dm.rs_a, u, i) + dm.alpha * score(dm.rs_b, dm.map.x @ u, i)
+        rs_a, rs_b = (dom.scorer for dom in dm.domains)
+        x = dm.maps[(0, 1)].x
+        want_a = (1 - dm.alpha) * score(rs_a, u, i) + dm.alpha * score(rs_b, x @ u, i)
         assert predict_from_embeddings(dm, "a", u, i) == pytest.approx(want_a, abs=1e-15)
-        want_b = (1 - dm.alpha) * score(dm.rs_b, u, i) + dm.alpha * score(dm.rs_a, dm.map.x.T @ u, i)
+        want_b = (1 - dm.alpha) * score(rs_b, u, i) + dm.alpha * score(rs_a, x.T @ u, i)
         assert predict_from_embeddings(dm, "b", u, i) == pytest.approx(want_b, abs=1e-15)
 
     def test_predict_from_raw_features_matches_embedding_path(self, small_pair, trained_small):
         ds_a, _, _ = small_pair
         dm, _ = trained_small
         rec = ds_a.interactions[0]
-        user_emb = ae_encode(dm.ae_user_a, encode(ds_a.user_schema, ds_a.user_features[rec.user_id]))
-        item_emb = ae_encode(dm.ae_item_a, encode(ds_a.item_schema, ds_a.item_features[rec.item_id]))
+        user_emb = ae_encode(dm.domains[0].ae_user, encode(ds_a.user_schema, ds_a.user_features[rec.user_id]))
+        item_emb = ae_encode(dm.domains[0].ae_item, encode(ds_a.item_schema, ds_a.item_features[rec.item_id]))
         want = predict_from_embeddings(dm, "a", user_emb, item_emb)
         got = predict(dm, "a", ds_a.user_features[rec.user_id], ds_a.item_features[rec.item_id])
         assert got == want
@@ -161,16 +159,17 @@ def make_batch(d, n, seed, overlap_value=True):
     )
 
 
+def tiny_autoencoder(embed_dim=3):
+    ae, _ = train_autoencoder(make_rng(99).random(size=(6, 5)), embed_dim=embed_dim, epochs=1, seed=0)
+    return ae
+
+
 def build_bare_model(alpha, d=3, seed=0, hidden=(4,)):
     # rating scorers and map only; autoencoders are irrelevant to the loss
     # tests, so reuse tiny trained ones
-    corpus = make_rng(99).random(size=(6, 5))
-    ae, _ = train_autoencoder(corpus, embed_dim=d, epochs=1, seed=0)
-    rs_a = make_rating_model(d, seed, 0, hidden)
-    rs_b = make_rating_model(d, seed, 1, hidden)
-    from dualrec.mapping import init_map
-
-    return DualModel(rs_a, rs_b, init_map(d, seed), alpha, ae, ae, ae, ae)
+    ae = tiny_autoencoder(d)
+    domains = [Domain(make_rating_model(d, seed, k, hidden), ae, ae) for k in (0, 1)]
+    return DualModel(domains, {(0, 1): init_map(d, seed)}, alpha)
 
 
 def stack_params(stack):
@@ -204,7 +203,7 @@ class TestDualLossAndGrads:
         from dualrec.mapping import ortho_penalty
 
         *_, grad_x = dual_loss_and_grads(ModelStack.of([dm]), make_batch(3, 5, seed=1), make_batch(3, 5, seed=2))
-        _, pen_grad = ortho_penalty(dm.map)
+        _, pen_grad = ortho_penalty(dm.maps[(0, 1)])
         np.testing.assert_array_equal(grad_x[0], pen_grad)
 
     def test_gradients_match_finite_differences(self):
@@ -258,8 +257,7 @@ def arrays_pair(small_pair):
 
 class TestFit:
     def build(self, aes, alpha=0.03, seed=0):
-        ae_ua, ae_ia, ae_ub, ae_ib = aes
-        return new_dual_model(ae_ua, ae_ia, ae_ub, ae_ib, alpha, seed, hidden=(8, 4))
+        return new_dual_model([aes[:2], aes[2:]], alpha=alpha, seed=seed, hidden=(8, 4))
 
     def test_huge_tolerance_stops_after_one_epoch(self, arrays_pair):
         aes, arrays_a, arrays_b = arrays_pair
@@ -285,7 +283,7 @@ class TestFit:
         aes, arrays_a, arrays_b = arrays_pair
         dm = self.build(aes)
         fit(dm, arrays_a, arrays_b, small_config(epochs=3), seed=0)
-        assert orthogonality_defect(dm.map.x) <= 1e-6
+        assert orthogonality_defect(dm.maps[(0, 1)].x) <= 1e-6
 
     def test_alpha_zero_fit_matches_single_domain_training(self, arrays_pair):
         aes, arrays_a, arrays_b = arrays_pair
@@ -294,7 +292,7 @@ class TestFit:
         fit(dm, arrays_a, arrays_b, cfg, seed=0)
         single_a, _ = train_single(arrays_a, 0, embed_dim=4, seed=0, epochs=4, tol=0.0,
                                    lr=cfg.lr_a, batch_size=cfg.batch_size, hidden=(8, 4))
-        for la, lb in zip(dm.rs_a.layers, single_a.layers):
+        for la, lb in zip(dm.domains[0].scorer.layers, single_a.layers):
             np.testing.assert_array_equal(la.weights, lb.weights)
             np.testing.assert_array_equal(la.bias, lb.bias)
 
@@ -304,7 +302,7 @@ class TestTrainPair:
         dm, (trace_a, trace_b) = trained_small
         assert isinstance(dm, DualModel)
         assert len(trace_a) == len(trace_b) == 4  # pre-training point + 3 epochs
-        assert orthogonality_defect(dm.map.x) <= 1e-6
+        assert orthogonality_defect(dm.maps[(0, 1)].x) <= 1e-6
 
     def test_map_seeded_from_shared_user_alignment(self, small_pair):
         ds_a, ds_b, _ = small_pair
@@ -315,7 +313,7 @@ class TestTrainPair:
         assert warm is not None
         # one epoch of updates moves X little; it must still be near the warm
         # start, not near an unrelated random rotation
-        assert np.linalg.norm(dm.map.x - warm.x) < 0.2
+        assert np.linalg.norm(dm.maps[(0, 1)].x - warm.x) < 0.2
 
     def test_alignment_requires_enough_shared_users(self, small_pair):
         ds_a, ds_b, _ = small_pair
@@ -339,7 +337,7 @@ class TestTrainPair:
         u, i = u[0], i[0]
         for domain in ("a", "b"):
             assert predict_from_embeddings(back, domain, u, i) == predict_from_embeddings(dm, domain, u, i)
-        np.testing.assert_array_equal(back.map.x, dm.map.x)
+        np.testing.assert_array_equal(back.maps[(0, 1)].x, dm.maps[(0, 1)].x)
         assert back.alpha == dm.alpha
 
     def test_saved_model_predicts_from_raw_features(self, trained_small, small_pair, tmp_path):
@@ -353,36 +351,70 @@ class TestTrainPair:
         assert got == want
 
 
+def with_part(dm, k, **part):
+    """dm with domain k's parts replaced, built (and so checked) anew."""
+    domains = list(dm.domains)
+    domains[k] = dataclasses.replace(domains[k], **part)
+    return DualModel(domains, dm.maps, dm.alpha)
+
+
 class TestModelContract:
     """DualModel checks its dimension chain whether it is built or loaded."""
 
     def test_scorer_takes_twice_the_embed_dim(self, trained_small):
         dm, _ = trained_small
         with pytest.raises(ValueError, match=r"rs_b layer 0 takes 6 inputs, expected 2 \* embed_dim = 8"):
-            dataclasses.replace(dm, rs_b=make_rating_model(3, 0, 1, (8, 4)))
+            with_part(dm, 1, scorer=make_rating_model(3, 0, 1, (8, 4)))
 
     def test_layers_chain(self, trained_small):
         dm, _ = trained_small
-        skipped = RatingModel([dm.rs_a.layers[0], dm.rs_a.layers[2]])
+        layers = dm.domains[0].scorer.layers
         with pytest.raises(ValueError, match="rs_a layer 1 takes 4 inputs"):
-            dataclasses.replace(dm, rs_a=skipped)
+            with_part(dm, 0, scorer=RatingModel([layers[0], layers[2]]))
 
     def test_scorer_ends_in_one_output(self, trained_small):
         dm, _ = trained_small
         with pytest.raises(ValueError, match="rs_a ends in 4 outputs"):
-            dataclasses.replace(dm, rs_a=RatingModel(dm.rs_a.layers[:-1]))
+            with_part(dm, 0, scorer=RatingModel(dm.domains[0].scorer.layers[:-1]))
 
     def test_map_is_d_by_d(self, trained_small):
         dm, _ = trained_small
         with pytest.raises(ValueError, match="map is 3x3"):
-            dataclasses.replace(dm, map=OrthogonalMap(np.eye(3)))
+            DualModel(dm.domains, {(0, 1): OrthogonalMap(np.eye(3))}, dm.alpha)
 
     def test_autoencoders_share_one_embed_dim(self, trained_small):
         dm, _ = trained_small
-        corpus = make_rng(99).random(size=(6, 5))
-        ae3, _ = train_autoencoder(corpus, embed_dim=3, epochs=1, seed=0)
+        (ae_ua, ae_ia), (_, ae_ib) = ((dom.ae_user, dom.ae_item) for dom in dm.domains)
         with pytest.raises(ValueError, match="ae_user_b embed_dim 3 != ae_user_a embed_dim 4"):
-            new_dual_model(dm.ae_user_a, dm.ae_item_a, ae3, dm.ae_item_b, 0.03, 0)
+            new_dual_model([(ae_ua, ae_ia), (tiny_autoencoder(3), ae_ib)], alpha=0.03, seed=0)
+
+    def test_mixed_embed_dims_are_refused_on_build_naming_the_domain(self):
+        # this model once built, and predict then failed with a bare matmul error
+        ae4, ae3 = tiny_autoencoder(4), tiny_autoencoder(3)
+        with pytest.raises(ValueError, match="^ae_user_b embed_dim 3 != ae_user_a embed_dim 4$"):
+            new_dual_model([(ae4, ae4), (ae3, ae3), (ae4, ae4)], alpha=0.03, seed=0, hidden=(4,))
+
+    def test_two_domains_or_more_with_one_map_per_pair(self):
+        ae = tiny_autoencoder()
+        dm = new_dual_model([(ae, ae)] * 3, alpha=0.03, seed=0, hidden=(4,))
+        with pytest.raises(ValueError, match="^a model needs at least two domains, got 1$"):
+            DualModel(dm.domains[:1], {}, 0.03)
+        with pytest.raises(ValueError, match=r"^maps must cover exactly the unordered pairs \[\(0, 1\), \(0, 2\), \(1, 2\)\], "):
+            DualModel(dm.domains, {pair: dm.maps[pair] for pair in [(0, 1), (1, 2)]}, 0.03)
+        with pytest.raises(ValueError, match="^maps must cover exactly"):
+            DualModel(dm.domains, {**dm.maps, (1, 0): dm.maps[(0, 1)]}, 0.03)
+        with pytest.raises(ValueError, match="^map ac is 2x2, expected embed_dim 3x3$"):
+            DualModel(dm.domains, {**dm.maps, (0, 2): OrthogonalMap(np.eye(2))}, 0.03)
+        with pytest.raises(ValueError, match="^rs_c ends in 4 outputs, expected 1$"):
+            with_part(dm, 2, scorer=RatingModel(dm.domains[2].scorer.layers[:-1]))
+
+    def test_training_and_saving_refuse_other_domain_counts(self, tmp_path):
+        ae = tiny_autoencoder()
+        dm = new_dual_model([(ae, ae)] * 3, alpha=0.03, seed=0, hidden=(4,))
+        with pytest.raises(ValueError, match="^model 0 has 3 domains; the training kernel runs two$"):
+            ModelStack.of([dm])
+        with pytest.raises(ValueError, match="^a dualrec-dual-1 bundle holds two domains, this model has 3$"):
+            save_dual_model(dm, tmp_path / "m.npz")
 
 
 class TestBundle:
@@ -434,7 +466,7 @@ class TestBundle:
         # predict would fail later with a bare matmul shape error
         dm, _ = trained_small
         path = self.edited(dm, tmp_path, lambda a: a.update(schema_u0=np.array(str(a["schema_u0"]).rstrip("\n").rsplit("\n", 1)[0])))
-        width = dm.ae_user_a.input_dim
+        width = dm.domains[0].ae_user.input_dim
         with pytest.raises(ValueError, match=rf"^user_schema_a encodes \d+ columns, ae_user_a takes {width} "
                                              r"\(bundle key schema_u0\)$"):
             load_dual_model(path)
@@ -444,6 +476,60 @@ class TestBundle:
         path = self.edited(dm, tmp_path, lambda a: a.update(rs0_n=np.array(2)))
         with pytest.raises(ValueError, match="rs_a ends in 4 outputs, expected 1"):
             load_dual_model(path)
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("alpha", np.array([0.03, 0.03]), r"^model bundle key 'alpha' holds shape \(2,\), expected \(\)$"),
+            ("map_x", np.ones(16), r"^map \(bundle key map_x\): mapping matrix must be 2-D, got shape \(16,\)$"),
+            ("schema_u0", np.array("nonsense"), r"^user_schema_a \(bundle key schema_u0\): schema line 1: "),
+            ("map_pair", np.array(["a", "b", "c"]), r"^model bundle key 'map_pair' holds shape \(3,\), expected \(2,\)$"),
+        ],
+        ids=["alpha", "map_x", "schema_u0", "map_pair"],
+    )
+    def test_malformed_key_is_named(self, trained_small, tmp_path, key, value, message):
+        dm, _ = trained_small
+        path = self.edited(dm, tmp_path, lambda a: a.update({key: value}))
+        with pytest.raises(ValueError, match=message):
+            load_dual_model(path)
+
+
+# A dualrec-dual-1 bundle written by the two-domain model type this package
+# had before DualModel took n domains: embed_dim 3, hidden (4,), alpha 0.2,
+# autoencoders from new_autoencoder (seeds 0-3, untrained), scorers from
+# make_rating_model(3, 3, k, (4,)), and as map the Householder reflection
+# I - 2 v v^T / (v^T v) of v = make_rng(7).standard_normal(3); no LAPACK call
+# made any of it. FIXTURE_PREDICTIONS are what that model type predicted from
+# the embeddings of FIXTURE_EMBEDDINGS, per (domain, in_overlap).
+FIXTURE = Path(__file__).parent / "data" / "dual_bundle_v1.npz"
+FIXTURE_PREDICTIONS = {
+    ("a", True): [0.5785945868281457, 0.5695678077668505, 0.6311249956217826],
+    ("a", False): [0.5265301144567186, 0.5179392231910133, 0.5836317605138474],
+    ("b", True): [0.7315876074873461, 0.6714478500706585, 0.7291486878140621],
+    ("b", False): [0.7823154724949607, 0.7190343134990222, 0.7581873400423949],
+}
+
+
+def fixture_embeddings():
+    rng = make_rng(11)
+    return rng.random((3, 3)), rng.random((3, 3))
+
+
+class TestBundleCompatibility:
+    def test_loads_and_saves_back_byte_for_byte(self, tmp_path):
+        save_dual_model(load_dual_model(FIXTURE), tmp_path / "again.npz")
+        with np.load(FIXTURE) as want, np.load(tmp_path / "again.npz") as got:
+            assert got.files == want.files
+            for key in want.files:
+                assert (got[key].dtype, got[key].shape) == (want[key].dtype, want[key].shape), key
+                assert got[key].tobytes() == want[key].tobytes(), key
+
+    def test_predicts_what_it_predicted_when_written(self):
+        dm = load_dual_model(FIXTURE)
+        users, items = fixture_embeddings()
+        for (domain, in_overlap), want in FIXTURE_PREDICTIONS.items():
+            got = [predict_from_embeddings(dm, domain, u, i, in_overlap) for u, i in zip(users, items)]
+            assert got == pytest.approx(want, abs=1e-15), (domain, in_overlap)
 
 
 class TestEvaluateLoss:
@@ -457,43 +543,75 @@ class TestEvaluateLoss:
         assert evaluate_loss(dm, arrays, "b") == pytest.approx(want, rel=1e-12)
 
 
+def three_domain_model(alpha):
+    """Three domains of one tiny autoencoder, each pair's map from its own seed."""
+    ae = tiny_autoencoder()
+    dm = new_dual_model([(ae, ae)] * 3, alpha=alpha, seed=1, hidden=(4,))
+    dm.maps.update({pair: init_map(3, seed) for seed, pair in enumerate(dm.maps, start=20)})
+    return dm
+
+
 class TestMultiDomain:
+    """The one model type at n domains; at n = 2 its blend is the dual formula."""
+
     def test_two_domain_view_matches_dual_predictions_bitwise(self, trained_small):
         dm, _ = trained_small
-        mm = multi_from_dual(dm)
-        u, i = random_embeddings(dm, 1, seed=15)
-        u, i = u[0], i[0]
-        assert predict_multi_from_embeddings(mm, 0, u, i) == predict_from_embeddings(dm, "a", u, i)
-        assert predict_multi_from_embeddings(mm, 1, u, i) == predict_from_embeddings(dm, "b", u, i)
+        rs_a, rs_b = (dom.scorer for dom in dm.domains)
+        x, alpha = dm.maps[(0, 1)].x, dm.alpha
+        (u,), (i,) = random_embeddings(dm, 1, seed=15)
+        assert predict_from_embeddings(dm, "a", u, i) == (1 - alpha) * score(rs_a, u, i) + alpha * score(rs_b, x @ u, i)
+        assert predict_from_embeddings(dm, "b", u, i) == (1 - alpha) * score(rs_b, u, i) + alpha * score(rs_a, x.T @ u, i)
+        u, i = random_embeddings(dm, 7, seed=16)
+        overlap = np.array([True, False, True, True, False, True, True])
+        alpha_vec = np.where(overlap, alpha, 0.0)
+        arrays = TrainingArrays(u, i, np.zeros(7), overlap, ["u"] * 7)
+        for k, (own, other, mapped) in enumerate(((rs_a, rs_b, u @ x.T), (rs_b, rs_a, u @ x))):
+            want = (1.0 - alpha_vec) * score_batch(own, u, i) + alpha_vec * score_batch(other, mapped, i)
+            assert predict_batch(dm, k, arrays).tobytes() == want.tobytes()
 
     def test_alpha_zero_reduces_to_single_scorer(self):
-        corpus = make_rng(99).random(size=(6, 5))
-        ae, _ = train_autoencoder(corpus, embed_dim=3, epochs=1, seed=0)
-        mm = new_multi_model([(ae, ae)] * 3, alpha=0.0, seed=1, hidden=(4,))
+        dm = three_domain_model(alpha=0.0)
         rng = make_rng(16)
         u, i = rng.random(3), rng.random(3)
         for k in range(3):
-            assert predict_multi_from_embeddings(mm, k, u, i) == score(mm.models[k], u, i)
+            assert predict_from_embeddings(dm, k, u, i) == score(dm.domains[k].scorer, u, i)
 
     def test_three_domain_prediction_composes_by_hand(self):
-        corpus = make_rng(99).random(size=(6, 5))
-        ae, _ = train_autoencoder(corpus, embed_dim=3, epochs=1, seed=0)
-        mm = new_multi_model([(ae, ae)] * 3, alpha=0.03, seed=1, hidden=(4,))
+        dm = three_domain_model(alpha=0.03)
         rng = make_rng(17)
         u, i = rng.random(3), rng.random(3)
-        for k in range(3):
+        for k, domain in enumerate("abc"):
             cross = sum(
-                score(mm.models[j], mm.cross_matrix(j, k) @ u, i)
+                score(dm.domains[j].scorer, dm.cross_matrix(j, k) @ u, i)
                 for j in range(3) if j != k
             )
-            want = 0.97 * score(mm.models[k], u, i) + (0.03 / 2) * cross
-            assert predict_multi_from_embeddings(mm, k, u, i) == pytest.approx(want, abs=1e-15)
+            want = 0.97 * score(dm.domains[k].scorer, u, i) + (0.03 / 2) * cross
+            assert predict_from_embeddings(dm, domain, u, i) == pytest.approx(want, abs=1e-15)
+            assert predict_from_embeddings(dm, domain, u, i, in_overlap=False) == score(dm.domains[k].scorer, u, i)
+
+    def test_three_domain_batch_matches_single_records(self):
+        dm = three_domain_model(alpha=0.1)
+        rng = make_rng(18)
+        u, i = rng.random((5, 3)), rng.random((5, 3))
+        overlap = np.array([True, False, True, True, False])
+        arrays = TrainingArrays(u, i, np.zeros(5), overlap, ["u"] * 5)
+        for k in range(3):
+            got = predict_batch(dm, k, arrays)
+            for r in range(5):
+                assert got[r] == pytest.approx(predict_from_embeddings(dm, k, u[r], i[r], bool(overlap[r])), abs=1e-12)
 
     def test_cross_matrices_are_transpose_consistent(self):
-        corpus = make_rng(99).random(size=(6, 5))
-        ae, _ = train_autoencoder(corpus, embed_dim=3, epochs=1, seed=0)
-        mm = new_multi_model([(ae, ae)] * 3, alpha=0.1, seed=2, hidden=(4,))
+        dm = three_domain_model(alpha=0.1)
         for j in range(3):
             for k in range(3):
                 if j != k:
-                    np.testing.assert_array_equal(mm.cross_matrix(j, k), mm.cross_matrix(k, j).T)
+                    np.testing.assert_array_equal(dm.cross_matrix(j, k), dm.cross_matrix(k, j).T)
+        # maps[(j, k)] takes domain-j embeddings into domain k
+        np.testing.assert_array_equal(dm.cross_matrix(2, 0), dm.maps[(0, 2)].x)
+
+    def test_domain_letters_follow_the_domain_count(self):
+        dm = three_domain_model(alpha=0.1)
+        u, i = np.zeros(3), np.zeros(3)
+        assert predict_from_embeddings(dm, "C", u, i) == predict_from_embeddings(dm, 2, u, i)
+        with pytest.raises(ValueError, match=r"^unknown domain 'd', expected 'a'/'b'/'c' or 0/1/2$"):
+            predict_from_embeddings(dm, "d", u, i)

@@ -121,10 +121,11 @@ def oracle_train_autoencoders(corpora, tags, embed_dim, lr, epochs, batch_size, 
 
 def oracle_domain_loss_grads(dm, batch, k):
     u, i, y, overlap = batch
-    self_model, other_model = dm.scorer(k), dm.scorer(1 - k)
+    self_model, other_model = dm.domains[k].scorer, dm.domains[1 - k].scorer
     alpha_vec = np.where(overlap, dm.alpha, 0.0)[:, None]
     y_w, caches_w = oracle_model_forward(self_model, np.concatenate([u, i], axis=1))
-    mapped = u @ dm.map.x.T if k == 0 else u @ dm.map.x
+    x = dm.maps[(0, 1)].x
+    mapped = u @ x.T if k == 0 else u @ x
     y_c, caches_c = oracle_model_forward(other_model, np.concatenate([mapped, i], axis=1))
     resid = (1.0 - alpha_vec) * y_w + alpha_vec * y_c - y[:, None]
     dpred = 2.0 * resid / u.shape[0]
@@ -147,8 +148,8 @@ def oracle_train_epoch(dm, arrays_a, arrays_b, cfg, seed, epoch):
         order = make_rng(seed, dualmodel._L_SHUFFLE, k, epoch).permutation(len(arrays))
         batches.append([order[s : s + cfg.batch_size] for s in range(0, len(order), cfg.batch_size)])
     for step in range(max(map(len, batches))):
-        grads = [zeros(dm.rs_a), zeros(dm.rs_b)]
-        grad_x = np.zeros_like(dm.map.x)
+        grads = [zeros(dom.scorer) for dom in dm.domains]
+        grad_x = np.zeros_like(dm.maps[(0, 1)].x)
         total = 0.0
         for k, arrays in enumerate((arrays_a, arrays_b)):
             if step < len(batches[k]):
@@ -159,24 +160,26 @@ def oracle_train_epoch(dm, arrays_a, arrays_b, cfg, seed, epoch):
                 grads[k] = add(grads[k], g_self)
                 grads[1 - k] = add(grads[1 - k], g_other)
                 grad_x = grad_x + gx
-        pen_loss, pen_grad = ortho_penalty(dm.map)
+        pen_loss, pen_grad = ortho_penalty(dm.maps[(0, 1)])
         total += cfg.penalty_weight * pen_loss
         grad_x = grad_x + cfg.penalty_weight * pen_grad
         if not np.isfinite(total):
             raise FloatingPointError("non-finite training loss")
-        for model, model_grads, lr in ((dm.rs_a, grads[0], cfg.lr_a), (dm.rs_b, grads[1], cfg.lr_b)):
-            for layer, (dw, db) in zip(model.layers, model_grads):
+        for dom, model_grads, lr in zip(dm.domains, grads, (cfg.lr_a, cfg.lr_b)):
+            for layer, (dw, db) in zip(dom.scorer.layers, model_grads):
                 layer.weights, layer.bias = oracle_sgd_step((layer.weights, layer.bias), (dw, db), lr)
-        dm.map = OrthogonalMap(oracle_sgd_step([dm.map.x], [grad_x], cfg.lr_map)[0], dm.map.domain_pair)
-    dm.map = project_orthogonal(dm.map)
+        link = dm.maps[(0, 1)]
+        dm.maps[(0, 1)] = OrthogonalMap(oracle_sgd_step([link.x], [grad_x], cfg.lr_map)[0], link.domain_pair)
+    dm.maps[(0, 1)] = project_orthogonal(dm.maps[(0, 1)])
 
 
 def oracle_eval_loss(dm, arrays, k):
-    within, _ = oracle_model_forward(dm.scorer(k), np.concatenate([arrays.user_emb, arrays.item_emb], axis=1))
+    within, _ = oracle_model_forward(dm.domains[k].scorer, np.concatenate([arrays.user_emb, arrays.item_emb], axis=1))
     preds = within[:, 0]
     if dm.alpha != 0.0:
-        mapped = arrays.user_emb @ dm.map.x.T if k == 0 else arrays.user_emb @ dm.map.x
-        cross, _ = oracle_model_forward(dm.scorer(1 - k), np.concatenate([mapped, arrays.item_emb], axis=1))
+        x = dm.maps[(0, 1)].x
+        mapped = arrays.user_emb @ x.T if k == 0 else arrays.user_emb @ x
+        cross, _ = oracle_model_forward(dm.domains[1 - k].scorer, np.concatenate([mapped, arrays.item_emb], axis=1))
         alpha_vec = np.where(arrays.overlap, dm.alpha, 0.0)
         preds = (1.0 - alpha_vec) * preds + alpha_vec * cross[:, 0]
     return float(np.mean((preds - arrays.ratings) ** 2))
@@ -221,14 +224,14 @@ def partial_pair():
 
 
 def bundle(dm) -> dict:
-    out = {"map": dm.map.x}
-    for tag in ("rs_a", "rs_b"):
-        for n, layer in enumerate(getattr(dm, tag).layers):
-            out[f"{tag}{n}w"], out[f"{tag}{n}b"] = layer.weights, layer.bias
-    for tag in ("ae_user_a", "ae_item_a", "ae_user_b", "ae_item_b"):
-        for part in ("encoder", "decoder"):
-            layer = getattr(getattr(dm, tag), part)
-            out[f"{tag}.{part}.w"], out[f"{tag}.{part}.b"] = layer.weights, layer.bias
+    out = {"map": dm.maps[(0, 1)].x}
+    for k, dom in enumerate(dm.domains):
+        for n, layer in enumerate(dom.scorer.layers):
+            out[f"rs{k}.{n}.w"], out[f"rs{k}.{n}.b"] = layer.weights, layer.bias
+        for entity, ae in (("user", dom.ae_user), ("item", dom.ae_item)):
+            for part in ("encoder", "decoder"):
+                layer = getattr(ae, part)
+                out[f"ae_{entity}{k}.{part}.w"], out[f"ae_{entity}{k}.{part}.b"] = layer.weights, layer.bias
     return out
 
 
@@ -311,7 +314,7 @@ def fitted_inputs(partial_pair):
 
 
 def new_model(aes):
-    return dualmodel.new_dual_model(*aes, 0.03, seed=0, hidden=(8, 4))
+    return dualmodel.new_dual_model([aes[:2], aes[2:]], alpha=0.03, seed=0, hidden=(8, 4))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -326,13 +329,13 @@ def test_fit_raises_when_the_learning_rate_blows_up(fitted_inputs):
 def test_fit_leaves_the_callers_map_array_untouched(fitted_inputs):
     aes, arrays_a, arrays_b = fitted_inputs
     dm = new_model(aes)
-    held_map = dm.map
-    held = dm.map.x
+    held_map = dm.maps[(0, 1)]
+    held = held_map.x
     want = held.copy()
     fit(dm, arrays_a, arrays_b, small_config(epochs=2), seed=0)
     assert held.tobytes() == want.tobytes()
     assert held_map.x is held
-    assert dm.map.x.tobytes() != want.tobytes()  # the model's own map did move
+    assert dm.maps[(0, 1)].x.tobytes() != want.tobytes()  # the model's own map did move
 
 
 # ---------------------------------------------------------------------------
@@ -379,12 +382,11 @@ CV_CASES = {
 def test_run_cv_fold_models_are_byte_identical_to_the_oracle_per_fold(partial_pair, cv_prepared, monkeypatch, case, alpha):
     cfg = small_config(alpha=alpha, epochs=12, **CV_CASES[case])
     models, traces = cv_fold_models(monkeypatch, partial_pair, cfg, cv_prepared)
-    (ua, ia), (ub, ib) = cv_prepared.encoders
     rows = [train_rows(cv_prepared, d) for d in (0, 1)]
     for fold in range(3):
         seed = evaluate._fold_seed(0, fold)
-        want_dm = dualmodel.new_dual_model(ua, ia, ub, ib, alpha, seed, cfg.hidden)
-        want_dm.map = cv_prepared.warm_map.copy()
+        want_dm = dualmodel.new_dual_model(list(cv_prepared.encoders), alpha=alpha, seed=seed, hidden=cfg.hidden)
+        want_dm.maps[(0, 1)] = cv_prepared.warm_map.copy()
         arrays = [cv_prepared.arrays[d].rows(rows[d][fold]) for d in (0, 1)]
         want_traces = oracle_fit(want_dm, *arrays, cfg, seed=seed)
         assert np.array(traces[fold]).tobytes() == np.array(want_traces).tobytes(), fold
@@ -409,7 +411,7 @@ def test_fold_models_own_their_arrays_and_leave_the_warm_map(partial_pair, cv_pr
     warm = cv_prepared.warm_map.x.copy()
     models, _ = cv_fold_models(monkeypatch, partial_pair, small_config(epochs=2), cv_prepared)
     assert cv_prepared.warm_map.x.tobytes() == warm.tobytes()
-    trained = [[dm.map.x] + [a for rs in (dm.rs_a, dm.rs_b) for l in rs.layers for a in (l.weights, l.bias)]
+    trained = [[dm.maps[(0, 1)].x] + [a for dom in dm.domains for l in dom.scorer.layers for a in (l.weights, l.bias)]
                for dm in models]
     assert all(a.flags.owndata for arrays in trained for a in arrays)
     before = [a.copy() for a in trained[1]]
@@ -502,8 +504,9 @@ def test_domain_axis_step_equals_the_oracle_per_scorer(case):
     ae = autoencoder.new_autoencoder(6, d, seed=0)
     models = []
     for m in range(n_models):
-        dm = dualmodel.new_dual_model(ae, ae, ae, ae, alpha, seed=seed + m, hidden=(8, 4))
-        dm.map = OrthogonalMap(dm.map.x + 0.05 * rng.standard_normal((d, d)))  # off the manifold: a live penalty
+        dm = dualmodel.new_dual_model([(ae, ae)] * 2, alpha=alpha, seed=seed + m, hidden=(8, 4))
+        # off the manifold: a live penalty
+        dm.maps[(0, 1)] = OrthogonalMap(dm.maps[(0, 1)].x + 0.05 * rng.standard_normal((d, d)))
         models.append(dm)
     batches = []
     for k, n in enumerate(sizes):
@@ -524,7 +527,7 @@ def test_domain_axis_step_equals_the_oracle_per_scorer(case):
             terms[k].insert(0, g_self)
             terms[1 - k].append(g_other)
             want_total, want_x = want_total + loss, want_x + gx
-        pen_loss, pen_grad = ortho_penalty(dm.map)
+        pen_loss, pen_grad = ortho_penalty(dm.maps[(0, 1)])
         assert total[m] == want_total + pw * pen_loss
         assert zero_signs_dropped(grad_x[m]) == zero_signs_dropped(want_x + pw * pen_grad)
         for j in (0, 1):
