@@ -6,11 +6,12 @@ reconstruction error over one entity corpus. A domain pair uses four of
 them (user/item times two domains). Autoencoders whose corpora have the same
 shape (the user autoencoders of both domains, and the item autoencoders)
 train in lockstep as one stacked program (`train_autoencoders`): their
-weights sit on a leading axis and every step is one forward pass, one
-backward pass and one SGD update for all of them. Each keeps its own init,
-shuffle stream and trace, and its loss and gradients come from its own
-corpus alone, so no information crosses corpora: each ends bit for bit as
-it would trained alone. `train_autoencoder` is the kernel for one corpus.
+parameters sit in one flat (K, P) buffer (`stack_autoencoders`), and every
+step is one forward pass, one backward pass that writes into one gradient
+buffer, one finite check and one SGD update for all of them. Each keeps its
+own init, shuffle stream and trace, and its loss and gradients come from its
+own corpus alone, so no information crosses corpora: each ends bit for bit
+as it would trained alone. `train_autoencoder` is the kernel for one corpus.
 Once trained they are frozen: downstream training treats embeddings as
 fixed inputs and never updates encoder weights.
 """
@@ -23,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from dualrec.numeric import (
-    DenseLayer, check_finite_step, dense_layer, layer_forward, make_rng, stack_backward, stack_forward,
+    DenseLayer, FlatStack, check_finite_step, dense_layer, flat_params, layer_forward, make_rng, stack_backward,
+    stack_forward,
 )
 
 _L_AE_INIT = 0xAE01
@@ -83,30 +85,27 @@ def reconstruction_loss(ae: Autoencoder, vectors: np.ndarray) -> float:
     return float(np.mean(np.sum((xb - rec) ** 2, axis=1)))
 
 
-def stack_layers(aes: list[Autoencoder]) -> list:
-    """Copies of the autoencoders' encoder and decoder stacked on a leading axis:
-    [(weights (K, out, in), bias (K, 1, out), activation)] for `loss_and_grads`."""
-    return [
-        (np.stack([l.weights for l in layers]), np.stack([l.bias[None] for l in layers]), layers[0].activation)
-        for layers in ([ae.encoder for ae in aes], [ae.decoder for ae in aes])
-    ]
+def stack_autoencoders(aes: list[Autoencoder]) -> FlatStack:
+    """Copies of K autoencoders' parameters in one flat buffer, for `loss_and_grads`."""
+    return FlatStack(*flat_params([(ae.encoder, ae.decoder) for ae in aes]))
 
 
-def loss_and_grads(layers: list, xb: np.ndarray, names=None):
-    """Reconstruction loss of K stacked autoencoders (`stack_layers`) on their
-    batches xb (K, n, input_dim), and the gradients of every parameter array.
+def loss_and_grads(stack: FlatStack, xb: np.ndarray, names=None):
+    """Reconstruction loss of K stacked autoencoders (`stack_autoencoders`) on
+    their batches xb (K, n, input_dim), and the gradient of every parameter.
 
-    Returns (loss (K,), [(dW_enc, db_enc), (dW_dec, db_dec)]) shaped like the
-    stacked layers. Raises FloatingPointError when a loss or gradient is not
-    finite, naming the autoencoder (names, one per slice) and ae_lr.
+    Returns (loss (K,), stack.grads), the gradients written into the stack's
+    own buffer, which the next call overwrites. Raises FloatingPointError when
+    a loss or gradient is not finite, naming the autoencoder (names, one per
+    slice) and ae_lr.
     """
-    rec, caches = stack_forward(layers, xb)
+    rec, caches = stack_forward(stack.layers, xb)
     diff = rec - xb
     n = xb.shape[-2]
     loss = (diff * diff).sum(axis=-1).sum(axis=-1) / n
-    _, grads = stack_backward(layers, caches, 2.0 * diff / n, need_dx=False)
-    check_finite_step(loss, [g for pair in grads for g in pair], names, "lower ae_lr")
-    return loss, grads
+    stack_backward(stack.layers, caches, 2.0 * diff / n, stack.grad_layers, need_dx=False)
+    check_finite_step(loss, [stack.grads[:, None]], names, "lower ae_lr")
+    return loss, stack.grads
 
 
 def train_autoencoders(
@@ -144,7 +143,7 @@ def train_autoencoders(
 def _train_stack(x, tags, embed_dim, lr, epochs, batch_size, seed):
     """The lockstep kernel: K autoencoders on corpora x (K, n, input_dim)."""
     aes = [new_autoencoder(x.shape[2], embed_dim, seed, domain, entity) for domain, entity in tags]
-    layers = stack_layers(aes)
+    stack = stack_autoencoders(aes)
     names = [f"the {entity} autoencoder" + (f" of domain {domain}" if domain else "") for domain, entity in tags]
     stream_tags = [_stream_tag(domain, entity) for domain, entity in tags]
     n = x.shape[1]
@@ -153,15 +152,13 @@ def _train_stack(x, tags, embed_dim, lr, epochs, batch_size, seed):
         order = np.stack([make_rng(seed, _L_AE_SHUFFLE, tag, epoch).permutation(n) for tag in stream_tags])
         shuffled = np.take_along_axis(x, order[..., None], axis=1)
         for start in range(0, n, batch_size):
-            _, grads = loss_and_grads(layers, shuffled[:, start : start + batch_size], names)
-            for (w, b, _), (dw, db) in zip(layers, grads):
-                w -= lr * dw
-                b -= lr * db
-        rec, _ = stack_forward(layers, x)
+            _, grads = loss_and_grads(stack, shuffled[:, start : start + batch_size], names)
+            stack.params -= lr * grads
+        rec, _ = stack_forward(stack.layers, x)
         for trace, loss in zip(traces, np.mean(np.sum((x - rec) ** 2, axis=-1), axis=-1)):
             trace.append(float(loss))
     for k, ae in enumerate(aes):
-        for layer, (w, b, _) in zip((ae.encoder, ae.decoder), layers):
+        for layer, (w, b, _) in zip((ae.encoder, ae.decoder), stack.layers):
             layer.weights, layer.bias = w[k].copy(), b[k, 0].copy()
         ae.trained = True
     return list(zip(aes, traces))

@@ -25,16 +25,20 @@ oracle reproduces. Users who only exist in one domain get an effective alpha of 
 so no cross signal is fabricated for them.
 
 The training kernel (`fit_models`) trains K models of one shape and alpha
-in lockstep. Each scorer layer of the stack is one array with a domain axis
-and a model axis, (2, K, out, in); the maps are stacked on the model axis.
-Both scorers share one architecture, so a step runs the within channels of
-both domains as one forward and one backward pass over these arrays, and
-both cross channels as one pass over the domain-swapped view (each domain's
-batch through its partner's scorer). Each scorer's gradient is its within
-term plus the cross term of its partner's batch, and one in-place SGD update
-per layer, with lr_a and lr_b on the domain axis, moves both. A step whose
-domains bring batches of different sizes runs each domain through the same
-kernel with a domain axis of length one. Each model keeps its own seed,
+in lockstep. Every scorer parameter of the stack lives in one flat buffer
+with a domain axis and a model axis, (2, K, P), and each layer's weights
+(2, K, out, in) and biases are views into it; the maps are stacked on the
+model axis. Both scorers share one architecture, so a step runs the within
+channels of both domains as one forward and one backward pass over these
+views, and both cross channels as one pass over the domain-swapped view
+(each domain's batch through its partner's scorer). The backward passes
+write into two gradient buffers shaped like the parameters, the within
+terms and, through the swapped view, the cross terms, each aligned with the
+scorer it belongs to; one addition combines them, one finite check covers
+them and the map gradient, and one in-place SGD update, with lr_a and lr_b
+on the domain axis, moves both scorers. A step whose domains bring batches
+of different sizes runs each domain through the same kernel with a domain
+axis of length one, into the same buffers. Each model keeps its own seed,
 shuffles, starting map and `tol` stop, and follows the trajectory it would
 follow alone bit for bit. `fit` is the kernel at K = 1.
 """
@@ -49,7 +53,8 @@ from dualrec.autoencoder import Autoencoder, ae_encode, autoencoder_arrays, auto
 from dualrec.features import DomainDataset, FeatureSchema, encode, parse_schema, schema_to_text
 from dualrec.mapping import OrthogonalMap, align_map, init_map, ortho_penalty, project_orthogonal
 from dualrec.numeric import (
-    DenseLayer, check_finite_step, dense_layer, layer_forward, make_rng, stack_backward, stack_forward,
+    DenseLayer, check_finite_step, dense_layer, flat_params, layer_forward, layer_views, make_rng, stack_backward,
+    stack_forward,
 )
 
 _L_RS_INIT = 0x5C07
@@ -143,9 +148,10 @@ def score(model: RatingModel, user_emb: np.ndarray, item_emb: np.ndarray) -> flo
 
 
 def score_batch(model: RatingModel, user_emb: np.ndarray, item_emb: np.ndarray) -> np.ndarray:
-    x = np.concatenate([user_emb, item_emb], axis=1)
-    y, _ = model_forward(model, x)
-    return y[:, 0]
+    h = np.concatenate([user_emb, item_emb], axis=1)
+    for layer in model.layers:  # no caches: each layer's input is freed as soon as it is read
+        h = layer_forward(layer, h)[0]
+    return h[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +271,8 @@ def new_dual_model(
 ) -> DualModel:
     """A fresh model over encoders, one (user AE, item AE) pair per domain, and
     schemas, one (user schema, item schema) pair per domain or None. Domain k's
-    scorer draws from (seed, k); every map starts from init_map(embed_dim, seed).
+    scorer draws from (seed, k); the map of domains (j, k) starts from
+    init_map(embed_dim, seed, (letter j, letter k)), its own stream.
 
     new_dual_model(ae_user_a, ae_item_a, ae_user_b, ae_item_b, alpha=, seed=,
     schemas_a=, schemas_b=) builds the same two-domain model. Its one caller is
@@ -392,27 +399,33 @@ def prepare_domain(
 
 @dataclass
 class ModelStack:
-    """The trainable arrays of K dual models of one shape and alpha. scorers
-    lists each scorer layer as (weights (2, K, out, in), bias (2, K, 1, out),
-    activation): a domain axis, then a model axis. layers[k] holds the views
-    of domain k's scorer; x (K, d, d) holds the maps. ids number the models
-    in errors; None for one model trained alone."""
+    """The trainable arrays of K dual models of one shape and alpha. params
+    (2, K, P) holds every scorer parameter, a domain axis and a model axis
+    before each scorer's flat parameters in layout [(n_in, n_out, activation)]
+    (`layer_views`); x (K, d, d) holds the maps. A step writes each scorer's
+    within term into grads and the cross term of its partner's batch into
+    cross, buffers shaped like params, and adds them in grads. ids number the
+    models in errors; None for one model trained alone."""
 
-    scorers: list
+    params: np.ndarray
+    layout: tuple
     x: np.ndarray
     alpha: float
     ids: tuple[int, ...] | None = None
+    grads: np.ndarray | None = None
+    cross: np.ndarray | None = None
 
     def __post_init__(self):
-        self.layers = tuple([(w[k], b[k], act) for w, b, act in self.scorers] for k in (0, 1))
-        # (within, cross) layers of the domains a pass runs: both (None), or domain k alone;
-        # the cross channel runs each domain's batch through its partner's scorer
-        flipped = [(w[::-1], b[::-1], act) for w, b, act in self.scorers]
-        self.channels = {None: (self.scorers, flipped)}
-        for k in (0, 1):
-            self.channels[k] = ([(w[k : k + 1], b[k : k + 1], act) for w, b, act in self.scorers],
-                                [(w[k : k + 1], b[k : k + 1], act) for w, b, act in flipped])
+        if self.grads is None:
+            self.grads, self.cross = np.empty_like(self.params), np.empty_like(self.params)
+        # per pass, both domains (None) or domain k: views of (within layers, their grads,
+        # cross layers, their grads). The cross channel runs each batch through the partner's
+        # scorer, the swapped view, and writes through the swapped view of cross, onto that scorer.
+        buffers = (self.params, self.grads, self.params[::-1], self.cross[::-1])
+        self.channels = {k: [layer_views(a[s], self.layout) for a in buffers]
+                         for k, s in ((None, slice(None)), (0, slice(0, 1)), (1, slice(1, 2)))}
         self.names = None if self.ids is None else [f"model {m}" for m in self.ids]
+        self.parts = {}
 
     @classmethod
     def of(cls, models: list[DualModel], ids=None) -> "ModelStack":
@@ -427,28 +440,26 @@ class ModelStack:
                 raise ValueError(f"model {m} has alpha {dm.alpha}, model 0 {models[0].alpha}; a stack shares one alpha")
             if shapes[m] != shapes[0]:
                 raise ValueError(f"model {m}'s scorers differ in shape from model 0's; a stack needs one shape")
-        per_domain = list(zip(*(dm.domains for dm in models)))  # per_domain[k][m]: domain k of model m
-        scorers = [
-            (np.stack([[dom.scorer.layers[n].weights for dom in doms] for doms in per_domain]),
-             np.stack([[dom.scorer.layers[n].bias[None] for dom in doms] for doms in per_domain]), layer.activation)
-            for n, layer in enumerate(models[0].domains[0].scorer.layers)
-        ]
+        params, layout = flat_params([dm.domains[k].scorer.layers for k in (0, 1) for dm in models])
         if ids is None and len(models) > 1:
             ids = range(len(models))
         maps = np.stack([dm.maps[(0, 1)].x for dm in models])
-        stack = cls(scorers, maps, models[0].alpha, None if ids is None else tuple(ids))
+        stack = cls(params.reshape(2, len(models), -1), layout, maps, models[0].alpha, None if ids is None else tuple(ids))
+        views = layer_views(stack.params, layout)
         for m, dm in enumerate(models):
-            for dom, layers in zip(dm.domains, stack.layers):
-                for layer, (w, b, _) in zip(dom.scorer.layers, layers):
-                    layer.weights, layer.bias = w[m], b[m, 0]
+            for k, dom in enumerate(dm.domains):
+                for layer, (w, b, _) in zip(dom.scorer.layers, views):
+                    layer.weights, layer.bias = w[k, m], b[k, m, 0]
             dm.maps[(0, 1)] = OrthogonalMap(stack.x[m], dm.maps[(0, 1)].domain_pair)
         return stack
 
     def part(self, m: int) -> "ModelStack":
-        """Model m alone: a stack of one whose arrays are views into this one."""
-        s = slice(m, m + 1)
-        scorers = [(w[:, s], b[:, s], act) for w, b, act in self.scorers]
-        return ModelStack(scorers, self.x[s], self.alpha, None if self.ids is None else self.ids[s])
+        """Model m alone: a stack of one whose arrays and buffers are views into this one."""
+        if m not in self.parts:
+            s = slice(m, m + 1)
+            self.parts[m] = ModelStack(self.params[:, s], self.layout, self.x[s], self.alpha,
+                                       None if self.ids is None else self.ids[s], self.grads[:, s], self.cross[:, s])
+        return self.parts[m]
 
 
 def _release(dm: DualModel) -> None:
@@ -465,19 +476,20 @@ def _domain_pass(stack: ModelStack, k, ui, y, overlap):
     ui (D, K, n, 2d) holds each domain's user and item embeddings side by
     side, y and overlap (D, K, n), with D = 2 or 1. The within channel is one
     forward and backward pass over the domains' own scorers, the cross
-    channel one over their partners'. Returns (loss (D, K), within grads,
-    cross grads, map grads (D, K, d, d)): cross grads belong to the partner
-    scorers, and the map grad is dX^T for domain a and dX for domain b. When
-    no record carries cross weight the cross channel is skipped and both are
-    None; a domain whose records carry none gets exact zeros.
+    channel one over their partners'. Writes the within gradients into the
+    domains' slots of stack.grads and the cross gradients into their
+    partners' slots of stack.cross. Returns (loss (D, K), map grads (D, K, d,
+    d)): the map grad is dX^T for domain a and dX for domain b. When no record
+    carries cross weight the cross channel is skipped, writes nothing and the
+    map grads are None; a domain whose records carry none gets exact zeros.
     """
     n = ui.shape[-2]
-    own, other = stack.channels[k]
+    own, own_grads, other, other_grads = stack.channels[k]
     y_w, caches_w = stack_forward(own, ui)
     if stack.alpha == 0.0 or not overlap.any():
         resid = y_w - y[..., None]
-        _, grads_own = stack_backward(own, caches_w, 2.0 * resid / n, need_dx=False)
-        return (resid * resid).sum(axis=(-2, -1)) / n, grads_own, None, None
+        stack_backward(own, caches_w, 2.0 * resid / n, own_grads, need_dx=False)
+        return (resid * resid).sum(axis=(-2, -1)) / n, None
 
     d = stack.x.shape[-1]
     u = ui[..., :d]
@@ -491,33 +503,35 @@ def _domain_pass(stack: ModelStack, k, ui, y, overlap):
     within_weight = 1.0 - alpha_vec
     resid = within_weight * y_w + alpha_vec * y_c - y[..., None]
     dpred = 2.0 * resid / n
-    _, grads_own = stack_backward(own, caches_w, dpred * within_weight, need_dx=False)
-    dx_cross, grads_other = stack_backward(other, caches_c, dpred * alpha_vec)
-    return (resid * resid).sum(axis=(-2, -1)) / n, grads_own, grads_other, u.swapaxes(-1, -2) @ dx_cross[..., :d]
+    stack_backward(own, caches_w, dpred * within_weight, own_grads, need_dx=False)
+    dx_cross = stack_backward(other, caches_c, dpred * alpha_vec, other_grads)
+    return (resid * resid).sum(axis=(-2, -1)) / n, u.swapaxes(-1, -2) @ dx_cross[..., :d]
 
 
 def _one_domain_passes(stack: ModelStack, batches):
-    """Each present domain's batch through `_domain_pass` alone, combined as one
-    pass of both combines them: (total, grads, grad_x or None)."""
+    """Each present domain's batch through `_domain_pass` alone, its gradients
+    combined in stack.grads as one pass of both combines them: (total, grad_x or None)."""
     total, grad_x = None, None
-    terms = ([], [])  # per scorer, flat gradient lists to add up, its within term first
+    within, crossed = [False, False], [False, False]
     for k, batch in enumerate(batches):
         if batch is None:
             continue
         u, i, y, overlap = batch
-        loss, grads_own, grads_cross, grad_m = _domain_pass(stack, k, np.concatenate((u, i), axis=-1)[None],
-                                                            y[None], overlap[None])
+        loss, grad_m = _domain_pass(stack, k, np.concatenate((u, i), axis=-1)[None], y[None], overlap[None])
         total = loss[0] if total is None else total + loss[0]
-        terms[k].insert(0, [g[0] for pair in grads_own for g in pair])
-        if grads_cross is not None:
-            terms[1 - k].append([g[0] for pair in grads_cross for g in pair])
+        within[k] = True
+        if grad_m is not None:
+            crossed[1 - k] = True
             gx = grad_m[0].swapaxes(-1, -2) if k == 0 else grad_m[0]
             grad_x = gx if grad_x is None else grad_x + gx
-    shapes = (terms[0] or terms[1])[0]
-    per_scorer = [[sum(parts[1:], parts[0]) for parts in zip(*t)] if t else [np.zeros_like(a) for a in shapes]
-                  for t in terms]
-    stacked = [np.stack(pair) for pair in zip(*per_scorer)]
-    return total, list(zip(stacked[::2], stacked[1::2])), grad_x
+    for k in (0, 1):  # each scorer: its within term plus its cross term, either alone, or zeros
+        if crossed[k] and within[k]:
+            stack.grads[k] += stack.cross[k]
+        elif crossed[k]:
+            stack.grads[k] = stack.cross[k]
+        elif not within[k]:
+            stack.grads[k] = 0.0
+    return total, grad_x
 
 
 def dual_loss_and_grads(stack: ModelStack, batch_a, batch_b, penalty_weight: float = 1.0):
@@ -528,28 +542,28 @@ def dual_loss_and_grads(stack: ModelStack, batch_a, batch_b, penalty_weight: flo
     leave a domain out of this step. When both domains bring batches of the
     same size above one row, both run as one stacked program on a domain
     axis; otherwise each runs through the same kernel alone. Returns (total
-    (K,), grads, grad_x (K, d, d)); grads is a per-layer [(dW (2, K, out,
-    in), db (2, K, 1, out))] list whose domain axis indexes the scorer, with
-    zeros for a scorer no term of this step touches. Raises
-    FloatingPointError naming the model whose total or gradient is not finite.
+    (K,), grads, grad_x (K, d, d)); grads is stack.grads, shaped like
+    stack.params (its domain axis indexes the scorer), with zeros for a
+    scorer no term of this step touches, and the next step overwrites it.
+    Raises FloatingPointError naming the model whose total or gradient is
+    not finite.
     """
     if batch_a is not None and batch_b is not None and batch_a[2].shape[1] == batch_b[2].shape[1] > 1:
         (u_a, i_a, y_a, o_a), (u_b, i_b, y_b, o_b) = batch_a, batch_b
         # np.array stacks arrays of one shape on a new leading axis, as np.stack does, at a fraction of its cost
         ui = np.concatenate((np.array((u_a, u_b)), np.array((i_a, i_b))), axis=-1)
-        loss, grads, grads_cross, grad_m = _domain_pass(stack, None, ui, np.array((y_a, y_b)), np.array((o_a, o_b)))
+        loss, grad_m = _domain_pass(stack, None, ui, np.array((y_a, y_b)), np.array((o_a, o_b)))
         total, grad_x = loss[0] + loss[1], None
-        if grads_cross is not None:
-            # each scorer's gradient: its within term plus the cross term of its partner's batch
-            grads = [(w + cw[::-1], b + cb[::-1]) for (w, b), (cw, cb) in zip(grads, grads_cross)]
+        if grad_m is not None:
+            stack.grads += stack.cross  # each scorer's gradient: its within term plus its partner batch's cross term
             grad_x = grad_m[0].swapaxes(-1, -2) + grad_m[1]
     else:
-        total, grads, grad_x = _one_domain_passes(stack, (batch_a, batch_b))
+        total, grad_x = _one_domain_passes(stack, (batch_a, batch_b))
     pen_loss, pen_grad = ortho_penalty(stack.x)
     total = total + penalty_weight * pen_loss
     grad_x = penalty_weight * pen_grad if grad_x is None else grad_x + penalty_weight * pen_grad
-    check_finite_step(total, [grad_x] + [g for pair in grads for g in pair], stack.names)
-    return total, grads, grad_x
+    check_finite_step(total, [grad_x, stack.grads[..., None, :]], stack.names)
+    return total, stack.grads, grad_x
 
 
 def evaluate_loss(dm: DualModel, arrays: TrainingArrays, domain) -> float:
@@ -575,19 +589,17 @@ def predict_batch(dm: DualModel, domain, arrays: TrainingArrays) -> np.ndarray:
 # training loop
 
 
-def apply_grads(layers: list, grads: list, lr) -> None:
-    """In-place SGD step on every layer of a stack: W -= lr * dW, b -= lr * db.
+def apply_grads(params: np.ndarray, grads: np.ndarray, lr) -> None:
+    """In-place SGD step on a stack's flat parameter buffer: params -= lr * grads.
 
     lr is a number, or per-domain rates shaped to broadcast on the domain axis.
     """
-    for (w, b, _), (dw, db) in zip(layers, grads):
-        w -= lr * dw
-        b -= lr * db
+    params -= lr * grads
 
 
 def _train_step(stack: ModelStack, batches, cfg: TrainConfig, lrs: np.ndarray) -> None:
     _, grads, grad_x = dual_loss_and_grads(stack, *batches, cfg.penalty_weight)
-    apply_grads(stack.scorers, grads, lrs)
+    apply_grads(stack.params, grads, lrs)
     stack.x -= cfg.lr_map * grad_x
 
 
@@ -659,7 +671,7 @@ def fit_models(
     live = list(range(n_models))
     stack = ModelStack.of(models)
     schedule = _schedule(counts, cfg.batch_size)
-    lrs = np.array([cfg.lr_a, cfg.lr_b]).reshape(2, 1, 1, 1)  # broadcast on the scorers' domain axis
+    lrs = np.array([cfg.lr_a, cfg.lr_b]).reshape(2, 1, 1)  # broadcast on the scorers' domain axis
     for epoch in range(cfg.epochs):
         # per domain, each live model's shuffled rows, one model per row of order[k]
         order = [np.zeros((len(live), counts[live, k].max()), dtype=np.intp) for k in (0, 1)]

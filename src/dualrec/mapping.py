@@ -10,6 +10,7 @@ iteration.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,10 +48,16 @@ def orthogonality_defect(x: np.ndarray) -> float:
 
 
 def init_map(d: int, seed: int, domain_pair: tuple[str, str] = ("a", "b")) -> OrthogonalMap:
-    """Random orthogonal d x d matrix (QR-orthogonalized Gaussian)."""
+    """Random orthogonal d x d matrix (QR-orthogonalized Gaussian).
+
+    The pair ("a", "b") draws from the seed's base stream, as every
+    two-domain model always has; any other pair draws from a stream of its
+    own names, so the maps of an n-domain model start apart.
+    """
     if d < 1:
         raise ValueError("mapping dimension must be >= 1")
-    rng = make_rng(seed, 0x0A11)
+    names = () if tuple(domain_pair) == ("a", "b") else tuple(zlib.crc32(name.encode("utf-8")) for name in domain_pair)
+    rng = make_rng(seed, 0x0A11, *names)
     g = rng.standard_normal((d, d))
     q, r = np.linalg.qr(g)
     # Fix column signs so the draw is unambiguous for a given seed.

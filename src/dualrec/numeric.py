@@ -13,7 +13,13 @@ The training kernels run stacks of same-shaped networks as one program:
 carry any leading axes (a model axis, a domain axis) and batches with the
 same leading axes. Every slice is the 2-D layer math of that network alone,
 bit for bit: numpy runs one BLAS product per slice, and the reductions run
-along the row axis of each slice.
+along the row axis of each slice. A stack keeps its parameters in one flat
+buffer (..., P) whose layers are views (:func:`layer_views`), so one SGD
+update and one finite check cover it; :func:`stack_backward` writes through
+``out=`` into the views of a gradient buffer of the same layout. Forward
+passes add the bias and apply the activation in place on the fresh product
+and cache each layer's (input, output): relu's backward takes its mask from
+the output, since ``y > 0`` is ``z > 0`` (at -0.0 and NaN too).
 
 Randomness is never global: every consumer derives its own
 ``numpy.random.Generator`` through :func:`make_rng` with an explicit seed
@@ -23,6 +29,7 @@ trajectories bitwise in single-threaded runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,20 +61,28 @@ def as_vector(v, name: str = "vector") -> np.ndarray:
     return v
 
 
-def sigmoid(z: np.ndarray) -> np.ndarray:
+def sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     # exp(-|z|) never overflows; per sign this is 1/(1+exp(-z)) or exp(z)/(1+exp(z))
     e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+    return np.divide(np.where(z >= 0, 1.0, e), 1.0 + e, out=out)
 
 
-def _apply_activation(name: str, z: np.ndarray) -> np.ndarray:
-    if name == "identity":
-        return z
+def _activate(name: str, z: np.ndarray) -> np.ndarray:
+    """The activation applied in place on z; returns z."""
     if name == "sigmoid":
-        return sigmoid(z)
+        sigmoid(z, out=z)
+    elif name == "relu":
+        np.maximum(z, 0.0, out=z)
+    return z
+
+
+def _activation_grad(name: str, y: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """dy chained through the activation, read from the layer's output y."""
+    if name == "sigmoid":
+        return dy * (y * (1.0 - y))
     if name == "relu":
-        return np.maximum(z, 0.0)
-    raise ValueError(f"unknown activation {name!r}")
+        return dy * (y > 0)
+    return dy
 
 
 @dataclass
@@ -113,15 +128,15 @@ def dense_layer(rng: np.random.Generator, n_in: int, n_out: int, activation: str
 def layer_forward(layer: DenseLayer, x: np.ndarray):
     """Forward pass.  x is (n_in,) or a batch (n, n_in); returns (y, cache).
 
-    The cache keeps the input, pre-activation and output for
-    :func:`layer_backward`.
+    The cache keeps the input and output for :func:`layer_backward`.
     """
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
     xb = x[None, :] if single else x
-    z = xb @ layer.weights.T + layer.bias
-    y = _apply_activation(layer.activation, z)
-    return (y[0] if single else y), (xb, z, y, single)
+    y = xb @ layer.weights.T
+    y += layer.bias
+    _activate(layer.activation, y)
+    return (y[0] if single else y), (xb, y, single)
 
 
 def layer_backward(layer: DenseLayer, cache, dy: np.ndarray, need_dx: bool = True):
@@ -131,12 +146,8 @@ def layer_backward(layer: DenseLayer, cache, dy: np.ndarray, need_dx: bool = Tru
     dW, db shaped like the layer parameters. need_dx=False skips dx and
     returns None for it, for a first layer whose input gradient nothing reads.
     """
-    xb, z, y, single = cache
-    dz = dy[None, :] if single else dy
-    if layer.activation == "sigmoid":
-        dz = dz * (y * (1.0 - y))
-    elif layer.activation == "relu":
-        dz = dz * (z > 0)
+    xb, y, single = cache
+    dz = _activation_grad(layer.activation, y, dy[None, :] if single else dy)
     dx = None
     if need_dx:
         dx = dz @ layer.weights
@@ -145,35 +156,73 @@ def layer_backward(layer: DenseLayer, cache, dy: np.ndarray, need_dx: bool = Tru
     return dx, dz.T @ xb, dz.sum(axis=0)
 
 
+def layer_views(buf: np.ndarray, layout) -> list:
+    """Stacked dense layers [(weights (..., out, in), bias (..., 1, out), activation)]
+    as views into a flat buffer buf (..., P), for layout [(n_in, n_out, activation)].
+
+    Along its last axis the buffer holds each layer's weights, row-major, then
+    its bias. Any view of a buffer whose last axis is contiguous works (a
+    slice of the model axis, a reversed domain axis); writes land in buf.
+    """
+    lead, layers, at = buf.shape[:-1], [], 0
+    for n_in, n_out, act in layout:
+        w = buf[..., at : at + n_out * n_in].reshape(*lead, n_out, n_in, copy=False)
+        at += n_out * n_in
+        layers.append((w, buf[..., None, at : at + n_out], act))
+        at += n_out
+    return layers
+
+
+def flat_params(networks) -> tuple[np.ndarray, tuple]:
+    """Copies of the parameters of networks, each a list of DenseLayers of one
+    layout, in one flat buffer (len(networks), P) that `layer_views` reads; and
+    that layout [(n_in, n_out, activation)]."""
+    layout = tuple((l.n_in, l.n_out, l.activation) for l in networks[0])
+    return np.array([np.concatenate([a.ravel() for l in net for a in (l.weights, l.bias)]) for net in networks]), layout
+
+
+@dataclass
+class FlatStack:
+    """K stacked networks of one layout [(n_in, n_out, activation)] in one flat
+    buffer params (K, P): layers are its `layer_views`, and grads is a
+    gradient buffer of the same layout that grad_layers view."""
+
+    params: np.ndarray
+    layout: tuple
+
+    def __post_init__(self):
+        self.grads = np.empty_like(self.params)
+        self.layers = layer_views(self.params, self.layout)
+        self.grad_layers = layer_views(self.grads, self.layout)
+
+
 def stack_forward(layers, h):
     """Forward pass of stacked dense layers [(weights (..., out, in), bias (..., 1, out), activation)]
-    on h (..., n, in) with the same leading axes; returns (y, caches) for :func:`stack_backward`."""
+    on h (..., n, in) with the same leading axes; returns (y, caches) for :func:`stack_backward`,
+    one (input, output) per layer."""
     caches = []
     for w, b, act in layers:
-        z = h @ w.swapaxes(-1, -2) + b
-        y = sigmoid(z) if act == "sigmoid" else np.maximum(z, 0.0) if act == "relu" else z
-        caches.append((h, z, y))
+        y = h @ w.swapaxes(-1, -2)
+        y += b
+        caches.append((h, _activate(act, y)))
         h = y
     return h, caches
 
 
-def stack_backward(layers, caches, dy, need_dx: bool = True):
+def stack_backward(layers, caches, dy, out, need_dx: bool = True):
     """Exact gradients of stacked layers chained with dy (..., n, out).
 
-    Returns (dx, per-layer [(dW, db), ...]) shaped like the weights and
-    biases; need_dx=False skips the first layer's input gradient and returns
-    None for dx.
+    Writes each layer's (dW, db) into out, per-layer views shaped like the
+    weights and biases (`layer_views` of a gradient buffer), and returns the
+    input gradient dx; need_dx=False skips the first layer's and returns None.
     """
-    grads = []
     for n in range(len(layers) - 1, -1, -1):
-        (w, _, act), (h, z, y) = layers[n], caches[n]
-        if act == "sigmoid":
-            dy = dy * (y * (1.0 - y))
-        elif act == "relu":
-            dy = dy * (z > 0)
-        grads.append((dy.swapaxes(-1, -2) @ h, np.add.reduce(dy, axis=-2, keepdims=True)))
+        (w, _, act), (h, y), (dw, db, _) = layers[n], caches[n], out[n]
+        dy = _activation_grad(act, y, dy)
+        np.matmul(dy.swapaxes(-1, -2), h, out=dw)
+        np.add.reduce(dy, axis=-2, keepdims=True, out=db)
         dy = dy @ w if need_dx or n > 0 else None
-    return dy, grads[::-1]
+    return dy
 
 
 def check_finite_step(loss, grads, names=None, remedy: str = "lower the learning rate") -> None:
@@ -182,11 +231,11 @@ def check_finite_step(loss, grads, names=None, remedy: str = "lower the learning
     A NaN or inf anywhere makes the sum non-finite; so does a sum that
     overflows, which only a diverging run reaches. A step of K stacked
     networks passes a (K,) loss and stacked gradients whose axis -3 is the
-    network axis (weights (..., K, out, in), biases (..., K, 1, out)), and
-    names (one per network) to name the first network whose own sum is not
-    finite. The error ends with the remedy.
+    network axis (weights (..., K, out, in), a flat buffer (..., K, P) as its
+    (..., K, 1, P) view), and names (one per network) to name the first
+    network whose own sum is not finite. The error ends with the remedy.
     """
-    if np.isfinite(loss + np.concatenate([g.ravel() for g in grads]).sum()).all():
+    if math.isfinite(np.add.reduce(loss, None) + sum(np.add.reduce(g, None) for g in grads)):
         return
     losses = np.atleast_1d(loss)
     k, bad = losses.shape[0], 0

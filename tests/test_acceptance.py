@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from dualrec.autoencoder import loss_and_grads as ae_loss_and_grads
-from dualrec.autoencoder import new_autoencoder, stack_layers, train_autoencoder
+from dualrec.autoencoder import new_autoencoder, stack_autoencoders, train_autoencoder
 from dualrec.cli import main as cli_main
 from dualrec.dualmodel import (
     Domain,
@@ -50,7 +50,7 @@ from dualrec.nmflab import (
     perturb_problem,
     run_nmf,
 )
-from dualrec.numeric import grad_check, make_rng
+from dualrec.numeric import FlatStack, grad_check, make_rng
 from single_domain import domain_autoencoders, model_backward, train_single
 
 
@@ -115,14 +115,13 @@ def test_criterion_2_gradient_integrity():
     """Every analytic gradient matches central differences at <= 1e-4."""
     # autoencoder reconstruction loss, all four parameter arrays, as a stack of one
     xb = make_rng(31).random(size=(1, 8, 12))
-    ae_layers = stack_layers([new_autoencoder(12, 5, seed=2)])
+    ae_stack = stack_autoencoders([new_autoencoder(12, 5, seed=2)])
 
     def ae_wrapped(params):
-        it = iter(params)
-        loss, grads = ae_loss_and_grads([(next(it), next(it), act) for _, _, act in ae_layers], xb)
-        return float(loss[0]), [g for pair in grads for g in pair]
+        loss, grads = ae_loss_and_grads(FlatStack(params[0], ae_stack.layout), xb)
+        return float(loss[0]), [grads]
 
-    ae_err = grad_check(ae_wrapped, [a for w, b, _ in ae_layers for a in (w, b)])
+    ae_err = grad_check(ae_wrapped, [ae_stack.params])
     assert ae_err <= 1e-4, f"autoencoder gradient error {ae_err:.3e}"
 
     # each rating scorer: gradient of the raw score w.r.t. every weight
@@ -162,20 +161,11 @@ def test_criterion_2_gradient_integrity():
     batch_b = (rng.random((2, 6, 4)), rng.random((2, 6, 4)), rng.random((2, 6)), np.ones((2, 6), dtype=bool))
 
     def dual_wrapped(params):
-        it = iter(params)
-        scorers = [(next(it), next(it), act) for _, _, act in stack.scorers]
-        total, grads, gx = dual_loss_and_grads(ModelStack(scorers, next(it), stack.alpha), batch_a, batch_b)
-        flat = []
-        for dw, db in grads:
-            flat.extend([dw, db])
-        flat.append(gx)
-        return float(total.sum()), flat
+        total, grads, gx = dual_loss_and_grads(ModelStack(params[0], stack.layout, params[1], stack.alpha),
+                                               batch_a, batch_b)
+        return float(total.sum()), [grads, gx]
 
-    params = []
-    for w, b, _ in stack.scorers:
-        params.extend([w, b])
-    params.append(stack.x)
-    dual_err = grad_check(dual_wrapped, params)
+    dual_err = grad_check(dual_wrapped, [stack.params, stack.x])
     assert dual_err <= 1e-4, f"dual objective gradient error {dual_err:.3e}"
 
 

@@ -15,10 +15,10 @@ from dualrec.autoencoder import (
     new_autoencoder,
     reconstruction_loss,
     save_autoencoder,
-    stack_layers,
+    stack_autoencoders,
     train_autoencoder,
 )
-from dualrec.numeric import grad_check, make_rng, sigmoid
+from dualrec.numeric import FlatStack, grad_check, make_rng, sigmoid
 
 
 def fixture_corpus(n=50, dim=20, seed=21):
@@ -63,14 +63,13 @@ class TestTraining:
         # two autoencoders of one stack: the total of their losses, so each
         # one's gradient must come from its own slice alone
         xb = np.stack([fixture_corpus(n=6, dim=5, seed=9), fixture_corpus(n=6, dim=5, seed=10)])
-        layers = stack_layers([new_autoencoder(5, 3, seed=4), new_autoencoder(5, 3, seed=5)])
+        stack = stack_autoencoders([new_autoencoder(5, 3, seed=4), new_autoencoder(5, 3, seed=5)])
 
         def wrapped(params):
-            it = iter(params)
-            loss, grads = loss_and_grads([(next(it), next(it), act) for _, _, act in layers], xb)
-            return float(loss.sum()), [g for pair in grads for g in pair]
+            loss, grads = loss_and_grads(FlatStack(params[0], stack.layout), xb)
+            return float(loss.sum()), [grads]
 
-        assert grad_check(wrapped, [a for w, b, _ in layers for a in (w, b)]) <= 1e-4
+        assert grad_check(wrapped, [stack.params]) <= 1e-4
 
 
 @pytest.fixture(scope="module")

@@ -172,31 +172,20 @@ def build_bare_model(alpha, d=3, seed=0, hidden=(4,)):
     return DualModel(domains, {(0, 1): init_map(d, seed)}, alpha)
 
 
-def stack_params(stack):
-    """The arrays of a stack in a fixed order: per layer, weights then biases of both scorers; the maps last."""
-    return [a for w, b, _ in stack.scorers for a in (w, b)] + [stack.x]
-
-
 def stack_from_params(stack, params):
-    """A stack shaped like `stack` holding `params` (in stack_params order)."""
-    it = iter(params)
-    return ModelStack([(next(it), next(it), act) for _, _, act in stack.scorers], next(it), stack.alpha)
-
-
-def flat_grads(grads, gx):
-    return [a for pair in grads for a in pair] + [gx]
+    """A stack shaped like `stack` holding params, [scorer buffer, maps]."""
+    return ModelStack(params[0], stack.layout, params[1], stack.alpha)
 
 
 class TestDualLossAndGrads:
     def test_alpha_zero_decouples_the_domains(self):
         stack = ModelStack.of([build_bare_model(alpha=0.0)])
         batch_b = make_batch(3, 5, seed=1)
-        _, grads_1, _ = dual_loss_and_grads(stack, make_batch(3, 5, seed=2), batch_b)
-        _, grads_2, _ = dual_loss_and_grads(stack, make_batch(3, 5, seed=3), batch_b)
+        grads_1 = dual_loss_and_grads(stack, make_batch(3, 5, seed=2), batch_b)[1].copy()
+        grads_2 = dual_loss_and_grads(stack, make_batch(3, 5, seed=3), batch_b)[1]
         # rs_b's gradient (domain slot 1) is independent of whatever domain a saw
-        for (w1, b1), (w2, b2) in zip(grads_1, grads_2):
-            np.testing.assert_array_equal(w1[1], w2[1])
-            np.testing.assert_array_equal(b1[1], b2[1])
+        np.testing.assert_array_equal(grads_1[1], grads_2[1])
+        assert grads_1[0].tobytes() != grads_2[0].tobytes()
 
     def test_alpha_zero_map_gradient_is_pure_penalty(self):
         dm = build_bare_model(alpha=0.0)
@@ -216,16 +205,16 @@ class TestDualLossAndGrads:
 
         def wrapped(params):
             total, grads, gx = dual_loss_and_grads(stack_from_params(stack, params), batch_a, batch_b)
-            return float(total.sum()), flat_grads(grads, gx)
+            return float(total.sum()), [grads, gx]
 
-        assert grad_check(wrapped, stack_params(stack)) <= 1e-4
+        assert grad_check(wrapped, [stack.params, stack.x]) <= 1e-4
 
     def test_one_small_step_reduces_the_combined_loss(self):
         stack = ModelStack.of([build_bare_model(alpha=0.05, seed=3)])
         batch_a = make_batch(3, 8, seed=21)
         batch_b = make_batch(3, 8, seed=22)
         total0, grads, gx = dual_loss_and_grads(stack, batch_a, batch_b)
-        apply_grads(stack.scorers, grads, 1e-3)
+        apply_grads(stack.params, grads, 1e-3)
         stack.x -= 1e-3 * gx
         total1, *_ = dual_loss_and_grads(stack, batch_a, batch_b)
         assert total1[0] < total0[0]
@@ -544,11 +533,9 @@ class TestEvaluateLoss:
 
 
 def three_domain_model(alpha):
-    """Three domains of one tiny autoencoder, each pair's map from its own seed."""
+    """Three domains of one tiny autoencoder; each pair's map draws from its own stream."""
     ae = tiny_autoencoder()
-    dm = new_dual_model([(ae, ae)] * 3, alpha=alpha, seed=1, hidden=(4,))
-    dm.maps.update({pair: init_map(3, seed) for seed, pair in enumerate(dm.maps, start=20)})
-    return dm
+    return new_dual_model([(ae, ae)] * 3, alpha=alpha, seed=1, hidden=(4,))
 
 
 class TestMultiDomain:
@@ -568,6 +555,17 @@ class TestMultiDomain:
         for k, (own, other, mapped) in enumerate(((rs_a, rs_b, u @ x.T), (rs_b, rs_a, u @ x))):
             want = (1.0 - alpha_vec) * score_batch(own, u, i) + alpha_vec * score_batch(other, mapped, i)
             assert predict_batch(dm, k, arrays).tobytes() == want.tobytes()
+
+    def test_each_domain_pair_starts_from_its_own_map(self):
+        maps = [link.x for link in three_domain_model(alpha=0.1).maps.values()]
+        assert len(maps) == 3
+        for j in range(3):
+            assert orthogonality_defect(maps[j]) <= 1e-10
+            for k in range(j):
+                assert np.abs(maps[j] - maps[k]).max() > 1e-3, (j, k)
+        ae = tiny_autoencoder()
+        two = new_dual_model([(ae, ae)] * 2, alpha=0.1, seed=1, hidden=(4,))
+        assert two.maps[(0, 1)].x.tobytes() == init_map(3, 1).x.tobytes()  # every two-domain output keeps its draw
 
     def test_alpha_zero_reduces_to_single_scorer(self):
         dm = three_domain_model(alpha=0.0)

@@ -10,14 +10,17 @@ place; TestSgdStep checks it through one step of the autoencoder's loop.
 import numpy as np
 import pytest
 
-from dualrec.autoencoder import loss_and_grads, new_autoencoder, reconstruction_loss, stack_layers, train_autoencoder
+from dualrec.autoencoder import loss_and_grads, new_autoencoder, reconstruction_loss, stack_autoencoders, train_autoencoder
 from dualrec.numeric import (
     DenseLayer,
+    _activate,
+    _activation_grad,
     check_finite_step,
     dense_layer,
     grad_check,
     layer_backward,
     layer_forward,
+    layer_views,
     make_rng,
     sigmoid,
     stack_backward,
@@ -224,9 +227,10 @@ class TestSgdStep:
     def test_hand_arithmetic(self):
         # every parameter array p becomes p - lr * g, with g the batch gradient at p
         x, before, after = one_sgd_step(0.1)
-        _, grads = loss_and_grads(stack_layers([before]), x[None])
-        flat = [g for pair in grads for g in pair]
-        for got, p, g in zip(ae_params(after), ae_params(before), flat):
+        stack = stack_autoencoders([before])
+        loss_and_grads(stack, x[None])
+        grads = [g[0] for w, b, _ in stack.grad_layers for g in (w, b)]
+        for got, p, g in zip(ae_params(after), ae_params(before), grads):
             np.testing.assert_array_equal(got, p - 0.1 * g.reshape(p.shape))
 
     def test_one_step_on_square_loss_decreases(self):
@@ -308,19 +312,50 @@ class TestRngStreams:
         assert np.max(np.abs(a - b)) > 1e-3
 
 
+def fresh_stack_forward(layers, h):
+    """The allocation-heavy formula the in-place forward replaced: (y, [(input, pre-activation, output)])."""
+    caches = []
+    for w, b, act in layers:
+        z = h @ w.swapaxes(-1, -2) + b
+        y = sigmoid(z) if act == "sigmoid" else np.maximum(z, 0.0) if act == "relu" else z
+        caches.append((h, z, y))
+        h = y
+    return h, caches
+
+
+def fresh_stack_backward(layers, caches, dy):
+    """Its backward pass, fresh products throughout, relu's mask from the pre-activation: (dx, [(dW, db)])."""
+    grads = []
+    for (w, _, act), (h, z, y) in zip(layers[::-1], caches[::-1]):
+        if act == "sigmoid":
+            dy = dy * (y * (1.0 - y))
+        elif act == "relu":
+            dy = dy * (z > 0)
+        grads.append((dy.swapaxes(-1, -2) @ h, np.add.reduce(dy, axis=-2, keepdims=True)))
+        dy = dy @ w
+    return dy, grads[::-1]
+
+
+SCORER_LAYOUT = ((16, 16, "relu"), (16, 8, "relu"), (8, 1, "sigmoid"))
+
+
 class TestStackKernel:
-    """stack_forward/stack_backward against the 2-D layer kernel, slice by slice."""
+    """stack_forward/stack_backward against the 2-D layer kernel, slice by slice,
+    and the in-place kernels on flat-buffer views against fresh products."""
 
     def test_each_slice_is_the_2d_layer_math_bit_for_bit(self):
         rng = make_rng(29)
         dims, acts = [6, 5, 4, 1], ["relu", "sigmoid", "identity"]
         lead = (2, 3)
-        layers = [(rng.normal(size=(*lead, o, i)), rng.normal(size=(*lead, 1, o)), act)
-                  for i, o, act in zip(dims, dims[1:], acts)]
+        layout = list(zip(dims, dims[1:], acts))
+        params = rng.normal(size=(*lead, sum(o * (i + 1) for i, o, _ in layout)))
+        grad_buf = np.full_like(params, np.nan)
+        layers, grads = layer_views(params, layout), layer_views(grad_buf, layout)
         h = rng.normal(size=(*lead, 7, dims[0]))
         dy = rng.normal(size=(*lead, 7, 1))
         y, caches = stack_forward(layers, h)
-        dx, grads = stack_backward(layers, caches, dy)
+        dx = stack_backward(layers, caches, dy, grads)
+        assert not np.isnan(grad_buf).any()  # the views tile the buffer
         for idx in np.ndindex(*lead):
             dense = [DenseLayer(w[idx], b[idx][0], act) for w, b, act in layers]
             x, layer_caches = h[idx], []
@@ -334,6 +369,47 @@ class TestStackKernel:
                 assert grads[n][0][idx].tobytes() == dw.tobytes()
                 assert grads[n][1][idx][0].tobytes() == db.tobytes()
             assert dx[idx].tobytes() == d.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 32])
+    def test_flat_buffer_views_give_the_bits_of_fresh_products(self, n):
+        # the views the coupled step runs: the whole (2, K, P) stack, its domain-swapped
+        # view, one model's K-slice, and a domain's slice of the swapped view
+        rng = make_rng(43, n)
+        params = rng.normal(size=(2, 3, 417))
+        grad_buf = np.zeros_like(params)
+        for view in (lambda a: a, lambda a: a[::-1], lambda a: a[:, 1:2], lambda a: a[::-1][:1]):
+            p, g = view(params), view(grad_buf)
+            layers = layer_views(p, SCORER_LAYOUT)
+            assert all(np.shares_memory(w, params) and np.shares_memory(b, params) for w, b, _ in layers)
+            h = rng.normal(size=(*p.shape[:-1], n, 16))
+            dy = rng.normal(size=(*p.shape[:-1], n, 1))
+            want_y, want_caches = fresh_stack_forward(layers, h)
+            want_dx, want_grads = fresh_stack_backward(layers, want_caches, dy)
+            y, caches = stack_forward(layers, h)
+            assert y.tobytes() == want_y.tobytes()
+            assert all(c[1].tobytes() == w[2].tobytes() for c, w in zip(caches, want_caches))
+            dx = stack_backward(layers, caches, dy, layer_views(g, SCORER_LAYOUT))
+            assert dx.tobytes() == want_dx.tobytes()
+            for (dw, db, _), (want_dw, want_db) in zip(layer_views(g, SCORER_LAYOUT), want_grads):
+                assert dw.tobytes() == want_dw.tobytes()
+                assert db.tobytes() == want_db.tobytes()
+
+    @pytest.mark.parametrize("activation", ["identity", "sigmoid", "relu"])
+    @pytest.mark.parametrize("shape", [(16,), (1, 16), (40, 16)])
+    def test_in_place_layer_forward_gives_the_bits_of_the_formula(self, activation, shape):
+        rng = make_rng(47, len(shape))
+        layer = DenseLayer(rng.normal(size=(8, 16)), rng.normal(size=8), activation)
+        x = rng.normal(size=shape) * 4.0
+        y, _ = layer_forward(layer, x)
+        want, _ = fresh_stack_forward([(layer.weights, layer.bias, activation)], np.atleast_2d(x))
+        assert y.tobytes() == (want[0] if x.ndim == 1 else want).tobytes()
+
+    def test_relu_mask_from_the_output_is_the_mask_from_the_pre_activation(self):
+        z = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 1e-300, -1e-300, 3.0, -3.0])
+        y = _activate("relu", z.copy())
+        dy = make_rng(53).normal(size=z.shape)
+        assert np.array_equal(y > 0, z > 0)
+        assert _activation_grad("relu", y, dy).tobytes() == (dy * (z > 0)).tobytes()
 
 
 def per_slice(a, b):

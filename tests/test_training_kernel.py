@@ -22,7 +22,7 @@ from dualrec import autoencoder, dualmodel, evaluate
 from dualrec.dualmodel import TrainConfig, fit, fit_models, train_pair
 from dualrec.features import synth_pair
 from dualrec.mapping import OrthogonalMap, ortho_penalty, project_orthogonal
-from dualrec.numeric import make_rng, sigmoid
+from dualrec.numeric import layer_views, make_rng, sigmoid
 
 # ---------------------------------------------------------------------------
 # oracle: the per-layer loop
@@ -235,9 +235,9 @@ def bundle(dm) -> dict:
     return out
 
 
-def assert_train_pair_matches_the_oracle(pair, monkeypatch, alpha):
+def assert_train_pair_matches_the_oracle(pair, monkeypatch, alpha, lr_b=0.1):
     ds_a, ds_b, only_a = pair
-    cfg = small_config(alpha=alpha)
+    cfg = small_config(alpha=alpha, lr_b=lr_b)
     dm, traces = train_pair(ds_a, ds_b, cfg, seed=2)
     with monkeypatch.context() as m:
         m.setattr(dualmodel, "train_autoencoders", oracle_train_autoencoders)
@@ -256,11 +256,12 @@ def assert_train_pair_matches_the_oracle(pair, monkeypatch, alpha):
     assert len(ds_a.item_features) == len(ds_b.item_features)
 
 
-@pytest.mark.parametrize("alpha", [0.03, 0.0])
-def test_train_pair_is_byte_identical_to_the_per_layer_loop(partial_pair, monkeypatch, alpha):
-    # both user corpora share one shape too: the four autoencoders train as two stacks
+@pytest.mark.parametrize("alpha, lr_b", [(0.03, 0.1), (0.0, 0.1), (0.03, 0.05)], ids=["0.03", "0.0", "0.03-lr_b=0.05"])
+def test_train_pair_is_byte_identical_to_the_per_layer_loop(partial_pair, monkeypatch, alpha, lr_b):
+    # both user corpora share one shape too: the four autoencoders train as two stacks;
+    # lr_b below lr_a = 0.1 catches an update that moves one domain's scorer at the other's rate
     assert len(partial_pair[0].user_features) == len(partial_pair[1].user_features)
-    assert_train_pair_matches_the_oracle(partial_pair, monkeypatch, alpha)
+    assert_train_pair_matches_the_oracle(partial_pair, monkeypatch, alpha, lr_b)
 
 
 @pytest.mark.parametrize("alpha", [0.03, 0.0])
@@ -374,6 +375,7 @@ CV_CASES = {
     "ragged": dict(batch_size=32, tol=0.0),  # domain a's last batches: 13, 13, 14 rows
     "uneven-stops": dict(batch_size=7, tol=2e-4),  # folds stop by tol after 4, 3 and 3 epochs
     "one-row": dict(batch_size=4, tol=0.0),  # domain a's last batches: 1, 1, 2 rows
+    "unequal-rates": dict(batch_size=4, tol=0.0, lr_b=0.05),  # one-row's steps, lr_a = 0.1 twice lr_b
 }
 
 
@@ -400,7 +402,9 @@ def test_run_cv_fold_models_are_byte_identical_to_the_oracle_per_fold(partial_pa
     assert not cv_prepared.arrays[0].overlap.all()
     if case == "uneven-stops":
         assert len({len(t[0]) for t in traces}) > 1
-    if case == "one-row":
+    if case == "unequal-rates":
+        assert cfg.lr_a != cfg.lr_b
+    if case in ("one-row", "unequal-rates"):
         # A step whose batch sizes differ between folds runs fold by fold, so
         # the 1-row products take numpy's gemv path, as they do alone, and
         # the bytes still match.
@@ -531,7 +535,7 @@ def test_domain_axis_step_equals_the_oracle_per_scorer(case):
         assert total[m] == want_total + pw * pen_loss
         assert zero_signs_dropped(grad_x[m]) == zero_signs_dropped(want_x + pw * pen_grad)
         for j in (0, 1):
-            for n, (dw, db) in enumerate(grads):
+            for n, (dw, db, _) in enumerate(layer_views(grads, stack.layout)):
                 for got, part in ((dw[j, m], 0), (db[j, m, 0], 1)):
                     parts = [t[n][part] for t in terms[j]]
                     want = sum(parts[1:], parts[0]) if parts else np.zeros_like(got)
