@@ -28,24 +28,29 @@ The training kernel (`fit_models`) trains K models of one shape and alpha
 in lockstep. Every scorer parameter of the stack lives in one flat buffer
 with a domain axis and a model axis, (2, K, P), and each layer's weights
 (2, K, out, in) and biases are views into it; the maps are stacked on the
-model axis. Both scorers share one architecture, so a step runs the within
-channels of both domains as one forward and one backward pass over these
-views, and both cross channels as one pass over the domain-swapped view
-(each domain's batch through its partner's scorer). The backward passes
-write into two gradient buffers shaped like the parameters, the within
-terms and, through the swapped view, the cross terms, each aligned with the
-scorer it belongs to; one addition combines them, one finite check covers
-them and the map gradient, and one in-place SGD update, with lr_a and lr_b
-on the domain axis, moves both scorers. A step whose domains bring batches
-of different sizes runs each domain through the same kernel with a domain
-axis of length one, into the same buffers. Each model keeps its own seed,
-shuffles, starting map and `tol` stop, and follows the trajectory it would
-follow alone bit for bit. `fit` is the kernel at K = 1.
+model axis. Both domains' training rows sit in one table (`PairTable`), so
+a step's rows come from one take per array. Both scorers share one
+architecture, so a step runs both channels of both domains as one forward
+and one backward pass on a leading channel axis: the within channel feeds
+each domain's batch to its own scorer, the cross channel feeds it, mapped,
+to its partner's, through the scorers gathered as [[a, b], [b, a]]. Each
+product keeps its rows, so every slice has the bits of that channel run
+alone. The backward pass writes into a channel gradient buffer laid out
+like those scorers, whose within channel is the gradient buffer itself;
+one addition of the reversed cross channel gives each scorer both its
+terms, one finite check covers them and the map gradient, and one in-place
+SGD update, with lr_a and lr_b on the domain axis, moves both scorers. A
+step whose domains bring batches of different sizes, or of one row, runs
+each domain through the same kernel alone, reading the scorers as views,
+into the same buffers. Each model keeps its own seed, shuffles, starting
+map and `tol` stop, and follows the trajectory it would follow alone bit
+for bit. `fit` is the kernel at K = 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -393,6 +398,80 @@ def prepare_domain(
     return TrainingArrays(user_rows, item_rows, y, overlap, [r.user_id for r in chosen])
 
 
+class Batch(NamedTuple):
+    """One domain's rows of one step, with a leading model axis: ui (K, n, 2d)
+    the user and item embeddings side by side, ratings (K, n), weights
+    (2, K, n) each row's channel weights 1 - alpha and alpha, and overlap
+    (K, n). The two halves of a both-domain take share block, the same
+    arrays of both domains on a leading domain axis."""
+
+    ui: np.ndarray
+    ratings: np.ndarray
+    weights: np.ndarray
+    overlap: np.ndarray
+    block: "Batch | None" = None
+
+
+class PairTable(NamedTuple):
+    """The training rows of both domains in one table, domain b's after
+    domain a's: ui (N, 2d), ratings (N,), weights (2, N) and overlap (N,), as
+    a `Batch` holds them. A row off the overlap carries cross weight 0."""
+
+    ui: np.ndarray
+    ratings: np.ndarray
+    weights: np.ndarray
+    overlap: np.ndarray
+
+    @classmethod
+    def of(cls, domains, alpha: float) -> "PairTable":
+        """The table of two domains' (user_emb, item_emb, ratings, overlap) columns."""
+        users, items, ratings, overlap = zip(*domains)
+        d = users[0].shape[1]
+        ui = np.empty((sum(map(len, users)), 2 * d))  # filled in place, without concatenated copies
+        at = 0
+        for u, i in zip(users, items):
+            ui[at : at + len(u), :d], ui[at : at + len(u), d:] = u, i
+            at += len(u)
+        overlap = np.concatenate(overlap)
+        cross = np.where(overlap, alpha, 0.0)
+        return cls(ui, np.concatenate(ratings), np.array((1.0 - cross, cross)), overlap)
+
+    def take(self, rows) -> Batch:
+        """The table rows at rows, each array with rows' axes in front."""
+        return Batch(self.ui.take(rows, axis=0), self.ratings.take(rows), self.weights.take(rows, axis=1),
+                     self.overlap.take(rows))
+
+    def step(self, rows, start: int, sizes) -> list:
+        """One step's [batch_a, batch_b]: domain k's next sizes[k] rows of
+        rows[k] (K, n_max) from start, None when sizes[k] is 0. Batches of one
+        size above one row are the halves of one take of both domains; others
+        are taken apart and run domain by domain, since a 1-row product's bits
+        follow its layout."""
+        n_a, n_b = sizes
+        if n_a == n_b > 1:
+            block = self.take(rows[:, :, start : start + n_a])
+            ui, ratings, weights, overlap, _ = block
+            return [Batch(ui[k], ratings[k], weights[:, k], overlap[k], block) for k in (0, 1)]
+        return [self.take(rows[k, :, start : start + n]) if n else None for k, n in enumerate(sizes)]
+
+
+def step_batches(alpha: float, batch_a, batch_b) -> list:
+    """The [batch_a, batch_b] of one step as `fit_models` takes them, from each
+    domain's (user_emb (K, n, d), item_emb (K, n, d), ratings (K, n), overlap
+    (K, n)) arrays, or None to leave the domain out."""
+    batches = (batch_a, batch_b)
+    present = next(b for b in batches if b is not None)
+    n_models = present[2].shape[0]
+    sizes = [0 if b is None else b[2].shape[1] for b in batches]
+    rows = np.zeros((2, n_models, max(sizes)), dtype=np.intp)
+    for k, n in enumerate(sizes):  # domain b's rows follow domain a's K * n_a rows
+        rows[k, :, :n] = np.arange(n_models * n).reshape(n_models, n) + k * n_models * sizes[0]
+    # each domain's rows model after model; a domain left out has none
+    columns = [[a[:, :n].reshape(-1, *a.shape[2:]) for a in (present if b is None else b)]
+               for b, n in zip(batches, sizes)]
+    return PairTable.of(columns, alpha).step(rows, 0, sizes)
+
+
 # ---------------------------------------------------------------------------
 # loss and gradients of K stacked models
 
@@ -402,28 +481,35 @@ class ModelStack:
     """The trainable arrays of K dual models of one shape and alpha. params
     (2, K, P) holds every scorer parameter, a domain axis and a model axis
     before each scorer's flat parameters in layout [(n_in, n_out, activation)]
-    (`layer_views`); x (K, d, d) holds the maps. A step writes each scorer's
-    within term into grads and the cross term of its partner's batch into
-    cross, buffers shaped like params, and adds them in grads. ids number the
-    models in errors; None for one model trained alone."""
+    (`layer_views`); x (K, d, d) holds the maps. A step runs both channels of
+    a batch on a leading channel axis: weights (2, 2, K, P) holds the scorers
+    [[a, b], [b, a]] (within, cross) for a pass of both domains, and a pass of
+    domain k alone reads the views params[:, None] (a) or params[::-1][:, None]
+    (b). The pass writes into channel_grads, laid out as the scorers it reads:
+    its channel 0 is grads, shaped like params, so the within terms land in
+    place and the cross terms are added from channel 1. ids number the models
+    in errors; None for one model trained alone."""
 
     params: np.ndarray
     layout: tuple
     x: np.ndarray
     alpha: float
     ids: tuple[int, ...] | None = None
-    grads: np.ndarray | None = None
-    cross: np.ndarray | None = None
+    channel_grads: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.grads is None:
-            self.grads, self.cross = np.empty_like(self.params), np.empty_like(self.params)
-        # per pass, both domains (None) or domain k: views of (within layers, their grads,
-        # cross layers, their grads). The cross channel runs each batch through the partner's
-        # scorer, the swapped view, and writes through the swapped view of cross, onto that scorer.
-        buffers = (self.params, self.grads, self.params[::-1], self.cross[::-1])
-        self.channels = {k: [layer_views(a[s], self.layout) for a in buffers]
-                         for k, s in ((None, slice(None)), (0, slice(0, 1)), (1, slice(1, 2)))}
+        if self.channel_grads is None:
+            self.channel_grads = np.empty((2, *self.params.shape))
+        self.grads = self.channel_grads[0]
+        self.weights = np.empty((2, *self.params.shape))
+        self.gathered = self.weights.reshape(4, *self.params.shape[1:])  # np.take's out: [a, b, b, a]
+        # per pass, both domains (None) or domain k, and its channel count (1 when the cross channel is
+        # skipped): views of the scorers it reads and of the channel gradients it writes
+        cg, lone = self.channel_grads, (self.params[:, None], self.params[::-1][:, None])
+        buffers = {None: ((self.params[None], self.weights), cg)}
+        buffers.update({k: ((w[:1], w), cg[:, k : k + 1]) for k, w in enumerate(lone)})
+        self.passes = {(k, c): (layer_views(ws[c - 1], self.layout), layer_views(g[:c], self.layout))
+                       for k, (ws, g) in buffers.items() for c in (1, 2)}
         self.names = None if self.ids is None else [f"model {m}" for m in self.ids]
         self.parts = {}
 
@@ -454,11 +540,11 @@ class ModelStack:
         return stack
 
     def part(self, m: int) -> "ModelStack":
-        """Model m alone: a stack of one whose arrays and buffers are views into this one."""
+        """Model m alone: a stack of one whose arrays and gradients are views into this one."""
         if m not in self.parts:
             s = slice(m, m + 1)
             self.parts[m] = ModelStack(self.params[:, s], self.layout, self.x[s], self.alpha,
-                                       None if self.ids is None else self.ids[s], self.grads[:, s], self.cross[:, s])
+                                       None if self.ids is None else self.ids[s], self.channel_grads[:, :, s])
         return self.parts[m]
 
 
@@ -470,42 +556,52 @@ def _release(dm: DualModel) -> None:
     dm.maps = {pair: link.copy() for pair, link in dm.maps.items()}
 
 
-def _domain_pass(stack: ModelStack, k, ui, y, overlap):
+_CHANNEL_SCORERS = np.array([0, 1, 1, 0])  # [[a, b], [b, a]]: the within and the cross channel of both domains
+
+
+def _domain_pass(stack: ModelStack, k, ui, y, weights, overlap):
     """Hybrid MSE and gradients of the domains a pass runs: both (k None) or domain k.
 
     ui (D, K, n, 2d) holds each domain's user and item embeddings side by
-    side, y and overlap (D, K, n), with D = 2 or 1. The within channel is one
-    forward and backward pass over the domains' own scorers, the cross
-    channel one over their partners'. Writes the within gradients into the
-    domains' slots of stack.grads and the cross gradients into their
-    partners' slots of stack.cross. Returns (loss (D, K), map grads (D, K, d,
-    d)): the map grad is dX^T for domain a and dX for domain b. When no record
-    carries cross weight the cross channel is skipped, writes nothing and the
-    map grads are None; a domain whose records carry none gets exact zeros.
+    side, y and overlap (D, K, n) and weights (2, D, K, n) their channel
+    weights, with D = 2 or 1. Both channels run as one forward and one
+    backward pass on a leading channel axis: the within channel feeds each
+    domain's batch to its own scorer, the cross channel feeds it, its user
+    half mapped, to the partner's. Each product keeps its rows, so each slice
+    is the 2-D math of that channel alone. The within gradients land in the
+    domains' slots of stack.grads, the cross gradients in channel 1 of
+    stack.channel_grads, in the domains' slots (each the gradient of the
+    partner's scorer). Returns (loss (D, K), map grads (D, K, d, d)): the map
+    grad is dX^T for domain a and dX for domain b. When no record carries
+    cross weight the cross channel is skipped, writes nothing and the map
+    grads are None; a domain whose records carry none gets exact zeros.
     """
     n = ui.shape[-2]
-    own, own_grads, other, other_grads = stack.channels[k]
-    y_w, caches_w = stack_forward(own, ui)
     if stack.alpha == 0.0 or not overlap.any():
-        resid = y_w - y[..., None]
-        stack_backward(own, caches_w, 2.0 * resid / n, own_grads, need_dx=False)
+        layers, grads = stack.passes[k, 1]
+        y_w, caches = stack_forward(layers, ui[None])
+        resid = y_w[0] - y[..., None]
+        stack_backward(layers, caches, (2.0 * resid / n)[None], grads, need_dx=False)
         return (resid * resid).sum(axis=(-2, -1)) / n, None
 
+    if k is None:
+        np.take(stack.params, _CHANNEL_SCORERS, axis=0, out=stack.gathered, mode="clip")
+    layers, grads = stack.passes[k, 2]
     d = stack.x.shape[-1]
     u = ui[..., :d]
     x_t = stack.x.swapaxes(-1, -2)
     # domain a maps by u X^T, domain b by u X; one pass of each alone reads the
     # transposed view itself, since a 1-row product's bits follow its layout
     maps = np.array((x_t, stack.x)) if k is None else (x_t, stack.x)[k][None]
-    alpha_vec = np.where(overlap, stack.alpha, 0.0)[..., None]  # (D, K, n, 1)
-    y_c, caches_c = stack_forward(other, np.concatenate([u @ maps, ui[..., d:]], axis=-1))
-
-    within_weight = 1.0 - alpha_vec
-    resid = within_weight * y_w + alpha_vec * y_c - y[..., None]
+    h = np.array((ui, ui))  # the within and the cross channel's input
+    h[1, ..., :d] = u @ maps
+    y_c, caches = stack_forward(layers, h)
+    w = weights[..., None]
+    parts = w * y_c
+    resid = parts[0] + parts[1] - y[..., None]
     dpred = 2.0 * resid / n
-    stack_backward(own, caches_w, dpred * within_weight, own_grads, need_dx=False)
-    dx_cross = stack_backward(other, caches_c, dpred * alpha_vec, other_grads)
-    return (resid * resid).sum(axis=(-2, -1)) / n, u.swapaxes(-1, -2) @ dx_cross[..., :d]
+    dx = stack_backward(layers, caches, dpred * w, grads)
+    return (resid * resid).sum(axis=(-2, -1)) / n, u.swapaxes(-1, -2) @ dx[1, ..., :d]
 
 
 def _one_domain_passes(stack: ModelStack, batches):
@@ -516,46 +612,45 @@ def _one_domain_passes(stack: ModelStack, batches):
     for k, batch in enumerate(batches):
         if batch is None:
             continue
-        u, i, y, overlap = batch
-        loss, grad_m = _domain_pass(stack, k, np.concatenate((u, i), axis=-1)[None], y[None], overlap[None])
+        ui, y, weights, overlap = batch[:4]
+        loss, grad_m = _domain_pass(stack, k, ui[None], y[None], weights[:, None], overlap[None])
         total = loss[0] if total is None else total + loss[0]
         within[k] = True
         if grad_m is not None:
             crossed[1 - k] = True
             gx = grad_m[0].swapaxes(-1, -2) if k == 0 else grad_m[0]
             grad_x = gx if grad_x is None else grad_x + gx
-    for k in (0, 1):  # each scorer: its within term plus its cross term, either alone, or zeros
+    grads, cross = stack.grads, stack.channel_grads[1]
+    for k in (0, 1):  # each scorer: its within term plus its partner batch's cross term, either alone, or zeros
         if crossed[k] and within[k]:
-            stack.grads[k] += stack.cross[k]
+            grads[k] += cross[1 - k]
         elif crossed[k]:
-            stack.grads[k] = stack.cross[k]
+            grads[k] = cross[1 - k]
         elif not within[k]:
-            stack.grads[k] = 0.0
+            grads[k] = 0.0
     return total, grad_x
 
 
 def dual_loss_and_grads(stack: ModelStack, batch_a, batch_b, penalty_weight: float = 1.0):
     """Combined objective L_a + L_b + penalty of K stacked models and its exact gradients.
 
-    batch_a / batch_b are (user_emb, item_emb, ratings, overlap) tuples with
-    a leading model axis, (K, n, d), (K, n, d), (K, n), (K, n); pass None to
-    leave a domain out of this step. When both domains bring batches of the
-    same size above one row, both run as one stacked program on a domain
-    axis; otherwise each runs through the same kernel alone. Returns (total
-    (K,), grads, grad_x (K, d, d)); grads is stack.grads, shaped like
-    stack.params (its domain axis indexes the scorer), with zeros for a
-    scorer no term of this step touches, and the next step overwrites it.
-    Raises FloatingPointError naming the model whose total or gradient is
-    not finite.
+    batch_a / batch_b are each domain's `Batch` (`step_batches` builds them,
+    `fit_models` takes them from its `PairTable`); pass None to leave a
+    domain out of this step. The two halves of one both-domain take run as
+    one pass of both domains; otherwise each domain runs through the same
+    kernel alone. Returns (total (K,), grads, grad_x (K, d, d)); grads is
+    stack.grads, shaped like stack.params (its domain axis indexes the
+    scorer), with zeros for a scorer no term of this step touches, and the
+    next step overwrites it. Raises FloatingPointError naming the model whose
+    total or gradient is not finite.
     """
-    if batch_a is not None and batch_b is not None and batch_a[2].shape[1] == batch_b[2].shape[1] > 1:
-        (u_a, i_a, y_a, o_a), (u_b, i_b, y_b, o_b) = batch_a, batch_b
-        # np.array stacks arrays of one shape on a new leading axis, as np.stack does, at a fraction of its cost
-        ui = np.concatenate((np.array((u_a, u_b)), np.array((i_a, i_b))), axis=-1)
-        loss, grad_m = _domain_pass(stack, None, ui, np.array((y_a, y_b)), np.array((o_a, o_b)))
+    block = None if batch_a is None else batch_a.block
+    if block is not None and batch_b is not None and batch_b.block is block:
+        loss, grad_m = _domain_pass(stack, None, *block[:4])
         total, grad_x = loss[0] + loss[1], None
         if grad_m is not None:
-            stack.grads += stack.cross  # each scorer's gradient: its within term plus its partner batch's cross term
+            # each scorer's gradient: its within term plus the cross term of its partner's batch
+            np.add(stack.grads, stack.channel_grads[1, ::-1], out=stack.grads)
             grad_x = grad_m[0].swapaxes(-1, -2) + grad_m[1]
     else:
         total, grad_x = _one_domain_passes(stack, (batch_a, batch_b))
@@ -611,23 +706,6 @@ def _schedule(counts: np.ndarray, batch_size: int) -> list:
     return list(zip(starts.tolist(), sizes.tolist(), (sizes == sizes[:, :1]).all(axis=(1, 2)).tolist()))
 
 
-def _epoch_batches(domains, order):
-    """batch(k, models, start, n): the stacked (user_emb, item_emb, ratings,
-    overlap) batch of epoch rows start..start+n of the models (a slice) in
-    domain k, or None when n is 0. order[k] holds each model's shuffled rows.
-
-    A lone model gathers its whole epoch at once, as much memory as one copy
-    of its rows; a stack gathers each step's rows, so it never holds K copies.
-    """
-    def gather(arrays, rows):
-        return tuple(a.take(rows, axis=0) for a in (arrays.user_emb, arrays.item_emb, arrays.ratings, arrays.overlap))
-
-    if order[0].shape[0] == 1:
-        whole = [gather(arrays, rows) for arrays, rows in zip(domains, order)]
-        return lambda k, models, start, n: tuple(a[models, start : start + n] for a in whole[k]) if n else None
-    return lambda k, models, start, n: gather(domains[k], order[k][models, start : start + n]) if n else None
-
-
 def fit_models(
     models: list[DualModel],
     arrays_a: TrainingArrays,
@@ -639,11 +717,14 @@ def fit_models(
     """Train K models of one shape and alpha in lockstep, each bit for bit as alone.
 
     Model m trains on rows[0][m] of arrays_a and rows[1][m] of arrays_b (all
-    rows when rows is None), shuffled by seeds[m]. Each step pairs the next
-    mini-batch of each domain (the shorter domain runs out first) and updates
-    both scorers and the map of every live model, both domains in one stacked
-    pass (`dual_loss_and_grads`); a step whose batch sizes differ between
-    models runs model by model. Each epoch ends by projecting
+    rows when rows is None), shuffled by seeds[m]; both domains' rows sit in
+    one `PairTable`, which each epoch indexes with one (2, K, n_max) row
+    array. Each step pairs the next mini-batch of each domain (the shorter
+    domain runs out first) and updates both scorers and the map of every
+    live model, both domains in one stacked pass (`dual_loss_and_grads`); a
+    step whose batch sizes differ between models runs model by model. A row
+    index outside its domain raises ValueError naming the model and the
+    domain. Each epoch ends by projecting
     every map onto the orthogonal manifold. A model leaves the stack after
     cfg.epochs, or after the first epoch whose combined full-pass loss moves
     less than cfg.tol. Returns each model's (trace_a, trace_b) of full-pass
@@ -658,6 +739,12 @@ def fit_models(
     domains = (arrays_a, arrays_b)
     # rows[k][m]: model m's row indices into domain k, or None for every row
     rows = [[None] * n_models] * 2 if rows is None else [[np.asarray(r, dtype=np.intp) for r in rs] for rs in rows]
+    for k, (arrays, domain_rows) in enumerate(zip(domains, rows)):
+        for m, r in enumerate(domain_rows):
+            outside = () if r is None else r[(r < 0) | (r >= len(arrays))]
+            if len(outside):
+                raise ValueError(f"model {m} has row index {outside[0]} "
+                                 f"outside domain {_letter(k)}'s [0, {len(arrays)})")
     counts = np.array([[len(d) if r is None else len(r) for d, r in zip(domains, model_rows)] for model_rows in zip(*rows)])
     in_model = (lambda m: f" in model {m}") if n_models > 1 else (lambda m: "")
     empty = np.flatnonzero((counts == 0).any(axis=1))
@@ -672,22 +759,21 @@ def fit_models(
     stack = ModelStack.of(models)
     schedule = _schedule(counts, cfg.batch_size)
     lrs = np.array([cfg.lr_a, cfg.lr_b]).reshape(2, 1, 1)  # broadcast on the scorers' domain axis
+    table = PairTable.of([(a.user_emb, a.item_emb, a.ratings, a.overlap) for a in domains], stack.alpha)
     for epoch in range(cfg.epochs):
-        # per domain, each live model's shuffled rows, one model per row of order[k]
-        order = [np.zeros((len(live), counts[live, k].max()), dtype=np.intp) for k in (0, 1)]
-        for k in (0, 1):
+        # order[k, j]: live model j's shuffled rows of domain k, as rows of the table
+        order = np.zeros((2, len(live), counts[live].max()), dtype=np.intp)
+        for k, offset in enumerate((0, len(arrays_a))):
             for j, m in enumerate(live):
                 perm = make_rng(seeds[m], _L_SHUFFLE, k, epoch).permutation(counts[m, k])
-                order[k][j, : counts[m, k]] = perm if rows[k][m] is None else rows[k][m][perm]
-        batch = _epoch_batches(domains, order)
+                order[k, j, : counts[m, k]] = offset + (perm if rows[k][m] is None else rows[k][m][perm])
         for start, sizes, uniform in schedule:
             if uniform:
-                _train_step(stack, [batch(k, slice(None), start, n) for k, n in enumerate(sizes[0])], cfg, lrs)
+                _train_step(stack, table.step(order, start, sizes[0]), cfg, lrs)
                 continue
             for j, model_sizes in enumerate(sizes):  # batch sizes differ: model by model
                 if any(model_sizes):
-                    part = [batch(k, slice(j, j + 1), start, n) for k, n in enumerate(model_sizes)]
-                    _train_step(stack.part(j), part, cfg, lrs)
+                    _train_step(stack.part(j), table.step(order[:, j : j + 1], start, model_sizes), cfg, lrs)
         stopped = []
         for j, m in enumerate(live):
             stack.x[j] = project_orthogonal(models[m].maps[(0, 1)]).x

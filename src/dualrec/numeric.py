@@ -10,8 +10,8 @@ updates in place.
 
 The training kernels run stacks of same-shaped networks as one program:
 :func:`stack_forward` and :func:`stack_backward` take layers whose weights
-carry any leading axes (a model axis, a domain axis) and batches with the
-same leading axes. Every slice is the 2-D layer math of that network alone,
+carry any leading axes (a model axis, a domain axis, a channel axis) and
+batches with the same leading axes. Every slice is the 2-D layer math of that network alone,
 bit for bit: numpy runs one BLAS product per slice, and the reductions run
 along the row axis of each slice. A stack keeps its parameters in one flat
 buffer (..., P) whose layers are views (:func:`layer_views`), so one SGD

@@ -37,6 +37,7 @@ from dualrec.dualmodel import (
     predict_from_embeddings,
     prepare_domain,
     score_batch,
+    step_batches,
     train_pair,
 )
 from dualrec.evaluate import alpha_sweep, precision_recall_at_k, rmse, run_cv
@@ -159,10 +160,10 @@ def test_criterion_2_gradient_integrity():
     rng = make_rng(43)
     batch_a = (rng.random((2, 6, 4)), rng.random((2, 6, 4)), rng.random((2, 6)), np.ones((2, 6), dtype=bool))
     batch_b = (rng.random((2, 6, 4)), rng.random((2, 6, 4)), rng.random((2, 6)), np.ones((2, 6), dtype=bool))
+    batches = step_batches(0.1, batch_a, batch_b)
 
     def dual_wrapped(params):
-        total, grads, gx = dual_loss_and_grads(ModelStack(params[0], stack.layout, params[1], stack.alpha),
-                                               batch_a, batch_b)
+        total, grads, gx = dual_loss_and_grads(ModelStack(params[0], stack.layout, params[1], stack.alpha), *batches)
         return float(total.sum()), [grads, gx]
 
     dual_err = grad_check(dual_wrapped, [stack.params, stack.x])

@@ -29,6 +29,7 @@ from dualrec.dualmodel import (
     score,
     score_batch,
     shared_user_alignment,
+    step_batches,
     train_pair,
     train_pair_autoencoders,
 )
@@ -181,8 +182,8 @@ class TestDualLossAndGrads:
     def test_alpha_zero_decouples_the_domains(self):
         stack = ModelStack.of([build_bare_model(alpha=0.0)])
         batch_b = make_batch(3, 5, seed=1)
-        grads_1 = dual_loss_and_grads(stack, make_batch(3, 5, seed=2), batch_b)[1].copy()
-        grads_2 = dual_loss_and_grads(stack, make_batch(3, 5, seed=3), batch_b)[1]
+        grads_1 = dual_loss_and_grads(stack, *step_batches(0.0, make_batch(3, 5, seed=2), batch_b))[1].copy()
+        grads_2 = dual_loss_and_grads(stack, *step_batches(0.0, make_batch(3, 5, seed=3), batch_b))[1]
         # rs_b's gradient (domain slot 1) is independent of whatever domain a saw
         np.testing.assert_array_equal(grads_1[1], grads_2[1])
         assert grads_1[0].tobytes() != grads_2[0].tobytes()
@@ -191,7 +192,8 @@ class TestDualLossAndGrads:
         dm = build_bare_model(alpha=0.0)
         from dualrec.mapping import ortho_penalty
 
-        *_, grad_x = dual_loss_and_grads(ModelStack.of([dm]), make_batch(3, 5, seed=1), make_batch(3, 5, seed=2))
+        batches = step_batches(0.0, make_batch(3, 5, seed=1), make_batch(3, 5, seed=2))
+        *_, grad_x = dual_loss_and_grads(ModelStack.of([dm]), *batches)
         _, pen_grad = ortho_penalty(dm.maps[(0, 1)])
         np.testing.assert_array_equal(grad_x[0], pen_grad)
 
@@ -202,21 +204,21 @@ class TestDualLossAndGrads:
         rng = make_rng(11)
         batch_a = (rng.random((2, 6, 3)), rng.random((2, 6, 3)), rng.random((2, 6)), rng.random((2, 6)) < 0.7)
         batch_b = (rng.random((2, 6, 3)), rng.random((2, 6, 3)), rng.random((2, 6)), np.ones((2, 6), dtype=bool))
+        batches = step_batches(0.1, batch_a, batch_b)
 
         def wrapped(params):
-            total, grads, gx = dual_loss_and_grads(stack_from_params(stack, params), batch_a, batch_b)
+            total, grads, gx = dual_loss_and_grads(stack_from_params(stack, params), *batches)
             return float(total.sum()), [grads, gx]
 
         assert grad_check(wrapped, [stack.params, stack.x]) <= 1e-4
 
     def test_one_small_step_reduces_the_combined_loss(self):
         stack = ModelStack.of([build_bare_model(alpha=0.05, seed=3)])
-        batch_a = make_batch(3, 8, seed=21)
-        batch_b = make_batch(3, 8, seed=22)
-        total0, grads, gx = dual_loss_and_grads(stack, batch_a, batch_b)
+        batches = step_batches(0.05, make_batch(3, 8, seed=21), make_batch(3, 8, seed=22))
+        total0, grads, gx = dual_loss_and_grads(stack, *batches)
         apply_grads(stack.params, grads, 1e-3)
         stack.x -= 1e-3 * gx
-        total1, *_ = dual_loss_and_grads(stack, batch_a, batch_b)
+        total1, *_ = dual_loss_and_grads(stack, *batches)
         assert total1[0] < total0[0]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf is injected on purpose
@@ -225,7 +227,7 @@ class TestDualLossAndGrads:
         u, i, y, ov = make_batch(3, 4, seed=5)
         u[0, 0, 0] = np.inf
         with pytest.raises(FloatingPointError, match="non-finite training loss or gradient; lower the learning rate"):
-            dual_loss_and_grads(stack, (u, i, y, ov), None)
+            dual_loss_and_grads(stack, *step_batches(0.1, (u, i, y, ov), None))
 
     def test_a_stack_shares_one_alpha_and_one_shape(self):
         with pytest.raises(ValueError, match="model 1 has alpha 0.2, model 0 0.1; a stack shares one alpha"):

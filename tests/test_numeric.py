@@ -424,11 +424,12 @@ class TestBlasPremise:
     """The training kernels stack products on leading axes and must match the
     per-network 2-D products bit for bit. numpy runs one BLAS call per slice;
     these checks pin that the result does not depend on the operands' memory
-    layout (transposed views, row strides, the reversed domain axis) at the
-    kernels' own shapes. If a numpy or OpenBLAS upgrade breaks the premise,
-    these fail by name. The one layout dependence known, a 1-row product whose
-    matrix is a copied transpose, is why the coupled step runs 1-row batches
-    domain by domain and reads the map's transposed view itself."""
+    layout (transposed views, row strides, the reversed domain axis, the
+    channel axis) at the kernels' own shapes. If a numpy or OpenBLAS upgrade
+    breaks the premise, these fail by name. The one layout dependence known, a
+    1-row product whose matrix is a copied transpose, is why the coupled step
+    runs 1-row batches domain by domain and reads the map's transposed view
+    itself."""
 
     SIZES = [1, 2, 7, 13, 31, 32, 40, 64]
 
@@ -445,6 +446,24 @@ class TestBlasPremise:
                 assert (h @ weights.swapaxes(-1, -2)).tobytes() == per_slice(h, weights.swapaxes(-1, -2)).tobytes()
                 assert (dy @ weights).tobytes() == per_slice(dy, weights).tobytes()
             assert (dy.swapaxes(-1, -2) @ h).tobytes() == per_slice(dy.swapaxes(-1, -2), h).tobytes()
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_scorer_layers_on_the_channel_axis(self, n):
+        # A coupled step runs its within and cross channels on a leading axis: a
+        # pass of both domains reads the scorers gathered as [[a, b], [b, a]], a
+        # pass of domain a or b alone the views params[:, None] or params[::-1][:, None].
+        rng = make_rng(43, n)
+        params = rng.normal(size=(2, 3, sum(n_out * (n_in + 1) for n_in, n_out, _ in SCORER_LAYOUT)))
+        gathered = np.take(params, [0, 1, 1, 0], axis=0).reshape(2, 2, *params.shape[1:])
+        for buf in (gathered, params[:, None], params[::-1][:, None]):
+            for w, _, _ in layer_views(buf, SCORER_LAYOUT):
+                n_out, n_in = w.shape[-2:]
+                h = rng.normal(size=(*buf.shape[:-1], n, n_in))  # (channel, domain, K, n, in)
+                dy = rng.normal(size=(*buf.shape[:-1], n, n_out))
+                # forward through the transposed view, input gradient, weight gradient
+                assert (h @ w.swapaxes(-1, -2)).tobytes() == per_slice(h, w.swapaxes(-1, -2)).tobytes()
+                assert (dy @ w).tobytes() == per_slice(dy, w).tobytes()
+                assert (dy.swapaxes(-1, -2) @ h).tobytes() == per_slice(dy.swapaxes(-1, -2), h).tobytes()
 
     @pytest.mark.parametrize("n", SIZES)
     def test_map_products_on_the_domain_axis(self, n):

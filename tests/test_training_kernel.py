@@ -235,14 +235,16 @@ def bundle(dm) -> dict:
     return out
 
 
-def assert_train_pair_matches_the_oracle(pair, monkeypatch, alpha, lr_b=0.1):
+def assert_train_pair_matches_the_oracle(pair, monkeypatch, alpha, lr_b=0.1, swapped=False):
+    # swapped trains the pair as (ds_b, ds_a): the longer domain comes second, as in the benchmark's standard pair
     ds_a, ds_b, only_a = pair
+    domains = (ds_b, ds_a) if swapped else (ds_a, ds_b)
     cfg = small_config(alpha=alpha, lr_b=lr_b)
-    dm, traces = train_pair(ds_a, ds_b, cfg, seed=2)
+    dm, traces = train_pair(*domains, cfg, seed=2)
     with monkeypatch.context() as m:
         m.setattr(dualmodel, "train_autoencoders", oracle_train_autoencoders)
         m.setattr(dualmodel, "fit", oracle_fit)
-        want_dm, want_traces = train_pair(ds_a, ds_b, cfg, seed=2)
+        want_dm, want_traces = train_pair(*domains, cfg, seed=2)
     assert np.array(traces).tobytes() == np.array(want_traces).tobytes()
     got, want = bundle(dm), bundle(want_dm)
     assert got.keys() == want.keys()
@@ -256,12 +258,15 @@ def assert_train_pair_matches_the_oracle(pair, monkeypatch, alpha, lr_b=0.1):
     assert len(ds_a.item_features) == len(ds_b.item_features)
 
 
-@pytest.mark.parametrize("alpha, lr_b", [(0.03, 0.1), (0.0, 0.1), (0.03, 0.05)], ids=["0.03", "0.0", "0.03-lr_b=0.05"])
-def test_train_pair_is_byte_identical_to_the_per_layer_loop(partial_pair, monkeypatch, alpha, lr_b):
+@pytest.mark.parametrize("alpha, lr_b, swapped", [(0.03, 0.1, False), (0.0, 0.1, False), (0.03, 0.05, False),
+                                                   (0.03, 0.1, True)],
+                         ids=["0.03", "0.0", "0.03-lr_b=0.05", "0.03-swapped"])
+def test_train_pair_is_byte_identical_to_the_per_layer_loop(partial_pair, monkeypatch, alpha, lr_b, swapped):
     # both user corpora share one shape too: the four autoencoders train as two stacks;
-    # lr_b below lr_a = 0.1 catches an update that moves one domain's scorer at the other's rate
+    # lr_b below lr_a = 0.1 catches an update that moves one domain's scorer at the other's rate;
+    # swapped, domain b's rows sit at an offset in the training table and run alone at the tail
     assert len(partial_pair[0].user_features) == len(partial_pair[1].user_features)
-    assert_train_pair_matches_the_oracle(partial_pair, monkeypatch, alpha, lr_b)
+    assert_train_pair_matches_the_oracle(partial_pair, monkeypatch, alpha, lr_b, swapped)
 
 
 @pytest.mark.parametrize("alpha", [0.03, 0.0])
@@ -349,9 +354,17 @@ def cv_prepared(partial_pair):
     return evaluate.prepare_pair(ds_a, ds_b, small_config(), k=3, seed=0)
 
 
-def cv_fold_models(monkeypatch, partial_pair, cfg, prepared):
+@pytest.fixture(scope="module")
+def cv_prepared_swapped(partial_pair):
+    ds_a, ds_b, _ = partial_pair
+    return evaluate.prepare_pair(ds_b, ds_a, small_config(), k=3, seed=0)
+
+
+def cv_fold_models(monkeypatch, partial_pair, cfg, prepared, swapped=False):
     """run_cv's fold models and traces, caught at its one fit_models call."""
     ds_a, ds_b, _ = partial_pair
+    if swapped:
+        ds_a, ds_b = ds_b, ds_a
     real, seen = evaluate.fit_models, {}
 
     def spy(models, *args, **kwargs):
@@ -376,30 +389,34 @@ CV_CASES = {
     "uneven-stops": dict(batch_size=7, tol=2e-4),  # folds stop by tol after 4, 3 and 3 epochs
     "one-row": dict(batch_size=4, tol=0.0),  # domain a's last batches: 1, 1, 2 rows
     "unequal-rates": dict(batch_size=4, tol=0.0, lr_b=0.05),  # one-row's steps, lr_a = 0.1 twice lr_b
+    "swapped": dict(batch_size=32, tol=0.0),  # ragged's steps with the domains swapped: b runs longer
 }
 
 
 @pytest.mark.parametrize("alpha", [0.03, 0.0])
 @pytest.mark.parametrize("case", CV_CASES)
-def test_run_cv_fold_models_are_byte_identical_to_the_oracle_per_fold(partial_pair, cv_prepared, monkeypatch, case, alpha):
+def test_run_cv_fold_models_are_byte_identical_to_the_oracle_per_fold(partial_pair, request, monkeypatch, case, alpha):
     cfg = small_config(alpha=alpha, epochs=12, **CV_CASES[case])
-    models, traces = cv_fold_models(monkeypatch, partial_pair, cfg, cv_prepared)
-    rows = [train_rows(cv_prepared, d) for d in (0, 1)]
+    swapped = case == "swapped"
+    prepared = request.getfixturevalue("cv_prepared_swapped" if swapped else "cv_prepared")
+    models, traces = cv_fold_models(monkeypatch, partial_pair, cfg, prepared, swapped)
+    rows = [train_rows(prepared, d) for d in (0, 1)]
     for fold in range(3):
         seed = evaluate._fold_seed(0, fold)
-        want_dm = dualmodel.new_dual_model(list(cv_prepared.encoders), alpha=alpha, seed=seed, hidden=cfg.hidden)
-        want_dm.maps[(0, 1)] = cv_prepared.warm_map.copy()
-        arrays = [cv_prepared.arrays[d].rows(rows[d][fold]) for d in (0, 1)]
+        want_dm = dualmodel.new_dual_model(list(prepared.encoders), alpha=alpha, seed=seed, hidden=cfg.hidden)
+        want_dm.maps[(0, 1)] = prepared.warm_map.copy()
+        arrays = [prepared.arrays[d].rows(rows[d][fold]) for d in (0, 1)]
         want_traces = oracle_fit(want_dm, *arrays, cfg, seed=seed)
         assert np.array(traces[fold]).tobytes() == np.array(want_traces).tobytes(), fold
         got, want = bundle(models[fold]), bundle(want_dm)
         for key in want:
             assert got[key].tobytes() == want[key].tobytes(), (fold, key)
-    # each case exercises what its name says
-    last_a = [len(r) % cfg.batch_size for r in rows[0]]
-    assert len(set(last_a)) > 1
-    assert -(-len(rows[1][0]) // cfg.batch_size) < -(-len(rows[0][0]) // cfg.batch_size)
-    assert not cv_prepared.arrays[0].overlap.all()
+    # each case exercises what its name says; the longer domain is a, or b when swapped
+    long, short = (1, 0) if swapped else (0, 1)
+    last_long = [len(r) % cfg.batch_size for r in rows[long]]
+    assert len(set(last_long)) > 1
+    assert -(-len(rows[short][0]) // cfg.batch_size) < -(-len(rows[long][0]) // cfg.batch_size)
+    assert not prepared.arrays[long].overlap.all()
     if case == "uneven-stops":
         assert len({len(t[0]) for t in traces}) > 1
     if case == "unequal-rates":
@@ -408,7 +425,7 @@ def test_run_cv_fold_models_are_byte_identical_to_the_oracle_per_fold(partial_pa
         # A step whose batch sizes differ between folds runs fold by fold, so
         # the 1-row products take numpy's gemv path, as they do alone, and
         # the bytes still match.
-        assert 1 in last_a and max(last_a) > 1
+        assert 1 in last_long and max(last_long) > 1
 
 
 def test_fold_models_own_their_arrays_and_leave_the_warm_map(partial_pair, cv_prepared, monkeypatch):
@@ -435,6 +452,19 @@ def test_a_non_finite_step_names_its_model(fitted_inputs):
     rows_b = [np.arange(len(arrays_b))] * 3
     with pytest.raises(FloatingPointError, match=r"^non-finite training loss or gradient in model 2; lower the learning rate$"):
         fit_models([new_model(aes) for _ in range(3)], arrays_a, arrays_b, small_config(), [0, 1, 2], rows=(rows_a, rows_b))
+
+
+@pytest.mark.parametrize("domain", [0, 1], ids=["a", "b"])
+@pytest.mark.parametrize("too_large", [False, True], ids=["negative", "too-large"])
+def test_row_indices_outside_their_domain_are_refused(fitted_inputs, domain, too_large):
+    # both domains' rows share one table, so index len(a) in domain a would read domain b's first row
+    aes, arrays_a, arrays_b = fitted_inputs
+    rows = [[np.arange(len(arrays))] * 2 for arrays in (arrays_a, arrays_b)]
+    n = len(rows[domain][0])
+    bad = n if too_large else -1
+    rows[domain][1] = np.append(np.arange(5), bad)
+    with pytest.raises(ValueError, match=rf"^model 1 has row index {bad} outside domain {'ab'[domain]}'s \[0, {n}\)$"):
+        fit_models([new_model(aes), new_model(aes)], arrays_a, arrays_b, small_config(), [0, 1], rows=tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +549,10 @@ def test_domain_axis_step_equals_the_oracle_per_scorer(case):
         batch = (rng.random((n_models, n, d)), rng.random((n_models, n, d)), rng.random((n_models, n)), overlap)
         batches.append(None if k == absent else batch)
     stack = dualmodel.ModelStack.of(models)
-    total, grads, grad_x = dualmodel.dual_loss_and_grads(stack, *batches, penalty_weight=pw)
+    step = dualmodel.step_batches(alpha, *batches)
+    # batches of one size above one row run as one pass of both domains
+    assert (step[0] is not None and step[0].block is not None) == (absent is None and sizes[0] == sizes[1] > 1)
+    total, grads, grad_x = dualmodel.dual_loss_and_grads(stack, *step, penalty_weight=pw)
 
     for m, dm in enumerate(models):  # the models' arrays are views of the stack, as the oracle reads them
         terms = ([], [])  # per scorer, within term first
