@@ -31,8 +31,6 @@ from dualrec.numeric import (
 _L_AE_INIT = 0xAE01
 _L_AE_SHUFFLE = 0xAE02
 
-_DUMP_VERSION = "dualrec-ae-1"
-
 
 @dataclass
 class Autoencoder:
@@ -104,7 +102,7 @@ def loss_and_grads(stack: FlatStack, xb: np.ndarray, names=None):
     n = xb.shape[-2]
     loss = (diff * diff).sum(axis=-1).sum(axis=-1) / n
     stack_backward(stack.layers, caches, 2.0 * diff / n, stack.grad_layers, need_dx=False)
-    check_finite_step(loss, [stack.grads[:, None]], names, "lower ae_lr")
+    check_finite_step(loss, [stack.grads[:, None]], "lower ae_lr", names)
     return loss, stack.grads
 
 
@@ -215,14 +213,3 @@ def autoencoder_from_arrays(data, prefix: str = "") -> Autoencoder:
     enc = DenseLayer(np.array(data[f"{prefix}enc_w"]), np.array(data[f"{prefix}enc_b"]), "sigmoid")
     dec = DenseLayer(np.array(data[f"{prefix}dec_w"]), np.array(data[f"{prefix}dec_b"]), "identity")
     return Autoencoder(enc, dec, enc.n_out, str(meta[0]), str(meta[1]), trained=True)
-
-
-def save_autoencoder(ae: Autoencoder, path) -> None:
-    np.savez(path, version=np.array(_DUMP_VERSION), **autoencoder_arrays(ae))
-
-
-def load_autoencoder(path) -> Autoencoder:
-    with np.load(path, allow_pickle=False) as data:
-        if str(data["version"]) != _DUMP_VERSION:
-            raise ValueError(f"unsupported dump version {data['version']!r}")
-        return autoencoder_from_arrays(data)

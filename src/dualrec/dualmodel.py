@@ -28,8 +28,13 @@ The training kernel (`fit_models`) trains K models of one shape and alpha
 in lockstep. Every scorer parameter of the stack lives in one flat buffer
 with a domain axis and a model axis, (2, K, P), and each layer's weights
 (2, K, out, in) and biases are views into it; the maps are stacked on the
-model axis. Both domains' training rows sit in one table (`PairTable`), so
-a step's rows come from one take per array. Both scorers share one
+model axis. Both domains' rows sit in one table (`Rows`: user and item
+embeddings side by side, ratings, overlap flags and user ids), built once
+per domain pair and read, never copied, by training: a step's rows come
+from one take per array, and each epoch's full-pass loss of a model reads
+its rows of a domain as a slice of the table, or by one take for a subset
+such as a fold. Every scorer forward outside the step, from one record's
+`score` to a full pass, is `model_forward`. Both scorers share one
 architecture, so a step runs both channels of both domains as one forward
 and one backward pass on a leading channel axis: the within channel feeds
 each domain's batch to its own scorer, the cross channel feeds it, mapped,
@@ -49,7 +54,8 @@ for bit. `fit` is the kernel at K = 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -58,8 +64,7 @@ from dualrec.autoencoder import Autoencoder, ae_encode, autoencoder_arrays, auto
 from dualrec.features import DomainDataset, FeatureSchema, encode, parse_schema, schema_to_text
 from dualrec.mapping import OrthogonalMap, align_map, init_map, ortho_penalty, project_orthogonal
 from dualrec.numeric import (
-    DenseLayer, check_finite_step, dense_layer, flat_params, layer_forward, layer_views, make_rng, stack_backward,
-    stack_forward,
+    DenseLayer, check_finite_step, dense_layer, flat_params, layer_views, make_rng, stack_backward, stack_forward,
 )
 
 _L_RS_INIT = 0x5C07
@@ -75,11 +80,19 @@ def check_alpha(alpha: float, name: str = "alpha") -> None:
 
 
 def check_at_least(cfg, keys, low) -> None:
-    """Raise ValueError naming the first of cfg's keys whose value is below low (or NaN)."""
+    """Raise ValueError naming the first of cfg's keys whose value is below low
+    (or NaN), or is no integer where its dataclass field is typed int. A tuple
+    (typed tuple[int, ...]) is checked entry by entry, named key[i]. A bool is
+    no integer here; an np.int64 is."""
+    integral = {f.name for f in fields(cfg) if f.type in ("int", "tuple[int, ...]")}
     for key in keys:
         value = getattr(cfg, key)
-        if not value >= low:
-            raise ValueError(f"{key}={value} below {low}")
+        entries = [(f"{key}[{i}]", v) for i, v in enumerate(value)] if isinstance(value, tuple) else [(key, value)]
+        for name, v in entries:
+            if key in integral and (not isinstance(v, Integral) or isinstance(v, bool)):
+                raise ValueError(f"{name}={v} is not an integer")
+            if not v >= low:
+                raise ValueError(f"{name}={v} below {low}")
 
 
 @dataclass
@@ -106,10 +119,8 @@ class TrainConfig:
     def __post_init__(self):
         self.hidden = tuple(self.hidden)
         check_alpha(self.alpha)
-        check_at_least(self, ("embed_dim", "epochs", "batch_size", "ae_epochs", "ae_batch_size"), 1)
+        check_at_least(self, ("embed_dim", "epochs", "batch_size", "ae_epochs", "ae_batch_size", "hidden"), 1)
         check_at_least(self, ("tol", "lr_a", "lr_b", "lr_map", "penalty_weight", "ae_lr"), 0)
-        if not all(width >= 1 for width in self.hidden):
-            raise ValueError(f"hidden={self.hidden} has a width below 1")
 
 
 # ---------------------------------------------------------------------------
@@ -137,26 +148,16 @@ def make_rating_model(embed_dim: int, seed: int, domain_index: int, hidden: tupl
 
 
 def model_forward(model: RatingModel, x: np.ndarray):
-    caches = []
-    h = x
-    for layer in model.layers:
-        h, cache = layer_forward(layer, h)
-        caches.append(cache)
-    return h, caches
+    """The scorer on rows x (n, 2d), each a user and an item embedding side by
+    side: (scores (n, 1), caches), as `stack_forward` gives them."""
+    return stack_forward([(l.weights, l.bias, l.activation) for l in model.layers], x)
 
 
 def score(model: RatingModel, user_emb: np.ndarray, item_emb: np.ndarray) -> float:
-    """One within-scorer rating for an embedding pair."""
-    x = np.concatenate([np.asarray(user_emb, dtype=np.float64), np.asarray(item_emb, dtype=np.float64)])
-    y, _ = model_forward(model, x)
-    return float(y[0])
-
-
-def score_batch(model: RatingModel, user_emb: np.ndarray, item_emb: np.ndarray) -> np.ndarray:
-    h = np.concatenate([user_emb, item_emb], axis=1)
-    for layer in model.layers:  # no caches: each layer's input is freed as soon as it is read
-        h = layer_forward(layer, h)[0]
-    return h[:, 0]
+    """One within-scorer rating for an embedding pair: `model_forward` on one row."""
+    y, _ = model_forward(model, np.concatenate([np.asarray(user_emb, dtype=np.float64),
+                                                np.asarray(item_emb, dtype=np.float64)])[None])
+    return float(y[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -329,30 +330,77 @@ def predict(dm: DualModel, domain, user_raw: dict, item_raw: dict, in_overlap: b
 
 
 # ---------------------------------------------------------------------------
-# training arrays
+# training rows
 
 
-@dataclass
-class TrainingArrays:
-    """Per-interaction embedding rows for one domain, ready for batching."""
+class Batch(NamedTuple):
+    """Rows taken from a `Rows` table, with the axes of the taken indices in
+    front: ui (..., n, 2d) the user and item embeddings side by side, ratings
+    (..., n), weights (2, ..., n) each row's channel weights 1 - alpha and
+    alpha (None from a table without them), and overlap (..., n). A step's
+    batch has a leading model axis; the two halves of a both-domain take
+    share block, the same arrays of both domains on a leading domain axis."""
 
-    user_emb: np.ndarray  # (n, d)
-    item_emb: np.ndarray  # (n, d)
-    ratings: np.ndarray  # (n,)
-    overlap: np.ndarray  # (n,) bool: user also present in the partner domain
-    user_ids: np.ndarray  # (n,) str
+    ui: np.ndarray
+    ratings: np.ndarray
+    weights: np.ndarray | None
+    overlap: np.ndarray
+    block: "Batch | None" = None
 
-    def __post_init__(self):
-        self.user_ids = np.asarray(self.user_ids, dtype=np.str_)
+
+@dataclass(frozen=True)
+class Rows:
+    """Embedding rows of one or more domains in one table, domain k's at
+    bounds[k]:bounds[k + 1]: ui (N, 2d) each row's user and item embeddings
+    side by side, ratings (N,), overlap (N,) bool (the user also rates in the
+    partner domain) and user_ids (N,) str. weights (2, N), set by `weighted`,
+    holds each row's channel weights for one alpha."""
+
+    ui: np.ndarray
+    ratings: np.ndarray
+    overlap: np.ndarray
+    user_ids: np.ndarray
+    bounds: tuple[int, ...]
+    weights: np.ndarray | None = None
 
     def __len__(self) -> int:
         return self.ratings.shape[0]
 
-    def rows(self, indices) -> "TrainingArrays":
-        """The rows at the given indices, in that order (a fold's slice of a whole domain)."""
-        idx = np.asarray(indices, dtype=np.intp)
-        columns = (self.user_emb, self.item_emb, self.ratings, self.overlap, self.user_ids)
-        return TrainingArrays(*(a.take(idx, axis=0) for a in columns))
+    @classmethod
+    def join(cls, domains: list["Rows"]) -> "Rows":
+        """One table of one-domain tables, domain by domain."""
+        columns = [np.concatenate([getattr(rows, name) for rows in domains])
+                   for name in ("ui", "ratings", "overlap", "user_ids")]
+        return cls(*columns, tuple(np.cumsum([0, *map(len, domains)]).tolist()))
+
+    def domain(self, k: int) -> "Rows":
+        """Domain k's rows, as views into this table (without channel weights)."""
+        s = slice(self.bounds[k], self.bounds[k + 1])
+        return Rows(self.ui[s], self.ratings[s], self.overlap[s], self.user_ids[s], (0, s.stop - s.start))
+
+    def weighted(self, alpha: float) -> "Rows":
+        """This table with the channel weights of alpha, sharing its arrays: 1 -
+        alpha and alpha on the overlap, 1 and 0 off it."""
+        cross = np.where(self.overlap, alpha, 0.0)
+        return replace(self, weights=np.array((1.0 - cross, cross)))
+
+    def take(self, rows) -> Batch:
+        """The table rows at rows, each array with rows' axes in front."""
+        weights = None if self.weights is None else self.weights.take(rows, axis=1)
+        return Batch(self.ui.take(rows, axis=0), self.ratings.take(rows), weights, self.overlap.take(rows))
+
+    def step(self, rows, start: int, sizes) -> list:
+        """One step's [batch_a, batch_b]: domain k's next sizes[k] rows of
+        rows[k] (K, n_max) from start, None when sizes[k] is 0. Batches of one
+        size above one row are the halves of one take of both domains; others
+        are taken apart and run domain by domain, since a 1-row product's bits
+        follow its layout."""
+        n_a, n_b = sizes
+        if n_a == n_b > 1:
+            block = self.take(rows[:, :, start : start + n_a])
+            ui, ratings, weights, overlap, _ = block
+            return [Batch(ui[k], ratings[k], weights[:, k], overlap[k], block) for k in (0, 1)]
+        return [self.take(rows[k, :, start : start + n]) if n else None for k, n in enumerate(sizes)]
 
 
 def prepare_domain(
@@ -361,8 +409,8 @@ def prepare_domain(
     ae_item: Autoencoder,
     record_indices=None,
     partner_users=None,
-) -> TrainingArrays:
-    """Encode one domain's interactions into embedding rows.
+) -> Rows:
+    """Encode one domain's interactions into a table of embedding rows.
 
     record_indices selects a subset (fold training or test split);
     partner_users is the other domain's user-id set for overlap flags (all
@@ -385,91 +433,25 @@ def prepare_domain(
         i_emb = {i: emb[k] for k, i in enumerate(iids)}
     d = ae_user.embed_dim
     n = len(chosen)
-    user_rows = np.zeros((n, d))
-    item_rows = np.zeros((n, d))
+    ui = np.zeros((n, 2 * d))
     y = np.zeros(n)
     overlap = np.ones(n, dtype=bool)
     for k, rec in enumerate(chosen):
-        user_rows[k] = u_emb[rec.user_id]
-        item_rows[k] = i_emb[rec.item_id]
+        ui[k, :d] = u_emb[rec.user_id]
+        ui[k, d:] = i_emb[rec.item_id]
         y[k] = rec.rating
         if partner_users is not None:
             overlap[k] = rec.user_id in partner_users
-    return TrainingArrays(user_rows, item_rows, y, overlap, [r.user_id for r in chosen])
+    return Rows(ui, y, overlap, np.array([r.user_id for r in chosen], dtype=np.str_), (0, n))
 
 
-class Batch(NamedTuple):
-    """One domain's rows of one step, with a leading model axis: ui (K, n, 2d)
-    the user and item embeddings side by side, ratings (K, n), weights
-    (2, K, n) each row's channel weights 1 - alpha and alpha, and overlap
-    (K, n). The two halves of a both-domain take share block, the same
-    arrays of both domains on a leading domain axis."""
-
-    ui: np.ndarray
-    ratings: np.ndarray
-    weights: np.ndarray
-    overlap: np.ndarray
-    block: "Batch | None" = None
-
-
-class PairTable(NamedTuple):
-    """The training rows of both domains in one table, domain b's after
-    domain a's: ui (N, 2d), ratings (N,), weights (2, N) and overlap (N,), as
-    a `Batch` holds them. A row off the overlap carries cross weight 0."""
-
-    ui: np.ndarray
-    ratings: np.ndarray
-    weights: np.ndarray
-    overlap: np.ndarray
-
-    @classmethod
-    def of(cls, domains, alpha: float) -> "PairTable":
-        """The table of two domains' (user_emb, item_emb, ratings, overlap) columns."""
-        users, items, ratings, overlap = zip(*domains)
-        d = users[0].shape[1]
-        ui = np.empty((sum(map(len, users)), 2 * d))  # filled in place, without concatenated copies
-        at = 0
-        for u, i in zip(users, items):
-            ui[at : at + len(u), :d], ui[at : at + len(u), d:] = u, i
-            at += len(u)
-        overlap = np.concatenate(overlap)
-        cross = np.where(overlap, alpha, 0.0)
-        return cls(ui, np.concatenate(ratings), np.array((1.0 - cross, cross)), overlap)
-
-    def take(self, rows) -> Batch:
-        """The table rows at rows, each array with rows' axes in front."""
-        return Batch(self.ui.take(rows, axis=0), self.ratings.take(rows), self.weights.take(rows, axis=1),
-                     self.overlap.take(rows))
-
-    def step(self, rows, start: int, sizes) -> list:
-        """One step's [batch_a, batch_b]: domain k's next sizes[k] rows of
-        rows[k] (K, n_max) from start, None when sizes[k] is 0. Batches of one
-        size above one row are the halves of one take of both domains; others
-        are taken apart and run domain by domain, since a 1-row product's bits
-        follow its layout."""
-        n_a, n_b = sizes
-        if n_a == n_b > 1:
-            block = self.take(rows[:, :, start : start + n_a])
-            ui, ratings, weights, overlap, _ = block
-            return [Batch(ui[k], ratings[k], weights[:, k], overlap[k], block) for k in (0, 1)]
-        return [self.take(rows[k, :, start : start + n]) if n else None for k, n in enumerate(sizes)]
-
-
-def step_batches(alpha: float, batch_a, batch_b) -> list:
-    """The [batch_a, batch_b] of one step as `fit_models` takes them, from each
-    domain's (user_emb (K, n, d), item_emb (K, n, d), ratings (K, n), overlap
-    (K, n)) arrays, or None to leave the domain out."""
-    batches = (batch_a, batch_b)
-    present = next(b for b in batches if b is not None)
-    n_models = present[2].shape[0]
-    sizes = [0 if b is None else b[2].shape[1] for b in batches]
-    rows = np.zeros((2, n_models, max(sizes)), dtype=np.intp)
-    for k, n in enumerate(sizes):  # domain b's rows follow domain a's K * n_a rows
-        rows[k, :, :n] = np.arange(n_models * n).reshape(n_models, n) + k * n_models * sizes[0]
-    # each domain's rows model after model; a domain left out has none
-    columns = [[a[:, :n].reshape(-1, *a.shape[2:]) for a in (present if b is None else b)]
-               for b, n in zip(batches, sizes)]
-    return PairTable.of(columns, alpha).step(rows, 0, sizes)
+def prepare_rows(datasets, encoders) -> Rows:
+    """The table of two domains' rows, domain b's after domain a's: each domain
+    encoded by its (user, item) encoders (`prepare_domain`), with overlap flags
+    from the partner domain's users."""
+    users = [{r.user_id for r in ds.interactions} for ds in datasets]
+    return Rows.join([prepare_domain(ds, *aes, partner_users=users[1 - k])
+                      for k, (ds, aes) in enumerate(zip(datasets, encoders))])
 
 
 # ---------------------------------------------------------------------------
@@ -634,15 +616,15 @@ def _one_domain_passes(stack: ModelStack, batches):
 def dual_loss_and_grads(stack: ModelStack, batch_a, batch_b, penalty_weight: float = 1.0):
     """Combined objective L_a + L_b + penalty of K stacked models and its exact gradients.
 
-    batch_a / batch_b are each domain's `Batch` (`step_batches` builds them,
-    `fit_models` takes them from its `PairTable`); pass None to leave a
-    domain out of this step. The two halves of one both-domain take run as
-    one pass of both domains; otherwise each domain runs through the same
-    kernel alone. Returns (total (K,), grads, grad_x (K, d, d)); grads is
-    stack.grads, shaped like stack.params (its domain axis indexes the
-    scorer), with zeros for a scorer no term of this step touches, and the
-    next step overwrites it. Raises FloatingPointError naming the model whose
-    total or gradient is not finite.
+    batch_a / batch_b are each domain's `Batch`, as `fit_models` takes them
+    from its table (`Rows.step`); pass None to leave a domain out of this
+    step. The two halves of one both-domain take run as one pass of both
+    domains; otherwise each domain runs through the same kernel alone.
+    Returns (total (K,), grads, grad_x (K, d, d)); grads is stack.grads,
+    shaped like stack.params (its domain axis indexes the scorer), with zeros
+    for a scorer no term of this step touches, and the next step overwrites
+    it. Raises FloatingPointError naming the model whose total or gradient
+    is not finite.
     """
     block = None if batch_a is None else batch_a.block
     if block is not None and batch_b is not None and batch_b.block is block:
@@ -657,26 +639,31 @@ def dual_loss_and_grads(stack: ModelStack, batch_a, batch_b, penalty_weight: flo
     pen_loss, pen_grad = ortho_penalty(stack.x)
     total = total + penalty_weight * pen_loss
     grad_x = penalty_weight * pen_grad if grad_x is None else grad_x + penalty_weight * pen_grad
-    check_finite_step(total, [grad_x, stack.grads[..., None, :]], stack.names)
+    check_finite_step(total, [grad_x, stack.grads[..., None, :]], "lower lr_a, lr_b, lr_map or penalty_weight",
+                      stack.names)
     return total, stack.grads, grad_x
 
 
-def evaluate_loss(dm: DualModel, arrays: TrainingArrays, domain) -> float:
-    """Full-pass hybrid MSE of one domain (no penalty term)."""
-    if len(arrays) == 0:
+def evaluate_loss(dm: DualModel, rows, domain) -> float:
+    """Full-pass hybrid MSE of one domain's rows (no penalty term): a `Rows`
+    table of that domain or a `Batch` taken from one."""
+    if rows.ratings.shape[0] == 0:
         return 0.0
-    preds = predict_batch(dm, domain, arrays)
-    return float(np.mean((preds - arrays.ratings) ** 2))
+    preds = predict_batch(dm, domain, rows)
+    return float(np.mean((preds - rows.ratings) ** 2))
 
 
-def predict_batch(dm: DualModel, domain, arrays: TrainingArrays) -> np.ndarray:
+def predict_batch(dm: DualModel, domain, rows) -> np.ndarray:
+    """Hybrid ratings of one domain's rows, read from their ui and overlap."""
     k = dm.index(domain)
-    within = score_batch(dm.domains[k].scorer, arrays.user_emb, arrays.item_emb)
+    ui = rows.ui
+    within = model_forward(dm.domains[k].scorer, ui)[0][:, 0]
     if dm.alpha == 0.0:
         return within
-    cross = sum(score_batch(dom.scorer, arrays.user_emb @ dm.cross_matrix(j, k).T, arrays.item_emb)
+    user, item = ui[:, : dm.embed_dim], ui[:, dm.embed_dim :]
+    cross = sum(model_forward(dom.scorer, np.concatenate([user @ dm.cross_matrix(j, k).T, item], axis=1))[0][:, 0]
                 for j, dom in enumerate(dm.domains) if j != k)
-    alpha_vec = np.where(arrays.overlap, dm.alpha, 0.0)
+    alpha_vec = np.where(rows.overlap, dm.alpha, 0.0)
     return (1.0 - alpha_vec) * within + alpha_vec / (len(dm.domains) - 1) * cross
 
 
@@ -708,72 +695,78 @@ def _schedule(counts: np.ndarray, batch_size: int) -> list:
 
 def fit_models(
     models: list[DualModel],
-    arrays_a: TrainingArrays,
-    arrays_b: TrainingArrays,
+    table: Rows,
     cfg: TrainConfig,
     seeds: list[int],
     rows: tuple[list, list] | None = None,
 ) -> list[tuple[list[float], list[float]]]:
     """Train K models of one shape and alpha in lockstep, each bit for bit as alone.
 
-    Model m trains on rows[0][m] of arrays_a and rows[1][m] of arrays_b (all
-    rows when rows is None), shuffled by seeds[m]; both domains' rows sit in
-    one `PairTable`, which each epoch indexes with one (2, K, n_max) row
-    array. Each step pairs the next mini-batch of each domain (the shorter
-    domain runs out first) and updates both scorers and the map of every
-    live model, both domains in one stacked pass (`dual_loss_and_grads`); a
-    step whose batch sizes differ between models runs model by model. A row
+    table holds both domains' rows (`prepare_rows`), and fit_models reads it
+    without copying it. Model m trains on rows[0][m] of domain a and
+    rows[1][m] of domain b (all rows when rows is None), shuffled by
+    seeds[m]; each epoch indexes the table with one (2, K, n_max) row array.
+    Each step pairs the next mini-batch of each domain (the shorter domain
+    runs out first) and updates both scorers and the map of every live
+    model, both domains in one stacked pass (`dual_loss_and_grads`); a step
+    whose batch sizes differ between models runs model by model. A row
     index outside its domain raises ValueError naming the model and the
-    domain. Each epoch ends by projecting
-    every map onto the orthogonal manifold. A model leaves the stack after
-    cfg.epochs, or after the first epoch whose combined full-pass loss moves
-    less than cfg.tol. Returns each model's (trace_a, trace_b) of full-pass
-    losses, index 0 before training and index e after epoch e; each model
-    ends up owning its arrays. Raises FloatingPointError naming the model
-    when a step is not finite, or when a domain's full-pass loss ends an
-    epoch above twice its pre-training value (its lr_a or lr_b is too high).
+    domain. Each epoch ends by projecting every map onto the orthogonal
+    manifold and by a full pass over each model's rows of each domain: a
+    slice of the table, or one take for a subset. A model leaves the stack
+    after cfg.epochs, or after the first epoch whose combined full-pass loss
+    moves less than cfg.tol. Returns each model's (trace_a, trace_b) of
+    full-pass losses, index 0 before training and index e after epoch e;
+    each model ends up owning its arrays. Raises FloatingPointError naming
+    the model when a step is not finite, or when a domain's full-pass loss
+    ends an epoch above twice its pre-training value (its lr_a or lr_b is
+    too high).
     """
     n_models = len(models)
     if len(seeds) != n_models or (rows is not None and not len(rows[0]) == len(rows[1]) == n_models):
         raise ValueError(f"{n_models} models need as many seeds and row sets")
-    domains = (arrays_a, arrays_b)
+    if len(table.bounds) != 3:
+        raise ValueError(f"the table holds {len(table.bounds) - 1} domains; the training kernel runs two")
     # rows[k][m]: model m's row indices into domain k, or None for every row
     rows = [[None] * n_models] * 2 if rows is None else [[np.asarray(r, dtype=np.intp) for r in rs] for rs in rows]
-    for k, (arrays, domain_rows) in enumerate(zip(domains, rows)):
+    lengths = np.diff(table.bounds).tolist()
+    for k, domain_rows in enumerate(rows):
         for m, r in enumerate(domain_rows):
-            outside = () if r is None else r[(r < 0) | (r >= len(arrays))]
+            outside = () if r is None else r[(r < 0) | (r >= lengths[k])]
             if len(outside):
                 raise ValueError(f"model {m} has row index {outside[0]} "
-                                 f"outside domain {_letter(k)}'s [0, {len(arrays)})")
-    counts = np.array([[len(d) if r is None else len(r) for d, r in zip(domains, model_rows)] for model_rows in zip(*rows)])
+                                 f"outside domain {_letter(k)}'s [0, {lengths[k]})")
+    # at[k][m]: the same rows as rows of the table
+    at = [[None if r is None else r + table.bounds[k] for r in domain_rows] for k, domain_rows in enumerate(rows)]
+    counts = np.array([[n if r is None else len(r) for n, r in zip(lengths, model_rows)] for model_rows in zip(*rows)])
     in_model = (lambda m: f" in model {m}") if n_models > 1 else (lambda m: "")
     empty = np.flatnonzero((counts == 0).any(axis=1))
     if empty.size:
         raise ValueError(f"both domains need at least one training record{in_model(empty[0])}")
 
     def full_pass(m, k):
-        return evaluate_loss(models[m], domains[k] if rows[k][m] is None else domains[k].rows(rows[k][m]), k)
+        return evaluate_loss(models[m], table.domain(k) if at[k][m] is None else table.take(at[k][m]), k)
 
     traces = [([full_pass(m, 0)], [full_pass(m, 1)]) for m in range(n_models)]
     live = list(range(n_models))
     stack = ModelStack.of(models)
     schedule = _schedule(counts, cfg.batch_size)
     lrs = np.array([cfg.lr_a, cfg.lr_b]).reshape(2, 1, 1)  # broadcast on the scorers' domain axis
-    table = PairTable.of([(a.user_emb, a.item_emb, a.ratings, a.overlap) for a in domains], stack.alpha)
+    weighted = table.weighted(stack.alpha)
     for epoch in range(cfg.epochs):
         # order[k, j]: live model j's shuffled rows of domain k, as rows of the table
         order = np.zeros((2, len(live), counts[live].max()), dtype=np.intp)
-        for k, offset in enumerate((0, len(arrays_a))):
+        for k in (0, 1):
             for j, m in enumerate(live):
                 perm = make_rng(seeds[m], _L_SHUFFLE, k, epoch).permutation(counts[m, k])
-                order[k, j, : counts[m, k]] = offset + (perm if rows[k][m] is None else rows[k][m][perm])
+                order[k, j, : counts[m, k]] = table.bounds[k] + perm if at[k][m] is None else at[k][m][perm]
         for start, sizes, uniform in schedule:
             if uniform:
-                _train_step(stack, table.step(order, start, sizes[0]), cfg, lrs)
+                _train_step(stack, weighted.step(order, start, sizes[0]), cfg, lrs)
                 continue
             for j, model_sizes in enumerate(sizes):  # batch sizes differ: model by model
                 if any(model_sizes):
-                    _train_step(stack.part(j), table.step(order[:, j : j + 1], start, model_sizes), cfg, lrs)
+                    _train_step(stack.part(j), weighted.step(order[:, j : j + 1], start, model_sizes), cfg, lrs)
         stopped = []
         for j, m in enumerate(live):
             stack.x[j] = project_orthogonal(models[m].maps[(0, 1)]).x
@@ -800,20 +793,14 @@ def fit_models(
     return traces
 
 
-def fit(
-    dm: DualModel,
-    arrays_a: TrainingArrays,
-    arrays_b: TrainingArrays,
-    cfg: TrainConfig,
-    seed: int = 0,
-) -> tuple[list[float], list[float]]:
+def fit(dm: DualModel, table: Rows, cfg: TrainConfig, seed: int = 0) -> tuple[list[float], list[float]]:
     """Train one model (`fit_models` at K = 1) until the epoch budget or until
     the combined full-pass loss moves less than cfg.tol between epochs.
 
     Returns per-domain traces of the full-pass loss; index 0 is the
     pre-training loss, index e the loss after epoch e.
     """
-    return fit_models([dm], arrays_a, arrays_b, cfg, [seed])[0]
+    return fit_models([dm], table, cfg, [seed])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -883,12 +870,8 @@ def train_pair(
     warm = shared_user_alignment(ds_a, ds_b, ae_user_a, ae_user_b)
     if warm is not None:
         dm.maps[(0, 1)] = warm
-    users_a = {r.user_id for r in ds_a.interactions}
-    users_b = {r.user_id for r in ds_b.interactions}
-    arrays_a = prepare_domain(ds_a, ae_user_a, ae_item_a, partner_users=users_b)
-    arrays_b = prepare_domain(ds_b, ae_user_b, ae_item_b, partner_users=users_a)
-    traces = fit(dm, arrays_a, arrays_b, cfg, seed)
-    return dm, traces
+    table = prepare_rows((ds_a, ds_b), ((ae_user_a, ae_item_a), (ae_user_b, ae_item_b)))
+    return dm, fit(dm, table, cfg, seed)
 
 
 # ---------------------------------------------------------------------------

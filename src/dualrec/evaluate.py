@@ -17,8 +17,9 @@ fold splits, the four feature autoencoders (those with corpora of one shape
 train in lockstep on a domain axis), the Procrustes warm map and one
 encoding of each whole domain. The autoencoders and the warm map see only
 entity attributes, never ratings, so fold isolation of the rating data is
-preserved. A fold's training and test arrays are row slices of the whole
-domain's encoding.
+preserved. The encoding is one table of both domains' rows
+(`dualmodel.Rows`): the folds train on it through their row indices, and
+each fold's held-out rows are scored by one take of it.
 
 The sweep reruns the folds across a grid of transfer rates with shared
 seeds and one prepared pair shared by every point, which makes the
@@ -36,12 +37,12 @@ import numpy as np
 
 from dualrec.autoencoder import Autoencoder
 from dualrec.dualmodel import (
+    Rows,
     TrainConfig,
-    TrainingArrays,
     fit_models,
     new_dual_model,
     predict_batch,
-    prepare_domain,
+    prepare_rows,
     shared_user_alignment,
     train_pair_autoencoders,
 )
@@ -177,10 +178,10 @@ def _prepared_key(cfg: TrainConfig, k: int, seed: int) -> dict:
 class PreparedPair:
     """What run_cv builds before its first fold, none of which depends on alpha.
 
-    Per domain (a, b): the fold split, the (user, item) autoencoders and the
-    whole domain encoded with partner-user overlap flags; plus the shared
-    Procrustes warm map (None when too few users are shared). `key` holds
-    the arguments it was built for.
+    Per domain (a, b): the fold split and the (user, item) autoencoders;
+    the shared Procrustes warm map (None when too few users are shared); and
+    rows, both whole domains encoded with partner-user overlap flags in one
+    table (`prepare_rows`). `key` holds the arguments it was built for.
     """
 
     key: dict
@@ -188,7 +189,7 @@ class PreparedPair:
     splits: tuple[FoldSplit, FoldSplit]
     encoders: tuple[tuple[Autoencoder, Autoencoder], tuple[Autoencoder, Autoencoder]]
     warm_map: OrthogonalMap | None
-    arrays: tuple[TrainingArrays, TrainingArrays]
+    rows: Rows
 
 
 def prepare_pair(ds_a: DomainDataset, ds_b: DomainDataset, cfg: TrainConfig, k: int = 5, seed: int = 0) -> PreparedPair:
@@ -203,13 +204,8 @@ def prepare_pair(ds_a: DomainDataset, ds_b: DomainDataset, cfg: TrainConfig, k: 
     enc_a, enc_b = train_pair_autoencoders(ds_a, ds_b, cfg, seed)
     # the alignment sees entity features only, never ratings
     warm_map = shared_user_alignment(ds_a, ds_b, enc_a[0], enc_b[0])
-    users_a = {r.user_id for r in ds_a.interactions}
-    users_b = {r.user_id for r in ds_b.interactions}
-    arrays = (
-        prepare_domain(ds_a, *enc_a, partner_users=users_b),
-        prepare_domain(ds_b, *enc_b, partner_users=users_a),
-    )
-    return PreparedPair(_prepared_key(cfg, k, seed), (ds_a, ds_b), splits, (enc_a, enc_b), warm_map, arrays)
+    rows = prepare_rows((ds_a, ds_b), (enc_a, enc_b))
+    return PreparedPair(_prepared_key(cfg, k, seed), (ds_a, ds_b), splits, (enc_a, enc_b), warm_map, rows)
 
 
 def _check_prepared(prepared: PreparedPair, ds_a, ds_b, cfg: TrainConfig, k: int, seed: int) -> None:
@@ -246,7 +242,7 @@ def run_cv(
     if prepared is None:
         prepared = prepare_pair(ds_a, ds_b, cfg, k, seed)
     _check_prepared(prepared, ds_a, ds_b, cfg, k, seed)
-    arrays_a, arrays_b = prepared.arrays
+    table = prepared.rows
     config_echo = {f.name: getattr(cfg, f.name) for f in fields(TrainConfig)}
     config_echo.update(folds=k, seed=seed, rank_k=rank_k, tau=tau)
     folds_a: list[FoldMetrics] = []
@@ -261,21 +257,22 @@ def run_cv(
         models.append(dm)
     # per domain, the (train, test) record indices of every fold
     splits = [[split.fold_indices(fold) for fold in range(k)] for split in prepared.splits]
-    fit_models(models, arrays_a, arrays_b, cfg, seeds, rows=tuple([tr for tr, _ in folds] for folds in splits))
+    fit_models(models, table, cfg, seeds, rows=tuple([tr for tr, _ in folds] for folds in splits))
     for fold, dm in enumerate(models):
-        (_, te_a), (_, te_b) = splits[0][fold], splits[1][fold]
-        for domain_index, arr_te, sink in ((0, arrays_a.rows(te_a), folds_a), (1, arrays_b.rows(te_b), folds_b)):
-            preds = predict_batch(dm, domain_index, arr_te)
-            pr = precision_recall_at_k(arr_te.user_ids, preds, arr_te.ratings, k=rank_k, tau=tau)
+        for domain_index, sink in ((0, folds_a), (1, folds_b)):
+            held_out = table.bounds[domain_index] + splits[domain_index][fold][1]  # as rows of the table
+            test = table.take(held_out)
+            preds = predict_batch(dm, domain_index, test)
+            pr = precision_recall_at_k(table.user_ids[held_out], preds, test.ratings, k=rank_k, tau=tau)
             sink.append(
                 FoldMetrics(
                     fold=fold,
-                    rmse=rmse(preds, arr_te.ratings),
-                    mae=mae(preds, arr_te.ratings),
+                    rmse=rmse(preds, test.ratings),
+                    mae=mae(preds, test.ratings),
                     precision_at_k=pr.precision,
                     recall_at_k=pr.recall,
                     recall_defined=pr.recall_defined,
-                    n_test=len(arr_te),
+                    n_test=len(held_out),
                 )
             )
     return (
@@ -308,11 +305,11 @@ def alpha_sweep(
     """One cross-validation run per transfer rate, seeds shared across rates.
 
     The pair is prepared once (`prepare_pair`: splits, autoencoders, warm
-    map, encoded arrays) and every point runs its folds on it, so each point
-    equals `run_cv` at its alpha. Each point's folds stop by cfg's own `tol`
-    rule, so different alphas may train for different epoch counts: on the
-    standard pair (`dualrec synth --seed 101 --sigma 0.02`, sweep seed 0)
-    the folds stop at epochs [9, 37, 59, 9, 26] at alpha 0 and
+    map, the table of encoded rows) and every point runs its folds on it, so
+    each point equals `run_cv` at its alpha. Each point's folds stop by cfg's
+    own `tol` rule, so different alphas may train for different epoch counts:
+    on the standard pair (`dualrec synth --seed 101 --sigma 0.02`, sweep seed
+    0) the folds stop at epochs [9, 37, 59, 9, 26] at alpha 0 and
     [9, 27, 12, 9, 26] at alpha 0.03. `tol=0` gives every point the same
     budget of cfg.epochs, as the transfer-benefit criterion and demo 05 use.
     """

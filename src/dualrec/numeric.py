@@ -225,7 +225,7 @@ def stack_backward(layers, caches, dy, out, need_dx: bool = True):
     return dy
 
 
-def check_finite_step(loss, grads, names=None, remedy: str = "lower the learning rate") -> None:
+def check_finite_step(loss, grads, remedy: str, names=None) -> None:
     """One finite check per training step over its loss and gradient arrays.
 
     A NaN or inf anywhere makes the sum non-finite; so does a sum that
@@ -233,7 +233,8 @@ def check_finite_step(loss, grads, names=None, remedy: str = "lower the learning
     networks passes a (K,) loss and stacked gradients whose axis -3 is the
     network axis (weights (..., K, out, in), a flat buffer (..., K, P) as its
     (..., K, 1, P) view), and names (one per network) to name the first
-    network whose own sum is not finite. The error ends with the remedy.
+    network whose own sum is not finite. The error ends with the remedy, which
+    names the keys to lower.
     """
     if math.isfinite(np.add.reduce(loss, None) + sum(np.add.reduce(g, None) for g in grads)):
         return

@@ -8,16 +8,20 @@ each autoencoder trained alone must equal its slice of the lockstep stack.
 import numpy as np
 
 from dualrec.autoencoder import train_autoencoder
-from dualrec.dualmodel import (
-    _L_SHUFFLE,
-    RatingModel,
-    TrainingArrays,
-    make_rating_model,
-    model_forward,
-    score_batch,
-)
+from dualrec.dualmodel import _L_SHUFFLE, RatingModel, Rows, make_rating_model
 from dualrec.features import DomainDataset, encode
-from dualrec.numeric import check_finite_step, layer_backward, make_rng
+from dualrec.numeric import check_finite_step, layer_backward, layer_forward, make_rng
+
+
+def model_forward(model: RatingModel, x: np.ndarray):
+    """One scorer's forward pass, layer by layer, on rows x (n, 2d) or one row
+    (2d,): (y, per-layer caches for `model_backward`)."""
+    caches = []
+    h = x
+    for layer in model.layers:
+        h, cache = layer_forward(layer, h)
+        caches.append(cache)
+    return h, caches
 
 
 def model_backward(model: RatingModel, caches, dy: np.ndarray, need_dx: bool = True):
@@ -49,7 +53,7 @@ def domain_autoencoders(dataset: DomainDataset, cfg, seed: int):
 
 
 def train_single(
-    arrays: TrainingArrays,
+    rows: Rows,
     domain_index: int,
     embed_dim: int,
     seed: int,
@@ -68,19 +72,18 @@ def train_single(
     model = make_rating_model(embed_dim, seed, domain_index, hidden)
 
     def full_loss() -> float:
-        preds = score_batch(model, arrays.user_emb, arrays.item_emb)
-        return float(np.mean((preds - arrays.ratings) ** 2))
+        preds = model_forward(model, rows.ui)[0][:, 0]
+        return float(np.mean((preds - rows.ratings) ** 2))
 
     trace = [full_loss()]
     for epoch in range(epochs):
-        order = make_rng(seed, _L_SHUFFLE, domain_index, epoch).permutation(len(arrays))
+        order = make_rng(seed, _L_SHUFFLE, domain_index, epoch).permutation(len(rows))
         for start in range(0, len(order), batch_size):
             idx = order[start : start + batch_size]
-            u, i, y = arrays.user_emb[idx], arrays.item_emb[idx], arrays.ratings[idx]
-            y_hat, caches = model_forward(model, np.concatenate([u, i], axis=1))
-            resid = y_hat - y[:, None]
-            _, grads = model_backward(model, caches, 2.0 * resid / u.shape[0], need_dx=False)
-            check_finite_step(resid.sum(), [g for pair in grads for g in pair])
+            y_hat, caches = model_forward(model, rows.ui[idx])
+            resid = y_hat - rows.ratings[idx, None]
+            _, grads = model_backward(model, caches, 2.0 * resid / len(idx), need_dx=False)
+            check_finite_step(resid.sum(), [g for pair in grads for g in pair], "lower lr")
             for layer, (dw, db) in zip(model.layers, grads):
                 layer.weights -= lr * dw
                 layer.bias -= lr * db

@@ -33,11 +33,8 @@ from dualrec.dualmodel import (
     TrainConfig,
     dual_loss_and_grads,
     make_rating_model,
-    model_forward,
     predict_from_embeddings,
     prepare_domain,
-    score_batch,
-    step_batches,
     train_pair,
 )
 from dualrec.evaluate import alpha_sweep, precision_recall_at_k, rmse, run_cv
@@ -52,7 +49,8 @@ from dualrec.nmflab import (
     run_nmf,
 )
 from dualrec.numeric import FlatStack, grad_check, make_rng
-from single_domain import domain_autoencoders, model_backward, train_single
+from single_domain import domain_autoencoders, model_backward, model_forward, train_single
+from test_training_kernel import step_batches
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +197,7 @@ def test_criterion_3_degeneration_identities():
                 batch_size=cfg.batch_size, hidden=cfg.hidden,
             )
             arr_te = prepare_domain(ds, ae_u, ae_i, te)
-            preds = score_batch(model, arr_te.user_emb, arr_te.item_emb)
+            preds = model_forward(model, arr_te.ui)[0][:, 0]
             fold_rmse.append(rmse(preds, arr_te.ratings))
             pr = precision_recall_at_k(arr_te.user_ids, preds, arr_te.ratings, k=5, tau=0.5)
             fold_prec.append(pr.precision)

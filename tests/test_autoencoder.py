@@ -1,7 +1,8 @@
 """Feature-embedding autoencoder tests.
 
 Gradient correctness rides on the numeric kernel tests; here the focus is
-training behavior, the encode/decode contracts, and persistence.
+training behavior and the encode/decode contracts; the arrays a model
+bundle holds are checked through the dualrec-dual-1 bundle tests.
 """
 
 import numpy as np
@@ -10,11 +11,8 @@ import pytest
 from dualrec.autoencoder import (
     ae_decode,
     ae_encode,
-    load_autoencoder,
     loss_and_grads,
     new_autoencoder,
-    reconstruction_loss,
-    save_autoencoder,
     stack_autoencoders,
     train_autoencoder,
 )
@@ -120,22 +118,3 @@ class TestEncodeDecode:
         ae, x, _ = trained
         emb = ae_encode(ae, x)
         assert np.all(emb > 0.0) and np.all(emb < 1.0)
-
-
-class TestPersistence:
-    def test_save_load_round_trip(self, tmp_path):
-        x = fixture_corpus(n=20, dim=12)
-        ae, _ = train_autoencoder(x, embed_dim=5, epochs=10, seed=8, domain="a", entity="item")
-        save_autoencoder(ae, tmp_path / "ae.npz")
-        back = load_autoencoder(tmp_path / "ae.npz")
-        np.testing.assert_array_equal(back.encoder.weights, ae.encoder.weights)
-        np.testing.assert_array_equal(back.decoder.bias, ae.decoder.bias)
-        assert back.domain == "a" and back.entity == "item" and back.trained
-        np.testing.assert_array_equal(ae_encode(back, x), ae_encode(ae, x))
-
-    def test_reconstruction_loss_matches_after_reload(self, tmp_path):
-        x = fixture_corpus(n=20, dim=12)
-        ae, _ = train_autoencoder(x, embed_dim=5, epochs=10, seed=8)
-        save_autoencoder(ae, tmp_path / "ae.npz")
-        back = load_autoencoder(tmp_path / "ae.npz")
-        assert reconstruction_loss(back, x) == reconstruction_loss(ae, x)

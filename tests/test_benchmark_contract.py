@@ -60,9 +60,8 @@ def test_a_traced_fit_records_one_step_span_per_scheduled_step():
     ds_a, ds_b, _ = synth_pair(n_users=30, n_items_per_domain=10, latent_dim=4, density=0.4, seed=5)
     cfg = dualmodel.TrainConfig(embed_dim=4, hidden=(8, 4), epochs=3, tol=0.0, batch_size=8, ae_epochs=5)
     encoders = dualmodel.train_pair_autoencoders(ds_a, ds_b, cfg, seed=0)
-    arrays = [dualmodel.prepare_domain(ds, *aes, partner_users={r.user_id for r in partner.interactions})
-              for ds, aes, partner in ((ds_a, encoders[0], ds_b), (ds_b, encoders[1], ds_a))]
-    n_a, n_b = map(len, arrays)
+    table = dualmodel.prepare_rows((ds_a, ds_b), encoders)
+    n_a, n_b = np.diff(table.bounds)
     # the second model drops rows of domain a, so the stack's last steps run model by model
     rows = ([np.arange(n_a), np.arange(n_a - 5)], [np.arange(n_b)] * 2)
     models = [dualmodel.new_dual_model(list(encoders), alpha=0.03, seed=seed, hidden=cfg.hidden) for seed in (0, 1, 2)]
@@ -70,8 +69,8 @@ def test_a_traced_fit_records_one_step_span_per_scheduled_step():
     tracer = spans.Tracer()
     tracer.install()
     try:
-        dualmodel.fit(models[0], *arrays, cfg, seed=0)
-        dualmodel.fit_models(models[1:], *arrays, cfg, [1, 2], rows=rows)
+        dualmodel.fit(models[0], table, cfg, seed=0)
+        dualmodel.fit_models(models[1:], table, cfg, [1, 2], rows=rows)
     finally:
         tracer.uninstall()
     metrics = tracer.layer_metrics(1.0, 1.0)

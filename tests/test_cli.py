@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -39,6 +40,11 @@ OUT_OF_RANGE = [
     ("nmf_rank", "0"), ("nmf_alpha", "0.5"), ("nmf_iters", "0"), ("nmf_tol", "-1"),
     ("nmf_scale", "0"),
 ]
+
+
+# a float and a bool for every key typed int, and hidden widths that are no integers, as the error names them
+NON_INTEGERS = [(f.name, value, f"{f.name}={value}") for f in dataclasses.fields(ExperimentConfig) if f.type == "int"
+                for value in (2.5, True)] + [("hidden", (8.5,), "hidden[0]=8.5"), ("hidden", (16, True), "hidden[1]=True")]
 
 
 def write_small_config(path, **extra):
@@ -114,6 +120,15 @@ class TestConfig:
 
     def test_every_key_has_an_out_of_range_case(self):
         assert {key for key, _ in OUT_OF_RANGE} == {f.name for f in dataclasses.fields(ExperimentConfig)}
+
+    @pytest.mark.parametrize("key, value, named", NON_INTEGERS)
+    def test_an_integer_key_refuses_a_non_integer(self, key, value, named):
+        with pytest.raises(ValueError, match=rf"^{re.escape(named)} is not an integer$"):
+            ExperimentConfig(**{key: value})
+
+    def test_numpy_integers_are_integers(self):
+        cfg = ExperimentConfig(epochs=np.int64(3), hidden=(np.int64(4), np.int32(2)), folds=np.int64(3))
+        assert (cfg.epochs, cfg.hidden, cfg.folds) == (3, (4, 2), 3)
 
     def test_empty_alpha_grid_rejected(self):
         with pytest.raises(ValueError, match="alphas"):

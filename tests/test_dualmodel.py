@@ -12,8 +12,8 @@ from dualrec.dualmodel import (
     DualModel,
     ModelStack,
     RatingModel,
+    Rows,
     TrainConfig,
-    TrainingArrays,
     apply_grads,
     dual_loss_and_grads,
     evaluate_loss,
@@ -27,16 +27,15 @@ from dualrec.dualmodel import (
     prepare_domain,
     save_dual_model,
     score,
-    score_batch,
     shared_user_alignment,
-    step_batches,
     train_pair,
     train_pair_autoencoders,
 )
 from dualrec.features import encode, synth_pair
 from dualrec.mapping import OrthogonalMap, init_map, orthogonality_defect
 from dualrec.numeric import grad_check, make_rng
-from single_domain import train_single
+from single_domain import model_forward, train_single
+from test_training_kernel import step_batches
 
 
 def small_config(**overrides):
@@ -65,6 +64,16 @@ def random_embeddings(dm, n, seed):
     rng = make_rng(seed)
     d = dm.embed_dim
     return rng.random(size=(n, d)), rng.random(size=(n, d))
+
+
+def rows_of(user_emb, item_emb, ratings, overlap):
+    """A one-domain table of embedding rows."""
+    return Rows(np.concatenate([user_emb, item_emb], axis=1), ratings, overlap, np.full(len(ratings), "u"), (0, len(ratings)))
+
+
+def layer_by_layer(model, user_emb, item_emb):
+    """The scorer on each (user, item) pair of rows, by the per-layer oracle."""
+    return model_forward(model, np.concatenate([user_emb, item_emb], axis=1))[0][:, 0]
 
 
 class TestTrainConfig:
@@ -137,8 +146,7 @@ class TestPredict:
         u, i = random_embeddings(dm, 6, seed=6)
         ratings = np.full(6, 0.5)
         overlap = np.array([True, True, False, True, False, True])
-        arrays = TrainingArrays(u, i, ratings, overlap, ["u"] * 6)
-        got = predict_batch(dm, "a", arrays)
+        got = predict_batch(dm, "a", rows_of(u, i, ratings, overlap))
         for r in range(6):
             want = predict_from_embeddings(dm, "a", u[r], i[r], in_overlap=bool(overlap[r]))
             assert got[r] == pytest.approx(want, abs=1e-12)
@@ -226,7 +234,8 @@ class TestDualLossAndGrads:
         stack = ModelStack.of([build_bare_model(alpha=0.1)])
         u, i, y, ov = make_batch(3, 4, seed=5)
         u[0, 0, 0] = np.inf
-        with pytest.raises(FloatingPointError, match="non-finite training loss or gradient; lower the learning rate"):
+        with pytest.raises(FloatingPointError, match=r"^non-finite training loss or gradient; "
+                                                     r"lower lr_a, lr_b, lr_map or penalty_weight$"):
             dual_loss_and_grads(stack, *step_batches(0.1, (u, i, y, ov), None))
 
     def test_a_stack_shares_one_alpha_and_one_shape(self):
@@ -241,9 +250,8 @@ def arrays_pair(small_pair):
     ds_a, ds_b, _ = small_pair
     cfg = small_config()
     (ae_ua, ae_ia), (ae_ub, ae_ib) = train_pair_autoencoders(ds_a, ds_b, cfg, seed=0)
-    arrays_a = prepare_domain(ds_a, ae_ua, ae_ia)
-    arrays_b = prepare_domain(ds_b, ae_ub, ae_ib)
-    return (ae_ua, ae_ia, ae_ub, ae_ib), arrays_a, arrays_b
+    table = Rows.join([prepare_domain(ds_a, ae_ua, ae_ia), prepare_domain(ds_b, ae_ub, ae_ib)])
+    return (ae_ua, ae_ia, ae_ub, ae_ib), table
 
 
 class TestFit:
@@ -251,37 +259,37 @@ class TestFit:
         return new_dual_model([aes[:2], aes[2:]], alpha=alpha, seed=seed, hidden=(8, 4))
 
     def test_huge_tolerance_stops_after_one_epoch(self, arrays_pair):
-        aes, arrays_a, arrays_b = arrays_pair
+        aes, table = arrays_pair
         cfg = small_config(epochs=50, tol=1e9)
-        trace_a, trace_b = fit(self.build(aes), arrays_a, arrays_b, cfg, seed=0)
+        trace_a, trace_b = fit(self.build(aes), table, cfg, seed=0)
         assert len(trace_a) == 2  # the pre-training loss plus one epoch
 
     def test_fixed_seed_reproduces_traces(self, arrays_pair):
-        aes, arrays_a, arrays_b = arrays_pair
+        aes, table = arrays_pair
         cfg = small_config(epochs=4)
-        t1 = fit(self.build(aes), arrays_a, arrays_b, cfg, seed=5)
-        t2 = fit(self.build(aes), arrays_a, arrays_b, cfg, seed=5)
+        t1 = fit(self.build(aes), table, cfg, seed=5)
+        t2 = fit(self.build(aes), table, cfg, seed=5)
         assert t1 == t2
 
     def test_losses_fall_below_the_pretraining_point(self, arrays_pair):
-        aes, arrays_a, arrays_b = arrays_pair
+        aes, table = arrays_pair
         cfg = small_config(epochs=12)
-        trace_a, trace_b = fit(self.build(aes), arrays_a, arrays_b, cfg, seed=0)
+        trace_a, trace_b = fit(self.build(aes), table, cfg, seed=0)
         assert trace_a[-1] < trace_a[0]
         assert trace_b[-1] < trace_b[0]
 
     def test_map_stays_orthogonal_after_training(self, arrays_pair):
-        aes, arrays_a, arrays_b = arrays_pair
+        aes, table = arrays_pair
         dm = self.build(aes)
-        fit(dm, arrays_a, arrays_b, small_config(epochs=3), seed=0)
+        fit(dm, table, small_config(epochs=3), seed=0)
         assert orthogonality_defect(dm.maps[(0, 1)].x) <= 1e-6
 
     def test_alpha_zero_fit_matches_single_domain_training(self, arrays_pair):
-        aes, arrays_a, arrays_b = arrays_pair
+        aes, table = arrays_pair
         dm = self.build(aes, alpha=0.0)
         cfg = small_config(alpha=0.0, epochs=4)
-        fit(dm, arrays_a, arrays_b, cfg, seed=0)
-        single_a, _ = train_single(arrays_a, 0, embed_dim=4, seed=0, epochs=4, tol=0.0,
+        fit(dm, table, cfg, seed=0)
+        single_a, _ = train_single(table.domain(0), 0, embed_dim=4, seed=0, epochs=4, tol=0.0,
                                    lr=cfg.lr_a, batch_size=cfg.batch_size, hidden=(8, 4))
         for la, lb in zip(dm.domains[0].scorer.layers, single_a.layers):
             np.testing.assert_array_equal(la.weights, lb.weights)
@@ -528,10 +536,10 @@ class TestEvaluateLoss:
         dm, _ = trained_small
         u, i = random_embeddings(dm, 10, seed=13)
         ratings = make_rng(14).random(10)
-        arrays = TrainingArrays(u, i, ratings, np.ones(10, dtype=bool), ["u"] * 10)
-        preds = predict_batch(dm, "b", arrays)
+        rows = rows_of(u, i, ratings, np.ones(10, dtype=bool))
+        preds = predict_batch(dm, "b", rows)
         want = float(np.mean((preds - ratings) ** 2))
-        assert evaluate_loss(dm, arrays, "b") == pytest.approx(want, rel=1e-12)
+        assert evaluate_loss(dm, rows, "b") == pytest.approx(want, rel=1e-12)
 
 
 def three_domain_model(alpha):
@@ -553,10 +561,10 @@ class TestMultiDomain:
         u, i = random_embeddings(dm, 7, seed=16)
         overlap = np.array([True, False, True, True, False, True, True])
         alpha_vec = np.where(overlap, alpha, 0.0)
-        arrays = TrainingArrays(u, i, np.zeros(7), overlap, ["u"] * 7)
+        rows = rows_of(u, i, np.zeros(7), overlap)
         for k, (own, other, mapped) in enumerate(((rs_a, rs_b, u @ x.T), (rs_b, rs_a, u @ x))):
-            want = (1.0 - alpha_vec) * score_batch(own, u, i) + alpha_vec * score_batch(other, mapped, i)
-            assert predict_batch(dm, k, arrays).tobytes() == want.tobytes()
+            want = (1.0 - alpha_vec) * layer_by_layer(own, u, i) + alpha_vec * layer_by_layer(other, mapped, i)
+            assert predict_batch(dm, k, rows).tobytes() == want.tobytes()
 
     def test_each_domain_pair_starts_from_its_own_map(self):
         maps = [link.x for link in three_domain_model(alpha=0.1).maps.values()]
@@ -594,9 +602,9 @@ class TestMultiDomain:
         rng = make_rng(18)
         u, i = rng.random((5, 3)), rng.random((5, 3))
         overlap = np.array([True, False, True, True, False])
-        arrays = TrainingArrays(u, i, np.zeros(5), overlap, ["u"] * 5)
+        rows = rows_of(u, i, np.zeros(5), overlap)
         for k in range(3):
-            got = predict_batch(dm, k, arrays)
+            got = predict_batch(dm, k, rows)
             for r in range(5):
                 assert got[r] == pytest.approx(predict_from_embeddings(dm, k, u[r], i[r], bool(overlap[r])), abs=1e-12)
 

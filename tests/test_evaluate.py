@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from dualrec import evaluate
-from dualrec.dualmodel import TrainConfig, prepare_domain, score_batch, train_pair_autoencoders
+from dualrec.dualmodel import TrainConfig, prepare_domain, train_pair_autoencoders
 from dualrec.evaluate import (
     alpha_sweep,
     mae,
@@ -25,7 +25,7 @@ from dualrec.evaluate import (
 )
 from dualrec.features import kfold, synth_pair
 from dualrec.numeric import make_rng
-from single_domain import domain_autoencoders, train_single
+from single_domain import domain_autoencoders, model_forward, train_single
 
 
 class TestPointMetrics:
@@ -189,7 +189,7 @@ class TestRunCv:
                     batch_size=cfg.batch_size, hidden=cfg.hidden,
                 )
                 arr_te = prepare_domain(ds, ae_u, ae_i, te)
-                preds = score_batch(model, arr_te.user_emb, arr_te.item_emb)
+                preds = model_forward(model, arr_te.ui)[0][:, 0]
                 fold_rmses.append(rmse(preds, arr_te.ratings))
             assert rep.rmse == pytest.approx(np.mean(fold_rmses), abs=1e-9)
 
@@ -244,17 +244,19 @@ class TestPreparedPair:
         cfg = small_cfg()
         prepared = prepare_pair(ds_a, ds_b, cfg, k=3, seed=2)
         partners = ({r.user_id for r in ds_b.interactions}, {r.user_id for r in ds_a.interactions})
-        for ds, split, (ae_u, ae_i), arrays, partner in zip(
-            (ds_a, ds_b), prepared.splits, prepared.encoders, prepared.arrays, partners
-        ):
+        table = prepared.rows
+        for k, (ds, split, (ae_u, ae_i), partner) in enumerate(zip(
+            (ds_a, ds_b), prepared.splits, prepared.encoders, partners
+        )):
             for fold in range(3):
                 for idx in split.fold_indices(fold):
-                    got = arrays.rows(idx)
+                    got = table.take(table.bounds[k] + idx)
                     want = prepare_domain(ds, ae_u, ae_i, idx, partner_users=partner)
-                    for name in ("user_emb", "item_emb", "ratings", "overlap", "user_ids"):
+                    for name in ("ui", "ratings", "overlap"):
                         a, b = getattr(got, name), getattr(want, name)
                         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
-        assert not prepared.arrays[0].overlap.all() and prepared.arrays[1].overlap.all()
+                    assert table.user_ids[table.bounds[k] + idx].tolist() == want.user_ids.tolist()
+        assert not table.domain(0).overlap.all() and table.domain(1).overlap.all()
 
     def test_prepared_run_equals_a_fresh_run(self, small_pair):
         ds_a, ds_b, _ = small_pair

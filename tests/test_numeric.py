@@ -179,31 +179,31 @@ class TestLayerBackward:
 
 class TestCheckFiniteStep:
     def test_finite_step_passes(self):
-        check_finite_step(0.5, [np.ones((2, 3)), -np.ones(3)])
+        check_finite_step(0.5, [np.ones((2, 3)), -np.ones(3)], "lower x")
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_one_bad_gradient_entry_raises(self, bad):
         g = np.ones((2, 3))
         g[1, 2] = bad
         with pytest.raises(FloatingPointError, match="non-finite"):
-            check_finite_step(0.5, [np.zeros(3), g])
+            check_finite_step(0.5, [np.zeros(3), g], "lower x")
 
     def test_non_finite_loss_raises(self):
         with pytest.raises(FloatingPointError):
-            check_finite_step(float("nan"), [np.zeros(3)])
+            check_finite_step(float("nan"), [np.zeros(3)], "lower x")
 
     def test_names_the_network_on_axis_minus_three(self):
         # a domain axis before the network axis, as the coupled step passes its scorer gradients
         grads = [np.zeros((3, 4, 4)), np.zeros((2, 3, 4, 5)), np.zeros((2, 3, 1, 4))]
         grads[1][1, 2, 0, 0] = np.inf
         with pytest.raises(FloatingPointError, match=r"^non-finite training loss or gradient in net 2; lower x$"):
-            check_finite_step(np.zeros(3), grads, ["net 0", "net 1", "net 2"], "lower x")
+            check_finite_step(np.zeros(3), grads, "lower x", ["net 0", "net 1", "net 2"])
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the total overflows on purpose
     def test_an_overflow_only_across_networks_passes(self):
         # each network's own sum is finite; only their total overflows
         big = np.full((2, 1, 1), 1e308)
-        check_finite_step(np.zeros(2), [big], ["net 0", "net 1"])
+        check_finite_step(np.zeros(2), [big], "lower x", ["net 0", "net 1"])
 
 
 def one_sgd_step(lr):

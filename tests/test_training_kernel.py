@@ -8,7 +8,9 @@ gradient for finiteness, and a cross channel that is computed and weighted
 by zero when alpha is 0. `train_pair` must give the same bytes with either
 loop, and so must every fold model that `run_cv` trains in its stack, and
 every autoencoder of a lockstep stack. The domain-axis step must give the
-gradients the oracle gives, summed per scorer, bit for bit.
+gradients the oracle gives, summed per scorer, bit for bit, and a full
+pass over rows of the training table must give the oracle's predictions
+and loss.
 """
 
 import dataclasses
@@ -136,6 +138,47 @@ def oracle_domain_loss_grads(dm, batch, k):
     return float(np.mean(resid**2)), grads_self, grads_other, grad_x
 
 
+def step_batches(alpha, batch_a, batch_b):
+    """The [batch_a, batch_b] of one step as `fit_models` takes them from its
+    table, from the arrays `oracle_domain_loss_grads` reads: each domain's
+    (user_emb (K, n, d), item_emb (K, n, d), ratings (K, n), overlap (K, n)),
+    or None to leave the domain out."""
+    batches = (batch_a, batch_b)
+    present = next(b for b in batches if b is not None)
+    n_models = present[2].shape[0]
+    sizes = [0 if b is None else b[2].shape[1] for b in batches]
+    rows = np.zeros((2, n_models, max(sizes)), dtype=np.intp)
+    for k, n in enumerate(sizes):  # domain b's rows follow domain a's K * n_a rows
+        rows[k, :, :n] = np.arange(n_models * n).reshape(n_models, n) + k * n_models * sizes[0]
+    domains = []
+    for b, n in zip(batches, sizes):  # each domain's rows model after model; a domain left out has none
+        u, i, y, overlap = (a[:, :n].reshape(-1, *a.shape[2:]) for a in (present if b is None else b))
+        domains.append(dualmodel.Rows(np.concatenate([u, i], axis=1), y, overlap, np.full(len(y), "u"), (0, len(y))))
+    return dualmodel.Rows.join(domains).weighted(alpha).step(rows, 0, sizes)
+
+
+@dataclasses.dataclass
+class OracleArrays:
+    """One domain's rows as the oracle reads them: user and item embeddings apart."""
+
+    user_emb: np.ndarray
+    item_emb: np.ndarray
+    ratings: np.ndarray
+    overlap: np.ndarray
+
+    def __len__(self):
+        return len(self.ratings)
+
+
+def oracle_arrays(table, k, idx=None):
+    """Domain k's rows of a training table, or its rows at idx, copied apart."""
+    rows = table.domain(k)
+    ui, ratings, overlap = (rows.ui, rows.ratings, rows.overlap) if idx is None else (
+        rows.ui[idx], rows.ratings[idx], rows.overlap[idx])
+    d = ui.shape[1] // 2
+    return OracleArrays(ui[:, :d].copy(), ui[:, d:].copy(), ratings.copy(), overlap.copy())
+
+
 def oracle_train_epoch(dm, arrays_a, arrays_b, cfg, seed, epoch):
     def add(acc, extra):
         return [(aw + ew, ab + eb) for (aw, ab), (ew, eb) in zip(acc, extra)]
@@ -173,7 +216,7 @@ def oracle_train_epoch(dm, arrays_a, arrays_b, cfg, seed, epoch):
     dm.maps[(0, 1)] = project_orthogonal(dm.maps[(0, 1)])
 
 
-def oracle_eval_loss(dm, arrays, k):
+def oracle_predictions(dm, arrays, k):
     within, _ = oracle_model_forward(dm.domains[k].scorer, np.concatenate([arrays.user_emb, arrays.item_emb], axis=1))
     preds = within[:, 0]
     if dm.alpha != 0.0:
@@ -182,10 +225,16 @@ def oracle_eval_loss(dm, arrays, k):
         cross, _ = oracle_model_forward(dm.domains[1 - k].scorer, np.concatenate([mapped, arrays.item_emb], axis=1))
         alpha_vec = np.where(arrays.overlap, dm.alpha, 0.0)
         preds = (1.0 - alpha_vec) * preds + alpha_vec * cross[:, 0]
-    return float(np.mean((preds - arrays.ratings) ** 2))
+    return preds
 
 
-def oracle_fit(dm, arrays_a, arrays_b, cfg, seed=0):
+def oracle_eval_loss(dm, arrays, k):
+    return float(np.mean((oracle_predictions(dm, arrays, k) - arrays.ratings) ** 2))
+
+
+def oracle_fit(dm, table, cfg, seed=0, rows=(None, None)):
+    """fit's oracle: model dm trained on the rows of each domain of table, or on rows[k] of domain k."""
+    arrays_a, arrays_b = (oracle_arrays(table, k, idx) for k, idx in enumerate(rows))
     traces = ([oracle_eval_loss(dm, arrays_a, 0)], [oracle_eval_loss(dm, arrays_b, 1)])
     for epoch in range(cfg.epochs):
         oracle_train_epoch(dm, arrays_a, arrays_b, cfg, seed, epoch)
@@ -314,9 +363,8 @@ def fitted_inputs(partial_pair):
     ds_a, ds_b, _ = partial_pair
     cfg = small_config()
     (ae_ua, ae_ia), (ae_ub, ae_ib) = dualmodel.train_pair_autoencoders(ds_a, ds_b, cfg, seed=0)
-    arrays_a = dualmodel.prepare_domain(ds_a, ae_ua, ae_ia)
-    arrays_b = dualmodel.prepare_domain(ds_b, ae_ub, ae_ib)
-    return (ae_ua, ae_ia, ae_ub, ae_ib), arrays_a, arrays_b
+    table = dualmodel.Rows.join([dualmodel.prepare_domain(ds_a, ae_ua, ae_ia), dualmodel.prepare_domain(ds_b, ae_ub, ae_ib)])
+    return (ae_ua, ae_ia, ae_ub, ae_ib), table
 
 
 def new_model(aes):
@@ -327,18 +375,27 @@ def new_model(aes):
 def test_fit_raises_when_the_learning_rate_blows_up(fitted_inputs):
     # the penalty gradient 4 X (X^T X - I) is cubic in X, so a large map step diverges;
     # a large scorer step does not, since its relu units die and the output saturates
-    aes, arrays_a, arrays_b = fitted_inputs
+    aes, table = fitted_inputs
     with pytest.raises(FloatingPointError, match="non-finite"):
-        fit(new_model(aes), arrays_a, arrays_b, small_config(lr_map=1e3), seed=0)
+        fit(new_model(aes), table, small_config(lr_map=1e3), seed=0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("key, value", [("lr_map", 1e300), ("penalty_weight", 1e300)])
+def test_a_diverging_map_step_names_the_keys_to_lower(fitted_inputs, key, value):
+    aes, table = fitted_inputs
+    with pytest.raises(FloatingPointError, match=r"^non-finite training loss or gradient; "
+                                                 r"lower lr_a, lr_b, lr_map or penalty_weight$"):
+        fit(new_model(aes), table, small_config(**{key: value}), seed=0)
 
 
 def test_fit_leaves_the_callers_map_array_untouched(fitted_inputs):
-    aes, arrays_a, arrays_b = fitted_inputs
+    aes, table = fitted_inputs
     dm = new_model(aes)
     held_map = dm.maps[(0, 1)]
     held = held_map.x
     want = held.copy()
-    fit(dm, arrays_a, arrays_b, small_config(epochs=2), seed=0)
+    fit(dm, table, small_config(epochs=2), seed=0)
     assert held.tobytes() == want.tobytes()
     assert held_map.x is held
     assert dm.maps[(0, 1)].x.tobytes() != want.tobytes()  # the model's own map did move
@@ -405,8 +462,7 @@ def test_run_cv_fold_models_are_byte_identical_to_the_oracle_per_fold(partial_pa
         seed = evaluate._fold_seed(0, fold)
         want_dm = dualmodel.new_dual_model(list(prepared.encoders), alpha=alpha, seed=seed, hidden=cfg.hidden)
         want_dm.maps[(0, 1)] = prepared.warm_map.copy()
-        arrays = [prepared.arrays[d].rows(rows[d][fold]) for d in (0, 1)]
-        want_traces = oracle_fit(want_dm, *arrays, cfg, seed=seed)
+        want_traces = oracle_fit(want_dm, prepared.rows, cfg, seed, rows=(rows[0][fold], rows[1][fold]))
         assert np.array(traces[fold]).tobytes() == np.array(want_traces).tobytes(), fold
         got, want = bundle(models[fold]), bundle(want_dm)
         for key in want:
@@ -416,7 +472,7 @@ def test_run_cv_fold_models_are_byte_identical_to_the_oracle_per_fold(partial_pa
     last_long = [len(r) % cfg.batch_size for r in rows[long]]
     assert len(set(last_long)) > 1
     assert -(-len(rows[short][0]) // cfg.batch_size) < -(-len(rows[long][0]) // cfg.batch_size)
-    assert not prepared.arrays[long].overlap.all()
+    assert not prepared.rows.domain(long).overlap.all()
     if case == "uneven-stops":
         assert len({len(t[0]) for t in traces}) > 1
     if case == "unequal-rates":
@@ -443,28 +499,30 @@ def test_fold_models_own_their_arrays_and_leave_the_warm_map(partial_pair, cv_pr
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf is injected on purpose
 def test_a_non_finite_step_names_its_model(fitted_inputs):
-    aes, arrays_a, arrays_b = fitted_inputs
+    aes, table = fitted_inputs
     bad = 5
-    arrays_a = dataclasses.replace(arrays_a, user_emb=arrays_a.user_emb.copy())
-    arrays_a.user_emb[bad, 0] = np.inf
-    everything = np.arange(len(arrays_a))
+    table = dataclasses.replace(table, ui=table.ui.copy())
+    table.ui[bad, 0] = np.inf  # domain a's row 5: a user embedding entry
+    n_a, n_b = np.diff(table.bounds)
+    everything = np.arange(n_a)
     rows_a = [np.delete(everything, bad), np.delete(everything, bad), everything]  # only model 2 trains on it
-    rows_b = [np.arange(len(arrays_b))] * 3
-    with pytest.raises(FloatingPointError, match=r"^non-finite training loss or gradient in model 2; lower the learning rate$"):
-        fit_models([new_model(aes) for _ in range(3)], arrays_a, arrays_b, small_config(), [0, 1, 2], rows=(rows_a, rows_b))
+    rows_b = [np.arange(n_b)] * 3
+    with pytest.raises(FloatingPointError, match=r"^non-finite training loss or gradient in model 2; "
+                                                 r"lower lr_a, lr_b, lr_map or penalty_weight$"):
+        fit_models([new_model(aes) for _ in range(3)], table, small_config(), [0, 1, 2], rows=(rows_a, rows_b))
 
 
 @pytest.mark.parametrize("domain", [0, 1], ids=["a", "b"])
 @pytest.mark.parametrize("too_large", [False, True], ids=["negative", "too-large"])
 def test_row_indices_outside_their_domain_are_refused(fitted_inputs, domain, too_large):
     # both domains' rows share one table, so index len(a) in domain a would read domain b's first row
-    aes, arrays_a, arrays_b = fitted_inputs
-    rows = [[np.arange(len(arrays))] * 2 for arrays in (arrays_a, arrays_b)]
+    aes, table = fitted_inputs
+    rows = [[np.arange(n)] * 2 for n in np.diff(table.bounds)]
     n = len(rows[domain][0])
     bad = n if too_large else -1
     rows[domain][1] = np.append(np.arange(5), bad)
     with pytest.raises(ValueError, match=rf"^model 1 has row index {bad} outside domain {'ab'[domain]}'s \[0, {n}\)$"):
-        fit_models([new_model(aes), new_model(aes)], arrays_a, arrays_b, small_config(), [0, 1], rows=tuple(rows))
+        fit_models([new_model(aes), new_model(aes)], table, small_config(), [0, 1], rows=tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -496,10 +554,10 @@ def test_a_stable_scorer_rate_passes_the_guard(found_pair):
 
 
 def test_the_guard_names_the_model_of_a_stack(fitted_inputs):
-    aes, arrays_a, arrays_b = fitted_inputs
+    aes, table = fitted_inputs
     cfg = small_config(lr_a=1e3, lr_b=1e3)
     with pytest.raises(FloatingPointError, match=r"in model 0; lower lr_a$"):
-        fit_models([new_model(aes), new_model(aes)], arrays_a, arrays_b, cfg, [0, 1])
+        fit_models([new_model(aes), new_model(aes)], table, cfg, [0, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +607,7 @@ def test_domain_axis_step_equals_the_oracle_per_scorer(case):
         batch = (rng.random((n_models, n, d)), rng.random((n_models, n, d)), rng.random((n_models, n)), overlap)
         batches.append(None if k == absent else batch)
     stack = dualmodel.ModelStack.of(models)
-    step = dualmodel.step_batches(alpha, *batches)
+    step = step_batches(alpha, *batches)
     # batches of one size above one row run as one pass of both domains
     assert (step[0] is not None and step[0].block is not None) == (absent is None and sizes[0] == sizes[1] > 1)
     total, grads, grad_x = dualmodel.dual_loss_and_grads(stack, *step, penalty_weight=pw)
@@ -573,3 +631,51 @@ def test_domain_axis_step_equals_the_oracle_per_scorer(case):
                     parts = [t[n][part] for t in terms[j]]
                     want = sum(parts[1:], parts[0]) if parts else np.zeros_like(got)
                     assert zero_signs_dropped(got) == zero_signs_dropped(want), (j, n, part)
+
+
+# ---------------------------------------------------------------------------
+# full passes over rows of the training table against the oracle
+
+
+@st.composite
+def full_passes(draw):
+    """A domain, a model's alpha and seed, and which of the domain's rows a full
+    pass reads: the whole-domain slice, one row, or a subset in random order."""
+    k = draw(st.integers(0, 1))
+    alpha = draw(st.sampled_from([0.0, 0.03, 0.5]))
+    return k, alpha, draw(st.sampled_from(["whole", "one", "subset"])), draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=60, deadline=None)
+@given(full_passes())
+@example((0, 0.03, "one", 1))
+@example((1, 0.03, "whole", 2))
+def test_full_passes_over_table_rows_give_the_oracle_bytes(cv_prepared, case):
+    # fit_models' full pass reads a model's rows of a domain as a slice of the
+    # table, or a fold's rows by one take; domain a holds users off the overlap
+    k, alpha, kind, seed = case
+    table = cv_prepared.rows
+    n = table.bounds[k + 1] - table.bounds[k]
+    rng = make_rng(seed)
+    idx = {"whole": None, "one": rng.integers(n, size=1), "subset": rng.permutation(n)[: rng.integers(1, n + 1)]}[kind]
+    dm = dualmodel.new_dual_model(list(cv_prepared.encoders), alpha=alpha, seed=seed, hidden=(8, 4))
+    rows = table.domain(k) if idx is None else table.take(table.bounds[k] + idx)
+    want = oracle_arrays(table, k, idx)
+    assert dualmodel.predict_batch(dm, k, rows).tobytes() == oracle_predictions(dm, want, k).tobytes()
+    assert dualmodel.evaluate_loss(dm, rows, k) == oracle_eval_loss(dm, want, k)
+
+
+def test_fit_models_reads_the_callers_table_without_copying_it(fitted_inputs, monkeypatch):
+    aes, table = fitted_inputs
+    real, read = dualmodel.evaluate_loss, []
+
+    def spy(dm, rows, domain):
+        read.append(rows)
+        return real(dm, rows, domain)
+
+    monkeypatch.setattr(dualmodel, "evaluate_loss", spy)
+    fit(new_model(aes), table, small_config(epochs=2), seed=0)
+    assert len(read) == 6  # both domains before training and after each epoch
+    for rows in read:
+        for name in ("ui", "ratings", "overlap"):
+            assert np.shares_memory(getattr(rows, name), getattr(table, name)), name
