@@ -3,17 +3,23 @@
 Each autoencoder is a one-layer sigmoid encoder plus a one-layer identity
 decoder, trained by mini-batch gradient descent on mean squared
 reconstruction error over one entity corpus. A domain pair uses four of
-them (user/item times two domains). Autoencoders whose corpora have the same
-shape (the user autoencoders of both domains, and the item autoencoders)
-train in lockstep as one stacked program (`train_autoencoders`): their
-parameters sit in one flat (K, P) buffer (`stack_autoencoders`), and every
-step is one forward pass, one backward pass that writes into one gradient
-buffer, one finite check and one SGD update for all of them. Each keeps its
-own init, shuffle stream and trace, and its loss and gradients come from its
-own corpus alone, so no information crosses corpora: each ends bit for bit
-as it would trained alone. `train_autoencoder` is the kernel for one corpus.
-Once trained they are frozen: downstream training treats embeddings as
-fixed inputs and never updates encoder weights.
+them (user/item times two domains). Autoencoders whose corpora have one
+column count (all four of a pair) train in lockstep as one stacked program
+(`train_autoencoders`), whatever their row counts: their parameters sit in
+one flat (K, P) buffer (`stack_autoencoders`), longest corpus first. A step
+runs the whole stack while every corpus has rows left, and then one view of
+it (`FlatStack.part`) per run of corpora with equal batch sizes; each is
+one forward pass, one backward pass that writes into one gradient buffer,
+one finite check and one SGD update. Each autoencoder keeps its own init,
+shuffle stream and trace, and every product reads its own corpus's rows
+alone, so no information crosses corpora: each ends bit for bit as it would
+trained alone. Corpora with one stream tag and row count share each epoch's
+shuffle draw, and the full-corpus trace is computed only for callers that
+read it. An epoch whose mean step loss exceeds twice the pre-training
+reconstruction loss stops training with an error that names the autoencoder
+and ae_lr. `train_autoencoder` is the kernel for one corpus. Once trained
+they are frozen: downstream training treats embeddings as fixed inputs and
+never updates encoder weights.
 """
 
 from __future__ import annotations
@@ -114,13 +120,19 @@ def train_autoencoders(
     epochs: int = 200,
     batch_size: int = 32,
     seed: int = 0,
+    *,
+    trace: bool = True,
 ) -> list[tuple[Autoencoder, list[float]]]:
     """Train one autoencoder per corpus; tags gives each one's (domain, entity).
 
-    Autoencoders whose corpora have the same shape train in lockstep as one
-    stack, the others alone; each ends bit for bit as it would alone.
+    Autoencoders whose corpora have one column count train in lockstep as one
+    stack, whatever their row counts; each ends bit for bit as it would alone.
     Returns each corpus's (trained autoencoder, per-epoch trace of the
-    full-corpus reconstruction loss evaluated after each epoch), in order.
+    full-corpus reconstruction loss evaluated after each epoch), in order;
+    trace=False skips those full-corpus passes and returns empty traces.
+    Raises FloatingPointError naming the autoencoder when a step is not
+    finite, or when its mean step loss over an epoch exceeds twice its
+    pre-training reconstruction loss (its ae_lr is too high).
     """
     xs = [np.asarray(c, dtype=np.float64) for c in corpora]
     for x in xs:
@@ -129,32 +141,75 @@ def train_autoencoders(
     if lr < 0:
         raise ValueError("learning rate must be >= 0")
     out = [None] * len(xs)
-    for shape in dict.fromkeys(x.shape for x in xs):
-        group = [j for j, x in enumerate(xs) if x.shape == shape]
-        trained = _train_stack(np.stack([xs[j] for j in group]), [tags[j] for j in group],
-                               embed_dim, lr, epochs, batch_size, seed)
+    for width in dict.fromkeys(x.shape[1] for x in xs):
+        # longest corpus first (a stable sort), so the corpora with rows left always lead the stack
+        group = sorted((j for j, x in enumerate(xs) if x.shape[1] == width), key=lambda j: -len(xs[j]))
+        trained = _train_stack([xs[j] for j in group], [tags[j] for j in group],
+                               embed_dim, lr, epochs, batch_size, seed, trace)
         for j, result in zip(group, trained):
             out[j] = result
     return out
 
 
-def _train_stack(x, tags, embed_dim, lr, epochs, batch_size, seed):
-    """The lockstep kernel: K autoencoders on corpora x (K, n, input_dim)."""
-    aes = [new_autoencoder(x.shape[2], embed_dim, seed, domain, entity) for domain, entity in tags]
+def _runs(sizes) -> list[tuple[slice, int]]:
+    """The runs (slice of the stack, size) of equal nonzero sizes in a falling list."""
+    edges = [k for k in range(1, len(sizes)) if sizes[k] != sizes[k - 1]]
+    return [(slice(lo, hi), sizes[lo]) for lo, hi in zip([0, *edges], [*edges, len(sizes)]) if sizes[lo]]
+
+
+def _train_stack(xs, tags, embed_dim, lr, epochs, batch_size, seed, trace):
+    """The lockstep kernel: K autoencoders on corpora xs of one width, longest first."""
+    aes = [new_autoencoder(xs[0].shape[1], embed_dim, seed, domain, entity) for domain, entity in tags]
     stack = stack_autoencoders(aes)
     names = [f"the {entity} autoencoder" + (f" of domain {domain}" if domain else "") for domain, entity in tags]
-    stream_tags = [_stream_tag(domain, entity) for domain, entity in tags]
-    n = x.shape[1]
+    counts = [len(x) for x in xs]
+    keys = [(_stream_tag(domain, entity), n) for (domain, entity), n in zip(tags, counts)]
+    flat = np.concatenate(xs)  # corpus k's rows start at row firsts[k]
+    firsts = np.cumsum([0, *counts[:-1]]).tolist()
+    # a step's parts of the stack: one per run of corpora with equal batch sizes n
+    steps = []
+    for start in range(0, counts[0], batch_size):
+        sizes = [min(max(c - start, 0), batch_size) for c in counts]
+        steps.append((start, [(stack.part(s), s, n, names[s]) for s, n in _runs(sizes)]))
+    # a full pass's parts: one per run of corpora with equal row counts, on a view of their rows
+    whole = []
+    for s, n in _runs(counts):
+        rows = flat[firsts[s.start] : firsts[s.start] + (s.stop - s.start) * n]
+        whole.append((stack.part(s), s, rows.reshape(-1, n, flat.shape[1])))
+
+    def full_losses():
+        losses = np.empty(len(xs))
+        for part, s, x in whole:
+            rec, _ = stack_forward(part.layers, x)
+            losses[s] = np.mean(np.sum((x - rec) ** 2, axis=-1), axis=-1)
+        return losses
+
+    before = full_losses()
     traces: list[list[float]] = [[] for _ in aes]
+    # each epoch's shuffled corpora (K, n_max, width), gathered by one take; the rows past a
+    # corpus's end (order 0) enter no product
+    order = np.zeros((len(xs), counts[0]), dtype=np.intp)
+    shuffled = np.empty((len(xs), counts[0], flat.shape[1]))
     for epoch in range(epochs):
-        order = np.stack([make_rng(seed, _L_AE_SHUFFLE, tag, epoch).permutation(n) for tag in stream_tags])
-        shuffled = np.take_along_axis(x, order[..., None], axis=1)
-        for start in range(0, n, batch_size):
-            _, grads = loss_and_grads(stack, shuffled[:, start : start + batch_size], names)
-            stack.params -= lr * grads
-        rec, _ = stack_forward(stack.layers, x)
-        for trace, loss in zip(traces, np.mean(np.sum((x - rec) ** 2, axis=-1), axis=-1)):
-            trace.append(float(loss))
+        perms = {key: make_rng(seed, _L_AE_SHUFFLE, key[0], epoch).permutation(key[1]) for key in dict.fromkeys(keys)}
+        for k, key in enumerate(keys):
+            order[k, : counts[k]] = firsts[k] + perms[key]
+        np.take(flat, order, axis=0, out=shuffled)
+        step_losses = np.zeros(len(xs))
+        for start, parts in steps:
+            for part, s, n, part_names in parts:
+                loss, grads = loss_and_grads(part, shuffled[s, start : start + n], part_names)
+                part.params -= lr * grads
+                step_losses[s] += n * loss
+        mean = step_losses / counts
+        over = np.flatnonzero(mean > 2.0 * before)
+        if over.size:
+            k = over[0]
+            raise FloatingPointError(f"{names[k]}: mean step loss {mean[k]:.6g} in epoch {epoch + 1} exceeds twice "
+                                     f"its pre-training reconstruction loss {before[k]:.6g}; lower ae_lr")
+        if trace:
+            for losses, loss in zip(traces, full_losses()):
+                losses.append(float(loss))
     for k, ae in enumerate(aes):
         for layer, (w, b, _) in zip((ae.encoder, ae.decoder), stack.layers):
             layer.weights, layer.bias = w[k].copy(), b[k, 0].copy()

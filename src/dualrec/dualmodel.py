@@ -403,33 +403,46 @@ class Rows:
         return [self.take(rows[k, :, start : start + n]) if n else None for k, n in enumerate(sizes)]
 
 
+def entity_vectors(dataset: DomainDataset) -> tuple[tuple[dict, np.ndarray], tuple[dict, np.ndarray]]:
+    """The encoded feature vectors of every user and every item, each entity's
+    as (row of each id, matrix): the rows in sorted-id order, the order of the
+    autoencoders' corpora. A domain pair encodes each entity once, for its
+    corpora, its warm map and its embedding rows."""
+    out = []
+    for table, schema in ((dataset.user_features, dataset.user_schema), (dataset.item_features, dataset.item_schema)):
+        ids = sorted(table)
+        out.append(({e: k for k, e in enumerate(ids)}, np.stack([encode(schema, table[e]) for e in ids])))
+    return tuple(out)
+
+
 def prepare_domain(
     dataset: DomainDataset,
     ae_user: Autoencoder,
     ae_item: Autoencoder,
     record_indices=None,
     partner_users=None,
+    vectors=None,
 ) -> Rows:
     """Encode one domain's interactions into a table of embedding rows.
 
     record_indices selects a subset (fold training or test split);
     partner_users is the other domain's user-id set for overlap flags (all
-    True when omitted).
+    True when omitted); vectors is the domain's `entity_vectors`, encoded
+    here when omitted.
     """
     recs = dataset.interactions
     idx = range(len(recs)) if record_indices is None else [int(i) for i in record_indices]
     chosen = [recs[i] for i in idx]
     uids = sorted({r.user_id for r in chosen})
     iids = sorted({r.item_id for r in chosen})
+    (user_rows, users), (item_rows, items) = entity_vectors(dataset) if vectors is None else vectors
     u_emb = {}
     if uids:
-        mat = np.stack([encode(dataset.user_schema, dataset.user_features[u]) for u in uids])
-        emb = ae_encode(ae_user, mat)
+        emb = ae_encode(ae_user, users[[user_rows[u] for u in uids]])
         u_emb = {u: emb[k] for k, u in enumerate(uids)}
     i_emb = {}
     if iids:
-        mat = np.stack([encode(dataset.item_schema, dataset.item_features[i]) for i in iids])
-        emb = ae_encode(ae_item, mat)
+        emb = ae_encode(ae_item, items[[item_rows[i] for i in iids]])
         i_emb = {i: emb[k] for k, i in enumerate(iids)}
     d = ae_user.embed_dim
     n = len(chosen)
@@ -445,13 +458,14 @@ def prepare_domain(
     return Rows(ui, y, overlap, np.array([r.user_id for r in chosen], dtype=np.str_), (0, n))
 
 
-def prepare_rows(datasets, encoders) -> Rows:
+def prepare_rows(datasets, encoders, vectors=None) -> Rows:
     """The table of two domains' rows, domain b's after domain a's: each domain
-    encoded by its (user, item) encoders (`prepare_domain`), with overlap flags
-    from the partner domain's users."""
+    embedded by its (user, item) encoders from its `entity_vectors` (vectors,
+    or encoded here), with overlap flags from the partner domain's users."""
     users = [{r.user_id for r in ds.interactions} for ds in datasets]
-    return Rows.join([prepare_domain(ds, *aes, partner_users=users[1 - k])
-                      for k, (ds, aes) in enumerate(zip(datasets, encoders))])
+    vectors = [None] * len(datasets) if vectors is None else vectors
+    return Rows.join([prepare_domain(ds, *aes, partner_users=users[1 - k], vectors=vecs)
+                      for k, (ds, aes, vecs) in enumerate(zip(datasets, encoders, vectors))])
 
 
 # ---------------------------------------------------------------------------
@@ -808,21 +822,22 @@ def fit(dm: DualModel, table: Rows, cfg: TrainConfig, seed: int = 0) -> tuple[li
 
 
 def train_pair_autoencoders(
-    ds_a: DomainDataset, ds_b: DomainDataset, cfg: TrainConfig, seed: int
+    ds_a: DomainDataset, ds_b: DomainDataset, cfg: TrainConfig, seed: int, vectors=None
 ) -> tuple[tuple[Autoencoder, Autoencoder], tuple[Autoencoder, Autoencoder]]:
     """Train the (user, item) autoencoders of both domains; returns them per domain.
 
-    Corpora are the encoded feature vectors of every entity in the domain,
-    iterated in sorted-id order for determinism. Autoencoders whose corpora
-    have the same shape train in lockstep (`train_autoencoders`).
+    Corpora are the encoded feature vectors of every entity in the domain
+    (each domain's `entity_vectors`: vectors, or encoded here), iterated in
+    sorted-id order for determinism. All four corpora share one column count
+    and train in lockstep as one stack (`train_autoencoders`), whatever their
+    row counts; no trace is computed, since nothing here reads one.
     """
-    corpora, tags = [], []
-    for ds in (ds_a, ds_b):
-        for entity, table, schema in (("user", ds.user_features, ds.user_schema), ("item", ds.item_features, ds.item_schema)):
-            corpora.append(np.stack([encode(schema, table[eid]) for eid in sorted(table)]))
-            tags.append((ds.domain_name, entity))
+    vectors = [entity_vectors(ds) for ds in (ds_a, ds_b)] if vectors is None else vectors
+    corpora = [matrix for by_entity in vectors for _, matrix in by_entity]
+    tags = [(ds.domain_name, entity) for ds in (ds_a, ds_b) for entity in ("user", "item")]
     (ua, _), (ia, _), (ub, _), (ib, _) = train_autoencoders(
-        corpora, tags, embed_dim=cfg.embed_dim, lr=cfg.ae_lr, epochs=cfg.ae_epochs, batch_size=cfg.ae_batch_size, seed=seed
+        corpora, tags, embed_dim=cfg.embed_dim, lr=cfg.ae_lr, epochs=cfg.ae_epochs, batch_size=cfg.ae_batch_size,
+        seed=seed, trace=False,
     )
     return (ua, ia), (ub, ib)
 
@@ -832,6 +847,7 @@ def shared_user_alignment(
     ds_b: DomainDataset,
     ae_user_a: Autoencoder,
     ae_user_b: Autoencoder,
+    vectors=None,
 ) -> OrthogonalMap | None:
     """Procrustes-align the two user-embedding spaces on the shared users.
 
@@ -840,13 +856,14 @@ def shared_user_alignment(
     paired clouds seeds the model's mapping.  When the domains' user bases are
     unrelated the fit is meaningless but harmless: the rotation it returns is
     noise either way.  Returns None when the overlap is below the embedding
-    dimension, where the fit would be underdetermined.
+    dimension, where the fit would be underdetermined. vectors holds each
+    domain's `entity_vectors`, encoded here when omitted.
     """
     shared = sorted(set(ds_a.user_features) & set(ds_b.user_features))
     if len(shared) < ae_user_a.embed_dim:
         return None
-    raw_a = np.array([encode(ds_a.user_schema, ds_a.user_features[u]) for u in shared])
-    raw_b = np.array([encode(ds_b.user_schema, ds_b.user_features[u]) for u in shared])
+    vectors = [entity_vectors(ds) for ds in (ds_a, ds_b)] if vectors is None else vectors
+    raw_a, raw_b = (users[[rows[u] for u in shared]] for (rows, users), _ in vectors)
     return align_map(ae_encode(ae_user_a, raw_a), ae_encode(ae_user_b, raw_b))
 
 
@@ -864,13 +881,15 @@ def train_pair(
     gradient through the alpha-weighted cross term is too weak to rotate a
     random X into alignment within any reasonable epoch budget.
     """
-    (ae_user_a, ae_item_a), (ae_user_b, ae_item_b) = train_pair_autoencoders(ds_a, ds_b, cfg, seed)
+    vectors = [entity_vectors(ds) for ds in (ds_a, ds_b)]
+    (ae_user_a, ae_item_a), (ae_user_b, ae_item_b) = train_pair_autoencoders(ds_a, ds_b, cfg, seed, vectors=vectors)
     dm = new_dual_model([(ae_user_a, ae_item_a), (ae_user_b, ae_item_b)], alpha=cfg.alpha, seed=seed, hidden=cfg.hidden,
                         schemas=[(ds.user_schema, ds.item_schema) for ds in (ds_a, ds_b)])
-    warm = shared_user_alignment(ds_a, ds_b, ae_user_a, ae_user_b)
+    warm = shared_user_alignment(ds_a, ds_b, ae_user_a, ae_user_b, vectors)
     if warm is not None:
         dm.maps[(0, 1)] = warm
-    table = prepare_rows((ds_a, ds_b), ((ae_user_a, ae_item_a), (ae_user_b, ae_item_b)))
+    table = prepare_rows((ds_a, ds_b), ((ae_user_a, ae_item_a), (ae_user_b, ae_item_b)), vectors)
+    del vectors  # free the encoded features: fit reads only the table
     return dm, fit(dm, table, cfg, seed)
 
 

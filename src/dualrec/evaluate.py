@@ -13,9 +13,9 @@ stop, and ends bit for bit as it would trained alone.
 
 Nothing that cross validation builds before its first fold depends on the
 transfer rate, so it is built once per prepared pair (`prepare_pair`): the
-fold splits, the four feature autoencoders (those with corpora of one shape
-train in lockstep on a domain axis), the Procrustes warm map and one
-encoding of each whole domain. The autoencoders and the warm map see only
+fold splits, each entity's encoded features, the four feature autoencoders
+(trained in lockstep as one stack), the Procrustes warm map and one
+embedding of each whole domain. The autoencoders and the warm map see only
 entity attributes, never ratings, so fold isolation of the rating data is
 preserved. The encoding is one table of both domains' rows
 (`dualmodel.Rows`): the folds train on it through their row indices, and
@@ -39,6 +39,7 @@ from dualrec.autoencoder import Autoencoder
 from dualrec.dualmodel import (
     Rows,
     TrainConfig,
+    entity_vectors,
     fit_models,
     new_dual_model,
     predict_batch,
@@ -201,10 +202,11 @@ def prepare_pair(ds_a: DomainDataset, ds_b: DomainDataset, cfg: TrainConfig, k: 
     require_disjoint_items(ds_a, ds_b)
     # split first, so a bad k fails before any autoencoder trains
     splits = (kfold(ds_a, k, seed), kfold(ds_b, k, seed))
-    enc_a, enc_b = train_pair_autoencoders(ds_a, ds_b, cfg, seed)
+    vectors = [entity_vectors(ds) for ds in (ds_a, ds_b)]
+    enc_a, enc_b = train_pair_autoencoders(ds_a, ds_b, cfg, seed, vectors=vectors)
     # the alignment sees entity features only, never ratings
-    warm_map = shared_user_alignment(ds_a, ds_b, enc_a[0], enc_b[0])
-    rows = prepare_rows((ds_a, ds_b), (enc_a, enc_b))
+    warm_map = shared_user_alignment(ds_a, ds_b, enc_a[0], enc_b[0], vectors)
+    rows = prepare_rows((ds_a, ds_b), (enc_a, enc_b), vectors)
     return PreparedPair(_prepared_key(cfg, k, seed), (ds_a, ds_b), splits, (enc_a, enc_b), warm_map, rows)
 
 

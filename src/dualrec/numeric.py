@@ -184,16 +184,23 @@ def flat_params(networks) -> tuple[np.ndarray, tuple]:
 @dataclass
 class FlatStack:
     """K stacked networks of one layout [(n_in, n_out, activation)] in one flat
-    buffer params (K, P): layers are its `layer_views`, and grads is a
-    gradient buffer of the same layout that grad_layers view."""
+    buffer params (K, P): layers are its `layer_views`, and grads (a new
+    buffer when omitted) is a gradient buffer of the same layout that
+    grad_layers view."""
 
     params: np.ndarray
     layout: tuple
+    grads: np.ndarray | None = None
 
     def __post_init__(self):
-        self.grads = np.empty_like(self.params)
+        if self.grads is None:
+            self.grads = np.empty_like(self.params)
         self.layers = layer_views(self.params, self.layout)
         self.grad_layers = layer_views(self.grads, self.layout)
+
+    def part(self, s: slice) -> "FlatStack":
+        """Networks s alone: a stack whose parameters and gradients are views into this one."""
+        return FlatStack(self.params[s], self.layout, self.grads[s])
 
 
 def stack_forward(layers, h):

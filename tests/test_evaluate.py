@@ -216,9 +216,9 @@ class TestAlphaSweep:
         ds_a, ds_b, _ = small_pair
         calls = []
 
-        def counted(first, second, cfg, seed):
+        def counted(first, second, cfg, seed, **kwargs):
             calls.append((first.domain_name, second.domain_name))
-            return train_pair_autoencoders(first, second, cfg, seed)
+            return train_pair_autoencoders(first, second, cfg, seed, **kwargs)
 
         monkeypatch.setattr(evaluate, "train_pair_autoencoders", counted)
         alpha_sweep(ds_a, ds_b, [0.0, 0.03, 0.1], small_cfg(epochs=1), k=2, seed=0)

@@ -489,14 +489,28 @@ class TestBlasPremise:
                 assert both[0, m].tobytes() == (alone_a @ x[m].T).tobytes()
                 assert both[1, m].tobytes() == (alone_b @ x[m]).tobytes()
 
-    @pytest.mark.parametrize("n", [1, 4, 32, 500])
+    @pytest.mark.parametrize("n", [1, 4, 8, 32, 500])
     def test_autoencoder_layers(self, n):
+        # The autoencoder stack of a domain pair holds four networks. A step runs
+        # all four, or the parts [0:2] and [2:4] once the shorter corpora run out:
+        # views of one flat buffer, on batches that are views of one buffer of
+        # padded corpora (rows past n are another corpus's or padding).
         rng = make_rng(41, n)
-        x = rng.normal(size=(2, n, 20))
-        enc = rng.normal(size=(2, 8, 20))
-        dec = rng.normal(size=(2, 20, 8))
-        emb = x @ enc.swapaxes(-1, -2)
-        assert emb.tobytes() == per_slice(x, enc.swapaxes(-1, -2)).tobytes()
-        assert (emb @ dec.swapaxes(-1, -2)).tobytes() == per_slice(emb, dec.swapaxes(-1, -2)).tobytes()
-        for m in range(2):  # the lone network's 2-D call
-            assert emb[m].tobytes() == (x[m] @ enc[m].T).tobytes()
+        layout = ((20, 8, "sigmoid"), (8, 20, "identity"))
+        params = rng.normal(size=(4, sum(n_out * (n_in + 1) for n_in, n_out, _ in layout)))
+        padded = rng.normal(size=(4, n + 5, 20))
+        for s in (slice(0, 4), slice(0, 2), slice(2, 4)):
+            (enc, _, _), (dec, _, _) = layer_views(params[s], layout)
+            x = padded[s, 2 : 2 + n]
+            emb = x @ enc.swapaxes(-1, -2)
+            rec = emb @ dec.swapaxes(-1, -2)
+            dy = rng.normal(size=rec.shape)
+            assert emb.tobytes() == per_slice(x, enc.swapaxes(-1, -2)).tobytes()
+            assert rec.tobytes() == per_slice(emb, dec.swapaxes(-1, -2)).tobytes()
+            assert (dy @ dec).tobytes() == per_slice(dy, dec).tobytes()
+            assert (dy.swapaxes(-1, -2) @ emb).tobytes() == per_slice(dy.swapaxes(-1, -2), emb).tobytes()
+            d_emb = rng.normal(size=emb.shape)
+            assert (d_emb.swapaxes(-1, -2) @ x).tobytes() == per_slice(d_emb.swapaxes(-1, -2), x).tobytes()
+            for m in range(s.stop - s.start):  # the lone network's 2-D call on its own corpus
+                alone = np.ascontiguousarray(x[m])
+                assert emb[m].tobytes() == (alone @ np.ascontiguousarray(enc[m]).T).tobytes()

@@ -115,10 +115,11 @@ def oracle_train_autoencoder(vectors, embed_dim, lr, epochs, batch_size, seed, d
     return ae, trace
 
 
-def oracle_train_autoencoders(corpora, tags, embed_dim, lr, epochs, batch_size, seed):
-    """Each corpus's autoencoder trained alone by the oracle loop."""
-    return [oracle_train_autoencoder(c, embed_dim, lr, epochs, batch_size, seed, domain, entity)
-            for c, (domain, entity) in zip(corpora, tags)]
+def oracle_train_autoencoders(corpora, tags, embed_dim, lr, epochs, batch_size, seed, trace=True):
+    """Each corpus's autoencoder trained alone by the oracle loop; empty traces when trace is False."""
+    trained = [oracle_train_autoencoder(c, embed_dim, lr, epochs, batch_size, seed, domain, entity)
+               for c, (domain, entity) in zip(corpora, tags)]
+    return [(ae, losses if trace else []) for ae, losses in trained]
 
 
 def oracle_domain_loss_grads(dm, batch, k):
@@ -303,15 +304,16 @@ def assert_train_pair_matches_the_oracle(pair, monkeypatch, alpha, lr_b=0.1, swa
     users_b = {r.user_id for r in ds_b.interactions}
     assert only_a and not users_b & set(only_a)
     assert len(ds_a.interactions) > len(ds_b.interactions) + cfg.batch_size
-    # item corpora share one shape, so the item autoencoders train as a stack of two
-    assert len(ds_a.item_features) == len(ds_b.item_features)
+    # the four corpora share one width and train as one stack, whose item corpora run out first
+    assert {ds.user_schema.encoded_length for ds in domains} == {ds.item_schema.encoded_length for ds in domains}
+    assert len(ds_a.item_features) == len(ds_b.item_features) < len(ds_b.user_features)
 
 
 @pytest.mark.parametrize("alpha, lr_b, swapped", [(0.03, 0.1, False), (0.0, 0.1, False), (0.03, 0.05, False),
                                                    (0.03, 0.1, True)],
                          ids=["0.03", "0.0", "0.03-lr_b=0.05", "0.03-swapped"])
 def test_train_pair_is_byte_identical_to_the_per_layer_loop(partial_pair, monkeypatch, alpha, lr_b, swapped):
-    # both user corpora share one shape too: the four autoencoders train as two stacks;
+    # both user corpora have one row count too, so the user autoencoders share each epoch's shuffle;
     # lr_b below lr_a = 0.1 catches an update that moves one domain's scorer at the other's rate;
     # swapped, domain b's rows sit at an offset in the training table and run alone at the tail
     assert len(partial_pair[0].user_features) == len(partial_pair[1].user_features)
@@ -322,7 +324,8 @@ def test_train_pair_is_byte_identical_to_the_per_layer_loop(partial_pair, monkey
 def test_train_pair_with_user_corpora_of_two_shapes_is_byte_identical_to_the_per_layer_loop(
     partial_pair, monkeypatch, alpha
 ):
-    # domain b's user table keeps only the users who rate there, so each user autoencoder trains alone
+    # domain b's user table keeps only the users who rate there: the stack of four runs three row
+    # counts, and the user autoencoders draw their own shuffles
     ds_a, ds_b, only_a = partial_pair
     active = {r.user_id for r in ds_b.interactions}
     ds_b = dataclasses.replace(ds_b, user_features={u: f for u, f in ds_b.user_features.items() if u in active})
@@ -331,31 +334,102 @@ def test_train_pair_with_user_corpora_of_two_shapes_is_byte_identical_to_the_per
 
 
 def test_lockstep_autoencoders_are_byte_identical_to_the_oracle():
-    # corpora 0 and 2 share a shape and train as one stack; corpus 1 trains alone.
-    # The stacked two differ in entity, so their init and shuffle streams differ.
-    # 21 rows in batches of 4 end each epoch on a 1-row batch.
+    # Every corpus of width 7 trains in one stack, longest first; the 12-row corpus of
+    # width 5 trains alone. In batches of 4 the 6-row corpus runs out first (a step of
+    # the stack and a step of its tail part) and the 13-row ones next, on a 1-row batch
+    # at K = 2, as do the 21-row ones at the end of each epoch. The stacked corpora differ
+    # in entity or row count, or share both (the two 13-row user corpora share shuffles).
+    # Without a trace the autoencoders get the same bytes.
     rng = make_rng(23)
-    corpora = [rng.random((21, 7)), rng.random((12, 7)), rng.random((21, 7))]
-    tags = [("a", "user"), ("a", "item"), ("b", "item")]
-    got = autoencoder.train_autoencoders(corpora, tags, embed_dim=3, lr=0.3, epochs=6, batch_size=4, seed=5)
+    corpora = [rng.random((13, 7)), rng.random((12, 5)), rng.random((21, 7)), rng.random((6, 7)),
+               rng.random((21, 7)), rng.random((13, 7))]
+    tags = [("b", "user"), ("a", "item"), ("a", "user"), ("c", "item"), ("b", "item"), ("c", "user")]
     want = oracle_train_autoencoders(corpora, tags, 3, 0.3, 6, 4, 5)
-    for (ae, trace), (want_ae, want_trace) in zip(got, want):
-        assert (ae.domain, ae.entity) == (want_ae.domain, want_ae.entity)
-        assert np.array(trace).tobytes() == np.array(want_trace).tobytes()
-        for part in ("encoder", "decoder"):
-            layer, want_layer = getattr(ae, part), getattr(want_ae, part)
-            assert layer.weights.tobytes() == want_layer.weights.tobytes()
-            assert layer.bias.tobytes() == want_layer.bias.tobytes()
-            assert layer.weights.flags.owndata and layer.bias.flags.owndata
+    for trace in (True, False):
+        got = autoencoder.train_autoencoders(corpora, tags, embed_dim=3, lr=0.3, epochs=6, batch_size=4, seed=5,
+                                             trace=trace)
+        for (ae, losses), (want_ae, want_losses) in zip(got, want):
+            assert (ae.domain, ae.entity) == (want_ae.domain, want_ae.entity)
+            assert np.array(losses).tobytes() == np.array(want_losses if trace else []).tobytes()
+            for part in ("encoder", "decoder"):
+                layer, want_layer = getattr(ae, part), getattr(want_ae, part)
+                assert layer.weights.tobytes() == want_layer.weights.tobytes()
+                assert layer.bias.tobytes() == want_layer.bias.tobytes()
+                assert layer.weights.flags.owndata and layer.bias.flags.owndata
+
+
+def test_the_standard_autoencoders_train_as_one_stack_with_one_shuffle_per_stream(monkeypatch):
+    # the standard pair's four corpora (500, 500, 200 and 200 rows of width 20) in batches of 32:
+    # 6 steps of the whole stack, a step split between the user and the item corpora, and 9
+    # steps of the user corpora; the user (and the item) corpora share one stream and row count
+    ds_a, ds_b, _ = synth_pair(noise=0.02, seed=101)
+    assert [len(t) for ds in (ds_a, ds_b) for t in (ds.user_features, ds.item_features)] == [500, 200, 500, 200]
+    stacks, draws, forwards = [], [], []
+    step, make_rng, forward = autoencoder.loss_and_grads, autoencoder.make_rng, autoencoder.stack_forward
+
+    def counted_step(stack, xb, names):
+        stacks.append(len(xb))
+        return step(stack, xb, names)
+
+    def counted_rng(seed, *labels):
+        draws.append(labels)
+        return make_rng(seed, *labels)
+
+    def counted_forward(layers, h):
+        forwards.append(len(h))
+        return forward(layers, h)
+
+    monkeypatch.setattr(autoencoder, "loss_and_grads", counted_step)
+    monkeypatch.setattr(autoencoder, "make_rng", counted_rng)
+    monkeypatch.setattr(autoencoder, "stack_forward", counted_forward)
+    dualmodel.train_pair_autoencoders(ds_a, ds_b, TrainConfig(ae_epochs=2), seed=1)
+    assert stacks == ([4] * 6 + [2] * 11) * 2
+    # the shuffle draws' epochs: two draws per epoch
+    assert [labels[2] for labels in draws if labels[0] == autoencoder._L_AE_SHUFFLE] == [0, 0, 1, 1]
+    # besides the steps, only the guard's full passes before epoch 1, of the user and the item corpora:
+    # the pipeline asks for no trace
+    assert forwards == [2, 2] + stacks
+
+
+def test_a_pair_encodes_each_entity_once(partial_pair, monkeypatch):
+    # the corpora, the warm map and the embedding rows read one encoding of each user and item
+    ds_a, ds_b, _ = partial_pair
+    entities = sum(len(ds.user_features) + len(ds.item_features) for ds in (ds_a, ds_b))
+    calls, encode = [], dualmodel.encode
+
+    def counted(schema, raw):
+        calls.append(raw)
+        return encode(schema, raw)
+
+    monkeypatch.setattr(dualmodel, "encode", counted)
+    train_pair(ds_a, ds_b, small_config(ae_epochs=1, epochs=1), seed=0)
+    assert len(calls) == entities
+    calls.clear()
+    evaluate.prepare_pair(ds_a, ds_b, small_config(ae_epochs=1), k=2)
+    assert len(calls) == entities
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the blow-up overflows on purpose
 def test_a_diverging_autoencoder_is_named_with_its_rate(partial_pair):
-    # in the stack of both user autoencoders, domain b's turns non-finite first
+    # A rate this high overflows within the first epoch, before the epoch-end guard
+    # (below) looks. Both user autoencoders overflow in one step, and the check names the
+    # first of them in the stack: domain b's, which leads when domain b is passed first.
     ds_a, ds_b, _ = partial_pair
     with pytest.raises(FloatingPointError, match=r"^non-finite training loss or gradient in the user autoencoder "
                                                  r"of domain b; lower ae_lr$"):
-        train_pair(ds_a, ds_b, TrainConfig(ae_lr=2.0), seed=0)
+        train_pair(ds_b, ds_a, TrainConfig(ae_lr=1e200), seed=0)
+
+
+@pytest.mark.parametrize("ae_lr", [1.0, 10.0])
+def test_an_autoencoder_rate_that_diverges_is_refused_after_one_epoch(partial_pair, ae_lr):
+    # Without the guard neither rate is refused in time: at 1 the step losses stay far above
+    # the pre-training loss and training runs to its end; at 10 they grow for 57 epochs
+    # before a step overflows.
+    ds_a, ds_b, _ = partial_pair
+    with pytest.raises(FloatingPointError, match=r"^the user autoencoder of domain a: mean step loss \S+ in epoch 1 "
+                                                 r"exceeds twice its pre-training reconstruction loss 7\.65718; "
+                                                 r"lower ae_lr$"):
+        train_pair(ds_a, ds_b, TrainConfig(ae_lr=ae_lr), seed=0)
 
 
 @pytest.fixture(scope="module")
