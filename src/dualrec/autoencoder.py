@@ -166,11 +166,20 @@ def _train_stack(xs, tags, embed_dim, lr, epochs, batch_size, seed, trace):
     keys = [(_stream_tag(domain, entity), n) for (domain, entity), n in zip(tags, counts)]
     flat = np.concatenate(xs)  # corpus k's rows start at row firsts[k]
     firsts = np.cumsum([0, *counts[:-1]]).tolist()
-    # a step's parts of the stack: one per run of corpora with equal batch sizes n
-    steps = []
+    # Each epoch's shuffled rows are gathered by one take into one buffer of flat's shape,
+    # laid out step by step: a step's parts, one per run of corpora with equal batch sizes n,
+    # read next stretches of it as (K, n, width) views. Entry r of layout is the position,
+    # among the corpora's shuffled rows laid end to end, of the row the buffer holds at r.
+    shuffled = np.empty_like(flat)
+    steps, layout = [], []
     for start in range(0, counts[0], batch_size):
-        sizes = [min(max(c - start, 0), batch_size) for c in counts]
-        steps.append((start, [(stack.part(s), s, n, names[s]) for s, n in _runs(sizes)]))
+        parts = []
+        for s, n in _runs([min(max(c - start, 0), batch_size) for c in counts]):
+            xb = shuffled[len(layout) : len(layout) + (s.stop - s.start) * n].reshape(-1, n, flat.shape[1])
+            parts.append((stack.part(s), s, xb, names[s]))
+            layout.extend(firsts[k] + start + r for k in range(s.start, s.stop) for r in range(n))
+        steps.append(parts)
+    layout = np.array(layout)
     # a full pass's parts: one per run of corpora with equal row counts, on a view of their rows
     whole = []
     for s, n in _runs(counts):
@@ -186,21 +195,16 @@ def _train_stack(xs, tags, embed_dim, lr, epochs, batch_size, seed, trace):
 
     before = full_losses()
     traces: list[list[float]] = [[] for _ in aes]
-    # each epoch's shuffled corpora (K, n_max, width), gathered by one take; the rows past a
-    # corpus's end (order 0) enter no product
-    order = np.zeros((len(xs), counts[0]), dtype=np.intp)
-    shuffled = np.empty((len(xs), counts[0], flat.shape[1]))
     for epoch in range(epochs):
         perms = {key: make_rng(seed, _L_AE_SHUFFLE, key[0], epoch).permutation(key[1]) for key in dict.fromkeys(keys)}
-        for k, key in enumerate(keys):
-            order[k, : counts[k]] = firsts[k] + perms[key]
-        np.take(flat, order, axis=0, out=shuffled)
+        order = np.concatenate([first + perms[key] for first, key in zip(firsts, keys)])
+        np.take(flat, order[layout], axis=0, out=shuffled)
         step_losses = np.zeros(len(xs))
-        for start, parts in steps:
-            for part, s, n, part_names in parts:
-                loss, grads = loss_and_grads(part, shuffled[s, start : start + n], part_names)
+        for parts in steps:
+            for part, s, xb, part_names in parts:
+                loss, grads = loss_and_grads(part, xb, part_names)
                 part.params -= lr * grads
-                step_losses[s] += n * loss
+                step_losses[s] += xb.shape[1] * loss
         mean = step_losses / counts
         over = np.flatnonzero(mean > 2.0 * before)
         if over.size:

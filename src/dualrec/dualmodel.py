@@ -406,8 +406,8 @@ class Rows:
 def entity_vectors(dataset: DomainDataset) -> tuple[tuple[dict, np.ndarray], tuple[dict, np.ndarray]]:
     """The encoded feature vectors of every user and every item, each entity's
     as (row of each id, matrix): the rows in sorted-id order, the order of the
-    autoencoders' corpora. A domain pair encodes each entity once, for its
-    corpora, its warm map and its embedding rows."""
+    autoencoders' corpora. A domain pair encodes each entity once
+    (`encode_pair`), for its corpora, its warm map and its embedding rows."""
     out = []
     for table, schema in ((dataset.user_features, dataset.user_schema), (dataset.item_features, dataset.item_schema)):
         ids = sorted(table)
@@ -419,23 +419,23 @@ def prepare_domain(
     dataset: DomainDataset,
     ae_user: Autoencoder,
     ae_item: Autoencoder,
+    vectors,
     record_indices=None,
     partner_users=None,
-    vectors=None,
 ) -> Rows:
     """Encode one domain's interactions into a table of embedding rows.
 
+    vectors is the domain's `entity_vectors`, which the encoders embed;
     record_indices selects a subset (fold training or test split);
     partner_users is the other domain's user-id set for overlap flags (all
-    True when omitted); vectors is the domain's `entity_vectors`, encoded
-    here when omitted.
+    True when omitted).
     """
     recs = dataset.interactions
     idx = range(len(recs)) if record_indices is None else [int(i) for i in record_indices]
     chosen = [recs[i] for i in idx]
     uids = sorted({r.user_id for r in chosen})
     iids = sorted({r.item_id for r in chosen})
-    (user_rows, users), (item_rows, items) = entity_vectors(dataset) if vectors is None else vectors
+    (user_rows, users), (item_rows, items) = vectors
     u_emb = {}
     if uids:
         emb = ae_encode(ae_user, users[[user_rows[u] for u in uids]])
@@ -458,13 +458,12 @@ def prepare_domain(
     return Rows(ui, y, overlap, np.array([r.user_id for r in chosen], dtype=np.str_), (0, n))
 
 
-def prepare_rows(datasets, encoders, vectors=None) -> Rows:
+def prepare_rows(datasets, encoders, vectors) -> Rows:
     """The table of two domains' rows, domain b's after domain a's: each domain
-    embedded by its (user, item) encoders from its `entity_vectors` (vectors,
-    or encoded here), with overlap flags from the partner domain's users."""
+    embedded by its (user, item) encoders from its `entity_vectors`, with
+    overlap flags from the partner domain's users."""
     users = [{r.user_id for r in ds.interactions} for ds in datasets]
-    vectors = [None] * len(datasets) if vectors is None else vectors
-    return Rows.join([prepare_domain(ds, *aes, partner_users=users[1 - k], vectors=vecs)
+    return Rows.join([prepare_domain(ds, *aes, vecs, partner_users=users[1 - k])
                       for k, (ds, aes, vecs) in enumerate(zip(datasets, encoders, vectors))])
 
 
@@ -822,17 +821,16 @@ def fit(dm: DualModel, table: Rows, cfg: TrainConfig, seed: int = 0) -> tuple[li
 
 
 def train_pair_autoencoders(
-    ds_a: DomainDataset, ds_b: DomainDataset, cfg: TrainConfig, seed: int, vectors=None
+    ds_a: DomainDataset, ds_b: DomainDataset, cfg: TrainConfig, seed: int, vectors
 ) -> tuple[tuple[Autoencoder, Autoencoder], tuple[Autoencoder, Autoencoder]]:
     """Train the (user, item) autoencoders of both domains; returns them per domain.
 
     Corpora are the encoded feature vectors of every entity in the domain
-    (each domain's `entity_vectors`: vectors, or encoded here), iterated in
-    sorted-id order for determinism. All four corpora share one column count
+    (vectors, each domain's `entity_vectors`), in sorted-id order for
+    determinism. All four corpora share one column count
     and train in lockstep as one stack (`train_autoencoders`), whatever their
     row counts; no trace is computed, since nothing here reads one.
     """
-    vectors = [entity_vectors(ds) for ds in (ds_a, ds_b)] if vectors is None else vectors
     corpora = [matrix for by_entity in vectors for _, matrix in by_entity]
     tags = [(ds.domain_name, entity) for ds in (ds_a, ds_b) for entity in ("user", "item")]
     (ua, _), (ia, _), (ub, _), (ib, _) = train_autoencoders(
@@ -847,24 +845,37 @@ def shared_user_alignment(
     ds_b: DomainDataset,
     ae_user_a: Autoencoder,
     ae_user_b: Autoencoder,
-    vectors=None,
+    vectors,
 ) -> OrthogonalMap | None:
     """Procrustes-align the two user-embedding spaces on the shared users.
 
     Each user present in both domains gives one paired row (their embedding
-    under each domain's user encoder); the best-fit rotation between the
-    paired clouds seeds the model's mapping.  When the domains' user bases are
+    under each domain's user encoder, of their row of vectors, each domain's
+    `entity_vectors`); the best-fit rotation between the paired clouds seeds
+    the model's mapping.  When the domains' user bases are
     unrelated the fit is meaningless but harmless: the rotation it returns is
     noise either way.  Returns None when the overlap is below the embedding
-    dimension, where the fit would be underdetermined. vectors holds each
-    domain's `entity_vectors`, encoded here when omitted.
+    dimension, where the fit would be underdetermined.
     """
     shared = sorted(set(ds_a.user_features) & set(ds_b.user_features))
     if len(shared) < ae_user_a.embed_dim:
         return None
-    vectors = [entity_vectors(ds) for ds in (ds_a, ds_b)] if vectors is None else vectors
     raw_a, raw_b = (users[[rows[u] for u in shared]] for (rows, users), _ in vectors)
     return align_map(ae_encode(ae_user_a, raw_a), ae_encode(ae_user_b, raw_b))
+
+
+def encode_pair(ds_a: DomainDataset, ds_b: DomainDataset, cfg: TrainConfig, seed: int):
+    """What training a pair builds before the dual model, none of which depends
+    on alpha: the (user, item) autoencoders of each domain, the shared-user warm
+    map (None when too few users are shared) and the table of both domains'
+    rows. Each entity's features are encoded once (`entity_vectors`) and read
+    by all three.
+    """
+    vectors = [entity_vectors(ds) for ds in (ds_a, ds_b)]
+    encoders = train_pair_autoencoders(ds_a, ds_b, cfg, seed, vectors)
+    # the alignment sees entity features only, never ratings
+    warm = shared_user_alignment(ds_a, ds_b, encoders[0][0], encoders[1][0], vectors)
+    return encoders, warm, prepare_rows((ds_a, ds_b), encoders, vectors)
 
 
 def train_pair(
@@ -881,15 +892,11 @@ def train_pair(
     gradient through the alpha-weighted cross term is too weak to rotate a
     random X into alignment within any reasonable epoch budget.
     """
-    vectors = [entity_vectors(ds) for ds in (ds_a, ds_b)]
-    (ae_user_a, ae_item_a), (ae_user_b, ae_item_b) = train_pair_autoencoders(ds_a, ds_b, cfg, seed, vectors=vectors)
-    dm = new_dual_model([(ae_user_a, ae_item_a), (ae_user_b, ae_item_b)], alpha=cfg.alpha, seed=seed, hidden=cfg.hidden,
+    encoders, warm, table = encode_pair(ds_a, ds_b, cfg, seed)
+    dm = new_dual_model(encoders, alpha=cfg.alpha, seed=seed, hidden=cfg.hidden,
                         schemas=[(ds.user_schema, ds.item_schema) for ds in (ds_a, ds_b)])
-    warm = shared_user_alignment(ds_a, ds_b, ae_user_a, ae_user_b, vectors)
     if warm is not None:
         dm.maps[(0, 1)] = warm
-    table = prepare_rows((ds_a, ds_b), ((ae_user_a, ae_item_a), (ae_user_b, ae_item_b)), vectors)
-    del vectors  # free the encoded features: fit reads only the table
     return dm, fit(dm, table, cfg, seed)
 
 

@@ -39,13 +39,10 @@ from dualrec.autoencoder import Autoencoder
 from dualrec.dualmodel import (
     Rows,
     TrainConfig,
-    entity_vectors,
+    encode_pair,
     fit_models,
     new_dual_model,
     predict_batch,
-    prepare_rows,
-    shared_user_alignment,
-    train_pair_autoencoders,
 )
 from dualrec.features import DomainDataset, FoldSplit, kfold, require_disjoint_items
 from dualrec.mapping import OrthogonalMap
@@ -202,12 +199,8 @@ def prepare_pair(ds_a: DomainDataset, ds_b: DomainDataset, cfg: TrainConfig, k: 
     require_disjoint_items(ds_a, ds_b)
     # split first, so a bad k fails before any autoencoder trains
     splits = (kfold(ds_a, k, seed), kfold(ds_b, k, seed))
-    vectors = [entity_vectors(ds) for ds in (ds_a, ds_b)]
-    enc_a, enc_b = train_pair_autoencoders(ds_a, ds_b, cfg, seed, vectors=vectors)
-    # the alignment sees entity features only, never ratings
-    warm_map = shared_user_alignment(ds_a, ds_b, enc_a[0], enc_b[0], vectors)
-    rows = prepare_rows((ds_a, ds_b), (enc_a, enc_b), vectors)
-    return PreparedPair(_prepared_key(cfg, k, seed), (ds_a, ds_b), splits, (enc_a, enc_b), warm_map, rows)
+    encoders, warm_map, rows = encode_pair(ds_a, ds_b, cfg, seed)
+    return PreparedPair(_prepared_key(cfg, k, seed), (ds_a, ds_b), splits, encoders, warm_map, rows)
 
 
 def _check_prepared(prepared: PreparedPair, ds_a, ds_b, cfg: TrainConfig, k: int, seed: int) -> None:

@@ -33,6 +33,7 @@ from dualrec.dualmodel import (
     TrainConfig,
     dual_loss_and_grads,
     make_rating_model,
+    entity_vectors,
     predict_from_embeddings,
     prepare_domain,
     train_pair,
@@ -186,17 +187,18 @@ def test_criterion_3_degeneration_identities():
     # mirror of the protocol with plain single-domain training
     for ds, rep, domain_index, lr in ((ds_a, rep_a, 0, cfg.lr_a), (ds_b, rep_b, 1, cfg.lr_b)):
         ae_u, ae_i = domain_autoencoders(ds, cfg, seed)
+        vectors = entity_vectors(ds)
         split = kfold(ds, k, seed)
         fold_rmse, fold_prec = [], []
         for fold in range(k):
             tr, te = split.fold_indices(fold)
             model, _ = train_single(
-                prepare_domain(ds, ae_u, ae_i, tr), domain_index,
+                prepare_domain(ds, ae_u, ae_i, vectors, tr), domain_index,
                 embed_dim=cfg.embed_dim, seed=seed * 10_000 + fold,
                 epochs=cfg.epochs, tol=cfg.tol, lr=lr,
                 batch_size=cfg.batch_size, hidden=cfg.hidden,
             )
-            arr_te = prepare_domain(ds, ae_u, ae_i, te)
+            arr_te = prepare_domain(ds, ae_u, ae_i, vectors, te)
             preds = model_forward(model, arr_te.ui)[0][:, 0]
             fold_rmse.append(rmse(preds, arr_te.ratings))
             pr = precision_recall_at_k(arr_te.user_ids, preds, arr_te.ratings, k=5, tau=0.5)

@@ -59,8 +59,7 @@ def test_a_traced_fit_records_one_step_span_per_scheduled_step():
 
     ds_a, ds_b, _ = synth_pair(n_users=30, n_items_per_domain=10, latent_dim=4, density=0.4, seed=5)
     cfg = dualmodel.TrainConfig(embed_dim=4, hidden=(8, 4), epochs=3, tol=0.0, batch_size=8, ae_epochs=5)
-    encoders = dualmodel.train_pair_autoencoders(ds_a, ds_b, cfg, seed=0)
-    table = dualmodel.prepare_rows((ds_a, ds_b), encoders)
+    encoders, _, table = dualmodel.encode_pair(ds_a, ds_b, cfg, seed=0)
     n_a, n_b = np.diff(table.bounds)
     # the second model drops rows of domain a, so the stack's last steps run model by model
     rows = ([np.arange(n_a), np.arange(n_a - 5)], [np.arange(n_b)] * 2)

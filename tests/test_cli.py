@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dualrec import evaluate
+from dualrec import dualmodel, evaluate
 from dualrec.cli import ExperimentConfig, load_config, load_pair, main, save_config
 from dualrec.dualmodel import TrainConfig, load_dual_model
 from dualrec.evaluate import alpha_sweep
@@ -258,7 +258,7 @@ class TestTrainEval:
         def refuse(*args, **kwargs):
             raise AssertionError("an autoencoder trained")
 
-        monkeypatch.setattr(evaluate, "train_pair_autoencoders", refuse)
+        monkeypatch.setattr(dualmodel, "train_pair_autoencoders", refuse)
         code = main(["eval", "--config", str(cfg), "--data", str(data), "--folds", "1", "--out", str(tmp_path / "o")])
         assert code == 2
         assert "folds=1 below 2" in capsys.readouterr().err

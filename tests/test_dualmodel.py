@@ -24,6 +24,7 @@ from dualrec.dualmodel import (
     predict,
     predict_batch,
     predict_from_embeddings,
+    entity_vectors,
     prepare_domain,
     save_dual_model,
     score,
@@ -249,8 +250,9 @@ class TestDualLossAndGrads:
 def arrays_pair(small_pair):
     ds_a, ds_b, _ = small_pair
     cfg = small_config()
-    (ae_ua, ae_ia), (ae_ub, ae_ib) = train_pair_autoencoders(ds_a, ds_b, cfg, seed=0)
-    table = Rows.join([prepare_domain(ds_a, ae_ua, ae_ia), prepare_domain(ds_b, ae_ub, ae_ib)])
+    vectors = [entity_vectors(ds) for ds in (ds_a, ds_b)]
+    (ae_ua, ae_ia), (ae_ub, ae_ib) = train_pair_autoencoders(ds_a, ds_b, cfg, 0, vectors)
+    table = Rows.join([prepare_domain(ds_a, ae_ua, ae_ia, vectors[0]), prepare_domain(ds_b, ae_ub, ae_ib, vectors[1])])
     return (ae_ua, ae_ia, ae_ub, ae_ib), table
 
 
@@ -307,8 +309,9 @@ class TestTrainPair:
         ds_a, ds_b, _ = small_pair
         cfg = small_config(epochs=1)
         dm, _ = train_pair(ds_a, ds_b, cfg, seed=0)
-        (ae_ua, _), (ae_ub, _) = train_pair_autoencoders(ds_a, ds_b, cfg, seed=0)
-        warm = shared_user_alignment(ds_a, ds_b, ae_ua, ae_ub)
+        vectors = [entity_vectors(ds) for ds in (ds_a, ds_b)]
+        (ae_ua, _), (ae_ub, _) = train_pair_autoencoders(ds_a, ds_b, cfg, 0, vectors)
+        warm = shared_user_alignment(ds_a, ds_b, ae_ua, ae_ub, vectors)
         assert warm is not None
         # one epoch of updates moves X little; it must still be near the warm
         # start, not near an unrelated random rotation
@@ -317,7 +320,7 @@ class TestTrainPair:
     def test_alignment_requires_enough_shared_users(self, small_pair):
         ds_a, ds_b, _ = small_pair
         cfg = small_config()
-        (ae_ua, _), (ae_ub, _) = train_pair_autoencoders(ds_a, ds_b, cfg, seed=0)
+        (ae_ua, _), (ae_ub, _) = train_pair_autoencoders(ds_a, ds_b, cfg, 0, [entity_vectors(ds) for ds in (ds_a, ds_b)])
 
         keep = sorted(ds_b.user_features)[:3]  # below embed_dim=4
         recs = tuple(r for r in ds_b.interactions if r.user_id in keep)
@@ -326,7 +329,7 @@ class TestTrainPair:
             interactions=recs,
             user_features={u: ds_b.user_features[u] for u in keep},
         )
-        assert shared_user_alignment(ds_a, tiny, ae_ua, ae_ub) is None
+        assert shared_user_alignment(ds_a, tiny, ae_ua, ae_ub, [entity_vectors(ds) for ds in (ds_a, tiny)]) is None
 
     def test_persistence_round_trip(self, trained_small, tmp_path):
         dm, _ = trained_small

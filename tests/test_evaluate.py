@@ -8,8 +8,8 @@ import math
 import numpy as np
 import pytest
 
-from dualrec import evaluate
-from dualrec.dualmodel import TrainConfig, prepare_domain, train_pair_autoencoders
+from dualrec import dualmodel, evaluate
+from dualrec.dualmodel import TrainConfig, entity_vectors, prepare_domain, train_pair_autoencoders
 from dualrec.evaluate import (
     alpha_sweep,
     mae,
@@ -149,7 +149,7 @@ class TestRunCv:
 
     def test_one_fold_fails_before_any_autoencoder_trains(self, small_pair, monkeypatch):
         ds_a, ds_b, _ = small_pair
-        monkeypatch.setattr(evaluate, "train_pair_autoencoders", None)
+        monkeypatch.setattr(dualmodel, "train_pair_autoencoders", None)
         with pytest.raises(ValueError, match="k must be >= 2"):
             run_cv(ds_a, ds_b, small_cfg(), k=1)
 
@@ -177,18 +177,19 @@ class TestRunCv:
         rep_a, rep_b = run_cv(ds_a, ds_b, cfg, k=k, seed=seed)
         for ds, rep, domain_index in ((ds_a, rep_a, 0), (ds_b, rep_b, 1)):
             ae_u, ae_i = domain_autoencoders(ds, cfg, seed)
+            vectors = entity_vectors(ds)
             split = kfold(ds, k, seed)
             fold_rmses = []
             for fold in range(k):
                 tr, te = split.fold_indices(fold)
-                arr_tr = prepare_domain(ds, ae_u, ae_i, tr)
+                arr_tr = prepare_domain(ds, ae_u, ae_i, vectors, tr)
                 model, _ = train_single(
                     arr_tr, domain_index, embed_dim=cfg.embed_dim, seed=seed * 10_000 + fold,
                     epochs=cfg.epochs, tol=cfg.tol,
                     lr=cfg.lr_a if domain_index == 0 else cfg.lr_b,
                     batch_size=cfg.batch_size, hidden=cfg.hidden,
                 )
-                arr_te = prepare_domain(ds, ae_u, ae_i, te)
+                arr_te = prepare_domain(ds, ae_u, ae_i, vectors, te)
                 preds = model_forward(model, arr_te.ui)[0][:, 0]
                 fold_rmses.append(rmse(preds, arr_te.ratings))
             assert rep.rmse == pytest.approx(np.mean(fold_rmses), abs=1e-9)
@@ -216,11 +217,11 @@ class TestAlphaSweep:
         ds_a, ds_b, _ = small_pair
         calls = []
 
-        def counted(first, second, cfg, seed, **kwargs):
+        def counted(first, second, cfg, seed, vectors):
             calls.append((first.domain_name, second.domain_name))
-            return train_pair_autoencoders(first, second, cfg, seed, **kwargs)
+            return train_pair_autoencoders(first, second, cfg, seed, vectors)
 
-        monkeypatch.setattr(evaluate, "train_pair_autoencoders", counted)
+        monkeypatch.setattr(dualmodel, "train_pair_autoencoders", counted)
         alpha_sweep(ds_a, ds_b, [0.0, 0.03, 0.1], small_cfg(epochs=1), k=2, seed=0)
         assert calls == [("a", "b")]
 
@@ -248,10 +249,11 @@ class TestPreparedPair:
         for k, (ds, split, (ae_u, ae_i), partner) in enumerate(zip(
             (ds_a, ds_b), prepared.splits, prepared.encoders, partners
         )):
+            vectors = entity_vectors(ds)
             for fold in range(3):
                 for idx in split.fold_indices(fold):
                     got = table.take(table.bounds[k] + idx)
-                    want = prepare_domain(ds, ae_u, ae_i, idx, partner_users=partner)
+                    want = prepare_domain(ds, ae_u, ae_i, vectors, idx, partner_users=partner)
                     for name in ("ui", "ratings", "overlap"):
                         a, b = getattr(got, name), getattr(want, name)
                         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name

@@ -493,15 +493,15 @@ class TestBlasPremise:
     def test_autoencoder_layers(self, n):
         # The autoencoder stack of a domain pair holds four networks. A step runs
         # all four, or the parts [0:2] and [2:4] once the shorter corpora run out:
-        # views of one flat buffer, on batches that are views of one buffer of
-        # padded corpora (rows past n are another corpus's or padding).
+        # views of one flat buffer, on batches that are stretches of one buffer
+        # of shuffled rows, each viewed as (networks, n, 20).
         rng = make_rng(41, n)
         layout = ((20, 8, "sigmoid"), (8, 20, "identity"))
         params = rng.normal(size=(4, sum(n_out * (n_in + 1) for n_in, n_out, _ in layout)))
-        padded = rng.normal(size=(4, n + 5, 20))
+        rows = rng.normal(size=(4 * n + 5, 20))
         for s in (slice(0, 4), slice(0, 2), slice(2, 4)):
             (enc, _, _), (dec, _, _) = layer_views(params[s], layout)
-            x = padded[s, 2 : 2 + n]
+            x = rows[3 : 3 + (s.stop - s.start) * n].reshape(-1, n, 20)
             emb = x @ enc.swapaxes(-1, -2)
             rec = emb @ dec.swapaxes(-1, -2)
             dy = rng.normal(size=rec.shape)

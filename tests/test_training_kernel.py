@@ -382,7 +382,8 @@ def test_the_standard_autoencoders_train_as_one_stack_with_one_shuffle_per_strea
     monkeypatch.setattr(autoencoder, "loss_and_grads", counted_step)
     monkeypatch.setattr(autoencoder, "make_rng", counted_rng)
     monkeypatch.setattr(autoencoder, "stack_forward", counted_forward)
-    dualmodel.train_pair_autoencoders(ds_a, ds_b, TrainConfig(ae_epochs=2), seed=1)
+    vectors = [dualmodel.entity_vectors(ds) for ds in (ds_a, ds_b)]
+    dualmodel.train_pair_autoencoders(ds_a, ds_b, TrainConfig(ae_epochs=2), 1, vectors)
     assert stacks == ([4] * 6 + [2] * 11) * 2
     # the shuffle draws' epochs: two draws per epoch
     assert [labels[2] for labels in draws if labels[0] == autoencoder._L_AE_SHUFFLE] == [0, 0, 1, 1]
@@ -420,6 +421,24 @@ def test_a_diverging_autoencoder_is_named_with_its_rate(partial_pair):
         train_pair(ds_b, ds_a, TrainConfig(ae_lr=1e200), seed=0)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the blow-up overflows on purpose
+@pytest.mark.parametrize("scale, lr, message", [
+    (1e200, 0.3, r"non-finite training loss or gradient in the user autoencoder of domain b; lower ae_lr"),
+    (1.0, 0.7, r"the item autoencoder of domain a: mean step loss \S+ in epoch 2 exceeds twice its pre-training "
+               r"reconstruction loss \S+; lower ae_lr"),
+], ids=["non-finite", "guard"])
+def test_a_failing_autoencoder_is_named_by_its_place_in_the_sorted_stack(scale, lr, message):
+    # The stack runs the 12-row corpus first, then the two 3-row ones, so its order differs
+    # from the input order, and its first step splits into two parts: the overflowing user
+    # autoencoder of domain b (scaled to overflow in that step) is second in the second part.
+    # At lr 0.7 only the item autoencoder of domain a, second in the stack, trips the guard.
+    rng = make_rng(29)
+    corpora = [rng.random((3, 7)), scale * rng.random((3, 7)), rng.random((12, 7))]
+    tags = [("a", "item"), ("b", "user"), ("a", "user")]
+    with pytest.raises(FloatingPointError, match=f"^{message}$"):
+        autoencoder.train_autoencoders(corpora, tags, embed_dim=3, lr=lr, epochs=6, batch_size=4, seed=5)
+
+
 @pytest.mark.parametrize("ae_lr", [1.0, 10.0])
 def test_an_autoencoder_rate_that_diverges_is_refused_after_one_epoch(partial_pair, ae_lr):
     # Without the guard neither rate is refused in time: at 1 the step losses stay far above
@@ -436,8 +455,10 @@ def test_an_autoencoder_rate_that_diverges_is_refused_after_one_epoch(partial_pa
 def fitted_inputs(partial_pair):
     ds_a, ds_b, _ = partial_pair
     cfg = small_config()
-    (ae_ua, ae_ia), (ae_ub, ae_ib) = dualmodel.train_pair_autoencoders(ds_a, ds_b, cfg, seed=0)
-    table = dualmodel.Rows.join([dualmodel.prepare_domain(ds_a, ae_ua, ae_ia), dualmodel.prepare_domain(ds_b, ae_ub, ae_ib)])
+    vectors = [dualmodel.entity_vectors(ds) for ds in (ds_a, ds_b)]
+    (ae_ua, ae_ia), (ae_ub, ae_ib) = dualmodel.train_pair_autoencoders(ds_a, ds_b, cfg, 0, vectors)
+    table = dualmodel.Rows.join([dualmodel.prepare_domain(ds_a, ae_ua, ae_ia, vectors[0]),
+                                 dualmodel.prepare_domain(ds_b, ae_ub, ae_ib, vectors[1])])
     return (ae_ua, ae_ia, ae_ub, ae_ib), table
 
 
