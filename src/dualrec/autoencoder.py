@@ -8,7 +8,7 @@ column count (all four of a pair) train in lockstep as one stacked program
 (`train_autoencoders`), whatever their row counts: their parameters sit in
 one flat (K, P) buffer (`stack_autoencoders`), longest corpus first. A step
 runs the whole stack while every corpus has rows left, and then one view of
-it (`FlatStack.part`) per run of corpora with equal batch sizes; each is
+it (`FlatStack.part`) per run of equal batch sizes (`lockstep_steps`); each is
 one forward pass, one backward pass that writes into one gradient buffer,
 one finite check and one SGD update. Each autoencoder keeps its own init,
 shuffle stream and trace, and every product reads its own corpus's rows
@@ -30,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from dualrec.numeric import (
-    DenseLayer, FlatStack, check_finite_step, dense_layer, flat_params, layer_forward, make_rng, stack_backward,
-    stack_forward,
+    DenseLayer, FlatStack, check_finite_step, dense_layer, flat_params, layer_forward, lockstep_steps, make_rng,
+    stack_backward, stack_forward,
 )
 
 _L_AE_INIT = 0xAE01
@@ -151,12 +151,6 @@ def train_autoencoders(
     return out
 
 
-def _runs(sizes) -> list[tuple[slice, int]]:
-    """The runs (slice of the stack, size) of equal nonzero sizes in a falling list."""
-    edges = [k for k in range(1, len(sizes)) if sizes[k] != sizes[k - 1]]
-    return [(slice(lo, hi), sizes[lo]) for lo, hi in zip([0, *edges], [*edges, len(sizes)]) if sizes[lo]]
-
-
 def _train_stack(xs, tags, embed_dim, lr, epochs, batch_size, seed, trace):
     """The lockstep kernel: K autoencoders on corpora xs of one width, longest first."""
     aes = [new_autoencoder(xs[0].shape[1], embed_dim, seed, domain, entity) for domain, entity in tags]
@@ -172,17 +166,18 @@ def _train_stack(xs, tags, embed_dim, lr, epochs, batch_size, seed, trace):
     # among the corpora's shuffled rows laid end to end, of the row the buffer holds at r.
     shuffled = np.empty_like(flat)
     steps, layout = [], []
-    for start in range(0, counts[0], batch_size):
+    for start, runs in lockstep_steps(counts, batch_size):
         parts = []
-        for s, n in _runs([min(max(c - start, 0), batch_size) for c in counts]):
+        for s, n in runs:
             xb = shuffled[len(layout) : len(layout) + (s.stop - s.start) * n].reshape(-1, n, flat.shape[1])
             parts.append((stack.part(s), s, xb, names[s]))
             layout.extend(firsts[k] + start + r for k in range(s.start, s.stop) for r in range(n))
         steps.append(parts)
     layout = np.array(layout)
-    # a full pass's parts: one per run of corpora with equal row counts, on a view of their rows
+    # a full pass's parts: one per run of corpora with equal row counts (the one step of a
+    # batch as long as the longest corpus), on a view of their rows
     whole = []
-    for s, n in _runs(counts):
+    for s, n in lockstep_steps(counts, counts[0])[0][1]:
         rows = flat[firsts[s.start] : firsts[s.start] + (s.stop - s.start) * n]
         whole.append((stack.part(s), s, rows.reshape(-1, n, flat.shape[1])))
 
@@ -269,6 +264,8 @@ def autoencoder_arrays(ae: Autoencoder, prefix: str = "") -> dict:
 
 def autoencoder_from_arrays(data, prefix: str = "") -> Autoencoder:
     meta = data[f"{prefix}meta"]
+    if meta.shape != (2,):
+        raise ValueError(f"key {prefix}meta holds shape {meta.shape}, expected (2,): (domain, entity)")
     enc = DenseLayer(np.array(data[f"{prefix}enc_w"]), np.array(data[f"{prefix}enc_b"]), "sigmoid")
     dec = DenseLayer(np.array(data[f"{prefix}dec_w"]), np.array(data[f"{prefix}dec_b"]), "identity")
     return Autoencoder(enc, dec, enc.n_out, str(meta[0]), str(meta[1]), trained=True)

@@ -46,10 +46,12 @@ one addition of the reversed cross channel gives each scorer both its
 terms, one finite check covers them and the map gradient, and one in-place
 SGD update, with lr_a and lr_b on the domain axis, moves both scorers. A
 step whose domains bring batches of different sizes, or of one row, runs
-each domain through the same kernel alone, reading the scorers as views,
-into the same buffers. Each model keeps its own seed, shuffles, starting
-map and `tol` stop, and follows the trajectory it would follow alone bit
-for bit. `fit` is the kernel at K = 1.
+each domain alone through the same kernel into zeroed buffers, combined by
+the same addition. A step whose batch sizes differ between models runs one
+view of the stack per run of models with equal sizes (`lockstep_steps`,
+shared with the autoencoders). Each model keeps its own seed, shuffles,
+starting map and `tol` stop, and follows the trajectory it would follow
+alone bit for bit. `fit` is the kernel at K = 1.
 """
 
 from __future__ import annotations
@@ -64,7 +66,8 @@ from dualrec.autoencoder import Autoencoder, ae_encode, autoencoder_arrays, auto
 from dualrec.features import DomainDataset, FeatureSchema, encode, parse_schema, schema_to_text
 from dualrec.mapping import OrthogonalMap, align_map, init_map, ortho_penalty, project_orthogonal
 from dualrec.numeric import (
-    DenseLayer, check_finite_step, dense_layer, flat_params, layer_views, make_rng, stack_backward, stack_forward,
+    DenseLayer, check_finite_step, dense_layer, flat_params, layer_views, lockstep_steps, make_rng, stack_backward,
+    stack_forward,
 )
 
 _L_RS_INIT = 0x5C07
@@ -80,10 +83,10 @@ def check_alpha(alpha: float, name: str = "alpha") -> None:
 
 
 def check_at_least(cfg, keys, low) -> None:
-    """Raise ValueError naming the first of cfg's keys whose value is below low
-    (or NaN), or is no integer where its dataclass field is typed int. A tuple
-    (typed tuple[int, ...]) is checked entry by entry, named key[i]. A bool is
-    no integer here; an np.int64 is."""
+    """Raise ValueError naming the first of cfg's keys whose value is below low,
+    is NaN ("is not a number"), or is no integer where its dataclass field is
+    typed int. A tuple (typed tuple[int, ...]) is checked entry by entry, named
+    key[i]. A bool is no integer here; an np.int64 is."""
     integral = {f.name for f in fields(cfg) if f.type in ("int", "tuple[int, ...]")}
     for key in keys:
         value = getattr(cfg, key)
@@ -92,7 +95,7 @@ def check_at_least(cfg, keys, low) -> None:
             if key in integral and (not isinstance(v, Integral) or isinstance(v, bool)):
                 raise ValueError(f"{name}={v} is not an integer")
             if not v >= low:
-                raise ValueError(f"{name}={v} below {low}")
+                raise ValueError(f"{name}={v} is not a number" if v != v else f"{name}={v} below {low}")
 
 
 @dataclass
@@ -534,13 +537,15 @@ class ModelStack:
             dm.maps[(0, 1)] = OrthogonalMap(stack.x[m], dm.maps[(0, 1)].domain_pair)
         return stack
 
-    def part(self, m: int) -> "ModelStack":
-        """Model m alone: a stack of one whose arrays and gradients are views into this one."""
-        if m not in self.parts:
-            s = slice(m, m + 1)
-            self.parts[m] = ModelStack(self.params[:, s], self.layout, self.x[s], self.alpha,
-                                       None if self.ids is None else self.ids[s], self.channel_grads[:, :, s])
-        return self.parts[m]
+    def part(self, s: slice) -> "ModelStack":
+        """Models s alone, their arrays views into this stack; this stack when s covers it."""
+        if s.stop - s.start == self.params.shape[1]:
+            return self
+        key = s.start, s.stop
+        if key not in self.parts:
+            self.parts[key] = ModelStack(self.params[:, s], self.layout, self.x[s], self.alpha,
+                                         None if self.ids is None else self.ids[s], self.channel_grads[:, :, s])
+        return self.parts[key]
 
 
 def _release(dm: DualModel) -> None:
@@ -599,40 +604,14 @@ def _domain_pass(stack: ModelStack, k, ui, y, weights, overlap):
     return (resid * resid).sum(axis=(-2, -1)) / n, u.swapaxes(-1, -2) @ dx[1, ..., :d]
 
 
-def _one_domain_passes(stack: ModelStack, batches):
-    """Each present domain's batch through `_domain_pass` alone, its gradients
-    combined in stack.grads as one pass of both combines them: (total, grad_x or None)."""
-    total, grad_x = None, None
-    within, crossed = [False, False], [False, False]
-    for k, batch in enumerate(batches):
-        if batch is None:
-            continue
-        ui, y, weights, overlap = batch[:4]
-        loss, grad_m = _domain_pass(stack, k, ui[None], y[None], weights[:, None], overlap[None])
-        total = loss[0] if total is None else total + loss[0]
-        within[k] = True
-        if grad_m is not None:
-            crossed[1 - k] = True
-            gx = grad_m[0].swapaxes(-1, -2) if k == 0 else grad_m[0]
-            grad_x = gx if grad_x is None else grad_x + gx
-    grads, cross = stack.grads, stack.channel_grads[1]
-    for k in (0, 1):  # each scorer: its within term plus its partner batch's cross term, either alone, or zeros
-        if crossed[k] and within[k]:
-            grads[k] += cross[1 - k]
-        elif crossed[k]:
-            grads[k] = cross[1 - k]
-        elif not within[k]:
-            grads[k] = 0.0
-    return total, grad_x
-
-
 def dual_loss_and_grads(stack: ModelStack, batch_a, batch_b, penalty_weight: float = 1.0):
     """Combined objective L_a + L_b + penalty of K stacked models and its exact gradients.
 
     batch_a / batch_b are each domain's `Batch`, as `fit_models` takes them
     from its table (`Rows.step`); pass None to leave a domain out of this
     step. The two halves of one both-domain take run as one pass of both
-    domains; otherwise each domain runs through the same kernel alone.
+    domains; otherwise each domain runs alone into zeroed buffers, and one
+    addition combines the scorers' gradients either way.
     Returns (total (K,), grads, grad_x (K, d, d)); grads is stack.grads,
     shaped like stack.params (its domain axis indexes the scorer), with zeros
     for a scorer no term of this step touches, and the next step overwrites
@@ -641,14 +620,22 @@ def dual_loss_and_grads(stack: ModelStack, batch_a, batch_b, penalty_weight: flo
     """
     block = None if batch_a is None else batch_a.block
     if block is not None and batch_b is not None and batch_b.block is block:
-        loss, grad_m = _domain_pass(stack, None, *block[:4])
-        total, grad_x = loss[0] + loss[1], None
-        if grad_m is not None:
-            # each scorer's gradient: its within term plus the cross term of its partner's batch
-            np.add(stack.grads, stack.channel_grads[1, ::-1], out=stack.grads)
-            grad_x = grad_m[0].swapaxes(-1, -2) + grad_m[1]
+        passes = [(None, block)]
     else:
-        total, grad_x = _one_domain_passes(stack, (batch_a, batch_b))
+        # each domain alone, on a domain axis of one; a term that no pass writes stays 0
+        stack.channel_grads.fill(0.0)
+        passes = [(k, Batch(b.ui[None], b.ratings[None], b.weights[:, None], b.overlap[None]))
+                  for k, b in enumerate((batch_a, batch_b)) if b is not None]
+    total = grad_x = None
+    for k, batch in passes:
+        loss, grad_m = _domain_pass(stack, k, *batch[:4])
+        total = sum(loss[1:], loss[0]) if total is None else sum(loss, total)  # domain a's loss, then b's
+        for d, g in zip((0, 1) if k is None else (k,), () if grad_m is None else grad_m):
+            g = g.swapaxes(-1, -2) if d == 0 else g  # domain a's map grad is dX^T
+            grad_x = g if grad_x is None else grad_x + g
+    if grad_x is not None:
+        # each scorer's gradient: its within term plus the cross term of its partner's batch
+        np.add(stack.grads, stack.channel_grads[1, ::-1], out=stack.grads)
     pen_loss, pen_grad = ortho_penalty(stack.x)
     total = total + penalty_weight * pen_loss
     grad_x = penalty_weight * pen_grad if grad_x is None else grad_x + penalty_weight * pen_grad
@@ -692,20 +679,6 @@ def apply_grads(params: np.ndarray, grads: np.ndarray, lr) -> None:
     params -= lr * grads
 
 
-def _train_step(stack: ModelStack, batches, cfg: TrainConfig, lrs: np.ndarray) -> None:
-    _, grads, grad_x = dual_loss_and_grads(stack, *batches, cfg.penalty_weight)
-    apply_grads(stack.params, grads, lrs)
-    stack.x -= cfg.lr_map * grad_x
-
-
-def _schedule(counts: np.ndarray, batch_size: int) -> list:
-    """An epoch's steps for counts (K, 2) of rows per model and domain: (first
-    row, per-model batch sizes (K, 2), uniform), uniform when all K agree."""
-    starts = np.arange(0, counts.max(), batch_size)
-    sizes = np.clip(counts[None] - starts[:, None, None], 0, batch_size)  # (steps, K, 2)
-    return list(zip(starts.tolist(), sizes.tolist(), (sizes == sizes[:, :1]).all(axis=(1, 2)).tolist()))
-
-
 def fit_models(
     models: list[DualModel],
     table: Rows,
@@ -722,7 +695,8 @@ def fit_models(
     Each step pairs the next mini-batch of each domain (the shorter domain
     runs out first) and updates both scorers and the map of every live
     model, both domains in one stacked pass (`dual_loss_and_grads`); a step
-    whose batch sizes differ between models runs model by model. A row
+    whose batch sizes differ between models runs one part of the stack
+    (`ModelStack.part`) per run of models with equal sizes. A row
     index outside its domain raises ValueError naming the model and the
     domain. Each epoch ends by projecting every map onto the orthogonal
     manifold and by a full pass over each model's rows of each domain: a
@@ -763,7 +737,7 @@ def fit_models(
     traces = [([full_pass(m, 0)], [full_pass(m, 1)]) for m in range(n_models)]
     live = list(range(n_models))
     stack = ModelStack.of(models)
-    schedule = _schedule(counts, cfg.batch_size)
+    schedule = lockstep_steps(counts, cfg.batch_size)
     lrs = np.array([cfg.lr_a, cfg.lr_b]).reshape(2, 1, 1)  # broadcast on the scorers' domain axis
     weighted = table.weighted(stack.alpha)
     for epoch in range(cfg.epochs):
@@ -773,13 +747,12 @@ def fit_models(
             for j, m in enumerate(live):
                 perm = make_rng(seeds[m], _L_SHUFFLE, k, epoch).permutation(counts[m, k])
                 order[k, j, : counts[m, k]] = table.bounds[k] + perm if at[k][m] is None else at[k][m][perm]
-        for start, sizes, uniform in schedule:
-            if uniform:
-                _train_step(stack, weighted.step(order, start, sizes[0]), cfg, lrs)
-                continue
-            for j, model_sizes in enumerate(sizes):  # batch sizes differ: model by model
-                if any(model_sizes):
-                    _train_step(stack.part(j), weighted.step(order[:, j : j + 1], start, model_sizes), cfg, lrs)
+        for start, runs in schedule:
+            for s, sizes in runs:
+                part, batches = stack.part(s), weighted.step(order[:, s], start, sizes)
+                _, grads, grad_x = dual_loss_and_grads(part, *batches, cfg.penalty_weight)
+                apply_grads(part.params, grads, lrs)
+                part.x -= cfg.lr_map * grad_x
         stopped = []
         for j, m in enumerate(live):
             stack.x[j] = project_orthogonal(models[m].maps[(0, 1)]).x
@@ -800,7 +773,7 @@ def fit_models(
                 _release(models[m])
             live = [m for m in live if m not in stopped]
             stack = ModelStack.of([models[m] for m in live], live)
-            schedule = _schedule(counts[live], cfg.batch_size)
+            schedule = lockstep_steps(counts[live], cfg.batch_size)
     for m in live:
         _release(models[m])
     return traces

@@ -72,8 +72,8 @@ class FieldSpec:
             if (self.values is None) == (self.buckets is None):
                 raise ValueError(f"field {self.name!r}: give exactly one of values/buckets")
             if self.values is not None:
-                if len(self.values) < 1:
-                    raise ValueError(f"field {self.name!r}: cardinality must be >= 1")
+                if len(self.values) < 1 or not all(isinstance(v, str) for v in self.values):
+                    raise ValueError(f"field {self.name!r}: values must be one or more strings")
                 if len(set(self.values)) != len(self.values):
                     raise ValueError(f"field {self.name!r}: duplicate category values")
             if self.buckets is not None and self.buckets < 1:
@@ -83,6 +83,14 @@ class FieldSpec:
                 raise ValueError(f"field {self.name!r}: numeric/date fields need lo and hi")
             if not self.lo < self.hi:
                 raise ValueError(f"field {self.name!r}: lo must be < hi")
+        line = _field_line(self)  # a field must read back from its line of schema text as it stands
+        try:  # one line, as parse_schema splits the text
+            same = line.splitlines() == [line] and _read_line(line) == (self.name, self.kind, self.values,
+                                                                          self.buckets, self.lo, self.hi)
+        except ValueError:
+            same = False
+        if not same:
+            raise ValueError(f"field {self.name!r} does not read back from its schema line {line!r}")
 
     @property
     def cardinality(self) -> int:
@@ -110,6 +118,8 @@ class FeatureSchema:
     fields: tuple[FieldSpec, ...]
 
     def __post_init__(self):
+        if not self.fields:
+            raise ValueError("a schema needs at least one field")
         names = [f.name for f in self.fields]
         if len(set(names)) != len(names):
             raise ValueError("field names must be unique")
@@ -193,48 +203,54 @@ def encode(schema: FeatureSchema, raw: dict) -> np.ndarray:
 # schema text format
 
 
-def schema_to_text(schema: FeatureSchema) -> str:
-    """One ``name,kind,spec`` line per field.
+def _field_line(f: FieldSpec) -> str:
+    """The field's ``name,kind,spec`` line: spec ``a|b|c`` (vocabulary), ``hash:64`` or ``lo:hi``."""
+    if f.kind in ("one_hot", "multi_hot"):
+        spec = f"hash:{f.buckets}" if f.buckets is not None else "|".join(f.values)
+    else:
+        spec = f"{f.lo}:{f.hi}"  # str, not repr: an np.float64 writes as a number
+    return f"{f.name},{f.kind},{spec}"
 
-    spec column: ``a|b|c`` (explicit vocabulary), ``hash:64`` (bucketed), or
-    ``lo:hi`` (numeric/date range).
-    """
-    lines = []
-    for f in schema.fields:
-        if f.kind in ("one_hot", "multi_hot"):
-            spec = f"hash:{f.buckets}" if f.buckets is not None else "|".join(f.values)
-        else:
-            spec = f"{f.lo!r}:{f.hi!r}"
-        lines.append(f"{f.name},{f.kind},{spec}")
-    return "\n".join(lines) + "\n"
+
+def _read_line(line: str):
+    """FieldSpec's (name, kind, values, buckets, lo, hi) from a line of schema text; None if blank or comment."""
+    line = line.strip()
+    if not line or line.startswith("#"):
+        return None
+    parts = line.split(",", 2)
+    if len(parts) != 3:
+        raise ValueError(f"expected 'name,kind,spec', got {line!r}")
+    name, kind, spec = (p.strip() for p in parts)
+    if kind in ("one_hot", "multi_hot"):
+        if spec.startswith("hash:"):
+            return name, kind, None, int(spec[5:]), None, None
+        vals = tuple(v for v in spec.split("|") if v)
+        if not vals:
+            raise ValueError(f"empty vocabulary for field {name!r}")
+        return name, kind, vals, None, None, None
+    if kind in ("numeric", "date"):
+        lo, _, hi = spec.partition(":")
+        try:
+            return name, kind, None, None, float(lo), float(hi)
+        except ValueError:
+            raise ValueError(f"bad range {spec!r} for field {name!r}") from None
+    raise ValueError(f"unknown kind {kind!r}")
+
+
+def schema_to_text(schema: FeatureSchema) -> str:
+    """One ``name,kind,spec`` line per field (`_field_line`)."""
+    return "".join(_field_line(f) + "\n" for f in schema.fields)
 
 
 def parse_schema(text: str) -> FeatureSchema:
     fields = []
     for ln, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split(",", 2)
-        if len(parts) != 3:
-            raise ValueError(f"schema line {ln}: expected 'name,kind,spec', got {line!r}")
-        name, kind, spec = (p.strip() for p in parts)
-        if kind in ("one_hot", "multi_hot"):
-            if spec.startswith("hash:"):
-                fields.append(FieldSpec(name, kind, buckets=int(spec[5:])))
-            else:
-                vals = tuple(v for v in spec.split("|") if v)
-                if not vals:
-                    raise ValueError(f"schema line {ln}: empty vocabulary for field {name!r}")
-                fields.append(FieldSpec(name, kind, values=vals))
-        elif kind in ("numeric", "date"):
-            lo, _, hi = spec.partition(":")
-            try:
-                fields.append(FieldSpec(name, kind, lo=float(lo), hi=float(hi)))
-            except ValueError:
-                raise ValueError(f"schema line {ln}: bad range {spec!r} for field {name!r}") from None
-        else:
-            raise ValueError(f"schema line {ln}: unknown kind {kind!r}")
+        try:
+            args = _read_line(line)
+            if args is not None:
+                fields.append(FieldSpec(*args))
+        except ValueError as exc:
+            raise ValueError(f"schema line {ln}: {exc}") from None
     if not fields:
         raise ValueError("schema text contains no fields")
     return FeatureSchema(tuple(fields))

@@ -16,7 +16,8 @@ bit for bit: numpy runs one BLAS product per slice, and the reductions run
 along the row axis of each slice. A stack keeps its parameters in one flat
 buffer (..., P) whose layers are views (:func:`layer_views`), so one SGD
 update and one finite check cover it; :func:`stack_backward` writes through
-``out=`` into the views of a gradient buffer of the same layout. Forward
+``out=`` into the views of a gradient buffer of the same layout, and
+:func:`lockstep_steps` plans their steps in runs of equal batch sizes. Forward
 passes add the bias and apply the activation in place on the fresh product
 and cache each layer's (input, output): relu's backward takes its mask from
 the output, since ``y > 0`` is ``z > 0`` (at -0.0 and NaN too).
@@ -201,6 +202,18 @@ class FlatStack:
     def part(self, s: slice) -> "FlatStack":
         """Networks s alone: a stack whose parameters and gradients are views into this one."""
         return FlatStack(self.params[s], self.layout, self.grads[s])
+
+
+def lockstep_steps(counts, batch_size: int) -> list:
+    """An epoch's steps for K stacked networks with counts (K,) or (K, D) rows: per batch start,
+    (start, runs), each run (slice of the stack, batch sizes) a run of consecutive networks with
+    equal batch sizes there, networks with no rows left dropped. No padded row enters a product."""
+    counts, steps = np.asarray(counts), []
+    for start in range(0, int(counts.max()), batch_size):
+        sizes = np.minimum(np.maximum(counts - start, 0), batch_size).tolist()
+        edges = [0, *(k for k in range(1, len(sizes)) if sizes[k] != sizes[k - 1]), len(sizes)]
+        steps.append((start, [(slice(lo, hi), sizes[lo]) for lo, hi in zip(edges, edges[1:]) if np.any(sizes[lo])]))
+    return steps
 
 
 def stack_forward(layers, h):

@@ -43,13 +43,14 @@ def test_every_span_target_resolves_in_the_package():
 
 
 def scheduled_steps(counts, batch_size, epochs):
-    """Steps of a stack whose model m trains on counts[m] = (rows of a, rows of b): one
-    per batch start where every model brings the same sizes, else one per model with rows."""
+    """Steps of a stack whose model m trains on counts[m] = (rows of a, rows of b): per batch
+    start, one per run of consecutive models that bring the same sizes, models with no rows left
+    dropped."""
     counts = np.array(counts)
     steps = 0
     for start in range(0, counts.max(), batch_size):
-        sizes = np.clip(counts - start, 0, batch_size)
-        steps += 1 if (sizes == sizes[0]).all() else int(sizes.any(axis=1).sum())
+        sizes = np.clip(counts - start, 0, batch_size).tolist()
+        steps += sum(1 for m, size in enumerate(sizes) if any(size) and (m == 0 or size != sizes[m - 1]))
     return steps * epochs
 
 
@@ -61,20 +62,26 @@ def test_a_traced_fit_records_one_step_span_per_scheduled_step():
     cfg = dualmodel.TrainConfig(embed_dim=4, hidden=(8, 4), epochs=3, tol=0.0, batch_size=8, ae_epochs=5)
     encoders, _, table = dualmodel.encode_pair(ds_a, ds_b, cfg, seed=0)
     n_a, n_b = np.diff(table.bounds)
-    # the second model drops rows of domain a, so the stack's last steps run model by model
+    # the second model drops rows of domain a, so the stack's last steps run one model each
     rows = ([np.arange(n_a), np.arange(n_a - 5)], [np.arange(n_b)] * 2)
-    models = [dualmodel.new_dual_model(list(encoders), alpha=0.03, seed=seed, hidden=cfg.hidden) for seed in (0, 1, 2)]
+    # a third model with the second's rows joins its runs: at the ragged steps, one call
+    # for the first model and one for the other two, where one call per model made three
+    rows3 = ([np.arange(n_a), np.arange(n_a - 5), np.arange(n_a - 5)], [np.arange(n_b)] * 3)
+    models = [dualmodel.new_dual_model(list(encoders), alpha=0.03, seed=seed, hidden=cfg.hidden) for seed in range(6)]
     spans = load_spans()
     tracer = spans.Tracer()
     tracer.install()
     try:
         dualmodel.fit(models[0], table, cfg, seed=0)
-        dualmodel.fit_models(models[1:], table, cfg, [1, 2], rows=rows)
+        dualmodel.fit_models(models[1:3], table, cfg, [1, 2], rows=rows)
+        dualmodel.fit_models(models[3:], table, cfg, [3, 4, 5], rows=rows3)
     finally:
         tracer.uninstall()
     metrics = tracer.layer_metrics(1.0, 1.0)
     lone = scheduled_steps([(n_a, n_b)], cfg.batch_size, cfg.epochs)
     stacked = scheduled_steps([(n_a, n_b), (n_a - 5, n_b)], cfg.batch_size, cfg.epochs)
-    assert stacked > lone  # the ragged steps ran model by model
-    assert metrics["dualmodel.step.calls"]["value"] == lone + stacked
+    shared = scheduled_steps([(n_a, n_b), (n_a - 5, n_b), (n_a - 5, n_b)], cfg.batch_size, cfg.epochs)
+    assert stacked > lone  # the ragged steps ran one model at a time
+    assert shared == stacked
+    assert metrics["dualmodel.step.calls"]["value"] == lone + stacked + shared
     assert metrics["dualmodel.epochs"]["value"] == cfg.epochs

@@ -126,6 +126,11 @@ class TestConfig:
         with pytest.raises(ValueError, match=rf"^{re.escape(named)} is not an integer$"):
             ExperimentConfig(**{key: value})
 
+    @pytest.mark.parametrize("key", ["tol", "lr_a", "lr_b", "lr_map", "penalty_weight", "ae_lr", "sigma", "nmf_tol"])
+    def test_a_lower_bounded_key_calls_nan_not_a_number(self, key):
+        with pytest.raises(ValueError, match=rf"^{key}=nan is not a number$"):
+            ExperimentConfig(**{key: float("nan")})
+
     def test_numpy_integers_are_integers(self):
         cfg = ExperimentConfig(epochs=np.int64(3), hidden=(np.int64(4), np.int32(2)), folds=np.int64(3))
         assert (cfg.epochs, cfg.hidden, cfg.folds) == (3, (4, 2), 3)

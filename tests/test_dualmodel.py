@@ -1,10 +1,13 @@
 """Hybrid n-domain scorer, joint two-domain training loop, and persistence."""
 
 import dataclasses
+import io
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from dualrec.autoencoder import ae_encode, train_autoencoder
 from dualrec.dualmodel import (
@@ -486,8 +489,10 @@ class TestBundle:
             ("map_x", np.ones(16), r"^map \(bundle key map_x\): mapping matrix must be 2-D, got shape \(16,\)$"),
             ("schema_u0", np.array("nonsense"), r"^user_schema_a \(bundle key schema_u0\): schema line 1: "),
             ("map_pair", np.array(["a", "b", "c"]), r"^model bundle key 'map_pair' holds shape \(3,\), expected \(2,\)$"),
+            ("ae_i1_meta", np.array("b"), r"^ae_item_b \(bundle keys ae_i1_\*\): key ae_i1_meta holds shape \(\), "
+                                          r"expected \(2,\): \(domain, entity\)$"),
         ],
-        ids=["alpha", "map_x", "schema_u0", "map_pair"],
+        ids=["alpha", "map_x", "schema_u0", "map_pair", "ae_i1_meta"],
     )
     def test_malformed_key_is_named(self, trained_small, tmp_path, key, value, message):
         dm, _ = trained_small
@@ -532,6 +537,48 @@ class TestBundleCompatibility:
         for (domain, in_overlap), want in FIXTURE_PREDICTIONS.items():
             got = [predict_from_embeddings(dm, domain, u, i, in_overlap) for u, i in zip(users, items)]
             assert got == pytest.approx(want, abs=1e-15), (domain, in_overlap)
+
+
+# shape and dtype mutations of one bundle array
+MUTATIONS = {
+    "scalar": lambda a: a.reshape(-1)[:1].reshape(()),
+    "one entry": lambda a: a.reshape(-1)[:1],
+    "no entry": lambda a: a.reshape(-1)[:0],
+    "extra axis": lambda a: a[None],
+    "text": lambda a: a.astype(np.str_),
+    "integers": lambda a: np.zeros(a.shape, dtype=np.int64),
+}
+
+
+def load_with(key, array):
+    """load_dual_model on the fixture bundle with array in place of key's."""
+    with np.load(FIXTURE) as npz:
+        data = dict(npz)
+    data[key] = array
+    buf = io.BytesIO()
+    np.savez(buf, **data)
+    buf.seek(0)
+    return load_dual_model(buf)
+
+
+@pytest.mark.parametrize("mutation", MUTATIONS)
+def test_every_key_mutated_loads_or_fails_with_a_value_error(mutation):
+    with np.load(FIXTURE) as npz:
+        data = dict(npz)
+    for key, array in data.items():
+        try:
+            load_with(key, MUTATIONS[mutation](array))
+        except ValueError:
+            pass
+
+
+@given(key=st.sampled_from(sorted(np.load(FIXTURE).files)),
+       array=arrays(st.sampled_from([np.float64, np.int64, np.bool_, "<U4"]), array_shapes(min_dims=0, min_side=0)))
+def test_any_array_in_place_of_a_key_loads_or_fails_with_a_value_error(key, array):
+    try:
+        load_with(key, array)
+    except ValueError:
+        pass
 
 
 class TestEvaluateLoss:

@@ -1,7 +1,10 @@
 """Schema encoding, CSV ingestion, folds, and the synthetic pair generator."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from dualrec.features import (
     DomainDataset,
@@ -118,6 +121,54 @@ class TestSchemaText:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             parse_schema("f,embedding,4")
+
+    @pytest.mark.parametrize("name, values", [
+        ("f", ("a|b", "c")),  # read back as three values
+        ("f", ("hash:3",)),  # read back as three buckets
+        ("#g", ("x",)),  # read back as a comment
+        ("f", (" a",)),  # read back stripped
+        ("f", ("a", "")),  # read back without the empty value
+        ("a,b", ("x",)),  # fails only on load
+        ("f", ("x\ny",)),  # fails only on load
+    ])
+    def test_a_field_its_line_cannot_carry_is_refused_by_name(self, name, values):
+        with pytest.raises(ValueError, match=f"^field {re.escape(repr(name))} does not read back from its schema line "):
+            FieldSpec(name, "one_hot", values=values)
+
+
+def mostly(plain, odd):
+    """plain four times in five, else odd."""
+    return st.sampled_from([True] * 4 + [False]).flatmap(lambda p: plain if p else odd)
+
+
+# text, at times with the characters the schema line format gives a meaning to
+SCHEMA_TEXT = mostly(st.text("abc", min_size=1, max_size=3),
+                     st.text(st.sampled_from("ab,|#: \t\n\r\x0b\x85\u2028\u3000"), max_size=5))
+
+
+@st.composite
+def field_spec_args(draw):
+    """FieldSpec arguments, plausible or not: the name, the kind and its spec, at times an argument
+    its kind does not take."""
+    kind = draw(st.sampled_from(["one_hot", "multi_hot", "numeric", "date"]))
+    if kind in ("one_hot", "multi_hot"):
+        values = st.lists(mostly(SCHEMA_TEXT, SCHEMA_TEXT.map("hash:".__add__)), min_size=1, max_size=3)
+        buckets = mostly(st.integers(1, 5), st.integers(-1, 0) | st.booleans() | st.just(2.5))
+        spec = draw(st.fixed_dictionaries({"values": values.map(tuple)}) | st.fixed_dictionaries({"buckets": buckets}))
+    else:
+        number = mostly(st.floats() | st.floats().map(np.float64), st.integers(-2**60, 2**60) | st.booleans())
+        spec = draw(st.fixed_dictionaries({"lo": number, "hi": number}))
+    spec.update(draw(mostly(st.just({}), st.sampled_from([{"lo": 0.0}, {"values": ("x",)}, {"buckets": 2}]))))
+    return draw(SCHEMA_TEXT), kind, spec
+
+
+@given(st.lists(field_spec_args(), max_size=2))
+def test_a_schema_reads_back_from_its_text_or_is_refused(args):
+    try:
+        schema = FeatureSchema(tuple(FieldSpec(name, kind, **spec) for name, kind, spec in args))
+    except ValueError:
+        return
+    assert parse_schema(schema_to_text(schema)) == schema
 
 
 def write_interactions(path, rows):

@@ -9,6 +9,7 @@ place; TestSgdStep checks it through one step of the autoencoder's loop.
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from dualrec.autoencoder import loss_and_grads, new_autoencoder, reconstruction_loss, stack_autoencoders, train_autoencoder
 from dualrec.numeric import (
@@ -21,6 +22,7 @@ from dualrec.numeric import (
     layer_backward,
     layer_forward,
     layer_views,
+    lockstep_steps,
     make_rng,
     sigmoid,
     stack_backward,
@@ -373,11 +375,11 @@ class TestStackKernel:
     @pytest.mark.parametrize("n", [1, 2, 7, 32])
     def test_flat_buffer_views_give_the_bits_of_fresh_products(self, n):
         # the views the coupled step runs: the whole (2, K, P) stack, its domain-swapped
-        # view, one model's K-slice, and a domain's slice of the swapped view
+        # view, runs of models as K-slices, and a domain's slice of the swapped view
         rng = make_rng(43, n)
         params = rng.normal(size=(2, 3, 417))
         grad_buf = np.zeros_like(params)
-        for view in (lambda a: a, lambda a: a[::-1], lambda a: a[:, 1:2], lambda a: a[::-1][:1]):
+        for view in (lambda a: a, lambda a: a[::-1], lambda a: a[:, 1:2], lambda a: a[:, 0:2], lambda a: a[::-1][:1]):
             p, g = view(params), view(grad_buf)
             layers = layer_views(p, SCORER_LAYOUT)
             assert all(np.shares_memory(w, params) and np.shares_memory(b, params) for w, b, _ in layers)
@@ -410,6 +412,42 @@ class TestStackKernel:
         dy = make_rng(53).normal(size=z.shape)
         assert np.array_equal(y > 0, z > 0)
         assert _activation_grad("relu", y, dy).tobytes() == (dy * (z > 0)).tobytes()
+
+
+class TestLockstepSteps:
+    """The one step planner of both training kernels."""
+
+    def test_runs_of_equal_sizes_drop_empty_networks(self):
+        assert lockstep_steps([5, 5, 3, 0, 2], 2) == [
+            (0, [(slice(0, 3), 2), (slice(4, 5), 2)]),
+            (2, [(slice(0, 2), 2), (slice(2, 3), 1)]),
+            (4, [(slice(0, 2), 1)]),
+        ]
+
+    def test_domains_count_as_one_size(self):
+        # (rows of a, rows of b) per model; a model runs while either domain has rows
+        assert lockstep_steps([[5, 2], [5, 2], [3, 2]], 2) == [
+            (0, [(slice(0, 3), [2, 2])]),
+            (2, [(slice(0, 2), [2, 0]), (slice(2, 3), [1, 0])]),
+            (4, [(slice(0, 2), [1, 0])]),
+        ]
+
+    @given(st.lists(st.lists(st.integers(0, 9), min_size=2, max_size=2), min_size=1, max_size=6).filter(
+        lambda c: max(map(max, c)) > 0), st.integers(1, 4), st.booleans())
+    def test_every_network_with_rows_runs_once_per_start_in_a_maximal_run(self, counts, batch_size, one_domain):
+        counts = [c[0] for c in counts] if one_domain else counts
+        flat = np.array(counts).reshape(len(counts), -1)
+        steps = lockstep_steps(counts, batch_size)
+        assert [start for start, _ in steps] == list(range(0, flat.max(), batch_size))
+        for start, runs in steps:
+            sizes = np.clip(flat - start, 0, batch_size)
+            covered = []
+            for s, size in runs:
+                covered += range(s.start, s.stop)
+                assert (sizes[s] == np.reshape(size, -1)).all() and np.any(size)
+                for edge in (s.start - 1, s.stop):  # the run is maximal
+                    assert not 0 <= edge < len(counts) or (sizes[edge] != sizes[s.start]).any()
+            assert covered == np.flatnonzero(sizes.any(axis=1)).tolist()
 
 
 def per_slice(a, b):

@@ -513,20 +513,26 @@ def cv_prepared_swapped(partial_pair):
 
 
 def cv_fold_models(monkeypatch, partial_pair, cfg, prepared, swapped=False):
-    """run_cv's fold models and traces, caught at its one fit_models call."""
+    """run_cv's fold models and traces, caught at its one fit_models call, and the
+    model count K of each of its steps."""
     ds_a, ds_b, _ = partial_pair
     if swapped:
         ds_a, ds_b = ds_b, ds_a
-    real, seen = evaluate.fit_models, {}
+    real, real_step, seen = evaluate.fit_models, dualmodel.dual_loss_and_grads, {"ks": []}
 
     def spy(models, *args, **kwargs):
         seen["models"], seen["traces"] = models, real(models, *args, **kwargs)
         return seen["traces"]
 
+    def step_spy(stack, *args):
+        seen["ks"].append(stack.params.shape[1])
+        return real_step(stack, *args)
+
     with monkeypatch.context() as m:
         m.setattr(evaluate, "fit_models", spy)
+        m.setattr(dualmodel, "dual_loss_and_grads", step_spy)
         evaluate.run_cv(ds_a, ds_b, cfg, k=3, seed=0, prepared=prepared)
-    return seen["models"], seen["traces"]
+    return seen["models"], seen["traces"], seen["ks"]
 
 
 def train_rows(prepared, domain):
@@ -551,7 +557,7 @@ def test_run_cv_fold_models_are_byte_identical_to_the_oracle_per_fold(partial_pa
     cfg = small_config(alpha=alpha, epochs=12, **CV_CASES[case])
     swapped = case == "swapped"
     prepared = request.getfixturevalue("cv_prepared_swapped" if swapped else "cv_prepared")
-    models, traces = cv_fold_models(monkeypatch, partial_pair, cfg, prepared, swapped)
+    models, traces, ks = cv_fold_models(monkeypatch, partial_pair, cfg, prepared, swapped)
     rows = [train_rows(prepared, d) for d in (0, 1)]
     for fold in range(3):
         seed = evaluate._fold_seed(0, fold)
@@ -568,20 +574,25 @@ def test_run_cv_fold_models_are_byte_identical_to_the_oracle_per_fold(partial_pa
     assert len(set(last_long)) > 1
     assert -(-len(rows[short][0]) // cfg.batch_size) < -(-len(rows[long][0]) // cfg.batch_size)
     assert not prepared.rows.domain(long).overlap.all()
+    if case == "ragged":
+        # each epoch: five steps of all three folds, then domain a's last batches of 13, 13
+        # and 14 rows as one step of the first two folds and one of the third
+        assert ks == [3, 3, 3, 3, 3, 2, 1] * cfg.epochs
     if case == "uneven-stops":
         assert len({len(t[0]) for t in traces}) > 1
     if case == "unequal-rates":
         assert cfg.lr_a != cfg.lr_b
     if case in ("one-row", "unequal-rates"):
-        # A step whose batch sizes differ between folds runs fold by fold, so
-        # the 1-row products take numpy's gemv path, as they do alone, and
-        # the bytes still match.
-        assert 1 in last_long and max(last_long) > 1
+        # A step whose batch sizes differ between folds runs one part of the
+        # stack per run of folds with equal sizes, so the two 1-row folds run
+        # as one part of two, each 1-row product on numpy's gemv path as it
+        # is alone, and the bytes still match.
+        assert last_long.count(1) == 2 and max(last_long) > 1
 
 
 def test_fold_models_own_their_arrays_and_leave_the_warm_map(partial_pair, cv_prepared, monkeypatch):
     warm = cv_prepared.warm_map.x.copy()
-    models, _ = cv_fold_models(monkeypatch, partial_pair, small_config(epochs=2), cv_prepared)
+    models, *_ = cv_fold_models(monkeypatch, partial_pair, small_config(epochs=2), cv_prepared)
     assert cv_prepared.warm_map.x.tobytes() == warm.tobytes()
     trained = [[dm.maps[(0, 1)].x] + [a for dom in dm.domains for l in dom.scorer.layers for a in (l.weights, l.bias)]
                for dm in models]
