@@ -14,12 +14,15 @@ one finite check and one SGD update. Each autoencoder keeps its own init,
 shuffle stream and trace, and every product reads its own corpus's rows
 alone, so no information crosses corpora: each ends bit for bit as it would
 trained alone. Corpora with one stream tag and row count share each epoch's
-shuffle draw, and the full-corpus trace is computed only for callers that
+shuffle draw. While they train, each autoencoder's layers are views of its
+slice of the stack, so its full-corpus loss is `reconstruction_loss`: the
+pre-training loss, and the per-epoch trace, computed only for callers that
 read it. An epoch whose mean step loss exceeds twice the pre-training
 reconstruction loss stops training with an error that names the autoencoder
-and ae_lr. `train_autoencoder` is the kernel for one corpus. Once trained
-they are frozen: downstream training treats embeddings as fixed inputs and
-never updates encoder weights.
+and ae_lr. Training ends by giving each autoencoder copies of its arrays.
+`train_autoencoder` is the kernel for one corpus. Once trained they are
+frozen: downstream training treats embeddings as fixed inputs and never
+updates encoder weights.
 """
 
 from __future__ import annotations
@@ -90,7 +93,8 @@ def reconstruction_loss(ae: Autoencoder, vectors: np.ndarray) -> float:
 
 
 def stack_autoencoders(aes: list[Autoencoder]) -> FlatStack:
-    """Copies of K autoencoders' parameters in one flat buffer, for `loss_and_grads`."""
+    """K autoencoders' parameters in one flat buffer, for `loss_and_grads`; each
+    autoencoder's layers become views of its slice (`flat_params`)."""
     return FlatStack(*flat_params([(ae.encoder, ae.decoder) for ae in aes]))
 
 
@@ -154,7 +158,7 @@ def train_autoencoders(
 def _train_stack(xs, tags, embed_dim, lr, epochs, batch_size, seed, trace):
     """The lockstep kernel: K autoencoders on corpora xs of one width, longest first."""
     aes = [new_autoencoder(xs[0].shape[1], embed_dim, seed, domain, entity) for domain, entity in tags]
-    stack = stack_autoencoders(aes)
+    stack = stack_autoencoders(aes)  # while training, each autoencoder's layers are views of its slice
     names = [f"the {entity} autoencoder" + (f" of domain {domain}" if domain else "") for domain, entity in tags]
     counts = [len(x) for x in xs]
     keys = [(_stream_tag(domain, entity), n) for (domain, entity), n in zip(tags, counts)]
@@ -174,21 +178,7 @@ def _train_stack(xs, tags, embed_dim, lr, epochs, batch_size, seed, trace):
             layout.extend(firsts[k] + start + r for k in range(s.start, s.stop) for r in range(n))
         steps.append(parts)
     layout = np.array(layout)
-    # a full pass's parts: one per run of corpora with equal row counts (the one step of a
-    # batch as long as the longest corpus), on a view of their rows
-    whole = []
-    for s, n in lockstep_steps(counts, counts[0])[0][1]:
-        rows = flat[firsts[s.start] : firsts[s.start] + (s.stop - s.start) * n]
-        whole.append((stack.part(s), s, rows.reshape(-1, n, flat.shape[1])))
-
-    def full_losses():
-        losses = np.empty(len(xs))
-        for part, s, x in whole:
-            rec, _ = stack_forward(part.layers, x)
-            losses[s] = np.mean(np.sum((x - rec) ** 2, axis=-1), axis=-1)
-        return losses
-
-    before = full_losses()
+    before = np.array([reconstruction_loss(ae, x) for ae, x in zip(aes, xs)])
     traces: list[list[float]] = [[] for _ in aes]
     for epoch in range(epochs):
         perms = {key: make_rng(seed, _L_AE_SHUFFLE, key[0], epoch).permutation(key[1]) for key in dict.fromkeys(keys)}
@@ -207,12 +197,10 @@ def _train_stack(xs, tags, embed_dim, lr, epochs, batch_size, seed, trace):
             raise FloatingPointError(f"{names[k]}: mean step loss {mean[k]:.6g} in epoch {epoch + 1} exceeds twice "
                                      f"its pre-training reconstruction loss {before[k]:.6g}; lower ae_lr")
         if trace:
-            for losses, loss in zip(traces, full_losses()):
-                losses.append(float(loss))
-    for k, ae in enumerate(aes):
-        for layer, (w, b, _) in zip((ae.encoder, ae.decoder), stack.layers):
-            layer.weights, layer.bias = w[k].copy(), b[k, 0].copy()
-        ae.trained = True
+            for losses, ae, x in zip(traces, aes, xs):
+                losses.append(reconstruction_loss(ae, x))
+    for ae in aes:
+        ae.encoder, ae.decoder, ae.trained = ae.encoder.copy(), ae.decoder.copy(), True
     return list(zip(aes, traces))
 
 

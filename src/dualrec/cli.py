@@ -178,15 +178,8 @@ def load_pair(data_dir) -> tuple[features.DomainDataset, features.DomainDataset]
         for p in paths.values():
             if not p.exists():
                 raise FileNotFoundError(f"missing dataset file {p}")
-        ds = load_domain(
-            paths["interactions"],
-            paths["user_features"],
-            paths["item_features"],
-            load_schema(paths["user_schema"]),
-            load_schema(paths["item_schema"]),
-            domain_name=name,
-        )
-        out.append(ds)
+        out.append(load_domain(paths["interactions"], paths["user_features"], paths["item_features"],
+                               load_schema(paths["user_schema"]), load_schema(paths["item_schema"]), domain_name=name))
     require_disjoint_items(out[0], out[1])
     return out[0], out[1]
 
@@ -196,31 +189,14 @@ def load_pair(data_dir) -> tuple[features.DomainDataset, features.DomainDataset]
 
 
 def cmd_synth(cfg: ExperimentConfig, out_dir: Path) -> int:
-    ds_a, ds_b, truth = synth_pair(
-        n_users=cfg.n_users,
-        n_items_per_domain=cfg.n_items,
-        latent_dim=cfg.latent_dim,
-        cross_correlation=cfg.rho,
-        noise=cfg.sigma,
-        density=cfg.density,
-        seed=cfg.seed,
-    )
+    ds_a, ds_b, truth = synth_pair(n_users=cfg.n_users, n_items_per_domain=cfg.n_items, latent_dim=cfg.latent_dim,
+                                   cross_correlation=cfg.rho, noise=cfg.sigma, density=cfg.density, seed=cfg.seed)
     for name, ds in (("a", ds_a), ("b", ds_b)):
         paths = _domain_paths(out_dir, name)
         write_domain(ds, paths["interactions"], paths["user_features"], paths["item_features"])
         save_schema(ds.user_schema, paths["user_schema"])
         save_schema(ds.item_schema, paths["item_schema"])
-    np.savez(
-        out_dir / "truth.npz",
-        q=truth.q,
-        user_latents_a=truth.user_latents_a,
-        user_latents_b=truth.user_latents_b,
-        item_latents_a=truth.item_latents_a,
-        item_latents_b=truth.item_latents_b,
-        user_ids=np.array(truth.user_ids, dtype=np.str_),
-        item_ids_a=np.array(truth.item_ids_a, dtype=np.str_),
-        item_ids_b=np.array(truth.item_ids_b, dtype=np.str_),
-    )
+    np.savez(out_dir / "truth.npz", **dataclasses.asdict(truth))  # every field, ids as text arrays
     save_config(cfg, out_dir / "config.txt")
     _log(f"synth: {len(ds_a.interactions)} + {len(ds_b.interactions)} interactions -> {out_dir}")
     return 0

@@ -35,19 +35,20 @@ from one take per array, and each epoch's full-pass loss of a model reads
 its rows of a domain as a slice of the table, or by one take for a subset
 such as a fold. Every scorer forward outside the step, from one record's
 `score` to a full pass, is `model_forward`. Both scorers share one
-architecture, so a step runs both channels of both domains as one forward
+architecture, so a step runs both channels of its domains as one forward
 and one backward pass on a leading channel axis: the within channel feeds
 each domain's batch to its own scorer, the cross channel feeds it, mapped,
-to its partner's, through the scorers gathered as [[a, b], [b, a]]. Each
+to its partner's, through the scorers gathered as [[a, b], [b, a]]. Every
+pass is a slice of the domain axis, both domains, a or b, and reads the
+same slice of those scorers and of the channel gradient buffer laid out
+like them, whose within channel is the gradient buffer itself. Each
 product keeps its rows, so every slice has the bits of that channel run
-alone. The backward pass writes into a channel gradient buffer laid out
-like those scorers, whose within channel is the gradient buffer itself;
-one addition of the reversed cross channel gives each scorer both its
-terms, one finite check covers them and the map gradient, and one in-place
-SGD update, with lr_a and lr_b on the domain axis, moves both scorers. A
-step whose domains bring batches of different sizes, or of one row, runs
-each domain alone through the same kernel into zeroed buffers, combined by
-the same addition. A step whose batch sizes differ between models runs one
+alone. One addition of the reversed cross channel gives each scorer both
+its terms, one finite check covers them and the map gradient, and one
+in-place SGD update, with lr_a and lr_b on the domain axis, moves both
+scorers. A step whose domains bring batches of different sizes, or of one
+row, runs each domain alone, as a slice of one domain, into zeroed
+buffers. A step whose batch sizes differ between models runs one
 view of the stack per run of models with equal sizes (`lockstep_steps`,
 shared with the autoencoders). Each model keeps its own seed, shuffles,
 starting map and `tol` stop, and follows the trajectory it would follow
@@ -341,14 +342,12 @@ class Batch(NamedTuple):
     front: ui (..., n, 2d) the user and item embeddings side by side, ratings
     (..., n), weights (2, ..., n) each row's channel weights 1 - alpha and
     alpha (None from a table without them), and overlap (..., n). A step's
-    batch has a leading model axis; the two halves of a both-domain take
-    share block, the same arrays of both domains on a leading domain axis."""
+    batch has a leading domain axis, both domains or one, and a model axis."""
 
     ui: np.ndarray
     ratings: np.ndarray
     weights: np.ndarray | None
     overlap: np.ndarray
-    block: "Batch | None" = None
 
 
 @dataclass(frozen=True)
@@ -393,17 +392,15 @@ class Rows:
         return Batch(self.ui.take(rows, axis=0), self.ratings.take(rows), weights, self.overlap.take(rows))
 
     def step(self, rows, start: int, sizes) -> list:
-        """One step's [batch_a, batch_b]: domain k's next sizes[k] rows of
-        rows[k] (K, n_max) from start, None when sizes[k] is 0. Batches of one
-        size above one row are the halves of one take of both domains; others
-        are taken apart and run domain by domain, since a 1-row product's bits
-        follow its layout."""
+        """One step's [batch_a, batch_b] of domain k's next sizes[k] rows of
+        rows[k] (K, n_max) from start. Batches of one size above one row are
+        one take of both domains, the same Batch twice; otherwise domain k
+        gets its own take on a domain axis of one, or None when sizes[k] is 0,
+        since a 1-row product's bits follow its layout."""
         n_a, n_b = sizes
         if n_a == n_b > 1:
-            block = self.take(rows[:, :, start : start + n_a])
-            ui, ratings, weights, overlap, _ = block
-            return [Batch(ui[k], ratings[k], weights[:, k], overlap[k], block) for k in (0, 1)]
-        return [self.take(rows[k, :, start : start + n]) if n else None for k, n in enumerate(sizes)]
+            return [self.take(rows[:, :, start : start + n_a])] * 2
+        return [self.take(rows[k : k + 1, :, start : start + n]) if n else None for k, n in enumerate(sizes)]
 
 
 def entity_vectors(dataset: DomainDataset) -> tuple[tuple[dict, np.ndarray], tuple[dict, np.ndarray]]:
@@ -481,12 +478,13 @@ class ModelStack:
     before each scorer's flat parameters in layout [(n_in, n_out, activation)]
     (`layer_views`); x (K, d, d) holds the maps. A step runs both channels of
     a batch on a leading channel axis: weights (2, 2, K, P) holds the scorers
-    [[a, b], [b, a]] (within, cross) for a pass of both domains, and a pass of
-    domain k alone reads the views params[:, None] (a) or params[::-1][:, None]
-    (b). The pass writes into channel_grads, laid out as the scorers it reads:
-    its channel 0 is grads, shaped like params, so the within terms land in
-    place and the cross terms are added from channel 1. ids number the models
-    in errors; None for one model trained alone."""
+    [[a, b], [b, a]] (within, cross), and a pass of domains lo:hi (both, a or
+    b) reads its slice weights[:, lo:hi], or params[None, lo:hi] when it runs
+    the within channel alone (`passes`). The pass writes into the same slice
+    of channel_grads, laid out as weights: its channel 0 is grads, shaped like
+    params, so the within terms land in place and the cross terms are added
+    from channel 1. ids number the models in errors; None for one model
+    trained alone."""
 
     params: np.ndarray
     layout: tuple
@@ -501,21 +499,21 @@ class ModelStack:
         self.grads = self.channel_grads[0]
         self.weights = np.empty((2, *self.params.shape))
         self.gathered = self.weights.reshape(4, *self.params.shape[1:])  # np.take's out: [a, b, b, a]
-        # per pass, both domains (None) or domain k, and its channel count (1 when the cross channel is
-        # skipped): views of the scorers it reads and of the channel gradients it writes
-        cg, lone = self.channel_grads, (self.params[:, None], self.params[::-1][:, None])
-        buffers = {None: ((self.params[None], self.weights), cg)}
-        buffers.update({k: ((w[:1], w), cg[:, k : k + 1]) for k, w in enumerate(lone)})
-        self.passes = {(k, c): (layer_views(ws[c - 1], self.layout), layer_views(g[:c], self.layout))
-                       for k, (ws, g) in buffers.items() for c in (1, 2)}
+        # per pass, its domains lo:hi and its channel count c (1 when the cross channel is skipped):
+        # views of the scorers it reads and of the channel gradients it writes
+        scorers = (self.params[None], self.weights)
+        self.passes = {(lo, hi, c): (layer_views(scorers[c - 1][:, lo:hi], self.layout),
+                                     layer_views(self.channel_grads[:c, lo:hi], self.layout))
+                       for lo, hi in ((0, 2), (0, 1), (1, 2)) for c in (1, 2)}
         self.names = None if self.ids is None else [f"model {m}" for m in self.ids]
         self.parts = {}
 
     @classmethod
     def of(cls, models: list[DualModel], ids=None) -> "ModelStack":
-        """Stack copies of the models' arrays and point each model's layers and
-        map at its slice; arrays a caller holds (a shared warm map) stay as
-        they were. ids default to the positions when there are several."""
+        """Stack copies of the models' arrays and point each model's layers
+        (`flat_params`) and map at its slice; arrays a caller holds (a shared
+        warm map) stay as they were. ids default to the positions when there
+        are several."""
         shapes = [[(l.weights.shape, l.activation) for dom in dm.domains for l in dom.scorer.layers] for dm in models]
         for m, dm in enumerate(models):
             if len(dm.domains) != 2:
@@ -529,11 +527,7 @@ class ModelStack:
             ids = range(len(models))
         maps = np.stack([dm.maps[(0, 1)].x for dm in models])
         stack = cls(params.reshape(2, len(models), -1), layout, maps, models[0].alpha, None if ids is None else tuple(ids))
-        views = layer_views(stack.params, layout)
         for m, dm in enumerate(models):
-            for k, dom in enumerate(dm.domains):
-                for layer, (w, b, _) in zip(dom.scorer.layers, views):
-                    layer.weights, layer.bias = w[k, m], b[k, m, 0]
             dm.maps[(0, 1)] = OrthogonalMap(stack.x[m], dm.maps[(0, 1)].domain_pair)
         return stack
 
@@ -551,20 +545,19 @@ class ModelStack:
 def _release(dm: DualModel) -> None:
     """Give a model copies of the stack slices it points at, so it owns its arrays."""
     for dom in dm.domains:
-        for layer in dom.scorer.layers:
-            layer.weights, layer.bias = layer.weights.copy(), layer.bias.copy()
+        dom.scorer = dom.scorer.copy()
     dm.maps = {pair: link.copy() for pair, link in dm.maps.items()}
 
 
 _CHANNEL_SCORERS = np.array([0, 1, 1, 0])  # [[a, b], [b, a]]: the within and the cross channel of both domains
 
 
-def _domain_pass(stack: ModelStack, k, ui, y, weights, overlap):
-    """Hybrid MSE and gradients of the domains a pass runs: both (k None) or domain k.
+def _domain_pass(stack: ModelStack, lo: int, hi: int, ui, y, weights, overlap):
+    """Hybrid MSE and gradients of the domains lo:hi that a pass runs: both, a or b.
 
     ui (D, K, n, 2d) holds each domain's user and item embeddings side by
     side, y and overlap (D, K, n) and weights (2, D, K, n) their channel
-    weights, with D = 2 or 1. Both channels run as one forward and one
+    weights, with D = hi - lo. Both channels run as one forward and one
     backward pass on a leading channel axis: the within channel feeds each
     domain's batch to its own scorer, the cross channel feeds it, its user
     half mapped, to the partner's. Each product keeps its rows, so each slice
@@ -578,21 +571,20 @@ def _domain_pass(stack: ModelStack, k, ui, y, weights, overlap):
     """
     n = ui.shape[-2]
     if stack.alpha == 0.0 or not overlap.any():
-        layers, grads = stack.passes[k, 1]
+        layers, grads = stack.passes[lo, hi, 1]
         y_w, caches = stack_forward(layers, ui[None])
         resid = y_w[0] - y[..., None]
         stack_backward(layers, caches, (2.0 * resid / n)[None], grads, need_dx=False)
         return (resid * resid).sum(axis=(-2, -1)) / n, None
 
-    if k is None:
-        np.take(stack.params, _CHANNEL_SCORERS, axis=0, out=stack.gathered, mode="clip")
-    layers, grads = stack.passes[k, 2]
+    np.take(stack.params, _CHANNEL_SCORERS, axis=0, out=stack.gathered, mode="clip")
+    layers, grads = stack.passes[lo, hi, 2]
     d = stack.x.shape[-1]
     u = ui[..., :d]
-    x_t = stack.x.swapaxes(-1, -2)
-    # domain a maps by u X^T, domain b by u X; one pass of each alone reads the
+    # domain a maps by u X^T, domain b by u X; a pass of one domain reads the
     # transposed view itself, since a 1-row product's bits follow its layout
-    maps = np.array((x_t, stack.x)) if k is None else (x_t, stack.x)[k][None]
+    maps = (stack.x.swapaxes(-1, -2), stack.x)[lo:hi]
+    maps = maps[0][None] if len(maps) == 1 else np.array(maps)
     h = np.array((ui, ui))  # the within and the cross channel's input
     h[1, ..., :d] = u @ maps
     y_c, caches = stack_forward(layers, h)
@@ -607,30 +599,28 @@ def _domain_pass(stack: ModelStack, k, ui, y, weights, overlap):
 def dual_loss_and_grads(stack: ModelStack, batch_a, batch_b, penalty_weight: float = 1.0):
     """Combined objective L_a + L_b + penalty of K stacked models and its exact gradients.
 
-    batch_a / batch_b are each domain's `Batch`, as `fit_models` takes them
-    from its table (`Rows.step`); pass None to leave a domain out of this
-    step. The two halves of one both-domain take run as one pass of both
-    domains; otherwise each domain runs alone into zeroed buffers, and one
-    addition combines the scorers' gradients either way.
+    batch_a / batch_b are the step's `Batch`es as `Rows.step` takes them, on
+    a leading domain axis. One Batch passed as both, a take of both domains,
+    runs as one pass of both; otherwise each batch, a take of its domain
+    alone, runs alone into zeroed buffers, and None leaves a domain out of
+    this step. One addition combines the scorers' gradients either way.
     Returns (total (K,), grads, grad_x (K, d, d)); grads is stack.grads,
     shaped like stack.params (its domain axis indexes the scorer), with zeros
     for a scorer no term of this step touches, and the next step overwrites
     it. Raises FloatingPointError naming the model whose total or gradient
     is not finite.
     """
-    block = None if batch_a is None else batch_a.block
-    if block is not None and batch_b is not None and batch_b.block is block:
-        passes = [(None, block)]
+    if batch_a is batch_b:
+        passes = [(0, 2, batch_a)]
     else:
-        # each domain alone, on a domain axis of one; a term that no pass writes stays 0
+        # each domain alone; a term that no pass writes stays 0
         stack.channel_grads.fill(0.0)
-        passes = [(k, Batch(b.ui[None], b.ratings[None], b.weights[:, None], b.overlap[None]))
-                  for k, b in enumerate((batch_a, batch_b)) if b is not None]
+        passes = [(k, k + 1, b) for k, b in enumerate((batch_a, batch_b)) if b is not None]
     total = grad_x = None
-    for k, batch in passes:
-        loss, grad_m = _domain_pass(stack, k, *batch[:4])
+    for lo, hi, batch in passes:
+        loss, grad_m = _domain_pass(stack, lo, hi, *batch)
         total = sum(loss[1:], loss[0]) if total is None else sum(loss, total)  # domain a's loss, then b's
-        for d, g in zip((0, 1) if k is None else (k,), () if grad_m is None else grad_m):
+        for d, g in zip(range(lo, hi), () if grad_m is None else grad_m):
             g = g.swapaxes(-1, -2) if d == 0 else g  # domain a's map grad is dX^T
             grad_x = g if grad_x is None else grad_x + g
     if grad_x is not None:
@@ -946,15 +936,19 @@ def _named(part: str, keys: str, build):
 
 
 def load_dual_model(path) -> DualModel:
-    """Rebuild a saved model; a missing key, a non-finite number, or an array
-    that breaks the DualModel contract raises ValueError naming the key or
-    the part."""
+    """Rebuild a saved model; a missing key, a numeric key that holds no
+    numbers (text, say) or a non-finite one, or an array that breaks the
+    DualModel contract raises ValueError naming the key or the part."""
     with np.load(path, allow_pickle=False) as npz:
         data = _Bundle((key, npz[key]) for key in npz.files)
     if str(data["version"]) != _DUMP_VERSION:
         raise ValueError(f"unsupported dump version {data['version']!r}")
-    for key, array in data.items():
-        if array.dtype.kind in "fc" and not np.isfinite(array).all():
+    for key, array in data.items():  # every key but the text ones holds numbers, checked before any conversion
+        if key in ("version", "map_pair") or key.startswith("schema_") or key.endswith(("_act", "meta")):
+            continue
+        if array.dtype.kind not in "iuf":
+            raise ValueError(f"model bundle key {key!r} holds {array.dtype} values, expected numbers")
+        if not np.isfinite(array).all():
             raise ValueError(f"model bundle key {key!r} holds a non-finite value")
     domains = []
     for k in range(2):

@@ -146,13 +146,19 @@ def _categorical_index(spec: FieldSpec, value) -> int:
         return len(spec.values)  # reserved "other" slot
 
 
-def _scale_scalar(spec: FieldSpec, value) -> float:
+def _number(spec: FieldSpec, value) -> float:
+    """A numeric or date field's value as a float; text or NaN is a ValueError naming the field."""
     try:
         x = float(value)
     except (TypeError, ValueError):
         raise ValueError(f"field {spec.name!r}: cannot interpret {value!r} as a number") from None
-    if x != x:  # NaN fails both range comparisons below
+    if x != x:  # NaN fails both range comparisons of _scale_scalar
         raise ValueError(f"field {spec.name!r}: {value!r} is not a number")
+    return x
+
+
+def _scale_scalar(spec: FieldSpec, value) -> float:
+    x = _number(spec, value)
     if x < spec.lo or x > spec.hi:
         warnings.warn(
             f"field {spec.name!r}: value {x} outside [{spec.lo}, {spec.hi}], clamped",
@@ -356,19 +362,30 @@ def _read_interactions(path) -> tuple[InteractionRecord, ...]:
 
 
 def _read_features(path, schema: FeatureSchema) -> dict:
-    multi = {f.name for f in schema.fields if f.kind == "multi_hot"}
-    known = {f.name for f in schema.fields}
+    """Each entity's raw values, numeric and date ones as numbers. A row or an
+    entity that `encode` would refuse is a ValueError naming the file and the
+    line or the entity."""
+    specs = {f.name: f for f in schema.fields}
     table: dict = {}
     for ln, (entity_id, fname, value) in _read_csv_rows(path, ["entity_id", "field", "value"]):
-        if fname not in known:
-            raise ValueError(f"{path}:{ln}: field {fname!r} not in schema")
         raw = table.setdefault(entity_id, {})
-        if fname in multi:
-            raw.setdefault(fname, []).append(value)
-        elif fname in raw:
-            raise ValueError(f"{path}:{ln}: duplicate value for field {fname!r} of entity {entity_id!r}")
-        else:
-            raw[fname] = value
+        try:
+            if fname not in specs:
+                raise ValueError(f"field {fname!r} not in schema")
+            if specs[fname].kind == "multi_hot":
+                raw.setdefault(fname, []).append(value)
+            elif fname in raw:
+                raise ValueError(f"duplicate value for field {fname!r} of entity {entity_id!r}")
+            else:
+                raw[fname] = value if specs[fname].kind == "one_hot" else _number(specs[fname], value)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{ln}: {exc}") from None
+    # the fields encode has no slot for when missing: numeric, date and hash-bucketed one-hot
+    needed = [f.name for f in schema.fields if f.kind != "multi_hot" and f.values is None]
+    for entity_id, raw in table.items():
+        missing = [name for name in needed if name not in raw]
+        if missing:
+            raise ValueError(f"{path}: entity {entity_id!r} has no value for field {missing[0]!r}")
     return table
 
 
@@ -382,13 +399,19 @@ def load_domain(
 ) -> DomainDataset:
     """Assemble and validate one domain from its three CSV files.
 
-    Every referenced user and item must have a feature row; malformed rows
-    fail with the offending file and line number.
+    Every referenced user and item must have a feature row, and every entity
+    a value of each field `encode` needs; a malformed row fails with the
+    offending file and line number, a missing value with the file, the
+    entity and the field.
     """
     interactions = _read_interactions(interactions_path)
     user_features = _read_features(user_features_path, user_schema)
     item_features = _read_features(item_features_path, item_schema)
-    return DomainDataset(domain_name, interactions, user_features, item_features, user_schema, item_schema)
+    try:
+        return DomainDataset(domain_name, interactions, user_features, item_features, user_schema, item_schema)
+    except ValueError as exc:  # an entity that interactions_path rates and its features file lacks
+        raise ValueError(f"{interactions_path}: {exc} (user features {user_features_path}, "
+                         f"item features {item_features_path})") from None
 
 
 # ---------------------------------------------------------------------------

@@ -175,11 +175,16 @@ def layer_views(buf: np.ndarray, layout) -> list:
 
 
 def flat_params(networks) -> tuple[np.ndarray, tuple]:
-    """Copies of the parameters of networks, each a list of DenseLayers of one
-    layout, in one flat buffer (len(networks), P) that `layer_views` reads; and
-    that layout [(n_in, n_out, activation)]."""
+    """The parameters of networks, each a list of DenseLayers of one layout,
+    copied into one flat buffer (len(networks), P) that `layer_views` reads,
+    and that layout [(n_in, n_out, activation)]. Each layer's arrays become
+    views of its network's row, so the network reads what a stack trains."""
     layout = tuple((l.n_in, l.n_out, l.activation) for l in networks[0])
-    return np.array([np.concatenate([a.ravel() for l in net for a in (l.weights, l.bias)]) for net in networks]), layout
+    buf = np.array([np.concatenate([a.ravel() for l in net for a in (l.weights, l.bias)]) for net in networks])
+    for net, row in zip(networks, buf):
+        for layer, (w, b, _) in zip(net, layer_views(row, layout)):
+            layer.weights, layer.bias = w, b[0]
+    return buf, layout
 
 
 @dataclass

@@ -1,10 +1,15 @@
 """Schema encoding, CSV ingestion, folds, and the synthetic pair generator."""
 
+import csv
+import dataclasses
+import io
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from dualrec.features import (
     DomainDataset,
@@ -250,8 +255,9 @@ class TestLoadDomain:
             tiny_schema, tiny_schema, domain_name="a",
         )
         assert back.interactions == ds.interactions
-        # CSV is untyped, so raw values come back as strings; the contract is
-        # that encoding them reproduces the same vectors
+        # CSV is untyped, so raw values come back as strings, numeric and date
+        # ones parsed to floats; the contract is that encoding them reproduces
+        # the same vectors
         for uid in ds.user_features:
             np.testing.assert_array_equal(
                 encode(tiny_schema, back.user_features[uid]),
@@ -262,6 +268,83 @@ class TestLoadDomain:
                 encode(tiny_schema, back.item_features[iid]),
                 encode(tiny_schema, ds.item_features[iid]),
             )
+
+
+    @pytest.mark.parametrize("value, message", [
+        ("abc", r"cannot interpret 'abc' as a number"), ("nan", r"'nan' is not a number"),
+    ])
+    def test_a_value_that_is_no_number_is_refused_by_its_line(self, tmp_path, tiny_schema, value, message):
+        write_interactions(tmp_path / "i.csv", ["u1,i1,0.5,"])
+        write_feature_rows(tmp_path / "u.csv", ["u1,trait,5", f"u2,trait,{value}"])
+        write_feature_rows(tmp_path / "v.csv", ["i1,trait,1"])
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(tmp_path / 'u.csv'))}:3: field 'trait': {message}$"):
+            load_domain(tmp_path / "i.csv", tmp_path / "u.csv", tmp_path / "v.csv", tiny_schema, tiny_schema)
+
+    def test_an_entity_without_a_field_that_encoding_needs_is_refused(self, tmp_path, tiny_schema):
+        # a vocabulary one-hot field and a multi-hot field may be missing; a hash-bucketed one may not
+        schema = FeatureSchema((FieldSpec("trait", "numeric", lo=0, hi=10), gender_field(),
+                                FieldSpec("tags", "multi_hot", values=("x", "y")), FieldSpec("city", "one_hot", buckets=4)))
+        write_interactions(tmp_path / "i.csv", ["u1,i1,0.5,"])
+        write_feature_rows(tmp_path / "u.csv", ["u1,trait,5", "u1,city,paris", "u2,trait,5"])
+        write_feature_rows(tmp_path / "v.csv", ["i1,trait,1"])
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(tmp_path / 'u.csv'))}: entity 'u2' has no value "
+                                             r"for field 'city'$"):
+            load_domain(tmp_path / "i.csv", tmp_path / "u.csv", tmp_path / "v.csv", schema, tiny_schema)
+        write_feature_rows(tmp_path / "u.csv", ["u1,trait,5", "u1,city,paris"])
+        ds = load_domain(tmp_path / "i.csv", tmp_path / "u.csv", tmp_path / "v.csv", schema, tiny_schema)
+        assert encode(schema, ds.user_features["u1"])[1:4].tolist() == [0.0, 0.0, 1.0]  # gender: the unknown slot
+
+    def test_an_unrated_entity_names_the_interactions_file(self, tmp_path, tiny_schema):
+        write_interactions(tmp_path / "i.csv", ["u1,i1,0.5,"])
+        write_feature_rows(tmp_path / "u.csv", ["u2,trait,5"])
+        write_feature_rows(tmp_path / "v.csv", ["i1,trait,1"])
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(tmp_path / 'i.csv'))}: domain 'a': no features for "
+                                             rf"user 'u1' \(user features {re.escape(str(tmp_path / 'u.csv'))}, "):
+            load_domain(tmp_path / "i.csv", tmp_path / "u.csv", tmp_path / "v.csv", tiny_schema, tiny_schema, "a")
+
+
+@pytest.fixture(scope="module")
+def written_domain(tmp_path_factory):
+    """A small synthetic domain with a hash-bucketed user field, and the lines of its three CSV files."""
+    ds, _, _ = synth_pair(n_users=8, n_items_per_domain=6, latent_dim=2, density=0.5, seed=3)
+    schema = FeatureSchema(ds.user_schema.fields + (FieldSpec("city", "one_hot", buckets=8),))
+    users = {u: {**raw, "city": f"c{k % 3}"} for k, (u, raw) in enumerate(sorted(ds.user_features.items()))}
+    ds = dataclasses.replace(ds, user_features=users, user_schema=schema)
+    root = tmp_path_factory.mktemp("domain")
+    paths = [root / name for name in ("i.csv", "u.csv", "v.csv")]
+    write_domain(ds, *paths)
+    return ds, {path.name: path.read_text(encoding="utf-8").splitlines() for path in paths}
+
+
+CELLS = st.one_of(st.sampled_from(["", "abc", "nan", "inf", "-1", "1e309", "0.5", "7", "u0001", "trait", "city", "tags"]),
+                  st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\0"), max_size=6))
+
+
+@pytest.mark.filterwarnings("ignore:field .* clamped")
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_a_domain_with_one_mutated_row_loads_and_encodes_or_names_the_file(written_domain, data):
+    ds, texts = written_domain
+    name = data.draw(st.sampled_from(sorted(texts)), label="file")
+    lines = list(texts[name])
+    ln = data.draw(st.integers(1, len(lines) - 1), label="line")  # a row under the header
+    row = next(csv.reader([lines[ln]]))
+    row[data.draw(st.integers(0, len(row) - 1), label="column")] = data.draw(CELLS, label="cell")
+    out = io.StringIO()
+    csv.writer(out, lineterminator="").writerow(row)
+    lines[ln] = out.getvalue()
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {n: Path(tmp) / n for n in texts}
+        for n, path in paths.items():
+            path.write_text("\n".join(lines if n == name else texts[n]) + "\n", encoding="utf-8")
+        try:
+            back = load_domain(paths["i.csv"], paths["u.csv"], paths["v.csv"], ds.user_schema, ds.item_schema, "a")
+        except ValueError as exc:
+            assert str(paths[name]) in str(exc)
+            return
+    for table, schema in ((back.user_features, back.user_schema), (back.item_features, back.item_schema)):
+        for raw in table.values():
+            encode(schema, raw)
 
 
 class TestInvariants:

@@ -364,8 +364,9 @@ def test_the_standard_autoencoders_train_as_one_stack_with_one_shuffle_per_strea
     # steps of the user corpora; the user (and the item) corpora share one stream and row count
     ds_a, ds_b, _ = synth_pair(noise=0.02, seed=101)
     assert [len(t) for ds in (ds_a, ds_b) for t in (ds.user_features, ds.item_features)] == [500, 200, 500, 200]
-    stacks, draws, forwards = [], [], []
+    stacks, draws, forwards, full_passes = [], [], [], []
     step, make_rng, forward = autoencoder.loss_and_grads, autoencoder.make_rng, autoencoder.stack_forward
+    full_pass = autoencoder.reconstruction_loss
 
     def counted_step(stack, xb, names):
         stacks.append(len(xb))
@@ -379,17 +380,24 @@ def test_the_standard_autoencoders_train_as_one_stack_with_one_shuffle_per_strea
         forwards.append(len(h))
         return forward(layers, h)
 
+    def counted_full_pass(ae, vectors):
+        full_passes.append((ae.domain, ae.entity, len(vectors), len(stacks)))
+        return full_pass(ae, vectors)
+
     monkeypatch.setattr(autoencoder, "loss_and_grads", counted_step)
     monkeypatch.setattr(autoencoder, "make_rng", counted_rng)
     monkeypatch.setattr(autoencoder, "stack_forward", counted_forward)
+    monkeypatch.setattr(autoencoder, "reconstruction_loss", counted_full_pass)
     vectors = [dualmodel.entity_vectors(ds) for ds in (ds_a, ds_b)]
     dualmodel.train_pair_autoencoders(ds_a, ds_b, TrainConfig(ae_epochs=2), 1, vectors)
     assert stacks == ([4] * 6 + [2] * 11) * 2
     # the shuffle draws' epochs: two draws per epoch
     assert [labels[2] for labels in draws if labels[0] == autoencoder._L_AE_SHUFFLE] == [0, 0, 1, 1]
-    # besides the steps, only the guard's full passes before epoch 1, of the user and the item corpora:
-    # the pipeline asks for no trace
-    assert forwards == [2, 2] + stacks
+    # the stack runs only the steps; the guard's full passes, one per corpus (longest first), all
+    # come before the first step: the pipeline asks for no trace
+    assert forwards == stacks
+    assert full_passes == [(ds.domain_name, entity, n, 0) for entity, n in (("user", 500), ("item", 200))
+                           for ds in (ds_a, ds_b)]
 
 
 def test_a_pair_encodes_each_entity_once(partial_pair, monkeypatch):
@@ -714,8 +722,8 @@ def test_domain_axis_step_equals_the_oracle_per_scorer(case):
         batches.append(None if k == absent else batch)
     stack = dualmodel.ModelStack.of(models)
     step = step_batches(alpha, *batches)
-    # batches of one size above one row run as one pass of both domains
-    assert (step[0] is not None and step[0].block is not None) == (absent is None and sizes[0] == sizes[1] > 1)
+    # batches of one size above one row run as one pass of both domains, one take passed twice
+    assert (step[0] is step[1]) == (absent is None and sizes[0] == sizes[1] > 1)
     total, grads, grad_x = dualmodel.dual_loss_and_grads(stack, *step, penalty_weight=pw)
 
     for m, dm in enumerate(models):  # the models' arrays are views of the stack, as the oracle reads them
