@@ -95,7 +95,7 @@ class ExperimentConfig(TrainConfig):
 _FIELDS = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
 
 
-def _parse_value(key: str, raw: str):
+def _parse_value(key: str, raw: str, where: str):
     kind = _FIELDS[key]
     try:
         if kind == "int":
@@ -106,7 +106,7 @@ def _parse_value(key: str, raw: str):
             return tuple(int(part) for part in raw.split(",") if part.strip() != "")
         return raw
     except ValueError:
-        raise ValueError(f"config key {key} expects a {kind}, got {raw!r}") from None
+        raise ValueError(f"{where}: config key {key} expects a {kind}, got {raw!r}") from None
 
 
 def _format_value(value) -> str:
@@ -125,9 +125,11 @@ def parse_alphas(text: str) -> list[float]:
 
 
 def load_config(path) -> ExperimentConfig:
-    """Flat key=value file; unknown keys are an error, absent keys default."""
+    """Flat key=value file; unknown keys are an error, absent keys default.
+    Every error names the file, and the line when one line is at fault."""
     values = {}
-    with open(path, encoding="utf-8") as fh:
+    # a byte that is no UTF-8 reads as U+FFFD, which no key or value accepts, so its error names the line
+    with open(path, encoding="utf-8", errors="replace") as fh:
         for ln, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -138,7 +140,7 @@ def load_config(path) -> ExperimentConfig:
                 raise ValueError(f"{path}:{ln}: expected key=value, got {line!r}")
             if key not in _FIELDS:
                 raise ValueError(f"{path}:{ln}: unknown config key {key!r}")
-            values[key] = _parse_value(key, raw.strip())
+            values[key] = _parse_value(key, raw.strip(), f"{path}:{ln}")
     try:
         return ExperimentConfig(**values)
     except ValueError as exc:

@@ -103,7 +103,8 @@ def check_at_least(cfg, keys, low) -> None:
 class TrainConfig:
     """Knobs for the full pipeline; defaults are the package's standard run.
 
-    Every key is checked on construction, and an error names its key.
+    Every key is checked on construction, and an error names its key; an
+    infinite float key is refused as not finite.
     """
 
     alpha: float = 0.03
@@ -122,6 +123,9 @@ class TrainConfig:
 
     def __post_init__(self):
         self.hidden = tuple(self.hidden)
+        for f in fields(self):  # every float key, a subclass's too: an infinite value is never a setting
+            if f.type == "float" and getattr(self, f.name) in (np.inf, -np.inf):
+                raise ValueError(f"{f.name}={getattr(self, f.name)} is not finite")
         check_alpha(self.alpha)
         check_at_least(self, ("embed_dim", "epochs", "batch_size", "ae_epochs", "ae_batch_size", "hidden"), 1)
         check_at_least(self, ("tol", "lr_a", "lr_b", "lr_map", "penalty_weight", "ae_lr"), 0)
@@ -406,8 +410,9 @@ class Rows:
 def entity_vectors(dataset: DomainDataset) -> tuple[tuple[dict, np.ndarray], tuple[dict, np.ndarray]]:
     """The encoded feature vectors of every user and every item, each entity's
     as (row of each id, matrix): the rows in sorted-id order, the order of the
-    autoencoders' corpora. A domain pair encodes each entity once
-    (`encode_pair`), for its corpora, its warm map and its embedding rows."""
+    autoencoders' corpora. A domain pair encodes each entity once and embeds
+    each matrix once (`encode_pair`), for its corpora, its warm map and its
+    embedding rows."""
     out = []
     for table, schema in ((dataset.user_features, dataset.user_schema), (dataset.item_features, dataset.item_schema)):
         ids = sorted(table)
@@ -415,56 +420,30 @@ def entity_vectors(dataset: DomainDataset) -> tuple[tuple[dict, np.ndarray], tup
     return tuple(out)
 
 
-def prepare_domain(
-    dataset: DomainDataset,
-    ae_user: Autoencoder,
-    ae_item: Autoencoder,
-    vectors,
-    record_indices=None,
-    partner_users=None,
-) -> Rows:
-    """Encode one domain's interactions into a table of embedding rows.
+def prepare_domain(dataset: DomainDataset, embeddings, partner_users=None) -> Rows:
+    """One domain's interactions as a table of embedding rows, in record order.
 
-    vectors is the domain's `entity_vectors`, which the encoders embed;
-    record_indices selects a subset (fold training or test split);
-    partner_users is the other domain's user-id set for overlap flags (all
-    True when omitted).
+    embeddings is the domain's (user, item) pair of (row of each id, embedding
+    matrix), its `entity_vectors` embedded by its encoders (`encode_pair`);
+    each record reads its user's and its item's row. partner_users is the
+    other domain's user-id set for overlap flags (all True when omitted).
     """
     recs = dataset.interactions
-    idx = range(len(recs)) if record_indices is None else [int(i) for i in record_indices]
-    chosen = [recs[i] for i in idx]
-    uids = sorted({r.user_id for r in chosen})
-    iids = sorted({r.item_id for r in chosen})
-    (user_rows, users), (item_rows, items) = vectors
-    u_emb = {}
-    if uids:
-        emb = ae_encode(ae_user, users[[user_rows[u] for u in uids]])
-        u_emb = {u: emb[k] for k, u in enumerate(uids)}
-    i_emb = {}
-    if iids:
-        emb = ae_encode(ae_item, items[[item_rows[i] for i in iids]])
-        i_emb = {i: emb[k] for k, i in enumerate(iids)}
-    d = ae_user.embed_dim
-    n = len(chosen)
-    ui = np.zeros((n, 2 * d))
-    y = np.zeros(n)
-    overlap = np.ones(n, dtype=bool)
-    for k, rec in enumerate(chosen):
-        ui[k, :d] = u_emb[rec.user_id]
-        ui[k, d:] = i_emb[rec.item_id]
-        y[k] = rec.rating
-        if partner_users is not None:
-            overlap[k] = rec.user_id in partner_users
-    return Rows(ui, y, overlap, np.array([r.user_id for r in chosen], dtype=np.str_), (0, n))
+    (user_rows, users), (item_rows, items) = embeddings
+    ui = np.concatenate([users[[user_rows[r.user_id] for r in recs]],
+                         items[[item_rows[r.item_id] for r in recs]]], axis=1)
+    overlap = np.array([partner_users is None or r.user_id in partner_users for r in recs], dtype=bool)
+    return Rows(ui, np.array([r.rating for r in recs], dtype=np.float64), overlap,
+                np.array([r.user_id for r in recs], dtype=np.str_), (0, len(recs)))
 
 
-def prepare_rows(datasets, encoders, vectors) -> Rows:
-    """The table of two domains' rows, domain b's after domain a's: each domain
-    embedded by its (user, item) encoders from its `entity_vectors`, with
-    overlap flags from the partner domain's users."""
+def prepare_rows(datasets, embeddings) -> Rows:
+    """The table of two domains' rows, domain b's after domain a's, each read
+    from its embeddings (`prepare_domain`), with overlap flags from the
+    partner domain's users."""
     users = [{r.user_id for r in ds.interactions} for ds in datasets]
-    return Rows.join([prepare_domain(ds, *aes, vecs, partner_users=users[1 - k])
-                      for k, (ds, aes, vecs) in enumerate(zip(datasets, encoders, vectors))])
+    return Rows.join([prepare_domain(ds, emb, partner_users=users[1 - k])
+                      for k, (ds, emb) in enumerate(zip(datasets, embeddings))])
 
 
 # ---------------------------------------------------------------------------
@@ -803,42 +782,36 @@ def train_pair_autoencoders(
     return (ua, ia), (ub, ib)
 
 
-def shared_user_alignment(
-    ds_a: DomainDataset,
-    ds_b: DomainDataset,
-    ae_user_a: Autoencoder,
-    ae_user_b: Autoencoder,
-    vectors,
-) -> OrthogonalMap | None:
+def shared_user_alignment(ds_a: DomainDataset, ds_b: DomainDataset, embeddings) -> OrthogonalMap | None:
     """Procrustes-align the two user-embedding spaces on the shared users.
 
-    Each user present in both domains gives one paired row (their embedding
-    under each domain's user encoder, of their row of vectors, each domain's
-    `entity_vectors`); the best-fit rotation between the paired clouds seeds
-    the model's mapping.  When the domains' user bases are
-    unrelated the fit is meaningless but harmless: the rotation it returns is
-    noise either way.  Returns None when the overlap is below the embedding
-    dimension, where the fit would be underdetermined.
+    Each user present in both domains gives one paired row, their row of
+    each domain's user embeddings (embeddings, as `prepare_domain` reads
+    them); the best-fit rotation between the paired clouds seeds the
+    model's mapping.  When the domains' user bases are unrelated the fit is
+    meaningless but harmless: the rotation it returns is noise either way.
+    Returns None when the overlap is below the embedding dimension, where
+    the fit would be underdetermined.
     """
     shared = sorted(set(ds_a.user_features) & set(ds_b.user_features))
-    if len(shared) < ae_user_a.embed_dim:
-        return None
-    raw_a, raw_b = (users[[rows[u] for u in shared]] for (rows, users), _ in vectors)
-    return align_map(ae_encode(ae_user_a, raw_a), ae_encode(ae_user_b, raw_b))
+    paired = [users[[rows[u] for u in shared]] for (rows, users), _ in embeddings]
+    return None if len(shared) < paired[0].shape[1] else align_map(*paired)
 
 
 def encode_pair(ds_a: DomainDataset, ds_b: DomainDataset, cfg: TrainConfig, seed: int):
     """What training a pair builds before the dual model, none of which depends
     on alpha: the (user, item) autoencoders of each domain, the shared-user warm
     map (None when too few users are shared) and the table of both domains'
-    rows. Each entity's features are encoded once (`entity_vectors`) and read
-    by all three.
+    rows. Each entity's features are encoded once (`entity_vectors`), and each
+    of the four matrices is embedded once by its encoder, right after the
+    autoencoders train: the warm map and the rows read those embeddings.
     """
     vectors = [entity_vectors(ds) for ds in (ds_a, ds_b)]
     encoders = train_pair_autoencoders(ds_a, ds_b, cfg, seed, vectors)
+    embeddings = [tuple((rows, ae_encode(ae, matrix)) for ae, (rows, matrix) in zip(aes, vecs))
+                  for aes, vecs in zip(encoders, vectors)]
     # the alignment sees entity features only, never ratings
-    warm = shared_user_alignment(ds_a, ds_b, encoders[0][0], encoders[1][0], vectors)
-    return encoders, warm, prepare_rows((ds_a, ds_b), encoders, vectors)
+    return encoders, shared_user_alignment(ds_a, ds_b, embeddings), prepare_rows((ds_a, ds_b), embeddings)
 
 
 def train_pair(

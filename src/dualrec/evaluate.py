@@ -14,11 +14,11 @@ stop, and ends bit for bit as it would trained alone.
 Nothing that cross validation builds before its first fold depends on the
 transfer rate, so it is built once per prepared pair (`prepare_pair`): the
 fold splits, each entity's encoded features, the four feature autoencoders
-(trained in lockstep as one stack), the Procrustes warm map and one
-embedding of each whole domain. The autoencoders and the warm map see only
-entity attributes, never ratings, so fold isolation of the rating data is
-preserved. The encoding is one table of both domains' rows
-(`dualmodel.Rows`): the folds train on it through their row indices, and
+(trained in lockstep as one stack), one embedding of each user and item,
+and from those embeddings the Procrustes warm map and one table of both
+domains' rows (`dualmodel.Rows`). The autoencoders and the warm map see
+only entity attributes, never ratings, so fold isolation of the rating data
+is preserved. The folds train on the table through their row indices, and
 each fold's held-out rows are scored by one take of it.
 
 The sweep reruns the folds across a grid of transfer rates with shared

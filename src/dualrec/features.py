@@ -28,6 +28,7 @@ import warnings
 import zlib
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import isfinite
 
 import numpy as np
 
@@ -147,13 +148,14 @@ def _categorical_index(spec: FieldSpec, value) -> int:
 
 
 def _number(spec: FieldSpec, value) -> float:
-    """A numeric or date field's value as a float; text or NaN is a ValueError naming the field."""
+    """A numeric or date field's value as a float; text, NaN or an infinite
+    value (overflowing text such as '1e309' too) is a ValueError naming the field."""
     try:
         x = float(value)
     except (TypeError, ValueError):
         raise ValueError(f"field {spec.name!r}: cannot interpret {value!r} as a number") from None
-    if x != x:  # NaN fails both range comparisons of _scale_scalar
-        raise ValueError(f"field {spec.name!r}: {value!r} is not a number")
+    if not isfinite(x):  # NaN fails both range comparisons of _scale_scalar, and ±inf would clamp like a reading
+        raise ValueError(f"field {spec.name!r}: {value!r} is not a {'finite ' if x == x else ''}number")
     return x
 
 
@@ -438,7 +440,7 @@ def kfold(dataset: DomainDataset, k: int, seed: int) -> FoldSplit:
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     if k > n:
-        raise ValueError(f"k={k} exceeds record count {n}")
+        raise ValueError(f"domain {dataset.domain_name!r} has {n} records, fewer than k={k} folds")
     rng = make_rng(seed, _L_KFOLD)
     perm = rng.permutation(n)
     assignments = np.empty(n, dtype=np.int64)

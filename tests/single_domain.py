@@ -5,10 +5,12 @@ both draw the scorer init and the batch shuffles from the same streams; and
 each autoencoder trained alone must equal its slice of the lockstep stack.
 """
 
+import dataclasses
+
 import numpy as np
 
-from dualrec.autoencoder import train_autoencoder
-from dualrec.dualmodel import _L_SHUFFLE, RatingModel, Rows, make_rating_model
+from dualrec.autoencoder import ae_encode, train_autoencoder
+from dualrec.dualmodel import _L_SHUFFLE, RatingModel, Rows, entity_vectors, make_rating_model, prepare_domain
 from dualrec.features import DomainDataset, encode
 from dualrec.numeric import check_finite_step, layer_backward, layer_forward, make_rng
 
@@ -50,6 +52,19 @@ def domain_autoencoders(dataset: DomainDataset, cfg, seed: int):
         for entity, table, schema in (("user", dataset.user_features, dataset.user_schema),
                                       ("item", dataset.item_features, dataset.item_schema))
     )
+
+
+def domain_embeddings(dataset: DomainDataset, aes):
+    """One domain's (user, item) embeddings as `prepare_domain` reads them:
+    its `entity_vectors`, each matrix embedded whole by its autoencoder."""
+    return tuple((rows, ae_encode(ae, matrix)) for ae, (rows, matrix) in zip(aes, entity_vectors(dataset)))
+
+
+def fold_rows(dataset: DomainDataset, embeddings, indices, partner_users=None) -> Rows:
+    """The rows of the dataset's records at indices (a fold's training or test
+    split): `prepare_domain` of the dataset that holds only those records."""
+    fold = dataclasses.replace(dataset, interactions=tuple(dataset.interactions[i] for i in indices))
+    return prepare_domain(fold, embeddings, partner_users)
 
 
 def train_single(

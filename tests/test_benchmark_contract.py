@@ -8,6 +8,7 @@ tests read benchmark/ and change nothing in it.
 
 import importlib
 import importlib.util
+import inspect
 import subprocess
 import sys
 from pathlib import Path
@@ -40,6 +41,21 @@ def test_every_span_target_resolves_in_the_package():
     missing = {f"{layer}.{name}" for layer, names in spans.TARGETS.items() for name in names
                if not callable(getattr(importlib.import_module(f"dualrec.{layer}"), name, None))}
     assert missing <= GONE, sorted(missing - GONE)
+
+
+# The tracer's hooks read these arguments by position (and name): the step hook the stack
+# (its alpha) and both batches (their overlap), the forward hook the rows x it counts.
+HOOKED_PARAMETERS = {"dual_loss_and_grads": ["stack", "batch_a", "batch_b"], "model_forward": ["model", "x"]}
+
+
+def test_the_hooked_parameters_keep_their_positions_and_names():
+    from dualrec import dualmodel
+
+    spans = load_spans()
+    hooked = {name.split(".")[1] for name in spans.Tracer()._hooks()} & set(HOOKED_PARAMETERS)
+    assert hooked == set(HOOKED_PARAMETERS)
+    for name, want in HOOKED_PARAMETERS.items():
+        assert list(inspect.signature(getattr(dualmodel, name)).parameters)[: len(want)] == want, name
 
 
 def scheduled_steps(counts, batch_size, epochs):

@@ -47,6 +47,13 @@ NON_INTEGERS = [(f.name, value, f"{f.name}={value}") for f in dataclasses.fields
                 for value in (2.5, True)] + [("hidden", (8.5,), "hidden[0]=8.5"), ("hidden", (16, True), "hidden[1]=True")]
 
 
+FLOAT_KEYS = [f.name for f in dataclasses.fields(ExperimentConfig) if f.type == "float"]
+
+# values a one-line mutation of a config file is likely to meet, beside arbitrary text
+MUTATIONS = st.one_of(st.text(max_size=10), st.sampled_from(
+    ["", "=", "#", "inf", "-inf", "nan", "1e309", "abc", "-1", "0", "2.5", "1e-320", "8,0", "alpha", "seed"]))
+
+
 def write_small_config(path, **extra):
     cfg = dict(SMALL)
     cfg.update(extra)
@@ -93,6 +100,47 @@ class TestConfig:
         p.write_text("epochs=ten\n", encoding="utf-8")
         with pytest.raises(ValueError, match="epochs"):
             load_config(p)
+
+    def test_a_value_of_the_wrong_type_names_the_file_and_line(self, tmp_path):
+        p = tmp_path / "c.txt"
+        p.write_text("alpha=0.1\nepochs=abc\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}:2: config key epochs expects a int, got 'abc'$"):
+            load_config(p)
+
+    def test_a_byte_that_is_no_utf8_names_the_file_and_line(self, tmp_path):
+        p = tmp_path / "c.txt"
+        p.write_bytes(b"alpha=0.1\nepochs=5\xff\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}:2: config key epochs expects a int, got '5\ufffd'$"):
+            load_config(p)
+
+    @pytest.mark.parametrize("value, shown", [("inf", "inf"), ("-inf", "-inf"), ("1e309", "inf")])
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_an_infinite_float_key_is_refused_as_not_finite(self, tmp_path, capsys, key, value, shown):
+        # nmf_scale=inf once crashed nmf-lab with an OverflowError, and sigma=inf wrote a pair of 0/1 ratings
+        p = tmp_path / "c.txt"
+        p.write_text(f"{key}={value}\n", encoding="utf-8")
+        message = f"{p}: {key}={shown} is not finite"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_config(p)
+        assert main(["nmf-lab", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_a_file_with_one_mutated_line_loads_or_names_the_file(self, tmp_path, data):
+        p = tmp_path / "c.txt"
+        save_config(ExperimentConfig(), p)
+        lines = p.read_text(encoding="utf-8").splitlines()
+        i = data.draw(st.integers(0, len(lines) - 1), label="line")
+        key, _, value = lines[i].partition("=")
+        parts = {"key": key, "separator": "=", "value": value}
+        parts[data.draw(st.sampled_from(sorted(parts)), label="part")] = data.draw(MUTATIONS, label="text")
+        lines[i] = parts["key"] + parts["separator"] + parts["value"]
+        p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        try:
+            load_config(p)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{p}:"), exc
 
     def test_alpha_bound_named_in_error(self):
         with pytest.raises(ValueError, match=r"^alpha 0.6 outside \[0, 0.5\]$"):

@@ -39,7 +39,7 @@ from dualrec.dualmodel import (
 from dualrec.features import encode, synth_pair
 from dualrec.mapping import OrthogonalMap, init_map, orthogonality_defect
 from dualrec.numeric import grad_check, make_rng
-from single_domain import model_forward, train_single
+from single_domain import domain_embeddings, model_forward, train_single
 from test_training_kernel import step_batches
 
 
@@ -256,7 +256,8 @@ def arrays_pair(small_pair):
     cfg = small_config()
     vectors = [entity_vectors(ds) for ds in (ds_a, ds_b)]
     (ae_ua, ae_ia), (ae_ub, ae_ib) = train_pair_autoencoders(ds_a, ds_b, cfg, 0, vectors)
-    table = Rows.join([prepare_domain(ds_a, ae_ua, ae_ia, vectors[0]), prepare_domain(ds_b, ae_ub, ae_ib, vectors[1])])
+    table = Rows.join([prepare_domain(ds_a, domain_embeddings(ds_a, (ae_ua, ae_ia))),
+                       prepare_domain(ds_b, domain_embeddings(ds_b, (ae_ub, ae_ib)))])
     return (ae_ua, ae_ia, ae_ub, ae_ib), table
 
 
@@ -314,8 +315,9 @@ class TestTrainPair:
         cfg = small_config(epochs=1)
         dm, _ = train_pair(ds_a, ds_b, cfg, seed=0)
         vectors = [entity_vectors(ds) for ds in (ds_a, ds_b)]
-        (ae_ua, _), (ae_ub, _) = train_pair_autoencoders(ds_a, ds_b, cfg, 0, vectors)
-        warm = shared_user_alignment(ds_a, ds_b, ae_ua, ae_ub, vectors)
+        encoders = train_pair_autoencoders(ds_a, ds_b, cfg, 0, vectors)
+        embeddings = [domain_embeddings(ds, aes) for ds, aes in zip((ds_a, ds_b), encoders)]
+        warm = shared_user_alignment(ds_a, ds_b, embeddings)
         assert warm is not None
         # one epoch of updates moves X little; it must still be near the warm
         # start, not near an unrelated random rotation
@@ -324,7 +326,7 @@ class TestTrainPair:
     def test_alignment_requires_enough_shared_users(self, small_pair):
         ds_a, ds_b, _ = small_pair
         cfg = small_config()
-        (ae_ua, _), (ae_ub, _) = train_pair_autoencoders(ds_a, ds_b, cfg, 0, [entity_vectors(ds) for ds in (ds_a, ds_b)])
+        encoders = train_pair_autoencoders(ds_a, ds_b, cfg, 0, [entity_vectors(ds) for ds in (ds_a, ds_b)])
 
         keep = sorted(ds_b.user_features)[:3]  # below embed_dim=4
         recs = tuple(r for r in ds_b.interactions if r.user_id in keep)
@@ -333,7 +335,8 @@ class TestTrainPair:
             interactions=recs,
             user_features={u: ds_b.user_features[u] for u in keep},
         )
-        assert shared_user_alignment(ds_a, tiny, ae_ua, ae_ub, [entity_vectors(ds) for ds in (ds_a, tiny)]) is None
+        embeddings = [domain_embeddings(ds, aes) for ds, aes in zip((ds_a, tiny), encoders)]
+        assert shared_user_alignment(ds_a, tiny, embeddings) is None
 
     def test_persistence_round_trip(self, trained_small, tmp_path):
         dm, _ = trained_small

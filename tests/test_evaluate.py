@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from dualrec import dualmodel, evaluate
-from dualrec.dualmodel import TrainConfig, entity_vectors, prepare_domain, train_pair_autoencoders
+from dualrec.dualmodel import TrainConfig, train_pair_autoencoders
 from dualrec.evaluate import (
     alpha_sweep,
     mae,
@@ -25,7 +25,7 @@ from dualrec.evaluate import (
 )
 from dualrec.features import kfold, synth_pair
 from dualrec.numeric import make_rng
-from single_domain import domain_autoencoders, model_forward, train_single
+from single_domain import domain_autoencoders, domain_embeddings, fold_rows, model_forward, train_single
 
 
 class TestPointMetrics:
@@ -176,20 +176,19 @@ class TestRunCv:
         k, seed = 2, 0
         rep_a, rep_b = run_cv(ds_a, ds_b, cfg, k=k, seed=seed)
         for ds, rep, domain_index in ((ds_a, rep_a, 0), (ds_b, rep_b, 1)):
-            ae_u, ae_i = domain_autoencoders(ds, cfg, seed)
-            vectors = entity_vectors(ds)
+            embeddings = domain_embeddings(ds, domain_autoencoders(ds, cfg, seed))
             split = kfold(ds, k, seed)
             fold_rmses = []
             for fold in range(k):
                 tr, te = split.fold_indices(fold)
-                arr_tr = prepare_domain(ds, ae_u, ae_i, vectors, tr)
+                arr_tr = fold_rows(ds, embeddings, tr)
                 model, _ = train_single(
                     arr_tr, domain_index, embed_dim=cfg.embed_dim, seed=seed * 10_000 + fold,
                     epochs=cfg.epochs, tol=cfg.tol,
                     lr=cfg.lr_a if domain_index == 0 else cfg.lr_b,
                     batch_size=cfg.batch_size, hidden=cfg.hidden,
                 )
-                arr_te = prepare_domain(ds, ae_u, ae_i, vectors, te)
+                arr_te = fold_rows(ds, embeddings, te)
                 preds = model_forward(model, arr_te.ui)[0][:, 0]
                 fold_rmses.append(rmse(preds, arr_te.ratings))
             assert rep.rmse == pytest.approx(np.mean(fold_rmses), abs=1e-9)
@@ -246,14 +245,12 @@ class TestPreparedPair:
         prepared = prepare_pair(ds_a, ds_b, cfg, k=3, seed=2)
         partners = ({r.user_id for r in ds_b.interactions}, {r.user_id for r in ds_a.interactions})
         table = prepared.rows
-        for k, (ds, split, (ae_u, ae_i), partner) in enumerate(zip(
-            (ds_a, ds_b), prepared.splits, prepared.encoders, partners
-        )):
-            vectors = entity_vectors(ds)
+        for k, (ds, split, aes, partner) in enumerate(zip((ds_a, ds_b), prepared.splits, prepared.encoders, partners)):
+            embeddings = domain_embeddings(ds, aes)
             for fold in range(3):
                 for idx in split.fold_indices(fold):
                     got = table.take(table.bounds[k] + idx)
-                    want = prepare_domain(ds, ae_u, ae_i, vectors, idx, partner_users=partner)
+                    want = fold_rows(ds, embeddings, idx, partner)
                     for name in ("ui", "ratings", "overlap"):
                         a, b = getattr(got, name), getattr(want, name)
                         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
@@ -291,6 +288,50 @@ class TestPreparedPair:
         monkeypatch.setattr(evaluate, "fit_models", None)
         with pytest.raises(ValueError, match="prepared pair was built for other datasets"):
             run_cv(ds_a, dataclasses.replace(ds_b), small_cfg(), k=2, seed=0, prepared=prepared)
+
+
+def one_record_per_user(ds):
+    first = {}
+    for r in ds.interactions:
+        first.setdefault(r.user_id, r)
+    return dataclasses.replace(ds, interactions=tuple(first.values()))
+
+
+def all_ratings(ds, rating):
+    return dataclasses.replace(ds, interactions=tuple(dataclasses.replace(r, rating=rating) for r in ds.interactions))
+
+
+def users_renamed(ds, prefix):
+    return dataclasses.replace(
+        ds, interactions=tuple(dataclasses.replace(r, user_id=prefix + r.user_id) for r in ds.interactions),
+        user_features={prefix + u: raw for u, raw in ds.user_features.items()},
+    )
+
+
+class TestDegenerateData:
+    """run_cv on tiny or degenerate pairs: finite metrics, or an error that names the cause."""
+
+    @pytest.mark.parametrize("degrade", [one_record_per_user, lambda ds: all_ratings(ds, 0.5)],
+                             ids=["one record per user", "all ratings equal"])
+    def test_metrics_are_finite(self, small_pair, degrade):
+        ds_a, ds_b = (degrade(ds) for ds in small_pair[:2])
+        for rep in run_cv(ds_a, ds_b, small_cfg(), k=2, seed=0):
+            assert all(math.isfinite(v) for v in (rep.rmse, rep.mae, rep.precision_at_k)), rep
+            assert math.isfinite(rep.recall_at_k) or not any(f.recall_defined for f in rep.per_fold), rep
+
+    def test_no_shared_users_trains_without_a_warm_map_or_a_cross_channel(self, small_pair):
+        ds_a, ds_b = small_pair[0], users_renamed(small_pair[1], "b-")
+        prepared = prepare_pair(ds_a, ds_b, small_cfg(), k=2, seed=0)
+        assert prepared.warm_map is None and not prepared.rows.overlap.any()
+        for rep in run_cv(ds_a, ds_b, small_cfg(), k=2, seed=0, prepared=prepared):
+            assert all(math.isfinite(v) for v in (rep.rmse, rep.mae, rep.precision_at_k)), rep
+
+    def test_a_domain_with_fewer_records_than_folds_is_named(self, small_pair, monkeypatch):
+        ds_a, ds_b, _ = small_pair
+        ds_a = dataclasses.replace(ds_a, interactions=ds_a.interactions[:2])
+        monkeypatch.setattr(dualmodel, "train_pair_autoencoders", None)  # the split fails first
+        with pytest.raises(ValueError, match=r"^domain 'a' has 2 records, fewer than k=3 folds$"):
+            run_cv(ds_a, ds_b, small_cfg(), k=3, seed=0)
 
 
 @pytest.fixture(scope="module")

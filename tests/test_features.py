@@ -110,6 +110,14 @@ class TestEncode:
         with pytest.raises(ValueError, match="'trait'.*not a number"):
             encode(schema, {"trait": value})
 
+    @pytest.mark.parametrize("kind", ["numeric", "date"])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "1e309", float("inf"), float("-inf")])
+    def test_an_infinite_value_is_an_error_naming_the_field(self, kind, value):
+        # an infinite value would clamp to a bound of the range, as if it were a reading
+        schema = FeatureSchema((FieldSpec("trait", kind, lo=0, hi=100),))
+        with pytest.raises(ValueError, match=rf"^field 'trait': {re.escape(repr(value))} is not a finite number$"):
+            encode(schema, {"trait": value})
+
 
 class TestSchemaText:
     def test_round_trip(self):
@@ -272,6 +280,8 @@ class TestLoadDomain:
 
     @pytest.mark.parametrize("value, message", [
         ("abc", r"cannot interpret 'abc' as a number"), ("nan", r"'nan' is not a number"),
+        ("inf", r"'inf' is not a finite number"), ("-inf", r"'-inf' is not a finite number"),
+        ("1e309", r"'1e309' is not a finite number"),
     ])
     def test_a_value_that_is_no_number_is_refused_by_its_line(self, tmp_path, tiny_schema, value, message):
         write_interactions(tmp_path / "i.csv", ["u1,i1,0.5,"])
@@ -399,6 +409,10 @@ class TestKfold:
             assert not set(train) & set(test)
             seen.extend(test)
         assert sorted(seen) == list(range(13))  # every record held out exactly once
+
+    def test_more_folds_than_records_names_the_domain(self, tiny_schema):
+        with pytest.raises(ValueError, match=r"^domain 'a' has 2 records, fewer than k=3 folds$"):
+            kfold(dataset_of(2, tiny_schema), k=3, seed=0)
 
 
 class TestSynthPair:

@@ -25,6 +25,7 @@ from dualrec.dualmodel import TrainConfig, fit, fit_models, train_pair
 from dualrec.features import synth_pair
 from dualrec.mapping import OrthogonalMap, ortho_penalty, project_orthogonal
 from dualrec.numeric import layer_views, make_rng, sigmoid
+from single_domain import domain_embeddings
 
 # ---------------------------------------------------------------------------
 # oracle: the per-layer loop
@@ -401,21 +402,32 @@ def test_the_standard_autoencoders_train_as_one_stack_with_one_shuffle_per_strea
 
 
 def test_a_pair_encodes_each_entity_once(partial_pair, monkeypatch):
-    # the corpora, the warm map and the embedding rows read one encoding of each user and item
+    # the corpora, the warm map and the embedding rows read one encoding of each user and item,
+    # and one embedding of each: one ae_encode call per corpus, each over its whole matrix
     ds_a, ds_b, _ = partial_pair
     entities = sum(len(ds.user_features) + len(ds.item_features) for ds in (ds_a, ds_b))
-    calls, encode = [], dualmodel.encode
+    corpora = [(ds.domain_name, entity, len(table)) for ds in (ds_a, ds_b)
+               for entity, table in (("user", ds.user_features), ("item", ds.item_features))]
+    calls, embedded, encode, ae_encode = [], [], dualmodel.encode, dualmodel.ae_encode
 
     def counted(schema, raw):
         calls.append(raw)
         return encode(schema, raw)
 
+    def counted_embedding(ae, matrix):
+        embedded.append((ae.domain, ae.entity, len(matrix)))
+        return ae_encode(ae, matrix)
+
     monkeypatch.setattr(dualmodel, "encode", counted)
+    monkeypatch.setattr(dualmodel, "ae_encode", counted_embedding)
     train_pair(ds_a, ds_b, small_config(ae_epochs=1, epochs=1), seed=0)
     assert len(calls) == entities
+    assert embedded == corpora
     calls.clear()
+    embedded.clear()
     evaluate.prepare_pair(ds_a, ds_b, small_config(ae_epochs=1), k=2)
     assert len(calls) == entities
+    assert embedded == corpora
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the blow-up overflows on purpose
@@ -465,8 +477,8 @@ def fitted_inputs(partial_pair):
     cfg = small_config()
     vectors = [dualmodel.entity_vectors(ds) for ds in (ds_a, ds_b)]
     (ae_ua, ae_ia), (ae_ub, ae_ib) = dualmodel.train_pair_autoencoders(ds_a, ds_b, cfg, 0, vectors)
-    table = dualmodel.Rows.join([dualmodel.prepare_domain(ds_a, ae_ua, ae_ia, vectors[0]),
-                                 dualmodel.prepare_domain(ds_b, ae_ub, ae_ib, vectors[1])])
+    table = dualmodel.Rows.join([dualmodel.prepare_domain(ds_a, domain_embeddings(ds_a, (ae_ua, ae_ia))),
+                                 dualmodel.prepare_domain(ds_b, domain_embeddings(ds_b, (ae_ub, ae_ib)))])
     return (ae_ua, ae_ia, ae_ub, ae_ib), table
 
 
