@@ -125,9 +125,9 @@ def parse_alphas(text: str) -> list[float]:
 
 
 def load_config(path) -> ExperimentConfig:
-    """Flat key=value file; unknown keys are an error, absent keys default.
-    Every error names the file, and the line when one line is at fault."""
-    values = {}
+    """Flat key=value file; unknown or repeated keys are an error, absent keys
+    default. Every error names the file, and the line when one line is at fault."""
+    values, first_line = {}, {}
     # a byte that is no UTF-8 reads as U+FFFD, which no key or value accepts, so its error names the line
     with open(path, encoding="utf-8", errors="replace") as fh:
         for ln, line in enumerate(fh, start=1):
@@ -140,6 +140,9 @@ def load_config(path) -> ExperimentConfig:
                 raise ValueError(f"{path}:{ln}: expected key=value, got {line!r}")
             if key not in _FIELDS:
                 raise ValueError(f"{path}:{ln}: unknown config key {key!r}")
+            if key in first_line:
+                raise ValueError(f"{path}:{ln}: config key {key!r} given again (first on line {first_line[key]})")
+            first_line[key] = ln
             values[key] = _parse_value(key, raw.strip(), f"{path}:{ln}")
     try:
         return ExperimentConfig(**values)

@@ -16,7 +16,9 @@ and the iteration runs classical Lee-Seung multiplicative updates on those
 reduced targets.  That is valid whenever a < 1/2 and both targets are
 entrywise nonnegative; the targets can always be made nonnegative by adding
 the "positive perturbation" rank(X) * rating_scale to every rating first
-(see :func:`perturb` and :func:`check_conditions`).
+(see :func:`perturb` and :func:`check_conditions`).  The a and b
+factorizations of a problem, and the problems of one :func:`run_nmf_many`
+call, step as one stack of 2-D products.
 
 Loss bookkeeping.  The trace records the coupled objective routed through
 the reduction, (1-2a)^2 * (reduced residuals), which the multiplicative
@@ -118,27 +120,6 @@ def reduce(p: DualNmfProblem):
     return m_a, m_b
 
 
-def _residual_energy(m_a, m_b, w_a, h_a, w_b, h_b) -> float:
-    ra = m_a - w_a @ h_a
-    rb = m_b - w_b @ h_b
-    return float(np.sum(ra * ra) + np.sum(rb * rb))
-
-
-def reduced_loss(p: DualNmfProblem, s: DualNmfState) -> float:
-    """Sum of squared residuals of the two reduced single-matrix problems."""
-    return _residual_energy(*reduce(p), *s.factors())
-
-
-def coupled_loss_via_reduction(p: DualNmfProblem, s: DualNmfState) -> float:
-    """Coupled objective with residuals expressed through the reduced targets.
-
-    Equals (1-2a)^2 * reduced_loss; this is the quantity the multiplicative
-    updates decrease monotonically, and what run_nmf traces.
-    """
-    scale = 1.0 - 2.0 * p.alpha
-    return scale * scale * reduced_loss(p, s)
-
-
 def loss_decomposition(p: DualNmfProblem, s: DualNmfState):
     """Split dual_loss into its monotone reduced part and the cross term.
 
@@ -186,71 +167,98 @@ def perturb_problem(p: DualNmfProblem, k: float) -> DualNmfProblem:
     return DualNmfProblem(perturb(p.v_a, m, k), perturb(p.v_b, m, k), p.x, p.alpha, p.rank)
 
 
-def _mu_update_pair(m: np.ndarray, w: np.ndarray, h: np.ndarray):
-    """One Lee-Seung round on a single factorization: H update then W update.
-
-    Denominators are floored at MU_EPS, which leaves the exact multiplicative
-    update (and its monotonicity guarantee) untouched wherever they exceed
-    the floor.
-    """
-    h = h * (w.T @ m) / np.maximum(w.T @ w @ h, MU_EPS)
-    w = w * (m @ h.T) / np.maximum(w @ h @ h.T, MU_EPS)
-    return w, h
-
-
-def _nonnegative_targets(p: DualNmfProblem):
-    """Reduced targets of ``p``, refused if any entry is negative."""
-    m_a, m_b = reduce(p)
-    if np.any(m_a < 0) or np.any(m_b < 0):
-        raise ValueError("reduced targets have negative entries; perturb the ratings first")
-    return m_a, m_b
-
-
-def mu_step(p: DualNmfProblem, s: DualNmfState) -> DualNmfState:
-    """One multiplicative-update round on both reduced problems.
-
-    Factors stay entrywise nonnegative; the traced loss (coupled objective
-    through the reduction) is non-increasing.
-    """
-    _check_state_shapes(p, s)
-    m_a, m_b = _nonnegative_targets(p)
-    w_a, h_a = _mu_update_pair(m_a, s.w_a, s.h_a)
-    w_b, h_b = _mu_update_pair(m_b, s.w_b, s.h_b)
-    return DualNmfState(w_a, h_a, w_b, h_b, list(s.loss_trace))
-
-
 def run_nmf(p: DualNmfProblem, max_iters: int = 200_000, tol: float = 1e-8,
             seed: int = 0, state: DualNmfState | None = None) -> DualNmfState:
-    """Iterate mu_step until |delta loss| < tol or the iteration budget ends.
+    """Iterate multiplicative updates until |delta loss| < tol or the budget ends.
 
+    The K = 1 case of :func:`run_nmf_many`, started from ``state`` (which is
+    not mutated) when one is given and from ``init_state(p, seed)`` otherwise.
     Refuses to run unless conditions (a), (b), (c) all hold (apply
     :func:`perturb_problem` first when they do not).  The returned state
     carries the full loss trace: entry 0 is the initial loss, one entry per
-    step after that.  The loop is mu_step and coupled_loss_via_reduction
-    with the reduced targets and the (1-2a)^2 factor computed once per call;
-    trace and factors are bitwise the same as composing those two.  The
-    default budget covers the slowest measured settle of a perturbed random
-    problem (167,861 iterations).
+    step after that, each the coupled objective through the reduction,
+    (1-2a)^2 (|M_A - W_A H_A|^2 + |M_B - W_B H_B|^2).  The default budget
+    covers the slowest measured settle of a perturbed random problem
+    (167,861 iterations).
     """
-    conds = check_conditions(p)
-    failing = [name for name, ok in conds.items() if not ok]
-    if failing:
-        raise ValueError(f"convergence condition(s) {', '.join(failing)} not satisfied; "
-                         "perturb the rating matrices or lower alpha")
-    s = state if state is not None else init_state(p, seed)
-    _check_state_shapes(p, s)
-    m_a, m_b = _nonnegative_targets(p)
-    scale = 1.0 - 2.0 * p.alpha
+    return _lockstep([p], [state if state is not None else init_state(p, seed)], max_iters, tol)[0]
+
+
+def run_nmf_many(problems, seeds, max_iters: int = 200_000, tol: float = 1e-8) -> list[DualNmfState]:
+    """:func:`run_nmf` on K problems of one shape and rank, stepped as one stack.
+
+    Problem i starts from ``init_state(problems[i], seeds[i])`` and stops by
+    its own |delta loss| < tol rule, leaving the stack when it settles.  Each
+    returned state has the trace and factor bytes that ``run_nmf`` gives the
+    problem alone, since every stacked product runs one 2-D product per slice.
+    Refuses, naming the problem's index, a problem whose shape or rank differs
+    from problem 0's or whose conditions (a), (b), (c) fail.
+    """
+    problems, seeds = list(problems), list(seeds)
+    if len(seeds) != len(problems):
+        raise ValueError(f"{len(problems)} problems but {len(seeds)} seeds")
+    return _lockstep(problems, [init_state(p, seed) for p, seed in zip(problems, seeds)], max_iters, tol)
+
+
+def _lockstep(problems, states, max_iters, tol) -> list[DualNmfState]:
+    """Lee-Seung updates of every problem's a and b factorizations as one stack:
+    targets m (K, 2, rows, cols), factors w (K, 2, rows, r) and h (K, 2, r, cols).
+    Denominators are floored at MU_EPS, which leaves the exact multiplicative
+    update (and its monotonicity guarantee) untouched wherever they exceed
+    the floor."""
+    for i, (p, s) in enumerate(zip(problems, states)):
+        if (p.v_a.shape, p.rank) != (problems[0].v_a.shape, problems[0].rank):
+            raise ValueError(f"problem {i}: shape {p.v_a.shape} and rank {p.rank} differ from problem 0's "
+                             f"{problems[0].v_a.shape} and {problems[0].rank}")
+        failing = [name for name, ok in check_conditions(p).items() if not ok]
+        if failing:
+            raise ValueError(f"problem {i}: convergence condition(s) {', '.join(failing)} not satisfied; "
+                             "perturb the rating matrices or lower alpha")
+        _check_state_shapes(p, s)
+    if not problems:
+        return []
+    m = np.array([reduce(p) for p in problems])
+    w = np.array([(s.w_a, s.w_b) for s in states])
+    h = np.array([(s.h_a, s.h_b) for s in states])
+    scale = np.array([1.0 - 2.0 * p.alpha for p in problems])
     factor = scale * scale
-    w_a, h_a, w_b, h_b = (f.copy() for f in s.factors())
-    trace = [factor * _residual_energy(m_a, m_b, w_a, h_a, w_b, h_b)]
+    traces = [[loss] for loss in _traced_losses(m, w, h, factor)]
+    live = list(range(len(problems)))
+    out = [None] * len(problems)
     for _ in range(max_iters):
-        w_a, h_a = _mu_update_pair(m_a, w_a, h_a)
-        w_b, h_b = _mu_update_pair(m_b, w_b, h_b)
-        trace.append(factor * _residual_energy(m_a, m_b, w_a, h_a, w_b, h_b))
-        if abs(trace[-2] - trace[-1]) < tol:
-            break
-    return DualNmfState(w_a, h_a, w_b, h_b, trace)
+        wt = w.swapaxes(-1, -2)
+        h = h * (wt @ m) / np.maximum(wt @ w @ h, MU_EPS)
+        ht = h.swapaxes(-1, -2)
+        w = w * (m @ ht) / np.maximum(w @ h @ ht, MU_EPS)
+        settled = []
+        for j, loss in enumerate(_traced_losses(m, w, h, factor)):
+            trace = traces[live[j]]
+            trace.append(loss)
+            if abs(trace[-2] - loss) < tol:
+                settled.append(j)
+        if settled:
+            for j in settled:
+                out[live[j]] = _state(w[j], h[j], traces[live[j]])
+            keep = [j for j in range(len(live)) if j not in settled]
+            m, w, h, factor = m[keep], w[keep], h[keep], factor[keep]
+            live = [live[j] for j in keep]
+            if not live:
+                break
+    for j, i in enumerate(live):
+        out[i] = _state(w[j], h[j], traces[i])
+    return out
+
+
+def _traced_losses(m, w, h, factor) -> list[float]:
+    """Each stacked problem's (1-2a)^2 (|R_A|^2 + |R_B|^2), as floats."""
+    r = m - w @ h
+    e = (r * r).sum(axis=(-2, -1))
+    return (factor * (e[:, 0] + e[:, 1])).tolist()
+
+
+def _state(w, h, trace) -> DualNmfState:
+    """One problem's factors, copied out of the stack, with its trace."""
+    return DualNmfState(w[0].copy(), h[0].copy(), w[1].copy(), h[1].copy(), trace)
 
 
 def random_permutation_matrix(n: int, seed: int) -> np.ndarray:

@@ -4,9 +4,8 @@ Matrices are plain 2-D float64 numpy arrays (row-major); vectors are 1-D
 float64 arrays.  Everything downstream (autoencoders, rating scorers, the
 orthogonal mapping, the NMF lab) builds on the handful of operations here:
 dense-layer forward/backward with exact analytic gradients, a stable
-sigmoid, the one finite check each training step runs, and a
-central-difference gradient checker. The training loops apply their SGD
-updates in place.
+sigmoid and the one finite check each training step runs. The training
+loops apply their SGD updates in place.
 
 The training kernels run stacks of same-shaped networks as one program:
 :func:`stack_forward` and :func:`stack_backward` take layers whose weights
@@ -275,30 +274,3 @@ def check_finite_step(loss, grads, remedy: str, names=None) -> None:
         bad = flagged[0]
     where = "" if names is None else f" in {names[bad]}"
     raise FloatingPointError(f"non-finite training loss or gradient{where}; {remedy}")
-
-
-def grad_check(loss_and_grad, params, h: float = 1e-5) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    ``loss_and_grad(params) -> (loss, grads)`` must be deterministic; params
-    and grads are parallel lists of arrays.  Error is normalized against
-    max(1, |analytic|, |numeric|) per component so near-zero gradients are
-    compared absolutely.
-    """
-    params = [np.asarray(p, dtype=np.float64) for p in params]
-    _, grads = loss_and_grad(params)
-    grads = [np.asarray(g, dtype=np.float64) for g in grads]
-    worst = 0.0
-    for k, p in enumerate(params):
-        flat = p.ravel()
-        for i in range(flat.size):
-            bumped = [q.copy() for q in params]
-            bumped[k].ravel()[i] = flat[i] + h
-            lp, _ = loss_and_grad(bumped)
-            bumped[k].ravel()[i] = flat[i] - h
-            lm, _ = loss_and_grad(bumped)
-            num = (lp - lm) / (2.0 * h)
-            ana = grads[k].ravel()[i]
-            err = abs(ana - num) / max(1.0, abs(ana), abs(num))
-            worst = max(worst, err)
-    return worst

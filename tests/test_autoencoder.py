@@ -16,7 +16,8 @@ from dualrec.autoencoder import (
     stack_autoencoders,
     train_autoencoder,
 )
-from dualrec.numeric import FlatStack, grad_check, make_rng, sigmoid
+from dualrec.numeric import FlatStack, make_rng, sigmoid
+from gradcheck import grad_check
 
 
 def fixture_corpus(n=50, dim=20, seed=21):

@@ -134,13 +134,35 @@ class TestConfig:
         i = data.draw(st.integers(0, len(lines) - 1), label="line")
         key, _, value = lines[i].partition("=")
         parts = {"key": key, "separator": "=", "value": value}
-        parts[data.draw(st.sampled_from(sorted(parts)), label="part")] = data.draw(MUTATIONS, label="text")
+        part = data.draw(st.sampled_from(sorted(parts)), label="part")
+        parts[part] = data.draw(MUTATIONS, label="text")
+        keys = [line.partition("=")[0] for line in lines]
+        # a key renamed to another key of the file collides with that key's line
+        renamed = part == "key" and parts["key"] != key and parts["key"] in keys
         lines[i] = parts["key"] + parts["separator"] + parts["value"]
         p.write_text("\n".join(lines) + "\n", encoding="utf-8")
         try:
             load_config(p)
         except ValueError as exc:
             assert str(exc).startswith(f"{p}:"), exc
+            if renamed:
+                j = keys.index(parts["key"])
+                first, again = sorted((i, j))
+                repeat = f"{p}:{again + 1}: config key {parts['key']!r} given again (first on line {first + 1})"
+                # unless line i comes first and its value does not parse as the new key's
+                assert str(exc) == repeat or (i < j and str(exc).startswith(f"{p}:{i + 1}: ")), exc
+        else:
+            assert not renamed, "a file that gives one key twice loaded"
+
+    def test_a_repeated_key_names_the_file_both_lines_and_the_key(self, tmp_path, capsys):
+        # a repeated key once loaded silently with its last value
+        p = tmp_path / "cfg.txt"
+        p.write_text("epochs=5\nalpha=0.1\nepochs=7\n", encoding="utf-8")
+        message = f"{p}:3: config key 'epochs' given again (first on line 1)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_config(p)
+        assert main(["nmf-lab", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_alpha_bound_named_in_error(self):
         with pytest.raises(ValueError, match=r"^alpha 0.6 outside \[0, 0.5\]$"):

@@ -38,7 +38,8 @@ from dualrec.dualmodel import (
 )
 from dualrec.features import encode, synth_pair
 from dualrec.mapping import OrthogonalMap, init_map, orthogonality_defect
-from dualrec.numeric import grad_check, make_rng
+from dualrec.numeric import make_rng
+from gradcheck import grad_check
 from single_domain import domain_embeddings, model_forward, train_single
 from test_training_kernel import step_batches
 

@@ -14,7 +14,8 @@ from dualrec.mapping import (
     orthogonality_defect,
     project_orthogonal,
 )
-from dualrec.numeric import grad_check, make_rng
+from dualrec.numeric import make_rng
+from gradcheck import grad_check
 
 
 class TestInitMap:

@@ -2,29 +2,31 @@
 
 The alpha=0 path is checked against an independent classical multiplicative-
 update implementation written here; coupled losses are checked against naive
-elementwise recomputation.
+elementwise recomputation. The stepped oracle below (`mu_step` and the traced
+loss `coupled_loss_via_reduction`, one problem and one factorization at a time)
+pins `run_nmf`'s stacked loop bit for bit, and `run_nmf_many` is pinned to
+`run_nmf` problem by problem.
 """
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dualrec.nmflab import (
     MU_EPS,
     DualNmfProblem,
     DualNmfState,
     check_conditions,
-    coupled_loss_via_reduction,
     dual_loss,
     init_state,
     loss_decomposition,
     make_random_problem,
-    mu_step,
     perturb,
     perturb_problem,
     random_permutation_matrix,
     reduce,
-    reduced_loss,
     run_nmf,
+    run_nmf_many,
 )
 from dualrec.numeric import make_rng
 
@@ -34,6 +36,29 @@ def classical_mu_step(v, w, h):
     h = h * (w.T @ v) / np.maximum(w.T @ w @ h, MU_EPS)
     w = w * (v @ h.T) / np.maximum(w @ h @ h.T, MU_EPS)
     return w, h
+
+
+def mu_step(p, s):
+    """One multiplicative-update round on both reduced problems, one at a time."""
+    m_a, m_b = reduce(p)
+    w_a, h_a = classical_mu_step(m_a, s.w_a, s.h_a)
+    w_b, h_b = classical_mu_step(m_b, s.w_b, s.h_b)
+    return DualNmfState(w_a, h_a, w_b, h_b)
+
+
+def reduced_loss(p, s):
+    """Sum of squared residuals of the two reduced single-matrix problems."""
+    m_a, m_b = reduce(p)
+    ra = m_a - s.w_a @ s.h_a
+    rb = m_b - s.w_b @ s.h_b
+    return float(np.sum(ra * ra) + np.sum(rb * rb))
+
+
+def coupled_loss_via_reduction(p, s):
+    """(1-2a)^2 * reduced_loss: the quantity the updates decrease monotonically,
+    and what run_nmf traces."""
+    scale = 1.0 - 2.0 * p.alpha
+    return scale * scale * reduced_loss(p, s)
 
 
 def ones_problem(alpha, scale_b=1.0, n=3):
@@ -229,7 +254,7 @@ class TestRunNmf:
         assert t1 == t2
 
     def test_bitwise_equal_to_stepping_mu_step(self):
-        # reference loop: the public one-step update and traced loss, composed
+        # reference loop: the oracle's one-step update and traced loss, composed
         p = perturb_problem(make_random_problem(8, 6, 2, 0.15, seed=6), 1.0)
         s = init_state(p, seed=6)
         want = [coupled_loss_via_reduction(p, s)]
@@ -251,6 +276,66 @@ class TestRunNmf:
         bad = DualNmfState(start.w_a, start.h_a, start.w_b[:, :1], start.h_b)
         with pytest.raises(ValueError, match="w_b"):
             run_nmf(p, max_iters=20, state=bad)
+
+
+def ready_problem(rows, cols, rank, alpha, seed):
+    """A random problem, perturbed when its conditions fail."""
+    p = make_random_problem(rows, cols, rank, alpha, seed)
+    return p if all(check_conditions(p).values()) else perturb_problem(p, 1.0)
+
+
+def assert_same_run(got, want):
+    assert got.loss_trace == want.loss_trace
+    for g, w in zip(got.factors(), want.factors()):
+        assert g.tobytes() == w.tobytes()
+
+
+class TestRunNmfMany:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(2, 6), st.integers(2, 6), st.integers(1, 2)),
+        specs=st.lists(st.tuples(st.integers(0, 2**16), st.floats(0.0, 0.45, exclude_max=True)), min_size=1, max_size=4),
+        tol=st.sampled_from([0.0, 1e-6, 1e9]),
+        budget=st.integers(0, 300),
+    )
+    @example(shape=(4, 3, 2), specs=[(1, 0.1), (2, 0.0), (3, 0.3)], tol=1e9, budget=300)
+    def test_each_problem_gets_its_lone_run_bytes(self, shape, specs, tol, budget):
+        problems = [ready_problem(*shape, alpha, seed) for seed, alpha in specs]
+        if not all(all(check_conditions(p).values()) for p in problems):
+            with pytest.raises(ValueError, match=r"^problem \d+: convergence condition"):
+                run_nmf_many(problems, [seed for seed, _ in specs], max_iters=budget, tol=tol)
+            return
+        got = run_nmf_many(problems, [seed for seed, _ in specs], max_iters=budget, tol=tol)
+        for p, (seed, _), s in zip(problems, specs, got):
+            assert_same_run(s, run_nmf(p, max_iters=budget, tol=tol, seed=seed))
+            if tol == 1e9 and budget:  # settled at iteration 1
+                assert len(s.loss_trace) == 2
+
+    def test_problems_leave_the_stack_as_they_settle(self):
+        problems = [ready_problem(5, 4, 2, alpha, seed) for seed, alpha in enumerate((0.0, 0.1, 0.2, 0.3))]
+        got = run_nmf_many(problems, [7, 8, 9, 10], max_iters=3000, tol=1e-6)
+        assert len({len(s.loss_trace) for s in got}) > 1, "no problem settled before another"
+        for p, seed, s in zip(problems, [7, 8, 9, 10], got):
+            assert_same_run(s, run_nmf(p, max_iters=3000, tol=1e-6, seed=seed))
+
+    def test_no_problems_give_no_states(self):
+        assert run_nmf_many([], []) == []
+
+    def test_refuses_a_problem_whose_conditions_fail_by_its_index(self):
+        good, bad = make_random_problem(3, 3, 2, 0.0, seed=1), ones_problem(0.4, scale_b=0.1)
+        with pytest.raises(ValueError, match=r"^problem 1: convergence condition\(s\) b not satisfied"):
+            run_nmf_many([good, bad], [0, 1])
+
+    @pytest.mark.parametrize("other", [(6, 4, 2), (5, 5, 2), (6, 5, 3)])
+    def test_refuses_a_shape_or_rank_other_than_problem_0s(self, other):
+        p0 = make_random_problem(6, 5, 2, 0.0, seed=1)
+        with pytest.raises(ValueError, match=r"^problem 2: shape .* differ from problem 0's \(6, 5\) and 2$"):
+            run_nmf_many([p0, p0, make_random_problem(*other, 0.0, seed=2)], [0, 1, 2])
+
+    def test_refuses_seeds_that_do_not_match_the_problems(self):
+        p = make_random_problem(6, 5, 2, 0.0, seed=1)
+        with pytest.raises(ValueError, match=r"^2 problems but 3 seeds$"):
+            run_nmf_many([p, p], [0, 1, 2])
 
 
 class TestLossBookkeeping:

@@ -18,7 +18,6 @@ from dualrec.numeric import (
     _activation_grad,
     check_finite_step,
     dense_layer,
-    grad_check,
     layer_backward,
     layer_forward,
     layer_views,
@@ -28,6 +27,7 @@ from dualrec.numeric import (
     stack_backward,
     stack_forward,
 )
+from gradcheck import grad_check
 
 
 def triple_loop_matmul(a, b):
@@ -459,11 +459,12 @@ def per_slice(a, b):
 
 
 class TestBlasPremise:
-    """The training kernels stack products on leading axes and must match the
-    per-network 2-D products bit for bit. numpy runs one BLAS call per slice;
-    these checks pin that the result does not depend on the operands' memory
-    layout (transposed views, row strides, the reversed domain axis, the
-    channel axis) at the kernels' own shapes. If a numpy or OpenBLAS upgrade
+    """The training kernels and the NMF lab stack products on leading axes and
+    must match the per-network 2-D products bit for bit. numpy runs one BLAS
+    call per slice; these checks pin that the result does not depend on the
+    operands' memory layout (transposed views, row strides, the reversed
+    domain axis, the channel axis, a take of the problem axis) at the kernels'
+    own shapes. If a numpy or OpenBLAS upgrade
     breaks the premise, these fail by name. The one layout dependence known, a
     1-row product whose matrix is a copied transpose, is why the coupled step
     runs 1-row batches domain by domain and reads the map's transposed view
@@ -526,6 +527,27 @@ class TestBlasPremise:
                 both = u @ np.stack((x_t, x))
                 assert both[0, m].tobytes() == (alone_a @ x[m].T).tobytes()
                 assert both[1, m].tobytes() == (alone_b @ x[m]).tobytes()
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 20])
+    def test_nmf_products_on_the_problem_and_factorization_axes(self, k):
+        # run_nmf_many steps the a and b factorizations of K problems as one
+        # stack: targets (K, 2, 20, 15), factors (K, 2, 20, 4) and (K, 2, 4, 15).
+        # A settled problem leaves the stack through a fancy-index take, and
+        # every problem left must keep the bits of its lone 2-D products.
+        rng = make_rng(47, k)
+        m = rng.uniform(size=(k, 2, 20, 15))
+        w = rng.uniform(size=(k, 2, 20, 4))
+        h = rng.uniform(size=(k, 2, 4, 15))
+        for keep in (list(range(k)), [j for j in range(k) if j % 3 != 1], [k - 1]):
+            mk, wk, hk = m[keep], w[keep], h[keep]
+            wt, ht = wk.swapaxes(-1, -2), hk.swapaxes(-1, -2)
+            products = (wk @ hk, wt @ mk, mk @ ht, wt @ wk @ hk, wk @ hk @ ht)
+            for j, problem in enumerate(keep):
+                for f in range(2):
+                    m2, w2, h2 = (np.ascontiguousarray(a[problem, f]) for a in (m, w, h))
+                    alone = (w2 @ h2, w2.T @ m2, m2 @ h2.T, w2.T @ w2 @ h2, w2 @ h2 @ h2.T)
+                    for stacked, want in zip(products, alone):
+                        assert stacked[j, f].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n", [1, 4, 8, 32, 500])
     def test_autoencoder_layers(self, n):
