@@ -33,13 +33,16 @@ embeddings side by side, ratings, overlap flags and user ids), built once
 per domain pair and read, never copied, by training: a step's rows come
 from one take per array, and each epoch's full-pass loss of a model reads
 its rows of a domain as a slice of the table, or by one take for a subset
-such as a fold. Every scorer forward outside the step, from one record's
-`score` to a full pass, is `model_forward`. Both scorers share one
-architecture, so a step runs both channels of its domains as one forward
-and one backward pass on a leading channel axis: the within channel feeds
-each domain's batch to its own scorer, the cross channel feeds it, mapped,
-to its partner's, through the scorers gathered as [[a, b], [b, a]]. Every
-pass is a slice of the domain axis, both domains, a or b, and reads the
+such as a fold. A model keeps its scorers' parameters in one flat buffer
+with a domain axis, (n, P), whose rows its scorers' layers view; in a stack
+that buffer is the model's slice (2, P). One record's prediction runs all
+n scorers as one forward over that buffer; every other scorer forward
+outside the step, from `score` to a full pass, is `model_forward`. Both
+scorers share one architecture, so a step runs both channels of its
+domains as one forward and one backward pass on a leading channel axis:
+the within channel feeds each domain's batch to its own scorer, the cross
+channel feeds it, mapped, to its partner's, through the scorers gathered
+as [[a, b], [b, a]]. Every pass is a slice of the domain axis, both domains, a or b, and reads the
 same slice of those scorers and of the channel gradient buffer laid out
 like them, whose within channel is the gradient buffer itself. Each
 product keeps its rows, so every slice has the bits of that channel run
@@ -68,7 +71,7 @@ from dualrec.features import DomainDataset, FeatureSchema, encode, parse_schema,
 from dualrec.mapping import OrthogonalMap, align_map, init_map, ortho_penalty, project_orthogonal
 from dualrec.numeric import (
     DenseLayer, check_finite_step, dense_layer, flat_params, layer_views, lockstep_steps, make_rng, stack_backward,
-    stack_forward,
+    stack_forward, view_layers,
 )
 
 _L_RS_INIT = 0x5C07
@@ -201,7 +204,13 @@ class _SchemaWidthError(ValueError):
 @dataclass
 class DualModel:
     """A rating model over n >= 2 domains: domains[k] holds domain k's parts, and
-    maps[(j, k)], j < k, takes domain-j user embeddings into domain k's space."""
+    maps[(j, k)], j < k, takes domain-j user embeddings into domain k's space.
+
+    The scorers share one architecture, and every layer of domains[k].scorer
+    is a view of row k of one flat buffer, `params` (n, P), in `layout`. A
+    model builds that buffer from copies of the scorers it is given, in
+    Domain objects of its own, so building it moves no other model's arrays.
+    """
 
     domains: list[Domain]
     maps: dict[tuple[int, int], OrthogonalMap]
@@ -238,6 +247,23 @@ class DualModel:
             if link.dim != d:
                 name = "map" if n == 2 else f"map {_letter(j)}{_letter(k)}"
                 raise ValueError(f"{name} is {link.dim}x{link.dim}, expected embed_dim {d}x{d}")
+        shapes = [[(l.n_in, l.n_out, l.activation) for l in dom.scorer.layers] for dom in self.domains]
+        for k, shape in enumerate(shapes):
+            if shape != shapes[0]:
+                raise ValueError(f"rs_{_letter(k)} differs in shape from rs_a; a model's scorers share one architecture")
+        self.domains = [replace(dom, scorer=dom.scorer.copy()) for dom in self.domains]
+        params, self.layout = flat_params([dom.scorer.layers for dom in self.domains])
+        self.params = params
+
+    @property
+    def params(self) -> np.ndarray:
+        return self._params
+
+    @params.setter
+    def params(self, buf: np.ndarray) -> None:
+        """Make buf (n, P) the scorers' buffer, which their layers and scorer_layers view."""
+        self._params, self.scorer_layers = buf, layer_views(buf, self.layout)
+        view_layers([dom.scorer.layers for dom in self.domains], buf, self.layout)
 
     @property
     def embed_dim(self) -> int:
@@ -306,7 +332,10 @@ def new_dual_model(
 
 def embed_pair(dm: DualModel, domain, user_raw: dict, item_raw: dict) -> tuple[np.ndarray, np.ndarray]:
     """Raw feature dicts -> (user embedding, item embedding) for one domain."""
-    dom = dm.domains[dm.index(domain)]
+    return _embed(dm.domains[dm.index(domain)], user_raw, item_raw)
+
+
+def _embed(dom: Domain, user_raw: dict, item_raw: dict) -> tuple[np.ndarray, np.ndarray]:
     if dom.user_schema is None or dom.item_schema is None:
         raise ValueError("model carries no schemas; use predict_from_embeddings instead")
     return (ae_encode(dom.ae_user, encode(dom.user_schema, user_raw)),
@@ -318,23 +347,40 @@ def predict_from_embeddings(dm: DualModel, domain, user_emb: np.ndarray, item_em
 
     in_overlap=False zeroes the transfer rate for this record (the user has
     no presence in the partner domains, so there is nothing to transfer).
+    All n scorers run as one forward over the model's buffer (`DualModel.params`),
+    on rows x (n, 1, 2d): row k holds (u, i) for domain k's own scorer, and
+    row j != k holds (cross_matrix(j, k) @ u, i) for partner j's. At an
+    effective alpha of 0 only row k runs, through the slice k:k+1 of the same
+    layers. The blend is (1 - alpha) * y[k] + alpha / (n - 1) * cross, where
+    cross sums y[j] for j != k in index order, from 0.0.
     """
-    k = dm.index(domain)
+    return _hybrid(dm, dm.index(domain), user_emb, item_emb, in_overlap)
+
+
+def _hybrid(dm: DualModel, k: int, user_emb, item_emb, in_overlap: bool) -> float:
+    n, d = len(dm.domains), dm.embed_dim
     alpha = dm.alpha if in_overlap else 0.0
-    within = score(dm.domains[k].scorer, user_emb, item_emb)
-    if alpha == 0.0:
-        return within
+    lo, hi = (0, n) if alpha else (k, k + 1)
+    x = np.empty((hi - lo, 1, 2 * d))
+    x[..., d:] = item_emb
+    for j in range(lo, hi):
+        x[j - lo, 0, :d] = user_emb if j == k else dm.cross_matrix(j, k) @ user_emb
+    layers = dm.scorer_layers if hi - lo == n else [(w[lo:hi], b[lo:hi], act) for w, b, act in dm.scorer_layers]
+    y = stack_forward(layers, x)[0][:, 0, 0].tolist()
+    if not alpha:
+        return y[0]
     cross = 0.0
-    for j, dom in enumerate(dm.domains):
+    for j in range(n):
         if j != k:
-            cross += score(dom.scorer, dm.cross_matrix(j, k) @ user_emb, item_emb)
-    return (1.0 - alpha) * within + alpha / (len(dm.domains) - 1) * cross
+            cross += y[j]
+    return (1.0 - alpha) * y[k] + alpha / (n - 1) * cross
 
 
 def predict(dm: DualModel, domain, user_raw: dict, item_raw: dict, in_overlap: bool = True) -> float:
-    """Hybrid rating for raw user/item feature dicts of one domain."""
-    user_emb, item_emb = embed_pair(dm, domain, user_raw, item_raw)
-    return predict_from_embeddings(dm, domain, user_emb, item_emb, in_overlap)
+    """Hybrid rating for raw user/item feature dicts of one domain
+    (`predict_from_embeddings` on their embeddings)."""
+    k = dm.index(domain)
+    return _hybrid(dm, k, *_embed(dm.domains[k], user_raw, item_raw), in_overlap)
 
 
 # ---------------------------------------------------------------------------
@@ -489,24 +535,24 @@ class ModelStack:
 
     @classmethod
     def of(cls, models: list[DualModel], ids=None) -> "ModelStack":
-        """Stack copies of the models' arrays and point each model's layers
-        (`flat_params`) and map at its slice; arrays a caller holds (a shared
-        warm map) stay as they were. ids default to the positions when there
-        are several."""
-        shapes = [[(l.weights.shape, l.activation) for dom in dm.domains for l in dom.scorer.layers] for dm in models]
+        """Stack copies of the models' arrays and point each model's scorer
+        buffer (`DualModel.params`) and map at its slice; arrays a caller holds
+        (a shared warm map) stay as they were. ids default to the positions when
+        there are several."""
         for m, dm in enumerate(models):
             if len(dm.domains) != 2:
                 raise ValueError(f"model {m} has {len(dm.domains)} domains; the training kernel runs two")
             if dm.alpha != models[0].alpha:
                 raise ValueError(f"model {m} has alpha {dm.alpha}, model 0 {models[0].alpha}; a stack shares one alpha")
-            if shapes[m] != shapes[0]:
+            if dm.layout != models[0].layout:
                 raise ValueError(f"model {m}'s scorers differ in shape from model 0's; a stack needs one shape")
-        params, layout = flat_params([dm.domains[k].scorer.layers for k in (0, 1) for dm in models])
         if ids is None and len(models) > 1:
             ids = range(len(models))
+        params = np.stack([dm.params for dm in models], axis=1)
         maps = np.stack([dm.maps[(0, 1)].x for dm in models])
-        stack = cls(params.reshape(2, len(models), -1), layout, maps, models[0].alpha, None if ids is None else tuple(ids))
+        stack = cls(params, models[0].layout, maps, models[0].alpha, None if ids is None else tuple(ids))
         for m, dm in enumerate(models):
+            dm.params = stack.params[:, m]
             dm.maps[(0, 1)] = OrthogonalMap(stack.x[m], dm.maps[(0, 1)].domain_pair)
         return stack
 
@@ -523,8 +569,7 @@ class ModelStack:
 
 def _release(dm: DualModel) -> None:
     """Give a model copies of the stack slices it points at, so it owns its arrays."""
-    for dom in dm.domains:
-        dom.scorer = dom.scorer.copy()
+    dm.params = dm.params.copy()
     dm.maps = {pair: link.copy() for pair, link in dm.maps.items()}
 
 

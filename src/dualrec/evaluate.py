@@ -32,6 +32,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, fields, replace
+from itertools import chain
 
 import numpy as np
 
@@ -374,10 +375,19 @@ def write_summary_json(path, summary: dict) -> None:
         fh.write("\n")
 
 
+_PLAIN_CELLS = {str, float, int, bool}  # the csv writer writes these as write_trace_csv formats them
+
+
 def write_trace_csv(path, header, rows) -> None:
-    """Generic numeric trace table (loss curves and the like)."""
+    """Generic numeric trace table (loss curves and the like): a string cell
+    as it is, a float (np.float64 too) by the repr of the float it holds,
+    anything else by str. Lists or tuples of plain cells, as the package
+    writes them, go to the csv writer as they are; other rows are formatted
+    cell by cell."""
+    rows = rows if isinstance(rows, list) else list(rows)  # read twice: the type scans, then the writer
+    if not (set(map(type, rows)) <= {list, tuple} and set(map(type, chain.from_iterable(rows))) <= _PLAIN_CELLS):
+        rows = [[x if isinstance(x, str) else _fmt(x) if isinstance(x, float) else str(x) for x in row] for row in rows]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(list(header))
-        for row in rows:
-            w.writerow([x if isinstance(x, str) else _fmt(x) if isinstance(x, float) else str(x) for x in row])
+        w.writerows(rows)

@@ -93,23 +93,13 @@ class FieldSpec:
         if not same:
             raise ValueError(f"field {self.name!r} does not read back from its schema line {line!r}")
 
-    @property
-    def cardinality(self) -> int:
-        if self.values is not None:
-            return len(self.values)
-        if self.buckets is not None:
-            return self.buckets
-        raise ValueError(f"field {self.name!r} is not categorical")
-
     @cached_property
     def width(self) -> int:
         """Encoded block length, computed once per spec."""
-        if self.kind == "one_hot":
-            # explicit vocabularies reserve a trailing out-of-vocabulary slot
-            return self.cardinality + (1 if self.values is not None else 0)
-        if self.kind == "multi_hot":
-            return self.cardinality
-        return 1
+        if self.kind in ("numeric", "date"):
+            return 1
+        # an explicit one-hot vocabulary reserves a trailing out-of-vocabulary slot
+        return self.buckets if self.values is None else len(self.values) + (self.kind == "one_hot")
 
 
 @dataclass(frozen=True)
@@ -129,81 +119,94 @@ class FeatureSchema:
     def encoded_length(self) -> int:
         return sum(f.width for f in self.fields)
 
+    @cached_property
+    def plan(self) -> tuple:
+        """The schema compiled once for `encode`: per field, in order, (plan kind,
+        name, offset, p, q), p and q as the plan kinds below say; a vocabulary maps
+        each value to its slot in the whole vector."""
+        plan, at = [], 0
+        for f in self.fields:
+            if f.kind in ("numeric", "date"):
+                plan.append((_SCALAR, f.name, at, f.lo, f.hi))
+            elif f.values is None:
+                plan.append((_HASHED if f.kind == "one_hot" else _HASHED_TAGS, f.name, at, None, f.buckets))
+            else:
+                slots = {v: at + k for k, v in enumerate(f.values)}
+                plan.append((_ONE_HOT, f.name, at, slots, at + len(f.values)) if f.kind == "one_hot"
+                            else (_TAGS, f.name, at, slots, None))
+            at += f.width
+        return tuple(plan)
+
+
+# plan kinds, with their (p, q): a numeric or date field (lo, hi), a one-hot field (vocabulary, reserved
+# slot), a hashed one (None, bucket count), a multi-hot field (vocabulary, None), a hashed one (None, bucket count)
+_SCALAR, _ONE_HOT, _HASHED, _TAGS, _HASHED_TAGS = range(5)
+
 
 def _bucket(value: str, buckets: int) -> int:
     return zlib.crc32(value.encode("utf-8")) % buckets
 
 
-def _categorical_index(spec: FieldSpec, value) -> int:
-    """Slot index within the block; explicit vocab maps unknowns to the last slot."""
+def _category(name: str, value) -> str:
+    """A categorical value, which must be a string."""
     if not isinstance(value, str):
-        raise TypeError(f"field {spec.name!r}: categorical value must be a string, got {type(value).__name__}")
-    if spec.buckets is not None:
-        return _bucket(value, spec.buckets)
-    assert spec.values is not None
-    try:
-        return spec.values.index(value)
-    except ValueError:
-        return len(spec.values)  # reserved "other" slot
+        raise TypeError(f"field {name!r}: categorical value must be a string, got {type(value).__name__}")
+    return value
 
 
-def _number(spec: FieldSpec, value) -> float:
+def _number(name: str, value) -> float:
     """A numeric or date field's value as a float; text, NaN or an infinite
     value (overflowing text such as '1e309' too) is a ValueError naming the field."""
     try:
         x = float(value)
     except (TypeError, ValueError):
-        raise ValueError(f"field {spec.name!r}: cannot interpret {value!r} as a number") from None
-    if not isfinite(x):  # NaN fails both range comparisons of _scale_scalar, and ±inf would clamp like a reading
-        raise ValueError(f"field {spec.name!r}: {value!r} is not a {'finite ' if x == x else ''}number")
+        raise ValueError(f"field {name!r}: cannot interpret {value!r} as a number") from None
+    if not isfinite(x):  # NaN fails both range comparisons of the clamp, and ±inf would clamp like a reading
+        raise ValueError(f"field {name!r}: {value!r} is not a {'finite ' if x == x else ''}number")
     return x
 
 
-def _scale_scalar(spec: FieldSpec, value) -> float:
-    x = _number(spec, value)
-    if x < spec.lo or x > spec.hi:
-        warnings.warn(
-            f"field {spec.name!r}: value {x} outside [{spec.lo}, {spec.hi}], clamped",
-            stacklevel=3,
-        )
-        x = min(max(x, spec.lo), spec.hi)
-    return (x - spec.lo) / (spec.hi - spec.lo)
-
-
 def encode(schema: FeatureSchema, raw: dict) -> np.ndarray:
-    """Encode raw field values into one fixed-length float vector.
+    """Encode raw field values into one fixed-length float vector, by the
+    schema's plan (`FeatureSchema.plan`).
 
     Missing one-hot fields land in the reserved slot (hash-bucketed fields
     have none and must be present); missing multi-hot fields encode as all
     zeros; missing numeric/date fields are an error. Multi-hot values may be
     a single string or an iterable of strings; values not in an explicit
-    multi-hot vocabulary are ignored.
+    multi-hot vocabulary are ignored, whatever their type. A numeric value
+    outside its range is clamped with a warning.
     """
     out = np.zeros(schema.encoded_length)
-    pos = 0
-    for spec in schema.fields:
-        block = out[pos : pos + spec.width]
-        present = spec.name in raw
-        if spec.kind == "one_hot":
-            if present:
-                block[_categorical_index(spec, raw[spec.name])] = 1.0
-            elif spec.values is not None:
-                block[len(spec.values)] = 1.0
-            else:
-                raise ValueError(f"field {spec.name!r}: hash-bucketed field missing from raw values")
-        elif spec.kind == "multi_hot":
-            vals = raw.get(spec.name, [])
-            if isinstance(vals, str):
-                vals = [vals]
-            for v in vals:
-                if spec.values is not None and v not in spec.values:
-                    continue
-                block[_categorical_index(spec, v)] = 1.0
+    for kind, name, at, p, q in schema.plan:
+        if kind == _SCALAR:
+            if name not in raw:
+                raise ValueError(f"field {name!r}: numeric/date field missing from raw values")
+            x = _number(name, raw[name])
+            if x < p or x > q:
+                warnings.warn(f"field {name!r}: value {x} outside [{p}, {q}], clamped", stacklevel=2)
+                x = min(max(x, p), q)
+            out[at] = (x - p) / (q - p)
+        elif kind == _ONE_HOT:
+            out[p.get(_category(name, raw[name]), q) if name in raw else q] = 1.0
+        elif kind == _HASHED:
+            if name not in raw:
+                raise ValueError(f"field {name!r}: hash-bucketed field missing from raw values")
+            out[at + _bucket(_category(name, raw[name]), q)] = 1.0
         else:
-            if not present:
-                raise ValueError(f"field {spec.name!r}: numeric/date field missing from raw values")
-            block[0] = _scale_scalar(spec, raw[spec.name])
-        pos += spec.width
+            vals = raw.get(name, [])
+            for v in [vals] if isinstance(vals, str) else vals:
+                if kind == _HASHED_TAGS:
+                    out[at + _bucket(_category(name, v), q)] = 1.0
+                    continue
+                try:
+                    slot = p.get(v)
+                except TypeError:  # unhashable, so no string: refused if it equals a value, as `in` would find
+                    if any(w == v for w in p):
+                        _category(name, v)
+                    continue
+                if slot is not None:
+                    out[slot] = 1.0
     return out
 
 
@@ -251,12 +254,16 @@ def schema_to_text(schema: FeatureSchema) -> str:
 
 
 def parse_schema(text: str) -> FeatureSchema:
-    fields = []
+    """The schema of text, one field per line; an error names its line, and a
+    repeated field name both lines."""
+    fields, lines = [], {}
     for ln, line in enumerate(text.splitlines(), start=1):
         try:
             args = _read_line(line)
             if args is not None:
                 fields.append(FieldSpec(*args))
+                if lines.setdefault(args[0], ln) != ln:
+                    raise ValueError(f"field name {args[0]!r} repeats line {lines[args[0]]}")
         except ValueError as exc:
             raise ValueError(f"schema line {ln}: {exc}") from None
     if not fields:
@@ -379,7 +386,7 @@ def _read_features(path, schema: FeatureSchema) -> dict:
             elif fname in raw:
                 raise ValueError(f"duplicate value for field {fname!r} of entity {entity_id!r}")
             else:
-                raw[fname] = value if specs[fname].kind == "one_hot" else _number(specs[fname], value)
+                raw[fname] = value if specs[fname].kind == "one_hot" else _number(fname, value)
         except ValueError as exc:
             raise ValueError(f"{path}:{ln}: {exc}") from None
     # the fields encode has no slot for when missing: numeric, date and hash-bucketed one-hot

@@ -180,10 +180,15 @@ def flat_params(networks) -> tuple[np.ndarray, tuple]:
     views of its network's row, so the network reads what a stack trains."""
     layout = tuple((l.n_in, l.n_out, l.activation) for l in networks[0])
     buf = np.array([np.concatenate([a.ravel() for l in net for a in (l.weights, l.bias)]) for net in networks])
+    view_layers(networks, buf, layout)
+    return buf, layout
+
+
+def view_layers(networks, buf: np.ndarray, layout) -> None:
+    """Make each network's DenseLayers views of its row of buf (..., P) in layout (`layer_views`)."""
     for net, row in zip(networks, buf):
         for layer, (w, b, _) in zip(net, layer_views(row, layout)):
             layer.weights, layer.bias = w, b[0]
-    return buf, layout
 
 
 @dataclass

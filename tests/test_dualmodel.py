@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from dualrec import dualmodel
 from dualrec.autoencoder import ae_encode, train_autoencoder
 from dualrec.dualmodel import (
     Domain,
@@ -22,6 +23,7 @@ from dualrec.dualmodel import (
     dual_loss_and_grads,
     evaluate_loss,
     fit,
+    fit_models,
     load_dual_model,
     make_rating_model,
     new_dual_model,
@@ -387,6 +389,11 @@ class TestModelContract:
         with pytest.raises(ValueError, match="rs_a ends in 4 outputs"):
             with_part(dm, 0, scorer=RatingModel(dm.domains[0].scorer.layers[:-1]))
 
+    def test_scorers_share_one_architecture(self, trained_small):
+        dm, _ = trained_small
+        with pytest.raises(ValueError, match="^rs_b differs in shape from rs_a; a model's scorers share one architecture$"):
+            with_part(dm, 1, scorer=make_rating_model(4, 0, 1, (6,)))
+
     def test_map_is_d_by_d(self, trained_small):
         dm, _ = trained_small
         with pytest.raises(ValueError, match="map is 3x3"):
@@ -698,3 +705,103 @@ class TestMultiDomain:
         assert predict_from_embeddings(dm, "C", u, i) == predict_from_embeddings(dm, 2, u, i)
         with pytest.raises(ValueError, match=r"^unknown domain 'd', expected 'a'/'b'/'c' or 0/1/2$"):
             predict_from_embeddings(dm, "d", u, i)
+
+
+# ---------------------------------------------------------------------------
+# the scorer buffer: however a model gets its arrays, a prediction reads its layers
+
+
+def composed(dm, k, u, i, in_overlap=True):
+    """A hybrid rating composed by hand through `score`, in predict_from_embeddings' order."""
+    alpha = dm.alpha if in_overlap else 0.0
+    within = score(dm.domains[k].scorer, u, i)
+    if alpha == 0.0:
+        return within
+    cross = 0.0
+    for j, dom in enumerate(dm.domains):
+        if j != k:
+            cross += score(dom.scorer, dm.cross_matrix(j, k) @ u, i)
+    return (1.0 - alpha) * within + alpha / (len(dm.domains) - 1) * cross
+
+
+def assert_predictions_follow(dm, write, seed=0):
+    """After write() changes the scorers in place, every prediction of dm moves and equals its
+    composition through `score` bit for bit."""
+    (u,), (i,) = random_embeddings(dm, 1, seed)
+    domains = range(len(dm.domains))
+    before = [predict_from_embeddings(dm, k, u, i, in_overlap=False) for k in domains]
+    write()
+    assert [predict_from_embeddings(dm, k, u, i, in_overlap=False) for k in domains] != before
+    for k in domains:
+        for in_overlap in (True, False):
+            assert predict_from_embeddings(dm, k, u, i, in_overlap) == composed(dm, k, u, i, in_overlap), (k, in_overlap)
+
+
+def assert_reads_its_layers(dm):
+    """A write into a scorer layer reaches the next prediction; so does a step of a training
+    stack the model is in (two-domain models, which the training kernel runs)."""
+    layer = dm.domains[-1].scorer.layers[0]
+
+    def write_layer():
+        layer.weights[...] *= 1.5
+        layer.bias[...] += 0.25
+
+    assert_predictions_follow(dm, write_layer)
+    if len(dm.domains) == 2:
+        stack = ModelStack.of([dm])
+        assert np.shares_memory(dm.params, stack.params)
+        assert_predictions_follow(dm, lambda: apply_grads(stack.params, np.full_like(stack.params, 0.05), 1.0), seed=1)
+
+
+class TestScorerBuffer:
+    def test_the_layers_view_one_buffer(self):
+        dm = three_domain_model(alpha=0.1)
+        assert dm.params.shape == (3, sum(n_in * n_out + n_out for n_in, n_out, _ in dm.layout))
+        for k, dom in enumerate(dm.domains):
+            assert all(np.shares_memory(a, dm.params[k]) for l in dom.scorer.layers for a in (l.weights, l.bias))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_a_new_model(self, n):
+        ae = tiny_autoencoder()
+        assert_reads_its_layers(new_dual_model([(ae, ae)] * n, alpha=0.2, seed=0, hidden=(4,)))
+
+    def test_a_loaded_model(self, trained_small, tmp_path):
+        save_dual_model(trained_small[0], tmp_path / "m.npz")
+        assert_reads_its_layers(load_dual_model(tmp_path / "m.npz"))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_a_model_built_on_another_models_domains(self, n):
+        ae = tiny_autoencoder()
+        source = new_dual_model([(ae, ae)] * n, alpha=0.2, seed=0, hidden=(4,))
+        (u,), (i,) = random_embeddings(source, 1, seed=2)
+        want = [predict_from_embeddings(source, k, u, i) for k in range(n)]
+        assert_reads_its_layers(DualModel(source.domains, dict(source.maps), 0.3))
+        # the source keeps its own arrays, and still reads them
+        assert [predict_from_embeddings(source, k, u, i) for k in range(n)] == want
+        assert_reads_its_layers(source)
+
+    def test_a_fitted_model(self, arrays_pair):
+        aes, table = arrays_pair
+        dm = new_dual_model([aes[:2], aes[2:]], alpha=0.03, seed=0, hidden=(8, 4))
+        fit(dm, table, small_config(epochs=2), seed=0)
+        assert_reads_its_layers(dm)
+
+    def test_models_fitted_as_one_stack_read_it_while_they_train(self, arrays_pair, monkeypatch):
+        aes, table = arrays_pair
+        models = [new_dual_model([aes[:2], aes[2:]], alpha=0.03, seed=s, hidden=(8, 4)) for s in range(3)]
+        steps = []
+
+        def checked_step(params, grads, lr):
+            if not steps:  # the first step moves the whole stack
+                assert all(np.shares_memory(dm.params, params) for dm in models)
+                for m, dm in enumerate(models):
+                    assert_predictions_follow(dm, lambda: apply_grads(params[:, m : m + 1], grads[:, m : m + 1], lr), m)
+            else:
+                apply_grads(params, grads, lr)
+            steps.append(params.shape[1])
+
+        monkeypatch.setattr(dualmodel, "apply_grads", checked_step)
+        fit_models(models, table, small_config(epochs=2), [0, 1, 2])
+        assert steps[0] == 3
+        for dm in models:
+            assert_reads_its_layers(dm)

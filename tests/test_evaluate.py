@@ -4,9 +4,12 @@ import csv
 import dataclasses
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dualrec import dualmodel, evaluate
 from dualrec.dualmodel import TrainConfig, train_pair_autoencoders
@@ -384,3 +387,33 @@ class TestEmission:
         assert rows[0] == ["epoch", "loss"]
         assert rows[1] == ["0", "0.5"]
         assert rows[2] == ["1", "0.25"]
+
+
+def oracle_write_trace_csv(path, header, rows):
+    """`write_trace_csv` as it was: every cell formatted by its type, one row at a time."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(list(header))
+        for row in rows:
+            w.writerow([x if isinstance(x, str) else repr(float(x)) if isinstance(x, float) else str(x) for x in row])
+
+
+TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=4) | st.sampled_from(["a,b", 'say "x"', "x\ny", " ", ""])
+TRACE_CELLS = st.one_of(
+    st.integers(), st.floats(), st.floats().map(np.float64), st.sampled_from([-0.0, math.nan, math.inf, -math.inf]),
+    st.booleans(), TEXT, st.integers(-2**63, 2**63 - 1).map(np.int64), st.floats(width=32).map(np.float32),
+    st.none(), st.fractions(max_denominator=9),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(header=st.lists(TEXT, max_size=3),
+       rows=st.lists(st.lists(TRACE_CELLS, max_size=4) | st.tuples(st.integers(0, 9), st.floats()), max_size=6),
+       form=st.sampled_from(["list", "iterator", "rows read once"]))
+def test_trace_csv_bytes_are_the_cell_by_cell_writers(header, rows, form):
+    given_rows = {"list": rows, "iterator": iter(rows), "rows read once": [iter(row) for row in rows]}[form]
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
+        write_trace_csv(got, header, given_rows)
+        oracle_write_trace_csv(want, header, rows)
+        assert got.read_bytes() == want.read_bytes()

@@ -3,8 +3,11 @@
 import csv
 import dataclasses
 import io
+import math
 import re
 import tempfile
+import warnings
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dualrec.features import (
+    KINDS,
     DomainDataset,
     FeatureSchema,
     FieldSpec,
@@ -182,6 +186,172 @@ def test_a_schema_reads_back_from_its_text_or_is_refused(args):
     except ValueError:
         return
     assert parse_schema(schema_to_text(schema)) == schema
+
+
+# ---------------------------------------------------------------------------
+# encoding plans against the field-by-field encoder they replaced
+
+
+def oracle_categorical_index(spec, value):
+    if not isinstance(value, str):
+        raise TypeError(f"field {spec.name!r}: categorical value must be a string, got {type(value).__name__}")
+    if spec.buckets is not None:
+        return zlib.crc32(value.encode("utf-8")) % spec.buckets
+    try:
+        return spec.values.index(value)
+    except ValueError:
+        return len(spec.values)
+
+
+def oracle_number(spec, value):
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"field {spec.name!r}: cannot interpret {value!r} as a number") from None
+    if not math.isfinite(x):
+        raise ValueError(f"field {spec.name!r}: {value!r} is not a {'finite ' if x == x else ''}number")
+    return x
+
+
+def oracle_scale_scalar(spec, value):
+    x = oracle_number(spec, value)
+    if x < spec.lo or x > spec.hi:
+        warnings.warn(f"field {spec.name!r}: value {x} outside [{spec.lo}, {spec.hi}], clamped", stacklevel=3)
+        x = min(max(x, spec.lo), spec.hi)
+    return (x - spec.lo) / (spec.hi - spec.lo)
+
+
+def oracle_encode(schema, raw):
+    """`encode` as it was before schemas compiled to plans: field by field, each dispatched on its spec."""
+    out = np.zeros(schema.encoded_length)
+    pos = 0
+    for spec in schema.fields:
+        block = out[pos : pos + spec.width]
+        present = spec.name in raw
+        if spec.kind == "one_hot":
+            if present:
+                block[oracle_categorical_index(spec, raw[spec.name])] = 1.0
+            elif spec.values is not None:
+                block[len(spec.values)] = 1.0
+            else:
+                raise ValueError(f"field {spec.name!r}: hash-bucketed field missing from raw values")
+        elif spec.kind == "multi_hot":
+            vals = raw.get(spec.name, [])
+            if isinstance(vals, str):
+                vals = [vals]
+            for v in vals:
+                if spec.values is not None and v not in spec.values:
+                    continue
+                block[oracle_categorical_index(spec, v)] = 1.0
+        else:
+            if not present:
+                raise ValueError(f"field {spec.name!r}: numeric/date field missing from raw values")
+            block[0] = oracle_scale_scalar(spec, raw[spec.name])
+        pos += spec.width
+    return out
+
+
+def encoding(fn, schema, raw):
+    """What fn does with raw: the vector's bytes or the exception's type and message, and every
+    warning with the file and line it points at. Both encoders are called from the one line below."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = fn(schema, raw).tobytes()
+        except Exception as exc:  # noqa: BLE001 -- the oracle's exception is the expectation
+            result = type(exc), str(exc)
+    return result, [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
+
+
+VOCABULARY = st.lists(st.text("abcd", min_size=1, max_size=2), min_size=1, max_size=4, unique=True).map(tuple)
+FIELD_KINDS = ("one_hot", "hashed one_hot", "multi_hot", "hashed multi_hot", "numeric", "date")
+
+
+@st.composite
+def schemas(draw):
+    """A schema of one to five fields of every kind, named f0, f1, ..."""
+    fields = []
+    for k, kind in enumerate(draw(st.lists(st.sampled_from(FIELD_KINDS), min_size=1, max_size=5))):
+        if kind.startswith("hashed"):
+            fields.append(FieldSpec(f"f{k}", kind.split()[1], buckets=draw(st.integers(1, 6))))
+        elif kind.endswith("hot"):
+            fields.append(FieldSpec(f"f{k}", kind, values=draw(VOCABULARY)))
+        else:
+            lo = draw(st.floats(-100, 100))
+            fields.append(FieldSpec(f"f{k}", kind, lo=lo, hi=lo + draw(st.floats(0.5, 100))))
+    return FeatureSchema(tuple(fields))
+
+
+# values no field takes: not strings, unhashable, or numpy strings (a 0-d one equals its text)
+ODD_VALUES = st.one_of(st.none(), st.integers(-3, 3), st.floats(), st.binary(max_size=2),
+                       st.lists(st.text("ab", max_size=1), max_size=2), st.dictionaries(st.text("a"), st.integers(), max_size=1),
+                       st.sampled_from([np.array("a"), np.array(["a", "b"]), np.str_("a")]))
+
+
+def raw_values(spec):
+    """A raw value for spec: a fitting one, or one out of range, NaN, ±inf, text, or of no fitting type."""
+    if spec.kind in ("numeric", "date"):
+        return st.one_of(st.floats(spec.lo - 10, spec.hi + 10), st.floats(), st.floats().map(np.float64),
+                         st.integers(-200, 200), st.sampled_from(["7.5", "abc", "1e309", "nan", "-inf", ""]), ODD_VALUES)
+    words = st.sampled_from(spec.values or ("a",)) | st.text("abcdz", max_size=2)
+    if spec.kind == "one_hot":
+        return words | ODD_VALUES
+    return words | st.lists(words | ODD_VALUES, max_size=4) | st.tuples(words, words) | ODD_VALUES
+
+
+@st.composite
+def raw_dicts(draw, schema):
+    """A raw dict for schema; each field missing one time in four."""
+    return {f.name: draw(raw_values(f)) for f in schema.fields if draw(st.integers(0, 3))}
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), schema=schemas())
+def test_a_plan_encodes_like_the_field_by_field_encoder(data, schema):
+    for _ in range(3):
+        raw = data.draw(raw_dicts(schema), label="raw")
+        want = encoding(oracle_encode, schema, raw)
+        assert encoding(encode, schema, raw) == want
+        assert all(filename == __file__ for *_, filename, _ in want[1])  # the clamp warning names encode's caller
+
+
+def test_every_entity_of_the_standard_pair_encodes_like_the_field_by_field_encoder():
+    ds_a, ds_b, _ = synth_pair()
+    for ds in (ds_a, ds_b):
+        for table, schema in ((ds.user_features, ds.user_schema), (ds.item_features, ds.item_schema)):
+            for raw in table.values():
+                assert encode(schema, raw).tobytes() == oracle_encode(schema, raw).tobytes()
+
+
+# one part of a schema line, changed: any text, a kind, another field's name, or a spec
+LINE_PARTS = SCHEMA_TEXT | st.sampled_from([*KINDS, "f0", "f1", "f2", "hash:3", "hash:0", "hash:x", "a|b", "a|a", "b",
+                                            "0:1", "1:0", "nan:1", "0:inf", "-5.5:2", "3", ""])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), schema=schemas())
+def test_a_schema_text_with_one_changed_line_reads_back_and_encodes_like_the_oracle_or_names_the_line(data, schema):
+    lines = schema_to_text(schema).splitlines()
+    ln = data.draw(st.integers(0, len(lines) - 1), label="line")
+    parts = lines[ln].split(",", 2)  # name, kind, spec
+    parts[data.draw(st.integers(0, 2), label="part")] = data.draw(LINE_PARTS, label="new")
+    lines[ln] = ",".join(parts)
+    text = "\n".join(lines) + "\n"
+    try:
+        back = parse_schema(text)
+    except ValueError as exc:
+        # a part with line breaks makes the changed line several
+        named = range(ln + 1, ln + 1 + max(1, len(lines[ln].splitlines())))
+        if str(exc) == "schema text contains no fields":  # nothing left to blame a line for
+            assert all(not line.strip() or line.strip().startswith("#") for line in text.splitlines())
+        else:
+            assert re.match(r"schema line \d+: ", str(exc)), str(exc)
+            assert any(int(n) in named for n in re.findall(r"line (\d+)", str(exc))), (str(exc), ln)
+        return
+    assert parse_schema(schema_to_text(back)) == back
+    for _ in range(2):
+        raw = data.draw(raw_dicts(back), label="raw")
+        assert encoding(encode, back, raw) == encoding(oracle_encode, back, raw)
 
 
 def write_interactions(path, rows):

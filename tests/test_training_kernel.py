@@ -614,9 +614,12 @@ def test_fold_models_own_their_arrays_and_leave_the_warm_map(partial_pair, cv_pr
     warm = cv_prepared.warm_map.x.copy()
     models, *_ = cv_fold_models(monkeypatch, partial_pair, small_config(epochs=2), cv_prepared)
     assert cv_prepared.warm_map.x.tobytes() == warm.tobytes()
+    # each model owns its map and its scorer buffer, and every scorer layer is a view of that buffer
+    assert all(dm.maps[(0, 1)].x.flags.owndata and dm.params.flags.owndata for dm in models)
+    assert all(np.shares_memory(a, dm.params) for dm in models for dom in dm.domains for l in dom.scorer.layers
+               for a in (l.weights, l.bias))
     trained = [[dm.maps[(0, 1)].x] + [a for dom in dm.domains for l in dom.scorer.layers for a in (l.weights, l.bias)]
                for dm in models]
-    assert all(a.flags.owndata for arrays in trained for a in arrays)
     before = [a.copy() for a in trained[1]]
     for a in trained[0]:
         a[...] = 0.0
