@@ -2,7 +2,7 @@
 
 Subpackages:
 
-- ``numeric``: dense layers, manual backprop, SGD, gradient checking
+- ``numeric``: one stacked dense-layer kernel with manual backprop, seeded RNG streams
 - ``features``: schemas, encoding, CSV ingestion, k-fold, synthetic pairs
 - ``autoencoder``: per-(domain, entity) feature embedding autoencoders
 - ``mapping``: orthogonal map between user-embedding spaces

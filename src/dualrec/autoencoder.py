@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from dualrec.numeric import (
-    DenseLayer, FlatStack, check_finite_step, dense_layer, flat_params, layer_forward, lockstep_steps, make_rng,
+    DenseLayer, FlatStack, check_finite_step, dense_layer, dense_stack, flat_params, lockstep_steps, make_rng,
     stack_backward, stack_forward,
 )
 
@@ -59,6 +59,10 @@ class Autoencoder:
     @property
     def input_dim(self) -> int:
         return self.encoder.n_in
+
+    @property
+    def name(self) -> str:  # as errors name it
+        return f"the {self.entity} autoencoder" + (f" of domain {self.domain}" if self.domain else "")
 
 
 def new_autoencoder(input_dim: int, embed_dim: int, seed: int, domain: str = "", entity: str = "user") -> Autoencoder:
@@ -87,8 +91,7 @@ def _stream_tag(domain: str, entity: str) -> int:
 def reconstruction_loss(ae: Autoencoder, vectors: np.ndarray) -> float:
     """Mean over vectors of the squared L2 reconstruction error."""
     xb = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
-    emb, _ = layer_forward(ae.encoder, xb)
-    rec, _ = layer_forward(ae.decoder, emb)
+    rec = _forward(ae, (ae.encoder, ae.decoder), xb, "")
     return float(np.mean(np.sum((xb - rec) ** 2, axis=1)))
 
 
@@ -159,7 +162,7 @@ def _train_stack(xs, tags, embed_dim, lr, epochs, batch_size, seed, trace):
     """The lockstep kernel: K autoencoders on corpora xs of one width, longest first."""
     aes = [new_autoencoder(xs[0].shape[1], embed_dim, seed, domain, entity) for domain, entity in tags]
     stack = stack_autoencoders(aes)  # while training, each autoencoder's layers are views of its slice
-    names = [f"the {entity} autoencoder" + (f" of domain {domain}" if domain else "") for domain, entity in tags]
+    names = [ae.name for ae in aes]
     counts = [len(x) for x in xs]
     keys = [(_stream_tag(domain, entity), n) for (domain, entity), n in zip(tags, counts)]
     flat = np.concatenate(xs)  # corpus k's rows start at row firsts[k]
@@ -226,13 +229,23 @@ def ae_encode(ae: Autoencoder, v: np.ndarray) -> np.ndarray:
     """Deterministic encoder forward pass; accepts one vector or a batch of rows."""
     if not ae.trained:
         raise RuntimeError("autoencoder is untrained; train it before encoding")
-    out, _ = layer_forward(ae.encoder, np.asarray(v, dtype=np.float64))
-    return out
+    return _forward(ae, (ae.encoder,), v, "")
 
 
 def ae_decode(ae: Autoencoder, e: np.ndarray) -> np.ndarray:
-    out, _ = layer_forward(ae.decoder, np.asarray(e, dtype=np.float64))
-    return out
+    """Decoder forward pass; accepts one embedding or a batch of rows."""
+    return _forward(ae, (ae.decoder,), e, "'s decoder")
+
+
+def _forward(ae: Autoencoder, layers, x, part: str) -> np.ndarray:
+    """The layers of ae as one `stack_forward` on rows x (n, width), or on one row (width,) run as a
+    (1, width) batch, since a 1-row product's bits follow its layout, and returned 1-D. A width the
+    first layer does not take raises ValueError naming ae and part."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape[-1:] != layers[0].weights.shape[1:]:
+        raise ValueError(f"{ae.name}{part} takes {layers[0].n_in} columns, got {x.shape[-1] if x.ndim else 'a scalar'}")
+    y, _ = stack_forward(dense_stack(layers), x if x.ndim > 1 else x[None])
+    return y if x.ndim > 1 else y[0]
 
 
 # ---------------------------------------------------------------------------

@@ -70,8 +70,8 @@ from dualrec.autoencoder import Autoencoder, ae_encode, autoencoder_arrays, auto
 from dualrec.features import DomainDataset, FeatureSchema, encode, parse_schema, schema_to_text
 from dualrec.mapping import OrthogonalMap, align_map, init_map, ortho_penalty, project_orthogonal
 from dualrec.numeric import (
-    DenseLayer, check_finite_step, dense_layer, flat_params, layer_views, lockstep_steps, make_rng, stack_backward,
-    stack_forward, view_layers,
+    DenseLayer, check_finite_step, dense_layer, dense_stack, flat_params, layer_views, lockstep_steps, make_rng,
+    stack_backward, stack_forward, view_layers,
 )
 
 _L_RS_INIT = 0x5C07
@@ -161,7 +161,7 @@ def make_rating_model(embed_dim: int, seed: int, domain_index: int, hidden: tupl
 def model_forward(model: RatingModel, x: np.ndarray):
     """The scorer on rows x (n, 2d), each a user and an item embedding side by
     side: (scores (n, 1), caches), as `stack_forward` gives them."""
-    return stack_forward([(l.weights, l.bias, l.activation) for l in model.layers], x)
+    return stack_forward(dense_stack(model.layers), x)
 
 
 def score(model: RatingModel, user_emb: np.ndarray, item_emb: np.ndarray) -> float:
@@ -270,9 +270,9 @@ class DualModel:
         return self.domains[0].ae_user.embed_dim
 
     def index(self, domain) -> int:
-        """The index of a domain given by index or by letter."""
+        """The index of a domain given by index (an integer, never a bool) or by letter."""
         n = len(self.domains)
-        if domain in range(n):
+        if isinstance(domain, (int, np.integer)) and not isinstance(domain, bool) and domain in range(n):
             return int(domain)
         letters = [_letter(k) for k in range(n)]
         if isinstance(domain, str) and domain.lower() in letters:
@@ -352,9 +352,15 @@ def predict_from_embeddings(dm: DualModel, domain, user_emb: np.ndarray, item_em
     row j != k holds (cross_matrix(j, k) @ u, i) for partner j's. At an
     effective alpha of 0 only row k runs, through the slice k:k+1 of the same
     layers. The blend is (1 - alpha) * y[k] + alpha / (n - 1) * cross, where
-    cross sums y[j] for j != k in index order, from 0.0.
+    cross sums y[j] for j != k in index order, from 0.0. An embedding of
+    another shape than (embed_dim,) raises ValueError naming it.
     """
-    return _hybrid(dm, dm.index(domain), user_emb, item_emb, in_overlap)
+    k = dm.index(domain)
+    for entity, emb in (("user", user_emb), ("item", item_emb)):
+        if np.shape(emb) != (dm.embed_dim,):
+            raise ValueError(f"the {entity} embedding of domain {_letter(k)} has shape {np.shape(emb)}, "
+                             f"expected ({dm.embed_dim},)")
+    return _hybrid(dm, k, user_emb, item_emb, in_overlap)
 
 
 def _hybrid(dm: DualModel, k: int, user_emb, item_emb, in_overlap: bool) -> float:

@@ -3,12 +3,14 @@
 Matrices are plain 2-D float64 numpy arrays (row-major); vectors are 1-D
 float64 arrays.  Everything downstream (autoencoders, rating scorers, the
 orthogonal mapping, the NMF lab) builds on the handful of operations here:
-dense-layer forward/backward with exact analytic gradients, a stable
+one stacked dense-layer kernel with exact analytic gradients, a stable
 sigmoid and the one finite check each training step runs. The training
 loops apply their SGD updates in place.
 
-The training kernels run stacks of same-shaped networks as one program:
-:func:`stack_forward` and :func:`stack_backward` take layers whose weights
+Every dense network runs through one layer kernel, :func:`stack_forward` and
+:func:`stack_backward`: a single network is the stack of its DenseLayers
+(:func:`dense_stack`) on 2-D rows, and the training kernels run stacks of
+same-shaped networks as one program. Both take layers whose weights
 carry any leading axes (a model axis, a domain axis, a channel axis) and
 batches with the same leading axes. Every slice is the 2-D layer math of that network alone,
 bit for bit: numpy runs one BLAS product per slice, and the reductions run
@@ -125,35 +127,9 @@ def dense_layer(rng: np.random.Generator, n_in: int, n_out: int, activation: str
     return DenseLayer(xavier_uniform(rng, n_out, n_in), np.zeros(n_out), activation)
 
 
-def layer_forward(layer: DenseLayer, x: np.ndarray):
-    """Forward pass.  x is (n_in,) or a batch (n, n_in); returns (y, cache).
-
-    The cache keeps the input and output for :func:`layer_backward`.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    xb = x[None, :] if single else x
-    y = xb @ layer.weights.T
-    y += layer.bias
-    _activate(layer.activation, y)
-    return (y[0] if single else y), (xb, y, single)
-
-
-def layer_backward(layer: DenseLayer, cache, dy: np.ndarray, need_dx: bool = True):
-    """Exact analytic gradients chained with dy.
-
-    Returns (dx, dW, db) with dx matching the forward input's shape and
-    dW, db shaped like the layer parameters. need_dx=False skips dx and
-    returns None for it, for a first layer whose input gradient nothing reads.
-    """
-    xb, y, single = cache
-    dz = _activation_grad(layer.activation, y, dy[None, :] if single else dy)
-    dx = None
-    if need_dx:
-        dx = dz @ layer.weights
-        if single:
-            dx = dx[0]
-    return dx, dz.T @ xb, dz.sum(axis=0)
+def dense_stack(layers) -> list:
+    """DenseLayers as the (weights, bias, activation) layers :func:`stack_forward` runs on 2-D rows."""
+    return [(l.weights, l.bias, l.activation) for l in layers]
 
 
 def layer_views(buf: np.ndarray, layout) -> list:

@@ -3,6 +3,11 @@
 With alpha = 0 the dual loop must follow this trajectory bit for bit, since
 both draw the scorer init and the batch shuffles from the same streams; and
 each autoencoder trained alone must equal its slice of the lockstep stack.
+
+The scorer runs on the per-layer oracle below, the tests' one reference for
+the layer math: one dense layer at a time, with shape checks, fresh arrays,
+a sign-masked sigmoid and relu's mask taken from the pre-activation. The
+package's stacked kernel must give its bits.
 """
 
 import dataclasses
@@ -12,7 +17,55 @@ import numpy as np
 from dualrec.autoencoder import ae_encode, train_autoencoder
 from dualrec.dualmodel import _L_SHUFFLE, RatingModel, Rows, entity_vectors, make_rating_model, prepare_domain
 from dualrec.features import DomainDataset, encode
-from dualrec.numeric import check_finite_step, layer_backward, layer_forward, make_rng
+from dualrec.numeric import DenseLayer, check_finite_step, make_rng
+
+
+def oracle_sigmoid(z):
+    """The sign-masked sigmoid: 1 / (1 + exp(-z)) where z >= 0, exp(z) / (1 + exp(z)) elsewhere."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def layer_forward(layer: DenseLayer, x: np.ndarray):
+    """One dense layer on rows x (n, n_in), or on one row (n_in,) run as a
+    (1, n_in) batch and returned 1-D, with fresh arrays throughout: (y, cache
+    for `layer_backward`). A width the layer does not take raises ValueError."""
+    x = np.asarray(x, dtype=np.float64)
+    xb = np.atleast_2d(x)
+    if x.ndim not in (1, 2) or xb.shape[1] != layer.n_in:
+        raise ValueError("layer input shape incompatible with weights")
+    z = xb @ layer.weights.T + layer.bias
+    if layer.activation == "sigmoid":
+        y = oracle_sigmoid(z)
+    elif layer.activation == "relu":
+        y = np.maximum(z, 0.0)
+    else:
+        y = z
+    return (y[0] if x.ndim == 1 else y), (xb, z, y, x.ndim == 1)
+
+
+def layer_backward(layer: DenseLayer, cache, dy: np.ndarray, need_dx: bool = True):
+    """The layer's gradients chained with dy, shaped like the forward's output:
+    (dx shaped like its input, dW, db), relu's mask from the pre-activation.
+    need_dx=False returns None for dx."""
+    xb, z, y, single = cache
+    dz = np.atleast_2d(dy)
+    if dz.shape != z.shape or single != (dy.ndim == 1):
+        raise ValueError("dy shape does not match forward output")
+    if layer.activation == "sigmoid":
+        dz = dz * (y * (1.0 - y))
+    elif layer.activation == "relu":
+        dz = dz * (z > 0).astype(np.float64)
+    dx = None
+    if need_dx:
+        dx = dz @ layer.weights
+        if single:
+            dx = dx[0]
+    return dx, dz.T @ xb, dz.sum(axis=0)
 
 
 def model_forward(model: RatingModel, x: np.ndarray):

@@ -13,11 +13,13 @@ from dualrec.autoencoder import (
     ae_encode,
     loss_and_grads,
     new_autoencoder,
+    reconstruction_loss,
     stack_autoencoders,
     train_autoencoder,
 )
 from dualrec.numeric import FlatStack, make_rng, sigmoid
 from gradcheck import grad_check
+from single_domain import layer_forward
 
 
 def fixture_corpus(n=50, dim=20, seed=21):
@@ -119,3 +121,47 @@ class TestEncodeDecode:
         ae, x, _ = trained
         emb = ae_encode(ae, x)
         assert np.all(emb > 0.0) and np.all(emb < 1.0)
+
+    @pytest.mark.parametrize("rows", [None, 1, 7])
+    def test_encode_and_decode_give_the_bits_of_the_per_layer_oracle(self, trained, rows):
+        # one row (width,) runs as a (1, width) batch and comes back 1-D
+        ae, x, _ = trained
+        v = x[0] if rows is None else x[:rows]
+        emb = ae_encode(ae, v)
+        assert emb.shape == (*v.shape[:-1], 8)
+        assert emb.tobytes() == layer_forward(ae.encoder, v)[0].tobytes()
+        rec = ae_decode(ae, emb)
+        assert rec.shape == v.shape
+        assert rec.tobytes() == layer_forward(ae.decoder, emb)[0].tobytes()
+
+
+class TestWidthMismatch:
+    """Each entry point names the autoencoder, the part and both widths."""
+
+    @pytest.fixture()
+    def ae(self):
+        ae = new_autoencoder(20, 8, seed=0, domain="a", entity="user")
+        ae.trained = True
+        return ae
+
+    @pytest.mark.parametrize("x", [np.zeros(19), np.zeros((3, 19))])
+    def test_encode(self, ae, x):
+        with pytest.raises(ValueError, match=r"^the user autoencoder of domain a takes 20 columns, got 19$"):
+            ae_encode(ae, x)
+
+    @pytest.mark.parametrize("e", [np.zeros(7), np.zeros((3, 9))])
+    def test_decode(self, ae, e):
+        with pytest.raises(ValueError, match=rf"^the user autoencoder of domain a's decoder takes 8 columns, "
+                                             rf"got {e.shape[-1]}$"):
+            ae_decode(ae, e)
+
+    def test_reconstruction_loss(self, ae):
+        with pytest.raises(ValueError, match=r"^the user autoencoder of domain a takes 20 columns, got 19$"):
+            reconstruction_loss(ae, np.zeros((3, 19)))
+
+    def test_an_autoencoder_without_a_domain_names_its_entity(self):
+        ae = new_autoencoder(20, 8, seed=0, entity="item")
+        with pytest.raises(ValueError, match=r"^the item autoencoder takes 20 columns, got 21$"):
+            reconstruction_loss(ae, np.zeros((2, 21)))
+        with pytest.raises(ValueError, match=r"^the item autoencoder's decoder takes 8 columns, got a scalar$"):
+            ae_decode(ae, 0.0)

@@ -706,6 +706,26 @@ class TestMultiDomain:
         with pytest.raises(ValueError, match=r"^unknown domain 'd', expected 'a'/'b'/'c' or 0/1/2$"):
             predict_from_embeddings(dm, "d", u, i)
 
+    @pytest.mark.parametrize("domain", [True, False, 1.0, 0.0, np.float64(2.0), np.bool_(True), 1.5])
+    def test_a_bool_or_a_number_that_is_not_integral_is_no_domain(self, domain):
+        dm = three_domain_model(alpha=0.1)
+        with pytest.raises(ValueError, match=r"^unknown domain .*, expected 'a'/'b'/'c' or 0/1/2$"):
+            dm.index(domain)
+
+    def test_a_numpy_integer_is_a_domain(self):
+        assert three_domain_model(alpha=0.1).index(np.int64(2)) == 2
+
+    @pytest.mark.parametrize("entity, user, item, shape", [
+        ("user", np.zeros(2), np.zeros(3), (2,)), ("item", np.zeros(3), np.zeros(4), (4,)),
+        ("user", np.zeros((1, 3)), np.zeros(3), (1, 3)),
+    ])
+    def test_an_embedding_of_another_width_names_its_part_and_both_widths(self, entity, user, item, shape):
+        dm = three_domain_model(alpha=0.1)
+        for in_overlap in (True, False):
+            with pytest.raises(ValueError, match=rf"^the {entity} embedding of domain b has shape "
+                                                 rf"{re.escape(str(shape))}, expected \(3,\)$"):
+                predict_from_embeddings(dm, "b", user, item, in_overlap)
+
 
 # ---------------------------------------------------------------------------
 # the scorer buffer: however a model gets its arrays, a prediction reads its layers

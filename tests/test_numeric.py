@@ -1,10 +1,13 @@
 """Dense layer and backprop kernel tests.
 
-Analytic gradients are checked against central finite differences; a layer's
-affine map against a naive triple-loop oracle computed here, independently of
-numpy's BLAS path. tests/test_training_kernel.py checks the sigmoid against
-the sign-masked form it replaced. The training loops apply the SGD step in
-place; TestSgdStep checks it through one step of the autoencoder's loop.
+Every layer runs through the one stacked kernel, a single DenseLayer as a
+one-layer stack. Analytic gradients are checked against central finite
+differences; a layer's affine map against a naive triple-loop oracle computed
+here, independently of numpy's BLAS path; and every slice of a stack against
+the per-layer oracle of tests/single_domain.py, bit for bit.
+tests/test_training_kernel.py checks the sigmoid against the sign-masked form
+it replaced. The training loops apply the SGD step in place; TestSgdStep
+checks it through one step of the autoencoder's loop.
 """
 
 import numpy as np
@@ -18,8 +21,7 @@ from dualrec.numeric import (
     _activation_grad,
     check_finite_step,
     dense_layer,
-    layer_backward,
-    layer_forward,
+    dense_stack,
     layer_views,
     lockstep_steps,
     make_rng,
@@ -28,6 +30,7 @@ from dualrec.numeric import (
     stack_forward,
 )
 from gradcheck import grad_check
+from single_domain import layer_backward, layer_forward
 
 
 def triple_loop_matmul(a, b):
@@ -63,17 +66,32 @@ class TestSigmoid:
         assert np.isnan(sigmoid(np.array([np.nan, 1.0, -np.nan]))).tolist() == [True, False, True]
 
 
+def gradient_views(dense):
+    """Views of a fresh gradient buffer laid out like DenseLayers dense, as `stack_backward` writes them."""
+    layout = [(l.n_in, l.n_out, l.activation) for l in dense]
+    return layer_views(np.full(sum(o * (i + 1) for i, o, _ in layout), np.nan), layout)
+
+
+def layer_grads(layer, caches, dy, need_dx=True):
+    """One-layer `stack_backward` of a DenseLayer: (dx, dW, db), db shaped like the bias."""
+    ((dw, db, _),) = grads = gradient_views([layer])
+    dx = stack_backward(dense_stack([layer]), caches, dy, grads, need_dx)
+    return dx, dw, db[0]
+
+
 class TestLayerForward:
+    """One DenseLayer as a one-layer `stack_forward` on rows (n, n_in)."""
+
     def test_identity_activation_identity_weights(self):
         layer = DenseLayer(np.eye(3), np.zeros(3), "identity")
-        x = np.array([1.5, -2.0, 0.25])
-        y, _ = layer_forward(layer, x)
+        x = np.array([[1.5, -2.0, 0.25]])
+        y, _ = stack_forward(dense_stack([layer]), x)
         np.testing.assert_array_equal(y, x)
 
     def test_sigmoid_zero_weights_gives_half(self):
         layer = DenseLayer(np.zeros((4, 3)), np.zeros(4), "sigmoid")
-        y, _ = layer_forward(layer, np.array([9.0, -9.0, 2.0]))
-        np.testing.assert_array_equal(y, np.full(4, 0.5))
+        y, _ = stack_forward(dense_stack([layer]), np.array([[9.0, -9.0, 2.0]]))
+        np.testing.assert_array_equal(y, np.full((1, 4), 0.5))
 
     @pytest.mark.parametrize("activation", ["identity", "sigmoid", "relu"])
     def test_random_layer_matches_direct_formula(self, activation):
@@ -81,7 +99,7 @@ class TestLayerForward:
         layer = dense_layer(rng, 5, 4, activation)
         layer.bias = rng.normal(size=4)  # nonzero bias to exercise that path
         x = rng.normal(size=5)
-        y, _ = layer_forward(layer, x)
+        y, _ = stack_forward(dense_stack([layer]), x[None])
         z = layer.weights @ x + layer.bias
         if activation == "identity":
             want = z
@@ -89,47 +107,47 @@ class TestLayerForward:
             want = 1.0 / (1.0 + np.exp(-z))
         else:
             want = np.maximum(z, 0.0)
-        np.testing.assert_allclose(y, want, atol=1e-12)
+        np.testing.assert_allclose(y[0], want, atol=1e-12)
 
     def test_batch_agrees_with_per_row_calls(self):
         rng = make_rng(11)
-        layer = dense_layer(rng, 3, 2, "sigmoid")
+        layers = dense_stack([dense_layer(rng, 3, 2, "sigmoid")])
         xb = rng.normal(size=(6, 3))
-        yb, _ = layer_forward(layer, xb)
+        yb, _ = stack_forward(layers, xb)
         for i in range(6):
-            yi, _ = layer_forward(layer, xb[i])
+            yi, _ = stack_forward(layers, xb[i : i + 1])
             # batched and single-row matmuls may take different BLAS kernels
-            np.testing.assert_allclose(yb[i], yi, atol=1e-12)
+            np.testing.assert_allclose(yb[i], yi[0], atol=1e-12)
 
     def test_identity_layer_matches_triple_loop_oracle(self):
         rng = make_rng(42)
         layer = DenseLayer(rng.normal(size=(3, 4)), rng.normal(size=3), "identity")
         xb = rng.normal(size=(5, 4))
-        y, _ = layer_forward(layer, xb)
+        y, _ = stack_forward(dense_stack([layer]), xb)
         want = triple_loop_matmul(xb, layer.weights.T) + layer.bias
         assert np.max(np.abs(y - want)) <= 1e-12
 
     def test_wrong_width_rejected(self):
         layer = DenseLayer(np.eye(3), np.zeros(3), "identity")
         with pytest.raises(ValueError):
-            layer_forward(layer, np.ones(4))
+            stack_forward(dense_stack([layer]), np.ones((1, 4)))
 
 
 class TestLayerBackward:
+    """One DenseLayer's gradients as a one-layer `stack_backward`."""
+
     def test_identity_unit_dy_picks_weight_row(self):
         rng = make_rng(5)
         layer = dense_layer(rng, 4, 3, "identity")
-        x = rng.normal(size=4)
-        _, cache = layer_forward(layer, x)
-        dy = np.array([1.0, 0.0, 0.0])
-        dx, _, _ = layer_backward(layer, cache, dy)
-        np.testing.assert_array_equal(dx, layer.weights[0])
+        _, caches = stack_forward(dense_stack([layer]), rng.normal(size=(1, 4)))
+        dx, _, _ = layer_grads(layer, caches, np.array([[1.0, 0.0, 0.0]]))
+        np.testing.assert_array_equal(dx[0], layer.weights[0])
 
     def test_zero_dy_gives_zero_gradients(self):
         rng = make_rng(6)
         layer = dense_layer(rng, 4, 3, "sigmoid")
-        _, cache = layer_forward(layer, rng.normal(size=4))
-        dx, dW, db = layer_backward(layer, cache, np.zeros(3))
+        _, caches = stack_forward(dense_stack([layer]), rng.normal(size=(1, 4)))
+        dx, dW, db = layer_grads(layer, caches, np.zeros((1, 3)))
         assert not dx.any() and not dW.any() and not db.any()
 
     @pytest.mark.parametrize("activation", ["identity", "sigmoid", "relu"])
@@ -138,15 +156,15 @@ class TestLayerBackward:
         n_in, n_out = 4, 3
         w0 = rng.normal(size=(n_out, n_in))
         b0 = rng.normal(size=n_out)
-        x0 = rng.normal(size=n_in) + 0.05  # keep relu away from its kink
-        c = rng.normal(size=n_out)  # fixed projection makes the loss scalar
+        x0 = rng.normal(size=(1, n_in)) + 0.05  # keep relu away from its kink
+        c = rng.normal(size=(1, n_out))  # fixed projection makes the loss scalar
 
         def loss_and_grad(params):
             w, b, x = params
             layer = DenseLayer(w, b, activation)
-            y, cache = layer_forward(layer, x)
-            dx, dW, db = layer_backward(layer, cache, c)
-            return float(c @ y), [dW, db, dx]
+            y, caches = stack_forward(dense_stack([layer]), x)
+            dx, dW, db = layer_grads(layer, caches, c)
+            return float((c * y).sum()), [dW, db, dx]
 
         assert grad_check(loss_and_grad, [w0, b0, x0]) <= 1e-4
 
@@ -154,14 +172,14 @@ class TestLayerBackward:
         rng = make_rng(9)
         layer = dense_layer(rng, 3, 2, "identity")
         xb = rng.normal(size=(4, 3))
-        _, cache = layer_forward(layer, xb)
+        _, caches = stack_forward(dense_stack([layer]), xb)
         dyb = rng.normal(size=(4, 2))
-        _, dW, db = layer_backward(layer, cache, dyb)
+        _, dW, db = layer_grads(layer, caches, dyb)
         dW_sum = np.zeros_like(dW)
         db_sum = np.zeros_like(db)
         for i in range(4):
-            _, cache_i = layer_forward(layer, xb[i])
-            _, dW_i, db_i = layer_backward(layer, cache_i, dyb[i])
+            _, caches_i = stack_forward(dense_stack([layer]), xb[i : i + 1])
+            _, dW_i, db_i = layer_grads(layer, caches_i, dyb[i : i + 1])
             dW_sum += dW_i
             db_sum += db_i
         np.testing.assert_allclose(dW, dW_sum, atol=1e-12)
@@ -170,10 +188,10 @@ class TestLayerBackward:
     def test_skipping_dx_keeps_the_parameter_gradients(self):
         rng = make_rng(10)
         layer = dense_layer(rng, 3, 2, "relu")
-        _, cache = layer_forward(layer, rng.normal(size=(4, 3)))
+        _, caches = stack_forward(dense_stack([layer]), rng.normal(size=(4, 3)))
         dyb = rng.normal(size=(4, 2))
-        dx, dW, db = layer_backward(layer, cache, dyb, need_dx=False)
-        _, dW_full, db_full = layer_backward(layer, cache, dyb)
+        dx, dW, db = layer_grads(layer, caches, dyb, need_dx=False)
+        _, dW_full, db_full = layer_grads(layer, caches, dyb)
         assert dx is None
         np.testing.assert_array_equal(dW, dW_full)
         np.testing.assert_array_equal(db, db_full)
@@ -279,14 +297,12 @@ class TestGradCheck:
 
         def mlp(params):
             w1_, b1_, w2_, b2_ = params
-            l1 = DenseLayer(w1_, b1_, "sigmoid")
-            l2 = DenseLayer(w2_, b2_, "sigmoid")
-            h, c1 = layer_forward(l1, x)
-            y, c2 = layer_forward(l2, h)
-            loss = float(y[0] ** 2)
-            dh, dW2, db2 = layer_backward(l2, c2, np.array([2.0 * y[0]]))
-            _, dW1, db1 = layer_backward(l1, c1, dh)
-            return loss, [dW1, db1, dW2, db2]
+            dense = [DenseLayer(w1_, b1_, "sigmoid"), DenseLayer(w2_, b2_, "sigmoid")]
+            y, caches = stack_forward(dense_stack(dense), x[None])
+            grads = gradient_views(dense)
+            stack_backward(dense_stack(dense), caches, 2.0 * y, grads, need_dx=False)
+            (dW1, db1, _), (dW2, db2, _) = grads
+            return float(y[0, 0] ** 2), [dW1, db1[0], dW2, db2[0]]
 
         assert grad_check(mlp, [w1, b1, w2, b2]) <= 1e-4
 
@@ -342,7 +358,7 @@ SCORER_LAYOUT = ((16, 16, "relu"), (16, 8, "relu"), (8, 1, "sigmoid"))
 
 
 class TestStackKernel:
-    """stack_forward/stack_backward against the 2-D layer kernel, slice by slice,
+    """stack_forward/stack_backward against the per-layer oracle, slice by slice,
     and the in-place kernels on flat-buffer views against fresh products."""
 
     def test_each_slice_is_the_2d_layer_math_bit_for_bit(self):
@@ -397,14 +413,14 @@ class TestStackKernel:
                 assert db.tobytes() == want_db.tobytes()
 
     @pytest.mark.parametrize("activation", ["identity", "sigmoid", "relu"])
-    @pytest.mark.parametrize("shape", [(16,), (1, 16), (40, 16)])
+    @pytest.mark.parametrize("shape", [(1, 16), (40, 16)])
     def test_in_place_layer_forward_gives_the_bits_of_the_formula(self, activation, shape):
         rng = make_rng(47, len(shape))
         layer = DenseLayer(rng.normal(size=(8, 16)), rng.normal(size=8), activation)
         x = rng.normal(size=shape) * 4.0
-        y, _ = layer_forward(layer, x)
-        want, _ = fresh_stack_forward([(layer.weights, layer.bias, activation)], np.atleast_2d(x))
-        assert y.tobytes() == (want[0] if x.ndim == 1 else want).tobytes()
+        y, _ = stack_forward(dense_stack([layer]), x)
+        want, _ = fresh_stack_forward([(layer.weights, layer.bias, activation)], x)
+        assert y.tobytes() == want.tobytes()
 
     def test_relu_mask_from_the_output_is_the_mask_from_the_pre_activation(self):
         z = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 1e-300, -1e-300, 3.0, -3.0])

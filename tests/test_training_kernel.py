@@ -2,7 +2,8 @@
 
 The oracle below is the earlier implementation of both training loops, kept
 here verbatim in behaviour: one model at a time, per-layer forward and
-backward calls with shape checks, a sign-masked sigmoid, gradients summed
+backward calls with shape checks and a sign-masked sigmoid (the per-layer
+oracle of tests/single_domain.py, which the single-domain oracle runs too), gradients summed
 into zero-filled lists, an SGD step that returns new arrays and checks each
 gradient for finiteness, and a cross channel that is computed and weighted
 by zero when alpha is 0. `train_pair` must give the same bytes with either
@@ -25,46 +26,14 @@ from dualrec.dualmodel import TrainConfig, fit, fit_models, train_pair
 from dualrec.features import synth_pair
 from dualrec.mapping import OrthogonalMap, ortho_penalty, project_orthogonal
 from dualrec.numeric import layer_views, make_rng, sigmoid
-from single_domain import domain_embeddings
+from single_domain import domain_embeddings, oracle_sigmoid
+from single_domain import layer_backward as oracle_layer_backward
+from single_domain import layer_forward as oracle_layer_forward
+from single_domain import model_backward as oracle_model_backward
+from single_domain import model_forward as oracle_model_forward
 
 # ---------------------------------------------------------------------------
 # oracle: the per-layer loop
-
-
-def oracle_sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
-def oracle_layer_forward(layer, xb):
-    if xb.ndim != 2 or xb.shape[1] != layer.n_in:
-        raise ValueError("layer input shape incompatible with weights")
-    z = xb @ layer.weights.T + layer.bias
-    if layer.activation == "sigmoid":
-        y = oracle_sigmoid(z)
-    elif layer.activation == "relu":
-        y = np.maximum(z, 0.0)
-    else:
-        y = z
-    return y, (xb, z, y)
-
-
-def oracle_layer_backward(layer, cache, dy):
-    xb, z, y = cache
-    if dy.shape != z.shape:
-        raise ValueError("dy shape does not match forward output")
-    if layer.activation == "sigmoid":
-        grad = y * (1.0 - y)
-    elif layer.activation == "relu":
-        grad = (z > 0).astype(np.float64)
-    else:
-        grad = np.ones_like(z)
-    dz = dy * grad
-    return dz @ layer.weights, dz.T @ xb, dz.sum(axis=0)
 
 
 def oracle_sgd_step(params, grads, lr):
@@ -76,23 +45,6 @@ def oracle_sgd_step(params, grads, lr):
             raise FloatingPointError("non-finite gradient in sgd_step")
         out.append(p - lr * g)
     return out
-
-
-def oracle_model_forward(model, x):
-    caches = []
-    for layer in model.layers:
-        x, cache = oracle_layer_forward(layer, x)
-        caches.append(cache)
-    return x, caches
-
-
-def oracle_model_backward(model, caches, dy):
-    grads = []
-    for layer, cache in zip(reversed(model.layers), reversed(caches)):
-        dy, dw, db = oracle_layer_backward(layer, cache, dy)
-        grads.append((dw, db))
-    grads.reverse()
-    return dy, grads
 
 
 def oracle_train_autoencoder(vectors, embed_dim, lr, epochs, batch_size, seed, domain, entity):
@@ -394,9 +346,9 @@ def test_the_standard_autoencoders_train_as_one_stack_with_one_shuffle_per_strea
     assert stacks == ([4] * 6 + [2] * 11) * 2
     # the shuffle draws' epochs: two draws per epoch
     assert [labels[2] for labels in draws if labels[0] == autoencoder._L_AE_SHUFFLE] == [0, 0, 1, 1]
-    # the stack runs only the steps; the guard's full passes, one per corpus (longest first), all
-    # come before the first step: the pipeline asks for no trace
-    assert forwards == stacks
+    # the stack runs only the steps; the guard's full passes, one forward of one corpus's rows each,
+    # one per corpus (longest first), all come before the first step: the pipeline asks for no trace
+    assert forwards == [n for _, _, n, _ in full_passes] + stacks
     assert full_passes == [(ds.domain_name, entity, n, 0) for entity, n in (("user", 500), ("item", 200))
                            for ds in (ds_a, ds_b)]
 
