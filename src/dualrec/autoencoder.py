@@ -2,27 +2,27 @@
 
 Each autoencoder is a one-layer sigmoid encoder plus a one-layer identity
 decoder, trained by mini-batch gradient descent on mean squared
-reconstruction error over one entity corpus. A domain pair uses four of
-them (user/item times two domains). Autoencoders whose corpora have one
-column count (all four of a pair) train in lockstep as one stacked program
+reconstruction error over one entity corpus. A domain pair uses four of them
+(user/item times two domains). Autoencoders whose corpora have one column
+count (all four of a pair) train in lockstep as one stacked program
 (`train_autoencoders`), whatever their row counts: their parameters sit in
 one flat (K, P) buffer (`stack_autoencoders`), longest corpus first. A step
 runs the whole stack while every corpus has rows left, and then one view of
-it (`FlatStack.part`) per run of equal batch sizes (`lockstep_steps`); each is
-one forward pass, one backward pass that writes into one gradient buffer,
-one finite check and one SGD update. Each autoencoder keeps its own init,
-shuffle stream and trace, and every product reads its own corpus's rows
-alone, so no information crosses corpora: each ends bit for bit as it would
-trained alone. Corpora with one stream tag and row count share each epoch's
-shuffle draw. While they train, each autoencoder's layers are views of its
-slice of the stack, so its full-corpus loss is `reconstruction_loss`: the
-pre-training loss, and the per-epoch trace, computed only for callers that
-read it. An epoch whose mean step loss exceeds twice the pre-training
-reconstruction loss stops training with an error that names the autoencoder
-and ae_lr. Training ends by giving each autoencoder copies of its arrays.
-`train_autoencoder` is the kernel for one corpus. Once trained they are
-frozen: downstream training treats embeddings as fixed inputs and never
-updates encoder weights.
+it (`FlatStack.part`) per run of equal batch sizes (`lockstep_steps`); each
+takes its rows with one take, as `dualmodel.fit_models` does, and is one
+forward pass, one backward pass that writes into one gradient buffer, one
+finite check and one SGD update. Each autoencoder keeps its own init, shuffle
+stream and trace, and every product reads its own corpus's rows alone, so no
+information crosses corpora: each ends bit for bit as it would trained alone.
+Corpora with one stream tag and row count share each epoch's shuffle draw.
+While they train, each autoencoder's layers are views of its slice of the
+stack, so its full-corpus loss is `reconstruction_loss`: the pre-training
+loss, and the per-epoch trace, computed only for callers that read it. An
+epoch whose mean step loss exceeds twice the pre-training reconstruction loss
+stops training with an error that names the autoencoder and ae_lr. Training
+ends by giving each autoencoder copies of its arrays. `train_autoencoder` is
+the kernel for one corpus. Once trained they are frozen: downstream training
+treats embeddings as fixed inputs and never updates encoder weights.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ def new_autoencoder(input_dim: int, embed_dim: int, seed: int, domain: str = "",
         raise ValueError(f"embed_dim {embed_dim} exceeds input dim {input_dim}; no bottleneck")
     if embed_dim < 1:
         raise ValueError("embed_dim must be >= 1")
-    rng = make_rng(seed, _L_AE_INIT, _stream_tag(domain, entity))
+    rng = make_rng(seed, _L_AE_INIT, _stream_tag(entity))
     return Autoencoder(
         encoder=dense_layer(rng, input_dim, embed_dim, "sigmoid"),
         decoder=dense_layer(rng, embed_dim, input_dim, "identity"),
@@ -80,11 +80,10 @@ def new_autoencoder(input_dim: int, embed_dim: int, seed: int, domain: str = "",
     )
 
 
-def _stream_tag(domain: str, entity: str) -> int:
+def _stream_tag(entity: str) -> int:
     # keyed by entity only: the paired domains' user (and item) encoders start
     # from identical weights, so on matched corpora they learn mutually
     # readable embedding spaces -- the cross-domain term depends on that
-    del domain
     return zlib.crc32(entity.encode("utf-8"))
 
 
@@ -164,35 +163,24 @@ def _train_stack(xs, tags, embed_dim, lr, epochs, batch_size, seed, trace):
     stack = stack_autoencoders(aes)  # while training, each autoencoder's layers are views of its slice
     names = [ae.name for ae in aes]
     counts = [len(x) for x in xs]
-    keys = [(_stream_tag(domain, entity), n) for (domain, entity), n in zip(tags, counts)]
+    keys = [(_stream_tag(entity), n) for (_, entity), n in zip(tags, counts)]
     flat = np.concatenate(xs)  # corpus k's rows start at row firsts[k]
     firsts = np.cumsum([0, *counts[:-1]]).tolist()
-    # Each epoch's shuffled rows are gathered by one take into one buffer of flat's shape,
-    # laid out step by step: a step's parts, one per run of corpora with equal batch sizes n,
-    # read next stretches of it as (K, n, width) views. Entry r of layout is the position,
-    # among the corpora's shuffled rows laid end to end, of the row the buffer holds at r.
-    shuffled = np.empty_like(flat)
-    steps, layout = [], []
-    for start, runs in lockstep_steps(counts, batch_size):
-        parts = []
-        for s, n in runs:
-            xb = shuffled[len(layout) : len(layout) + (s.stop - s.start) * n].reshape(-1, n, flat.shape[1])
-            parts.append((stack.part(s), s, xb, names[s]))
-            layout.extend(firsts[k] + start + r for k in range(s.start, s.stop) for r in range(n))
-        steps.append(parts)
-    layout = np.array(layout)
+    steps = [(start, [(stack.part(s), s, n, names[s]) for s, n in runs])
+             for start, runs in lockstep_steps(counts, batch_size)]
+    order = np.zeros((len(xs), counts[0]), dtype=np.intp)  # order[k]: corpus k's shuffled rows, as rows of flat
     before = np.array([reconstruction_loss(ae, x) for ae, x in zip(aes, xs)])
     traces: list[list[float]] = [[] for _ in aes]
     for epoch in range(epochs):
         perms = {key: make_rng(seed, _L_AE_SHUFFLE, key[0], epoch).permutation(key[1]) for key in dict.fromkeys(keys)}
-        order = np.concatenate([first + perms[key] for first, key in zip(firsts, keys)])
-        np.take(flat, order[layout], axis=0, out=shuffled)
+        for k, (first, key) in enumerate(zip(firsts, keys)):
+            order[k, : key[1]] = first + perms[key]
         step_losses = np.zeros(len(xs))
-        for parts in steps:
-            for part, s, xb, part_names in parts:
-                loss, grads = loss_and_grads(part, xb, part_names)
+        for start, parts in steps:
+            for part, s, n, part_names in parts:
+                loss, grads = loss_and_grads(part, flat.take(order[s, start : start + n], axis=0), part_names)
                 part.params -= lr * grads
-                step_losses[s] += xb.shape[1] * loss
+                step_losses[s] += n * loss
         mean = step_losses / counts
         over = np.flatnonzero(mean > 2.0 * before)
         if over.size:

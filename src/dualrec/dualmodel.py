@@ -61,17 +61,16 @@ alone bit for bit. `fit` is the kernel at K = 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
 
 from dualrec.autoencoder import Autoencoder, ae_encode, autoencoder_arrays, autoencoder_from_arrays, train_autoencoders
-from dualrec.features import DomainDataset, FeatureSchema, encode, parse_schema, schema_to_text
+from dualrec.features import DomainDataset, FeatureSchema, encode, parse_schema, require_disjoint_items, schema_to_text
 from dualrec.mapping import OrthogonalMap, align_map, init_map, ortho_penalty, project_orthogonal
 from dualrec.numeric import (
-    DenseLayer, check_finite_step, dense_layer, dense_stack, flat_params, layer_views, lockstep_steps, make_rng,
-    stack_backward, stack_forward, view_layers,
+    DenseLayer, check_finite_step, check_integer, dense_layer, dense_stack, flat_params, layer_views, lockstep_steps,
+    make_rng, stack_backward, stack_forward, view_layers,
 )
 
 _L_RS_INIT = 0x5C07
@@ -96,8 +95,8 @@ def check_at_least(cfg, keys, low) -> None:
         value = getattr(cfg, key)
         entries = [(f"{key}[{i}]", v) for i, v in enumerate(value)] if isinstance(value, tuple) else [(key, value)]
         for name, v in entries:
-            if key in integral and (not isinstance(v, Integral) or isinstance(v, bool)):
-                raise ValueError(f"{name}={v} is not an integer")
+            if key in integral:
+                check_integer(name, v)
             if not v >= low:
                 raise ValueError(f"{name}={v} is not a number" if v != v else f"{name}={v} below {low}")
 
@@ -324,6 +323,8 @@ def new_dual_model(
     n = len(encoders)
     d = encoders[0][0].embed_dim
     schemas = schemas or [(None, None)] * n
+    if len(schemas) != n:
+        raise ValueError(f"{n} domains of encoders but {len(schemas)} schema pairs")
     domains = [Domain(make_rating_model(d, seed, k, hidden), *aes, *pair)
                for k, (aes, pair) in enumerate(zip(encoders, schemas))]
     maps = {(j, k): init_map(d, seed, (_letter(j), _letter(k))) for j in range(n) for k in range(j + 1, n)}
@@ -879,6 +880,7 @@ def train_pair(
     gradient through the alpha-weighted cross term is too weak to rotate a
     random X into alignment within any reasonable epoch budget.
     """
+    require_disjoint_items(ds_a, ds_b)
     encoders, warm, table = encode_pair(ds_a, ds_b, cfg, seed)
     dm = new_dual_model(encoders, alpha=cfg.alpha, seed=seed, hidden=cfg.hidden,
                         schemas=[(ds.user_schema, ds.item_schema) for ds in (ds_a, ds_b)])

@@ -28,11 +28,9 @@ alpha = 0 column an exact baseline.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, fields, replace
-from itertools import chain
 
 import numpy as np
 
@@ -45,8 +43,9 @@ from dualrec.dualmodel import (
     new_dual_model,
     predict_batch,
 )
-from dualrec.features import DomainDataset, FoldSplit, kfold, require_disjoint_items
+from dualrec.features import DomainDataset, FoldSplit, kfold, require_disjoint_items, write_csv
 from dualrec.mapping import OrthogonalMap
+from dualrec.numeric import check_integer
 
 
 def _paired(pred, truth):
@@ -78,6 +77,15 @@ class PrecisionRecall:
     users_skipped_for_recall: int
 
 
+def _check_ranking(k, tau: float, name: str = "k") -> None:
+    """Refuse a cutoff k, called name, that is no integer >= 1, and a tau outside (0, 1)."""
+    if not 0.0 < tau < 1.0:
+        raise ValueError(f"tau {tau} outside (0, 1)")
+    check_integer(name, k)
+    if k < 1:
+        raise ValueError(f"{name} must be >= 1")
+
+
 def precision_recall_at_k(user_ids, pred, truth, k: int = 5, tau: float = 0.5) -> PrecisionRecall:
     """User-averaged precision@k and recall@k over scored test items.
 
@@ -87,10 +95,7 @@ def precision_recall_at_k(user_ids, pred, truth, k: int = 5, tau: float = 0.5) -
     user's relevant-item count and skips users who have none (flagged
     undefined when that skips everyone).
     """
-    if not 0.0 < tau < 1.0:
-        raise ValueError(f"tau {tau} outside (0, 1)")
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _check_ranking(k, tau)
     p, t = _paired(pred, truth)
     ids = list(user_ids)
     if len(ids) != p.shape[0]:
@@ -235,6 +240,7 @@ def run_cv(
     datasets, another k or seed, or another embed_dim or ae_* key is
     refused with an error naming the key.
     """
+    _check_ranking(rank_k, tau, "rank_k")  # before anything trains
     if prepared is None:
         prepared = prepare_pair(ds_a, ds_b, cfg, k, seed)
     _check_prepared(prepared, ds_a, ds_b, cfg, k, seed)
@@ -310,6 +316,7 @@ def alpha_sweep(
     budget of cfg.epochs, as the transfer-benefit criterion and demo 05 use.
     """
     configs = [replace(cfg, alpha=float(a)) for a in alphas]  # checks every rate before the first run
+    _check_ranking(rank_k, tau, "rank_k")
     prepared = prepare_pair(ds_a, ds_b, cfg, k, seed)
     return [
         SweepPoint(c.alpha, *run_cv(ds_a, ds_b, c, k=k, seed=seed, rank_k=rank_k, tau=tau, prepared=prepared))
@@ -321,10 +328,6 @@ def alpha_sweep(
 # emission
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def write_report_csv(path, reports) -> None:
     """Per-fold metric rows for one or more domains.
 
@@ -332,27 +335,17 @@ def write_report_csv(path, reports) -> None:
     Undefined recall is written as nan.
     """
     k = reports[0].k
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["domain", "fold", "rmse", "mae", f"precision_at_{k}", f"recall_at_{k}"])
-        for rep in reports:
-            for f in rep.per_fold:
-                w.writerow(
-                    [rep.domain, f.fold, _fmt(f.rmse), _fmt(f.mae), _fmt(f.precision_at_k), _fmt(f.recall_at_k)]
-                )
+    write_csv(path, ["domain", "fold", "rmse", "mae", f"precision_at_{k}", f"recall_at_{k}"],
+              [[rep.domain, f.fold, *map(float, (f.rmse, f.mae, f.precision_at_k, f.recall_at_k))]
+               for rep in reports for f in rep.per_fold])
 
 
 def write_sweep_csv(path, points) -> None:
     """Fold-averaged metrics per (alpha, domain)."""
     k = points[0].report_a.k
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["alpha", "domain", "rmse", "mae", f"precision_at_{k}", f"recall_at_{k}"])
-        for pt in points:
-            for rep in (pt.report_a, pt.report_b):
-                w.writerow(
-                    [_fmt(pt.alpha), rep.domain, _fmt(rep.rmse), _fmt(rep.mae), _fmt(rep.precision_at_k), _fmt(rep.recall_at_k)]
-                )
+    write_csv(path, ["alpha", "domain", "rmse", "mae", f"precision_at_{k}", f"recall_at_{k}"],
+              [[float(pt.alpha), rep.domain, *map(float, (rep.rmse, rep.mae, rep.precision_at_k, rep.recall_at_k))]
+               for pt in points for rep in (pt.report_a, pt.report_b)])
 
 
 def report_summary(reports) -> dict:
@@ -375,19 +368,6 @@ def write_summary_json(path, summary: dict) -> None:
         fh.write("\n")
 
 
-_PLAIN_CELLS = {str, float, int, bool}  # the csv writer writes these as write_trace_csv formats them
-
-
 def write_trace_csv(path, header, rows) -> None:
-    """Generic numeric trace table (loss curves and the like): a string cell
-    as it is, a float (np.float64 too) by the repr of the float it holds,
-    anything else by str. Lists or tuples of plain cells, as the package
-    writes them, go to the csv writer as they are; other rows are formatted
-    cell by cell."""
-    rows = rows if isinstance(rows, list) else list(rows)  # read twice: the type scans, then the writer
-    if not (set(map(type, rows)) <= {list, tuple} and set(map(type, chain.from_iterable(rows))) <= _PLAIN_CELLS):
-        rows = [[x if isinstance(x, str) else _fmt(x) if isinstance(x, float) else str(x) for x in row] for row in rows]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(list(header))
-        w.writerows(rows)
+    """Generic numeric trace table (loss curves and the like), written by `write_csv`."""
+    write_csv(path, header, rows)

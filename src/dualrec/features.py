@@ -28,12 +28,13 @@ import warnings
 import zlib
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from math import isfinite
 
 import numpy as np
 
 from dualrec.mapping import init_map
-from dualrec.numeric import make_rng, sigmoid
+from dualrec.numeric import check_integer, make_rng, sigmoid
 
 KINDS = ("one_hot", "multi_hot", "numeric", "date")
 
@@ -349,6 +350,24 @@ def _read_csv_rows(path, expected_header: list[str]):
             yield ln, row
 
 
+_PLAIN_CELLS = {str, float, int, bool}  # the csv module writes these as write_csv formats them
+
+
+def write_csv(path, header, rows) -> None:
+    """The package's one CSV writer: a string cell as it is, a float (np.float64
+    too) by the repr of the float it holds, anything else by str. Lists or
+    tuples of plain cells go to the csv module as they are; other rows are
+    formatted cell by cell."""
+    rows = rows if isinstance(rows, list) else list(rows)  # read twice: the type scans, then the writer
+    if not (set(map(type, rows)) <= {list, tuple} and set(map(type, chain.from_iterable(rows))) <= _PLAIN_CELLS):
+        rows = [[x if isinstance(x, str) else repr(float(x)) if isinstance(x, float) else str(x) for x in row]
+                for row in rows]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(list(header))
+        w.writerows(rows)
+
+
 def _read_interactions(path) -> tuple[InteractionRecord, ...]:
     records = []
     for ln, (user_id, item_id, rating_s, ts_s) in _read_csv_rows(
@@ -444,6 +463,7 @@ class FoldSplit:
 def kfold(dataset: DomainDataset, k: int, seed: int) -> FoldSplit:
     """Record-stratified split: permute interactions, deal round-robin."""
     n = len(dataset.interactions)
+    check_integer("k", k)
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     if k > n:
@@ -635,31 +655,21 @@ def synth_pair(
 
 def write_domain(dataset: DomainDataset, interactions_path, user_features_path, item_features_path) -> None:
     """Write a domain back out under the same CSV contracts load_domain reads."""
-    with open(interactions_path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["user_id", "item_id", "rating", "timestamp"])
-        for rec in dataset.interactions:
-            ts = "" if rec.timestamp is None else str(rec.timestamp)
-            w.writerow([rec.user_id, rec.item_id, repr(rec.rating), ts])
+    write_csv(interactions_path, ["user_id", "item_id", "rating", "timestamp"],
+              [[r.user_id, r.item_id, r.rating, "" if r.timestamp is None else r.timestamp]
+               for r in dataset.interactions])
     for path, table, schema in (
         (user_features_path, dataset.user_features, dataset.user_schema),
         (item_features_path, dataset.item_features, dataset.item_schema),
     ):
-        multi = {f.name for f in schema.fields if f.kind == "multi_hot"}
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["entity_id", "field", "value"])
-            for eid in sorted(table):
-                raw = table[eid]
-                for spec in schema.fields:
-                    if spec.name not in raw:
-                        continue
-                    val = raw[spec.name]
-                    if spec.name in multi:
-                        vals = [val] if isinstance(val, str) else list(val)
-                        for v in vals:
-                            w.writerow([eid, spec.name, v])
-                    elif spec.kind in ("numeric", "date"):
-                        w.writerow([eid, spec.name, repr(float(val))])
-                    else:
-                        w.writerow([eid, spec.name, val])
+        write_csv(path, ["entity_id", "field", "value"], [
+            [eid, spec.name, v] for eid in sorted(table) for spec in schema.fields if spec.name in table[eid]
+            for v in _field_cells(spec, table[eid][spec.name])
+        ])
+
+
+def _field_cells(spec: FieldSpec, val):
+    """The value cells of one entity's field: one per multi-hot value, numeric and date ones as floats."""
+    if spec.kind == "multi_hot":
+        return [val] if isinstance(val, str) else val
+    return [float(val)] if spec.kind in ("numeric", "date") else [val]

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -61,6 +62,12 @@ def as_vector(v, name: str = "vector") -> np.ndarray:
     if v.ndim != 1:
         raise ValueError(f"{name} must be 1-D, got shape {v.shape}")
     return v
+
+
+def check_integer(name: str, value) -> None:
+    """Raise ValueError naming name unless value is an integer; a bool is none, an np.int64 is one."""
+    if not isinstance(value, Integral) or isinstance(value, bool):
+        raise ValueError(f"{name}={value} is not an integer")
 
 
 def sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -44,6 +44,23 @@ def test_every_span_target_resolves_in_the_package():
     assert missing == GONE, (sorted(missing - GONE), sorted(GONE - missing))
 
 
+def test_no_module_binds_a_span_target_under_a_second_name():
+    # the tracer wraps every module attribute bound to a target's function object and times it
+    # as the target: an alias (say evaluate.write_trace_csv = features.write_csv) would put the
+    # aliased function's calls under the target's span
+    spans = load_spans()
+    targets = {}  # id of a target's function -> (span, function name)
+    for layer, names in spans.TARGETS.items():
+        home = importlib.import_module(f"dualrec.{layer}")
+        for name in names:
+            if callable(fn := getattr(home, name, None)):
+                targets[id(fn)] = (f"{layer}.{name}", name)
+    modules = {key: mod for key, mod in sys.modules.items() if key == "dualrec" or key.startswith("dualrec.")}
+    aliases = [f"{key}.{attr} is {targets[id(value)][0]}" for key, mod in sorted(modules.items())
+               for attr, value in vars(mod).items() if id(value) in targets and targets[id(value)][1] != attr]
+    assert aliases == []
+
+
 # The tracer's hooks read these arguments by position (and name): the step hook the stack
 # (its alpha) and both batches (their overlap), the forward hook the rows x it counts.
 HOOKED_PARAMETERS = {"dual_loss_and_grads": ["stack", "batch_a", "batch_b"], "model_forward": ["model", "x"]}

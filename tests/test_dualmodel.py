@@ -38,7 +38,7 @@ from dualrec.dualmodel import (
     train_pair,
     train_pair_autoencoders,
 )
-from dualrec.features import encode, synth_pair
+from dualrec.features import encode, require_disjoint_items, synth_pair
 from dualrec.mapping import OrthogonalMap, init_map, orthogonality_defect
 from dualrec.numeric import make_rng
 from gradcheck import grad_check
@@ -341,6 +341,15 @@ class TestTrainPair:
         embeddings = [domain_embeddings(ds, aes) for ds, aes in zip((ds_a, tiny), encoders)]
         assert shared_user_alignment(ds_a, tiny, embeddings) is None
 
+    def test_domains_that_share_item_ids_are_refused_before_any_autoencoder_trains(self, small_pair, monkeypatch):
+        ds_a, ds_b, _ = small_pair
+        shared = dataclasses.replace(ds_b, item_features={**ds_b.item_features, **ds_a.item_features})
+        with pytest.raises(ValueError, match="share") as want:
+            require_disjoint_items(ds_a, shared)  # the refusal of prepare_pair and cli.load_pair
+        monkeypatch.setattr(dualmodel, "train_pair_autoencoders", None)  # training would raise a TypeError
+        with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+            train_pair(ds_a, shared, small_config(), seed=0)
+
     def test_persistence_round_trip(self, trained_small, tmp_path):
         dm, _ = trained_small
         save_dual_model(dm, tmp_path / "m.npz")
@@ -424,6 +433,13 @@ class TestModelContract:
             DualModel(dm.domains, {**dm.maps, (0, 2): OrthogonalMap(np.eye(2))}, 0.03)
         with pytest.raises(ValueError, match="^rs_c ends in 4 outputs, expected 1$"):
             with_part(dm, 2, scorer=RatingModel(dm.domains[2].scorer.layers[:-1]))
+
+    @pytest.mark.parametrize("domains, pairs", [(2, 3), (2, 1), (3, 2)])
+    def test_a_schema_pair_per_domain_or_none(self, domains, pairs):
+        # zipped with the encoders, extra pairs were dropped and too few cut the model short
+        ae = tiny_autoencoder()
+        with pytest.raises(ValueError, match=f"^{domains} domains of encoders but {pairs} schema pairs$"):
+            new_dual_model([(ae, ae)] * domains, alpha=0.03, seed=0, hidden=(4,), schemas=[(None, None)] * pairs)
 
     def test_training_and_saving_refuse_other_domain_counts(self, tmp_path):
         ae = tiny_autoencoder()

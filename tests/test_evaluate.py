@@ -115,6 +115,15 @@ class TestPrecisionRecallAtK:
         with pytest.raises(ValueError):
             precision_recall_at_k(["u"], [0.5], [0.5], k=0)
 
+    @pytest.mark.parametrize("k", [2.5, 1.0, np.float64(2.0), True, np.bool_(True)])
+    def test_a_cutoff_that_is_no_integer_is_refused_by_name(self, k):
+        with pytest.raises(ValueError, match=rf"^k={k} is not an integer$"):
+            precision_recall_at_k(["u", "u"], [0.9, 0.1], [1.0, 0.0], k=k)
+
+    def test_an_np_int64_cutoff_ranks_like_an_int(self):
+        args = (["u", "u", "v"], [0.9, 0.1, 0.4], [0.0, 1.0, 1.0])
+        assert precision_recall_at_k(*args, k=np.int64(1)) == precision_recall_at_k(*args, k=1)
+
 
 @pytest.fixture(scope="module")
 def small_pair():
@@ -155,6 +164,23 @@ class TestRunCv:
         monkeypatch.setattr(dualmodel, "train_pair_autoencoders", None)
         with pytest.raises(ValueError, match="k must be >= 2"):
             run_cv(ds_a, ds_b, small_cfg(), k=1)
+
+    @pytest.mark.parametrize("rank_k, tau, message", [
+        (0, 0.5, "rank_k must be >= 1"), (2.5, 0.5, "rank_k=2.5 is not an integer"),
+        (True, 0.5, "rank_k=True is not an integer"), (np.float64(3.0), 0.5, "rank_k=3.0 is not an integer"),
+        (5, 1.5, r"tau 1.5 outside \(0, 1\)"), (5, 0.0, r"tau 0.0 outside \(0, 1\)"),
+        (5, math.nan, r"tau nan outside \(0, 1\)"),
+    ])
+    @pytest.mark.parametrize("driver", ["run_cv", "alpha_sweep"])
+    def test_bad_ranking_parameters_fail_by_name_before_anything_trains(self, small_pair, monkeypatch,
+                                                                          driver, rank_k, tau, message):
+        ds_a, ds_b, _ = small_pair
+        monkeypatch.setattr(dualmodel, "train_pair_autoencoders", None)  # training would raise a TypeError
+        with pytest.raises(ValueError, match=rf"^{message}$"):
+            if driver == "run_cv":
+                run_cv(ds_a, ds_b, small_cfg(), k=2, rank_k=rank_k, tau=tau)
+            else:
+                alpha_sweep(ds_a, ds_b, [0.0, 0.03], small_cfg(), k=2, rank_k=rank_k, tau=tau)
 
     def test_deterministic_per_seed(self, small_pair):
         ds_a, ds_b, _ = small_pair
@@ -417,3 +443,31 @@ def test_trace_csv_bytes_are_the_cell_by_cell_writers(header, rows, form):
         write_trace_csv(got, header, given_rows)
         oracle_write_trace_csv(want, header, rows)
         assert got.read_bytes() == want.read_bytes()
+
+
+METRICS = st.floats() | st.floats().map(np.float64) | st.sampled_from([math.nan, np.float64(math.nan), -0.0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), k=st.integers(1, 9))
+def test_report_and_sweep_csv_bytes_are_the_cell_by_cell_writers(data, k):
+    def report():
+        folds = tuple(evaluate.FoldMetrics(fold, *data.draw(st.tuples(*[METRICS] * 4), label="fold metrics"), True, 3)
+                      for fold in range(data.draw(st.integers(1, 3), label="folds")))
+        return evaluate.MetricsReport(data.draw(TEXT, label="domain"), *data.draw(st.tuples(*[METRICS] * 4)), k, folds, {})
+
+    points = [evaluate.SweepPoint(data.draw(METRICS, label="alpha"), report(), report())
+              for _ in range(data.draw(st.integers(1, 3), label="points"))]
+    reports = [rep for pt in points for rep in (pt.report_a, pt.report_b)]
+    metrics = [f"precision_at_{k}", f"recall_at_{k}"]
+    with tempfile.TemporaryDirectory() as tmp:
+        for write, path, header, rows in (
+            (write_report_csv, Path(tmp) / "report.csv", ["domain", "fold", "rmse", "mae", *metrics],
+             [[rep.domain, f.fold, f.rmse, f.mae, f.precision_at_k, f.recall_at_k] for rep in reports for f in rep.per_fold]),
+            (write_sweep_csv, Path(tmp) / "sweep.csv", ["alpha", "domain", "rmse", "mae", *metrics],
+             [[pt.alpha, rep.domain, rep.rmse, rep.mae, rep.precision_at_k, rep.recall_at_k]
+              for pt in points for rep in (pt.report_a, pt.report_b)]),
+        ):
+            write(path, reports if write is write_report_csv else points)
+            oracle_write_trace_csv(Path(tmp) / "want.csv", header, rows)
+            assert path.read_bytes() == (Path(tmp) / "want.csv").read_bytes()

@@ -448,6 +448,27 @@ class TestLoadDomain:
             )
 
 
+    def test_numpy_ratings_and_values_write_as_numbers_and_round_trip(self, tmp_path, tiny_schema):
+        schema = FeatureSchema((FieldSpec("trait", "numeric", lo=0, hi=10), FieldSpec("born", "date", lo=0, hi=9e9)))
+        ratings = np.array([0.5331286185263773, 1 / 3])
+        ds = DomainDataset(
+            "a",
+            (InteractionRecord("u1", "i1", ratings[0]), InteractionRecord("u1", "i2", ratings[1], np.int64(7))),
+            {"u1": {"trait": np.float64(2.75), "born": np.int64(1_600_000_000)}},
+            {"i1": {"trait": 4, "born": 0.5}, "i2": {"trait": np.float32(1.5), "born": np.float64(3e9)}},
+            schema,
+            schema,
+        )
+        write_domain(ds, tmp_path / "i.csv", tmp_path / "u.csv", tmp_path / "v.csv")
+        assert (tmp_path / "i.csv").read_text(encoding="utf-8").splitlines()[1:] == [
+            "u1,i1,0.5331286185263773,", "u1,i2,0.3333333333333333,7"]
+        assert (tmp_path / "u.csv").read_text(encoding="utf-8").splitlines()[1:] == [
+            "u1,trait,2.75", "u1,born,1600000000.0"]
+        back = load_domain(tmp_path / "i.csv", tmp_path / "u.csv", tmp_path / "v.csv", schema, schema, "a")
+        assert back.interactions == ds.interactions
+        for table, back_table in ((ds.user_features, back.user_features), (ds.item_features, back.item_features)):
+            assert back_table == {eid: {name: float(v) for name, v in raw.items()} for eid, raw in table.items()}
+
     @pytest.mark.parametrize("value, message", [
         ("abc", r"cannot interpret 'abc' as a number"), ("nan", r"'nan' is not a number"),
         ("inf", r"'inf' is not a finite number"), ("-inf", r"'-inf' is not a finite number"),
@@ -583,6 +604,16 @@ class TestKfold:
     def test_more_folds_than_records_names_the_domain(self, tiny_schema):
         with pytest.raises(ValueError, match=r"^domain 'a' has 2 records, fewer than k=3 folds$"):
             kfold(dataset_of(2, tiny_schema), k=3, seed=0)
+
+    @pytest.mark.parametrize("k", [2.5, 2.0, np.float64(3.0), True, np.bool_(True), "2"])
+    def test_a_fold_count_that_is_no_integer_is_refused_by_name(self, tiny_schema, k):
+        with pytest.raises(ValueError, match=rf"^k={re.escape(str(k))} is not an integer$"):
+            kfold(dataset_of(10, tiny_schema), k=k, seed=0)
+
+    def test_an_np_int64_fold_count_splits_like_an_int(self, tiny_schema):
+        ds = dataset_of(10, tiny_schema)
+        split = kfold(ds, k=np.int64(3), seed=0)
+        np.testing.assert_array_equal(split.assignments, kfold(ds, k=3, seed=0).assignments)
 
 
 class TestSynthPair:

@@ -50,7 +50,7 @@ def oracle_sgd_step(params, grads, lr):
 def oracle_train_autoencoder(vectors, embed_dim, lr, epochs, batch_size, seed, domain, entity):
     x = np.asarray(vectors, dtype=np.float64)
     ae = autoencoder.new_autoencoder(x.shape[1], embed_dim, seed, domain, entity)
-    tag = autoencoder._stream_tag(domain, entity)
+    tag = autoencoder._stream_tag(entity)
     trace = []
     for epoch in range(epochs):
         order = make_rng(seed, autoencoder._L_AE_SHUFFLE, tag, epoch).permutation(x.shape[0])
