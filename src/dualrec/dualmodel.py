@@ -35,8 +35,9 @@ from one take per array, and each epoch's full-pass loss of a model reads
 its rows of a domain as a slice of the table, or by one take for a subset
 such as a fold. A model keeps its scorers' parameters in one flat buffer
 with a domain axis, (n, P), whose rows its scorers' layers view; in a stack
-that buffer is the model's slice (2, P). One record's prediction runs all
-n scorers as one forward over that buffer; every other scorer forward
+that buffer is the model's slice (2, P). One record's prediction runs its
+two encoders, then all n scorers as one forward over that buffer, on
+layer lists the model builds once; every other scorer forward
 outside the step, from `score` to a full pass, is `model_forward`. Both
 scorers share one architecture, so a step runs both channels of its
 domains as one forward and one backward pass on a leading channel axis:
@@ -209,6 +210,9 @@ class DualModel:
     is a view of row k of one flat buffer, `params` (n, P), in `layout`. A
     model builds that buffer from copies of the scorers it is given, in
     Domain objects of its own, so building it moves no other model's arrays.
+    It also lists, once, the layers that a single-record prediction runs:
+    scorer_layers (all n scorers), own_layers[k] (domain k's scorer alone, a
+    slice of them) and encoder_layers[k] (domain k's user and item encoders).
     """
 
     domains: list[Domain]
@@ -251,6 +255,8 @@ class DualModel:
             if shape != shapes[0]:
                 raise ValueError(f"rs_{_letter(k)} differs in shape from rs_a; a model's scorers share one architecture")
         self.domains = [replace(dom, scorer=dom.scorer.copy()) for dom in self.domains]
+        self.encoder_layers = [(dense_stack([dom.ae_user.encoder]), dense_stack([dom.ae_item.encoder]))
+                               for dom in self.domains]
         params, self.layout = flat_params([dom.scorer.layers for dom in self.domains])
         self.params = params
 
@@ -260,8 +266,10 @@ class DualModel:
 
     @params.setter
     def params(self, buf: np.ndarray) -> None:
-        """Make buf (n, P) the scorers' buffer, which their layers and scorer_layers view."""
+        """Make buf (n, P) the scorers' buffer, which their layers, scorer_layers and own_layers view."""
         self._params, self.scorer_layers = buf, layer_views(buf, self.layout)
+        self.own_layers = [[(w[k : k + 1], b[k : k + 1], act) for w, b, act in self.scorer_layers]
+                           for k in range(len(self.domains))]
         view_layers([dom.scorer.layers for dom in self.domains], buf, self.layout)
 
     @property
@@ -333,14 +341,20 @@ def new_dual_model(
 
 def embed_pair(dm: DualModel, domain, user_raw: dict, item_raw: dict) -> tuple[np.ndarray, np.ndarray]:
     """Raw feature dicts -> (user embedding, item embedding) for one domain."""
-    return _embed(dm.domains[dm.index(domain)], user_raw, item_raw)
+    return _embed(dm, dm.index(domain), user_raw, item_raw)
 
 
-def _embed(dom: Domain, user_raw: dict, item_raw: dict) -> tuple[np.ndarray, np.ndarray]:
+def _embed(dm: DualModel, k: int, user_raw: dict, item_raw: dict) -> tuple[np.ndarray, np.ndarray]:
+    """`ae_encode` of each encoded record, run as a 1-row `stack_forward` on the model's
+    encoder_layers; the schema-width contract has checked the widths."""
+    dom = dm.domains[k]
     if dom.user_schema is None or dom.item_schema is None:
         raise ValueError("model carries no schemas; use predict_from_embeddings instead")
-    return (ae_encode(dom.ae_user, encode(dom.user_schema, user_raw)),
-            ae_encode(dom.ae_item, encode(dom.item_schema, item_raw)))
+    if not (dom.ae_user.trained and dom.ae_item.trained):
+        raise RuntimeError("autoencoder is untrained; train it before encoding")
+    user_layers, item_layers = dm.encoder_layers[k]
+    return (stack_forward(user_layers, encode(dom.user_schema, user_raw)[None])[0][0],
+            stack_forward(item_layers, encode(dom.item_schema, item_raw)[None])[0][0])
 
 
 def predict_from_embeddings(dm: DualModel, domain, user_emb: np.ndarray, item_emb: np.ndarray, in_overlap: bool = True) -> float:
@@ -352,15 +366,20 @@ def predict_from_embeddings(dm: DualModel, domain, user_emb: np.ndarray, item_em
     on rows x (n, 1, 2d): row k holds (u, i) for domain k's own scorer, and
     row j != k holds (cross_matrix(j, k) @ u, i) for partner j's. At an
     effective alpha of 0 only row k runs, through the slice k:k+1 of the same
-    layers. The blend is (1 - alpha) * y[k] + alpha / (n - 1) * cross, where
+    layers (`DualModel.own_layers`). The blend is (1 - alpha) * y[k] + alpha / (n - 1) * cross, where
     cross sums y[j] for j != k in index order, from 0.0. An embedding of
-    another shape than (embed_dim,) raises ValueError naming it.
+    another shape than (embed_dim,), or one that holds anything but finite
+    numbers, raises ValueError naming it.
     """
     k = dm.index(domain)
     for entity, emb in (("user", user_emb), ("item", item_emb)):
         if np.shape(emb) != (dm.embed_dim,):
             raise ValueError(f"the {entity} embedding of domain {_letter(k)} has shape {np.shape(emb)}, "
                              f"expected ({dm.embed_dim},)")
+        emb = np.asarray(emb)
+        if emb.dtype.kind not in "iuf" or not np.isfinite(emb).all():
+            raise ValueError(f"the {entity} embedding of domain {_letter(k)} holds {emb.tolist()}, "
+                             f"expected finite numbers")
     return _hybrid(dm, k, user_emb, item_emb, in_overlap)
 
 
@@ -372,8 +391,7 @@ def _hybrid(dm: DualModel, k: int, user_emb, item_emb, in_overlap: bool) -> floa
     x[..., d:] = item_emb
     for j in range(lo, hi):
         x[j - lo, 0, :d] = user_emb if j == k else dm.cross_matrix(j, k) @ user_emb
-    layers = dm.scorer_layers if hi - lo == n else [(w[lo:hi], b[lo:hi], act) for w, b, act in dm.scorer_layers]
-    y = stack_forward(layers, x)[0][:, 0, 0].tolist()
+    y = stack_forward(dm.scorer_layers if alpha else dm.own_layers[k], x)[0][:, 0, 0].tolist()
     if not alpha:
         return y[0]
     cross = 0.0
@@ -387,7 +405,7 @@ def predict(dm: DualModel, domain, user_raw: dict, item_raw: dict, in_overlap: b
     """Hybrid rating for raw user/item feature dicts of one domain
     (`predict_from_embeddings` on their embeddings)."""
     k = dm.index(domain)
-    return _hybrid(dm, k, *_embed(dm.domains[k], user_raw, item_raw), in_overlap)
+    return _hybrid(dm, k, *_embed(dm, k, user_raw, item_raw), in_overlap)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,11 @@ float64 arrays.  Everything downstream (autoencoders, rating scorers, the
 orthogonal mapping, the NMF lab) builds on the handful of operations here:
 one stacked dense-layer kernel with exact analytic gradients, a stable
 sigmoid and the one finite check each training step runs. The training
-loops apply their SGD updates in place.
+loops apply their SGD updates in place. The sigmoid is
+exp(min(z, 0)) / (1 + exp(-|z|)): no exp overflows, and it gives the bits
+of the sign-masked form (1 / (1 + exp(-z)) where z >= 0, exp(z) / (1 + exp(z))
+elsewhere) without that form's np.where, whose mask and select cost more
+than the exps on the short rows of a single-record prediction.
 
 Every dense network runs through one layer kernel, :func:`stack_forward` and
 :func:`stack_backward`: a single network is the stack of its DenseLayers
@@ -71,9 +75,10 @@ def check_integer(name: str, value) -> None:
 
 
 def sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    # exp(-|z|) never overflows; per sign this is 1/(1+exp(-z)) or exp(z)/(1+exp(z))
-    e = np.exp(-np.abs(z))
-    return np.divide(np.where(z >= 0, 1.0, e), 1.0 + e, out=out)
+    # exp(min(z, 0)) / (1 + exp(-|z|)), copysign giving -|z|: neither exp overflows, and per
+    # sign this is 1/(1+exp(-z)) (exp(+-0) is 1 exactly) or exp(z)/(1+exp(z)), the bits of the
+    # sign-masked form without its np.where, whose mask and select cost more than an exp on a short row
+    return np.divide(np.exp(np.minimum(z, 0.0)), 1.0 + np.exp(np.copysign(z, -1.0)), out=out)
 
 
 def _activate(name: str, z: np.ndarray) -> np.ndarray:

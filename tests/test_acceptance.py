@@ -231,6 +231,7 @@ def test_criterion_3_degeneration_identities():
 # criterion 4: coupled factorization convergence
 
 
+@pytest.mark.slow
 def test_criterion_4_factorization_convergence():
     """Monotone coupled-factorization descent that settles, at desk scale.
 
@@ -342,6 +343,7 @@ def test_criterion_5_training_convergence(converged_run):
 # criterion 6: transfer benefit
 
 
+@pytest.mark.slow
 def test_criterion_6_transfer_benefit():
     """Transfer at alpha=0.03 versus the alpha=0 baseline, 5 seeds, 5 folds.
 

@@ -140,14 +140,23 @@ class TestPredict:
         assert predict_from_embeddings(dm, "b", u, i) == pytest.approx(want_b, abs=1e-15)
 
     def test_predict_from_raw_features_matches_embedding_path(self, small_pair, trained_small):
-        ds_a, _, _ = small_pair
+        # every record of each domain, in and out of the overlap, at alpha 0.03 and 0, and at three domains
+        ds_a, ds_b, _ = small_pair
         dm, _ = trained_small
-        rec = ds_a.interactions[0]
-        user_emb = ae_encode(dm.domains[0].ae_user, encode(ds_a.user_schema, ds_a.user_features[rec.user_id]))
-        item_emb = ae_encode(dm.domains[0].ae_item, encode(ds_a.item_schema, ds_a.item_features[rec.item_id]))
-        want = predict_from_embeddings(dm, "a", user_emb, item_emb)
-        got = predict(dm, "a", ds_a.user_features[rec.user_id], ds_a.item_features[rec.item_id])
-        assert got == want
+        a, b = dm.domains
+        three = new_dual_model([(dom.ae_user, dom.ae_item) for dom in (a, b, a)], alpha=0.03, seed=5,
+                               schemas=[(dom.user_schema, dom.item_schema) for dom in (a, b, a)])
+        for model, datasets in ((dm, (ds_a, ds_b)), (DualModel(dm.domains, dm.maps, 0.0), (ds_a, ds_b)),
+                                (three, (ds_a, ds_b, ds_a))):
+            for k, ds in enumerate(datasets):
+                dom = model.domains[k]
+                for rec in ds.interactions:
+                    user_raw, item_raw = ds.user_features[rec.user_id], ds.item_features[rec.item_id]
+                    user_emb = ae_encode(dom.ae_user, encode(dom.user_schema, user_raw))
+                    item_emb = ae_encode(dom.ae_item, encode(dom.item_schema, item_raw))
+                    for in_overlap in (True, False):
+                        want = predict_from_embeddings(model, k, user_emb, item_emb, in_overlap)
+                        assert predict(model, k, user_raw, item_raw, in_overlap) == want, (k, rec, in_overlap)
 
     def test_batch_prediction_matches_single_records(self, trained_small):
         dm, _ = trained_small
@@ -741,6 +750,15 @@ class TestMultiDomain:
             with pytest.raises(ValueError, match=rf"^the {entity} embedding of domain b has shape "
                                                  rf"{re.escape(str(shape))}, expected \(3,\)$"):
                 predict_from_embeddings(dm, "b", user, item, in_overlap)
+
+    @pytest.mark.parametrize("entity, bad", [("user", np.nan), ("item", np.inf), ("user", -np.inf), ("item", "x")])
+    def test_an_embedding_that_holds_no_finite_number_names_its_part(self, entity, bad):
+        dm = three_domain_model(alpha=0.1)
+        emb = {"user": [0.5, 0.5, 0.5], "item": [0.5, 0.5, 0.5]}
+        emb[entity] = [0.5, bad, 0.5]
+        for in_overlap in (True, False):
+            with pytest.raises(ValueError, match=rf"^the {entity} embedding of domain b holds .*, expected finite numbers$"):
+                predict_from_embeddings(dm, "b", emb["user"], emb["item"], in_overlap)
 
 
 # ---------------------------------------------------------------------------

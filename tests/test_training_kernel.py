@@ -204,11 +204,25 @@ def oracle_fit(dm, table, cfg, seed=0, rows=(None, None)):
 
 
 def test_sigmoid_gives_the_bits_of_the_masked_form():
-    edges = [0.0, 1e-300, 709.8, 745.0, np.inf]
+    # the smallest subnormal, exp's overflow edge near 709.78 and its underflow edge near -745.13
+    edges = [0.0, 5e-324, 1e-300, 709.78, 709.8, 745.0, 745.13, np.inf]
     z = np.concatenate([edges, np.negative(edges), make_rng(17).normal(scale=20.0, size=2000)])
     got = sigmoid(z)
     assert got.tobytes() == oracle_sigmoid(z).tobytes()
     assert np.signbit(z[len(edges)]) and got[len(edges)] == 0.5  # -0.0 maps like +0.0
+    assert np.isnan(sigmoid(np.array([np.nan, -np.nan, np.nan]))).all()
+    # in place, as a forward runs it: a stacked step's output layer and one record's encoder row
+    for shape in [(2, 2, 3, 32, 1), (1, 8)]:
+        x = make_rng(18).normal(scale=20.0, size=shape)
+        want = oracle_sigmoid(x)
+        assert sigmoid(x, out=x) is x
+        assert x.tobytes() == want.tobytes(), shape
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=32))
+def test_sigmoid_gives_the_bits_of_the_masked_form_on_every_finite_float(values):
+    z = np.array(values)
+    assert sigmoid(z).tobytes() == oracle_sigmoid(z).tobytes()
 
 
 def small_config(**overrides):
