@@ -35,10 +35,12 @@ from one take per array, and each epoch's full-pass loss of a model reads
 its rows of a domain as a slice of the table, or by one take for a subset
 such as a fold. A model keeps its scorers' parameters in one flat buffer
 with a domain axis, (n, P), whose rows its scorers' layers view; in a stack
-that buffer is the model's slice (2, P). One record's prediction runs its
-two encoders, then all n scorers as one forward over that buffer, on
-layer lists the model builds once; every other scorer forward
-outside the step, from `score` to a full pass, is `model_forward`. Both
+that buffer is the model's slice (2, P). One record's prediction encodes
+its user and item into one (2, 1, w) input when the domain's encoders take
+one width w, embeds both with one stacked forward of the two encoders, then
+runs all n scorers as one forward over that buffer, on layer lists the
+model builds once; every other scorer forward outside the step, from
+`score` to a full pass, is `model_forward`. Both
 scorers share one architecture, so a step runs both channels of its
 domains as one forward and one backward pass on a leading channel axis:
 the within channel feeds each domain's batch to its own scorer, the cross
@@ -212,7 +214,10 @@ class DualModel:
     Domain objects of its own, so building it moves no other model's arrays.
     It also lists, once, the layers that a single-record prediction runs:
     scorer_layers (all n scorers), own_layers[k] (domain k's scorer alone, a
-    slice of them) and encoder_layers[k] (domain k's user and item encoders).
+    slice of them) and encoder_groups[k] (domain k's user and item encoders,
+    stacked as one group where they take one width). Those groups are views
+    of buffers built from the model's own copies of the encoders, whose layers
+    view them too, so a write into an encoder's weights reaches them.
     """
 
     domains: list[Domain]
@@ -254,9 +259,9 @@ class DualModel:
         for k, shape in enumerate(shapes):
             if shape != shapes[0]:
                 raise ValueError(f"rs_{_letter(k)} differs in shape from rs_a; a model's scorers share one architecture")
-        self.domains = [replace(dom, scorer=dom.scorer.copy()) for dom in self.domains]
-        self.encoder_layers = [(dense_stack([dom.ae_user.encoder]), dense_stack([dom.ae_item.encoder]))
-                               for dom in self.domains]
+        self.domains = [replace(dom, scorer=dom.scorer.copy(), ae_user=_own_encoder(dom.ae_user),
+                                ae_item=_own_encoder(dom.ae_item)) for dom in self.domains]
+        self.encoder_groups = [_encoder_groups(dom) for dom in self.domains]
         params, self.layout = flat_params([dom.scorer.layers for dom in self.domains])
         self.params = params
 
@@ -306,6 +311,24 @@ class DualModel:
     map = property(lambda self: self.maps[(0, 1)])
 
 
+def _own_encoder(ae: Autoencoder) -> Autoencoder:
+    """ae with a copy of its encoder layer, whose arrays `_encoder_groups` moves into a model's buffer."""
+    return replace(ae, encoder=ae.encoder.copy())
+
+
+def _encoder_groups(dom: Domain) -> list:
+    """Domain dom's user and item encoders grouped by input width, as `train_autoencoders`
+    groups corpora, each group as the layers `stack_forward` runs: at one width, one group
+    of both, views of one buffer (2, P); at two widths, the user's and then the item's, 2-D
+    views of a buffer each. The encoders' own layers view the same buffers (`flat_params`)."""
+    aes = (dom.ae_user, dom.ae_item)
+    groups = []
+    for width in dict.fromkeys(ae.input_dim for ae in aes):
+        buf, layout = flat_params([[ae.encoder] for ae in aes if ae.input_dim == width])
+        groups.append(layer_views(buf if len(buf) > 1 else buf[0], layout))
+    return groups
+
+
 def new_dual_model(
     encoders,
     *compat_aes: Autoencoder,
@@ -345,16 +368,24 @@ def embed_pair(dm: DualModel, domain, user_raw: dict, item_raw: dict) -> tuple[n
 
 
 def _embed(dm: DualModel, k: int, user_raw: dict, item_raw: dict) -> tuple[np.ndarray, np.ndarray]:
-    """`ae_encode` of each encoded record, run as a 1-row `stack_forward` on the model's
-    encoder_layers; the schema-width contract has checked the widths."""
+    """`ae_encode` of each encoded record, run on the model's encoder_groups: where both
+    encoders take one width, both records are encoded into one (2, 1, w) input and embedded
+    by one `stack_forward`, else each by a 1-row forward of its own. The schema-width
+    contract has checked the widths."""
     dom = dm.domains[k]
     if dom.user_schema is None or dom.item_schema is None:
         raise ValueError("model carries no schemas; use predict_from_embeddings instead")
     if not (dom.ae_user.trained and dom.ae_item.trained):
         raise RuntimeError("autoencoder is untrained; train it before encoding")
-    user_layers, item_layers = dm.encoder_layers[k]
-    return (stack_forward(user_layers, encode(dom.user_schema, user_raw)[None])[0][0],
-            stack_forward(item_layers, encode(dom.item_schema, item_raw)[None])[0][0])
+    groups = dm.encoder_groups[k]
+    if len(groups) == 1:  # one width: both records encoded into one (2, 1, w) input of one product
+        x = np.zeros((2, 1, dom.ae_user.input_dim))
+        encode(dom.user_schema, user_raw, x[0, 0])
+        encode(dom.item_schema, item_raw, x[1, 0])
+        y = stack_forward(groups[0], x)[0]
+        return y[0, 0], y[1, 0]
+    return (stack_forward(groups[0], encode(dom.user_schema, user_raw)[None])[0][0],
+            stack_forward(groups[1], encode(dom.item_schema, item_raw)[None])[0][0])
 
 
 def predict_from_embeddings(dm: DualModel, domain, user_emb: np.ndarray, item_emb: np.ndarray, in_overlap: bool = True) -> float:

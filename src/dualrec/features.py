@@ -167,9 +167,11 @@ def _number(name: str, value) -> float:
     return x
 
 
-def encode(schema: FeatureSchema, raw: dict) -> np.ndarray:
+def encode(schema: FeatureSchema, raw: dict, out: np.ndarray | None = None) -> np.ndarray:
     """Encode raw field values into one fixed-length float vector, by the
-    schema's plan (`FeatureSchema.plan`).
+    schema's plan (`FeatureSchema.plan`). Given out, a zeroed float row of
+    the schema's encoded length, encode fills and returns it instead of a
+    new vector.
 
     Missing one-hot fields land in the reserved slot (hash-bucketed fields
     have none and must be present); missing multi-hot fields encode as all
@@ -178,7 +180,8 @@ def encode(schema: FeatureSchema, raw: dict) -> np.ndarray:
     multi-hot vocabulary are ignored, whatever their type. A numeric value
     outside its range is clamped with a warning.
     """
-    out = np.zeros(schema.encoded_length)
+    if out is None:
+        out = np.zeros(schema.encoded_length)
     for kind, name, at, p, q in schema.plan:
         if kind == _SCALAR:
             if name not in raw:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -41,10 +42,17 @@ class OrthogonalMap:
         return OrthogonalMap(self.x.copy(), self.domain_pair)
 
 
+@cache
+def _identity(d: int) -> np.ndarray:
+    """The d x d identity, built once per dimension and read-only."""
+    eye = np.eye(d)
+    eye.flags.writeable = False
+    return eye
+
+
 def orthogonality_defect(x: np.ndarray) -> float:
     """Frobenius norm of X^T X - I."""
-    d = x.shape[0]
-    return float(np.linalg.norm(x.T @ x - np.eye(d)))
+    return float(np.linalg.norm(x.T @ x - _identity(x.shape[0])))
 
 
 def init_map(d: int, seed: int, domain_pair: tuple[str, str] = ("a", "b")) -> OrthogonalMap:
@@ -113,7 +121,7 @@ def ortho_penalty(m):
     m is a map, or K maps stacked as a (K, d, d) array, which give (K,) losses.
     """
     x = m.x if isinstance(m, OrthogonalMap) else m
-    e = np.swapaxes(x, -1, -2) @ x - np.eye(x.shape[-1])
+    e = np.swapaxes(x, -1, -2) @ x - _identity(x.shape[-1])
     loss = (e * e).sum(axis=(-2, -1))
     return (float(loss) if x.ndim == 2 else loss), 4.0 * x @ e
 
@@ -133,7 +141,7 @@ def project_orthogonal(m: OrthogonalMap, tol: float = ORTHO_TOL) -> OrthogonalMa
         if nrm == 0.0:
             raise np.linalg.LinAlgError("cannot orthogonalize the zero matrix; re-initialize the map")
         x = x / nrm
-    eye = np.eye(m.dim)
+    eye = _identity(m.dim)
     for _ in range(_NS_MAX_ITERS):
         if orthogonality_defect(x) <= tol:
             return OrthogonalMap(x, m.domain_pair)

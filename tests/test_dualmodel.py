@@ -38,7 +38,7 @@ from dualrec.dualmodel import (
     train_pair,
     train_pair_autoencoders,
 )
-from dualrec.features import encode, require_disjoint_items, synth_pair
+from dualrec.features import FeatureSchema, FieldSpec, encode, require_disjoint_items, synth_pair
 from dualrec.mapping import OrthogonalMap, init_map, orthogonality_defect
 from dualrec.numeric import make_rng
 from gradcheck import grad_check
@@ -140,23 +140,15 @@ class TestPredict:
         assert predict_from_embeddings(dm, "b", u, i) == pytest.approx(want_b, abs=1e-15)
 
     def test_predict_from_raw_features_matches_embedding_path(self, small_pair, trained_small):
-        # every record of each domain, in and out of the overlap, at alpha 0.03 and 0, and at three domains
         ds_a, ds_b, _ = small_pair
         dm, _ = trained_small
-        a, b = dm.domains
-        three = new_dual_model([(dom.ae_user, dom.ae_item) for dom in (a, b, a)], alpha=0.03, seed=5,
-                               schemas=[(dom.user_schema, dom.item_schema) for dom in (a, b, a)])
-        for model, datasets in ((dm, (ds_a, ds_b)), (DualModel(dm.domains, dm.maps, 0.0), (ds_a, ds_b)),
-                                (three, (ds_a, ds_b, ds_a))):
-            for k, ds in enumerate(datasets):
-                dom = model.domains[k]
-                for rec in ds.interactions:
-                    user_raw, item_raw = ds.user_features[rec.user_id], ds.item_features[rec.item_id]
-                    user_emb = ae_encode(dom.ae_user, encode(dom.user_schema, user_raw))
-                    item_emb = ae_encode(dom.ae_item, encode(dom.item_schema, item_raw))
-                    for in_overlap in (True, False):
-                        want = predict_from_embeddings(model, k, user_emb, item_emb, in_overlap)
-                        assert predict(model, k, user_raw, item_raw, in_overlap) == want, (k, rec, in_overlap)
+        assert [len(groups) for groups in dm.encoder_groups] == [1, 1]  # one stacked product per record
+        assert_predict_is_the_embedding_path(dm, (ds_a, ds_b))
+
+    def test_predict_matches_embedding_path_at_unequal_widths(self, small_pair, trained_small):
+        dm, datasets = wider_items(trained_small[0], small_pair[:2])
+        assert [len(groups) for groups in dm.encoder_groups] == [2, 2]  # user and item encoders apart
+        assert_predict_is_the_embedding_path(dm, datasets)
 
     def test_batch_prediction_matches_single_records(self, trained_small):
         dm, _ = trained_small
@@ -172,6 +164,40 @@ class TestPredict:
         dm, _ = trained_small
         with pytest.raises(ValueError):
             predict_from_embeddings(dm, "c", np.zeros(4), np.zeros(4))
+
+
+def assert_predict_is_the_embedding_path(dm, datasets):
+    """On every record of each domain, in and out of the overlap, at dm's alpha and at 0, and on a
+    3-domain model of domains (a, b, a): predict equals predict_from_embeddings on ae_encode(encode(...))."""
+    a, b = dm.domains
+    three = new_dual_model([(dom.ae_user, dom.ae_item) for dom in (a, b, a)], alpha=0.03, seed=5,
+                           schemas=[(dom.user_schema, dom.item_schema) for dom in (a, b, a)])
+    ds_a, ds_b = datasets
+    for model, sets in ((dm, (ds_a, ds_b)), (DualModel(dm.domains, dm.maps, 0.0), (ds_a, ds_b)),
+                        (three, (ds_a, ds_b, ds_a))):
+        for k, ds in enumerate(sets):
+            dom = model.domains[k]
+            for rec in ds.interactions:
+                user_raw, item_raw = ds.user_features[rec.user_id], ds.item_features[rec.item_id]
+                user_emb = ae_encode(dom.ae_user, encode(dom.user_schema, user_raw))
+                item_emb = ae_encode(dom.ae_item, encode(dom.item_schema, item_raw))
+                for in_overlap in (True, False):
+                    want = predict_from_embeddings(model, k, user_emb, item_emb, in_overlap)
+                    assert predict(model, k, user_raw, item_raw, in_overlap) == want, (k, rec, in_overlap)
+
+
+def wider_items(dm, datasets):
+    """dm and its datasets with one more item field per domain, a numeric "extra", so that each
+    item schema encodes one column more than its user schema; each item encoder is retrained."""
+    domains, wider = [], []
+    for dom, ds in zip(dm.domains, datasets):
+        schema = FeatureSchema(ds.item_schema.fields + (FieldSpec("extra", "numeric", lo=0.0, hi=4.0),))
+        items = {item: {**raw, "extra": float(n % 5)} for n, (item, raw) in enumerate(sorted(ds.item_features.items()))}
+        ae, _ = train_autoencoder([encode(schema, raw) for raw in items.values()], embed_dim=dm.embed_dim,
+                                  epochs=5, seed=0, domain=ds.domain_name, entity="item")
+        domains.append(dataclasses.replace(dom, ae_item=ae, item_schema=schema))
+        wider.append(dataclasses.replace(ds, item_schema=schema, item_features=items))
+    return DualModel(domains, dict(dm.maps), dm.alpha), wider
 
 
 def make_batch(d, n, seed, overlap_value=True):
@@ -805,6 +831,49 @@ def assert_reads_its_layers(dm):
         stack = ModelStack.of([dm])
         assert np.shares_memory(dm.params, stack.params)
         assert_predictions_follow(dm, lambda: apply_grads(stack.params, np.full_like(stack.params, 0.05), 1.0), seed=1)
+
+
+def assert_reads_its_encoders(dm, datasets):
+    """A write into a model's encoder weights reaches the next predict, which still equals
+    predict_from_embeddings on ae_encode(encode(...)) bit for bit."""
+    for k, ds in enumerate(datasets):
+        rec = ds.interactions[0]
+        user_raw, item_raw = ds.user_features[rec.user_id], ds.item_features[rec.item_id]
+        dom = dm.domains[k]
+        for ae in (dom.ae_user, dom.ae_item):
+            before = predict(dm, k, user_raw, item_raw)
+            ae.encoder.weights[...] *= 1.5
+            ae.encoder.bias[...] += 0.25
+            assert predict(dm, k, user_raw, item_raw) != before, (k, ae.entity)
+            embeddings = (ae_encode(dom.ae_user, encode(dom.user_schema, user_raw)),
+                          ae_encode(dom.ae_item, encode(dom.item_schema, item_raw)))
+            assert predict(dm, k, user_raw, item_raw) == predict_from_embeddings(dm, k, *embeddings)
+
+
+class TestEncoderGroups:
+    """However a model's encoders are grouped, a prediction reads the model's own copies of them."""
+
+    def test_a_trained_model(self, small_pair, trained_small):
+        dm, _ = trained_small
+        assert_reads_its_encoders(DualModel(dm.domains, dict(dm.maps), dm.alpha), small_pair[:2])
+
+    def test_a_model_at_unequal_widths(self, small_pair, trained_small):
+        assert_reads_its_encoders(*wider_items(trained_small[0], small_pair[:2]))
+
+    def test_a_loaded_model(self, small_pair, trained_small, tmp_path):
+        save_dual_model(trained_small[0], tmp_path / "m.npz")
+        assert_reads_its_encoders(load_dual_model(tmp_path / "m.npz"), small_pair[:2])
+
+    def test_the_source_keeps_its_encoders(self, small_pair, trained_small):
+        source, _ = trained_small
+        ds_a = small_pair[0]
+        rec = ds_a.interactions[0]
+        raw = ds_a.user_features[rec.user_id], ds_a.item_features[rec.item_id]
+        want = predict(source, 0, *raw)
+        weights = [dom.ae_user.encoder.weights.copy() for dom in source.domains]
+        assert_reads_its_encoders(DualModel(source.domains, dict(source.maps), source.alpha), small_pair[:2])
+        assert predict(source, 0, *raw) == want
+        assert all(np.array_equal(dom.ae_user.encoder.weights, w) for dom, w in zip(source.domains, weights))
 
 
 class TestScorerBuffer:

@@ -6,6 +6,7 @@ import pytest
 from dualrec.mapping import (
     ORTHO_TOL,
     OrthogonalMap,
+    _identity,
     align_map,
     init_map,
     map_forward,
@@ -103,6 +104,17 @@ class TestOrthoPenalty:
             return loss, [grad]
 
         assert grad_check(wrapped, [x0]) <= 1e-5
+
+    def test_one_read_only_identity_per_dimension_gives_the_bits_of_a_fresh_one(self):
+        eye = _identity(8)
+        assert eye is _identity(8) and not eye.flags.writeable and np.array_equal(eye, np.eye(8))
+        x = make_rng(19).normal(size=(3, 8, 8))
+        e = x.swapaxes(-1, -2) @ x - np.eye(8)
+        loss, grad = ortho_penalty(x)
+        assert loss.tobytes() == (e * e).sum(axis=(-2, -1)).tobytes()
+        assert grad.tobytes() == (4.0 * x @ e).tobytes()
+        assert orthogonality_defect(x[0]) == float(np.linalg.norm(x[0].T @ x[0] - np.eye(8)))
+        assert np.array_equal(_identity(8), np.eye(8))
 
 
 class TestProjection:

@@ -422,6 +422,19 @@ class TestStackKernel:
         want, _ = fresh_stack_forward([(layer.weights, layer.bias, activation)], x)
         assert y.tobytes() == want.tobytes()
 
+    @given(st.lists(st.integers(1, 3), max_size=3), st.integers(1, 69), st.integers(1, 33), st.integers(0, 2**32 - 1))
+    def test_bias_gradients_are_the_bits_of_the_row_reduce(self, lead, n, width, seed):
+        # einsum where a layer has more than one output, numpy's pairwise reduce where it has one
+        rng = make_rng(seed)
+        layout = [(3, width, "identity")]
+        layers = layer_views(rng.normal(size=(*lead, 4 * width)), layout)
+        h = rng.normal(size=(*lead, n, 3))
+        dy = rng.normal(size=(*lead, n, width)) * np.exp(rng.uniform(-12.0, 12.0, size=(*lead, n, width)))
+        dy[..., : rng.integers(0, n + 1), rng.integers(0, width)] = -0.0
+        grads = layer_views(np.full((*lead, 4 * width), np.nan), layout)
+        stack_backward(layers, stack_forward(layers, h)[1], dy, grads)
+        assert grads[0][1].tobytes() == np.add.reduce(dy, axis=-2, keepdims=True).tobytes()
+
     def test_relu_mask_from_the_output_is_the_mask_from_the_pre_activation(self):
         z = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 1e-300, -1e-300, 3.0, -3.0])
         y = _activate("relu", z.copy())
@@ -564,6 +577,18 @@ class TestBlasPremise:
                     alone = (w2 @ h2, w2.T @ m2, m2 @ h2.T, w2.T @ w2 @ h2, w2 @ h2 @ h2.T)
                     for stacked, want in zip(products, alone):
                         assert stacked[j, f].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("width", [5, 20, 33])
+    def test_the_encoder_pair_of_one_record(self, width):
+        # A prediction embeds its user and item by one product of their encoders stacked
+        # as views of one (2, P) buffer, where each encoder alone ran a (1, width) product.
+        rng = make_rng(59, width)
+        layout = ((width, 8, "sigmoid"),)
+        (enc, _, _), = layer_views(rng.normal(size=(2, 9 * width)), layout)
+        x = rng.normal(size=(2, 1, width))
+        both = x @ enc.swapaxes(-1, -2)
+        for e in range(2):
+            assert both[e].tobytes() == (x[e] @ np.ascontiguousarray(enc[e]).T).tobytes()
 
     @pytest.mark.parametrize("n", [1, 4, 8, 32, 500])
     def test_autoencoder_layers(self, n):
