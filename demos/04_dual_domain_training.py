@@ -17,8 +17,8 @@ from dualrec.dualmodel import (
     embed_pair,
     load_dual_model,
     predict,
+    predict_from_embeddings,
     save_dual_model,
-    score,
     train_pair,
 )
 from dualrec.features import synth_pair
@@ -61,11 +61,13 @@ def main():
               f"reloaded prediction identical: {same}")
 
     print("\n== the same model as an n-domain system ==")
-    # the n-domain blend by hand: domain a's own score and the mean of its n-1 partners' scores
+    # the n-domain blend by hand: domain a's own score and the mean of its n-1 partners' scores,
+    # each scorer read alone as its domain's rating out of the overlap (alpha 0)
     n = len(dm.domains)
     u, i = embed_pair(dm, "a", user_raw, item_raw)
-    cross = sum(score(dom.scorer, dm.cross_matrix(j, 0) @ u, i) for j, dom in enumerate(dm.domains) if j != 0)
-    p2 = (1 - dm.alpha) * score(dm.domains[0].scorer, u, i) + dm.alpha / (n - 1) * cross
+    cross = sum(predict_from_embeddings(dm, j, dm.cross_matrix(j, 0) @ u, i, in_overlap=False)
+                for j in range(n) if j != 0)
+    p2 = (1 - dm.alpha) * predict_from_embeddings(dm, "a", u, i, in_overlap=False) + dm.alpha / (n - 1) * cross
     print(f"two-domain instance of the n-domain form agrees: "
           f"{np.isclose(p2, with_transfer, atol=1e-15)} ({p2:.4f})")
 

@@ -38,9 +38,12 @@ with a domain axis, (n, P), whose rows its scorers' layers view; in a stack
 that buffer is the model's slice (2, P). One record's prediction encodes
 its user and item into one (2, 1, w) input when the domain's encoders take
 one width w, embeds both with one stacked forward of the two encoders, then
-runs all n scorers as one forward over that buffer, on layer lists the
-model builds once; every other scorer forward outside the step, from
-`score` to a full pass, is `model_forward`. Both
+runs all n scorers, in the overlap or out of it, as one forward over the
+layer list the model builds once (`DualModel.scorer_layers`). A batch of one
+domain's rows (`predict_batch`: every full pass and held-out score) runs
+each channel as one forward over its slice j:j+1; stacked, the channels'
+products cost the same, but doubled buffers fault their pages back in on
+every call (ROADMAP item 15). Both
 scorers share one architecture, so a step runs both channels of its
 domains as one forward and one backward pass on a leading channel axis:
 the within channel feeds each domain's batch to its own scorer, the cross
@@ -72,8 +75,8 @@ from dualrec.autoencoder import Autoencoder, ae_encode, autoencoder_arrays, auto
 from dualrec.features import DomainDataset, FeatureSchema, encode, parse_schema, require_disjoint_items, schema_to_text
 from dualrec.mapping import OrthogonalMap, align_map, init_map, ortho_penalty, project_orthogonal
 from dualrec.numeric import (
-    DenseLayer, check_finite_step, check_integer, dense_layer, dense_stack, flat_params, layer_views, lockstep_steps,
-    make_rng, stack_backward, stack_forward, view_layers,
+    DenseLayer, check_finite_step, check_integer, dense_layer, flat_params, layer_views, lockstep_steps, make_rng,
+    stack_backward, stack_forward, view_layers,
 )
 
 _L_RS_INIT = 0x5C07
@@ -160,19 +163,6 @@ def make_rating_model(embed_dim: int, seed: int, domain_index: int, hidden: tupl
     return RatingModel(layers)
 
 
-def model_forward(model: RatingModel, x: np.ndarray):
-    """The scorer on rows x (n, 2d), each a user and an item embedding side by
-    side: (scores (n, 1), caches), as `stack_forward` gives them."""
-    return stack_forward(dense_stack(model.layers), x)
-
-
-def score(model: RatingModel, user_emb: np.ndarray, item_emb: np.ndarray) -> float:
-    """One within-scorer rating for an embedding pair: `model_forward` on one row."""
-    y, _ = model_forward(model, np.concatenate([np.asarray(user_emb, dtype=np.float64),
-                                                np.asarray(item_emb, dtype=np.float64)])[None])
-    return float(y[0, 0])
-
-
 # ---------------------------------------------------------------------------
 # dual model
 
@@ -212,10 +202,10 @@ class DualModel:
     is a view of row k of one flat buffer, `params` (n, P), in `layout`. A
     model builds that buffer from copies of the scorers it is given, in
     Domain objects of its own, so building it moves no other model's arrays.
-    It also lists, once, the layers that a single-record prediction runs:
-    scorer_layers (all n scorers), own_layers[k] (domain k's scorer alone, a
-    slice of them) and encoder_groups[k] (domain k's user and item encoders,
-    stacked as one group where they take one width). Those groups are views
+    It also lists, once, the layers that scoring runs: scorer_layers (all n
+    scorers, the one list every scorer forward outside training reads) and
+    encoder_groups[k] (domain k's user and item encoders, stacked as one
+    group where they take one width). Those groups are views
     of buffers built from the model's own copies of the encoders, whose layers
     view them too, so a write into an encoder's weights reaches them.
     """
@@ -271,10 +261,8 @@ class DualModel:
 
     @params.setter
     def params(self, buf: np.ndarray) -> None:
-        """Make buf (n, P) the scorers' buffer, which their layers, scorer_layers and own_layers view."""
+        """Make buf (n, P) the scorers' buffer, which their layers and scorer_layers view."""
         self._params, self.scorer_layers = buf, layer_views(buf, self.layout)
-        self.own_layers = [[(w[k : k + 1], b[k : k + 1], act) for w, b, act in self.scorer_layers]
-                           for k in range(len(self.domains))]
         view_layers([dom.scorer.layers for dom in self.domains], buf, self.layout)
 
     @property
@@ -393,12 +381,12 @@ def predict_from_embeddings(dm: DualModel, domain, user_emb: np.ndarray, item_em
 
     in_overlap=False zeroes the transfer rate for this record (the user has
     no presence in the partner domains, so there is nothing to transfer).
-    All n scorers run as one forward over the model's buffer (`DualModel.params`),
-    on rows x (n, 1, 2d): row k holds (u, i) for domain k's own scorer, and
-    row j != k holds (cross_matrix(j, k) @ u, i) for partner j's. At an
-    effective alpha of 0 only row k runs, through the slice k:k+1 of the same
-    layers (`DualModel.own_layers`). The blend is (1 - alpha) * y[k] + alpha / (n - 1) * cross, where
-    cross sums y[j] for j != k in index order, from 0.0. An embedding of
+    All n scorers run, in the overlap or out of it, as one forward over
+    `DualModel.scorer_layers` on rows x (n, 1, 2d): row k holds (u, i) for
+    domain k's own scorer, and row j != k holds (cross_matrix(j, k) @ u, i)
+    for partner j's. The blend is (1 - alpha) * y[k] + alpha / (n - 1) * cross,
+    cross summing y[j] for j != k in index order from 0.0; at an effective
+    alpha of 0 it is y[k], bit for bit. An embedding of
     another shape than (embed_dim,), or one that holds anything but finite
     numbers, raises ValueError naming it.
     """
@@ -416,15 +404,12 @@ def predict_from_embeddings(dm: DualModel, domain, user_emb: np.ndarray, item_em
 
 def _hybrid(dm: DualModel, k: int, user_emb, item_emb, in_overlap: bool) -> float:
     n, d = len(dm.domains), dm.embed_dim
-    alpha = dm.alpha if in_overlap else 0.0
-    lo, hi = (0, n) if alpha else (k, k + 1)
-    x = np.empty((hi - lo, 1, 2 * d))
+    x = np.empty((n, 1, 2 * d))
     x[..., d:] = item_emb
-    for j in range(lo, hi):
-        x[j - lo, 0, :d] = user_emb if j == k else dm.cross_matrix(j, k) @ user_emb
-    y = stack_forward(dm.scorer_layers if alpha else dm.own_layers[k], x)[0][:, 0, 0].tolist()
-    if not alpha:
-        return y[0]
+    for j in range(n):
+        x[j, 0, :d] = user_emb if j == k else dm.cross_matrix(j, k) @ user_emb
+    y = stack_forward(dm.scorer_layers, x)[0][:, 0, 0].tolist()
+    alpha = dm.alpha if in_overlap else 0.0
     cross = 0.0
     for j in range(n):
         if j != k:
@@ -724,15 +709,19 @@ def evaluate_loss(dm: DualModel, rows, domain) -> float:
 
 
 def predict_batch(dm: DualModel, domain, rows) -> np.ndarray:
-    """Hybrid ratings of one domain's rows, read from their ui and overlap."""
-    k = dm.index(domain)
-    ui = rows.ui
-    within = model_forward(dm.domains[k].scorer, ui)[0][:, 0]
+    """Hybrid ratings of one domain's rows, read from their ui and overlap: each
+    channel one forward over its scorer's slice of `DualModel.scorer_layers`."""
+    k, d = dm.index(domain), dm.embed_dim
+
+    def channel(j, x):  # scorer j on rows x (N, 2d)
+        return stack_forward([(w[j : j + 1], b[j : j + 1], act) for w, b, act in dm.scorer_layers], x[None])[0][0, :, 0]
+
+    within = channel(k, rows.ui)
     if dm.alpha == 0.0:
         return within
-    user, item = ui[:, : dm.embed_dim], ui[:, dm.embed_dim :]
-    cross = sum(model_forward(dom.scorer, np.concatenate([user @ dm.cross_matrix(j, k).T, item], axis=1))[0][:, 0]
-                for j, dom in enumerate(dm.domains) if j != k)
+    user, item = rows.ui[:, :d], rows.ui[:, d:]
+    cross = sum(channel(j, np.concatenate([user @ dm.cross_matrix(j, k).T, item], axis=1))
+                for j in range(len(dm.domains)) if j != k)
     alpha_vec = np.where(rows.overlap, dm.alpha, 0.0)
     return (1.0 - alpha_vec) * within + alpha_vec / (len(dm.domains) - 1) * cross
 
@@ -951,8 +940,11 @@ def _model_arrays(model: RatingModel, prefix: str) -> dict:
     return out
 
 
-def _model_from_arrays(data, prefix: str) -> RatingModel:
-    n = int(data[f"{prefix}n"])
+def _model_from_arrays(data: _Bundle, prefix: str) -> RatingModel:
+    n = data.shaped(f"{prefix}n", ())[()]  # the layer count
+    check_integer(f"{prefix}n", n)
+    if n < 1:
+        raise ValueError(f"{prefix}n={n} below 1")
     layers = [
         DenseLayer(
             np.array(data[f"{prefix}l{i}_w"]),

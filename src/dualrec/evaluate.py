@@ -316,6 +316,8 @@ def alpha_sweep(
     budget of cfg.epochs, as the transfer-benefit criterion and demo 05 use.
     """
     configs = [replace(cfg, alpha=float(a)) for a in alphas]  # checks every rate before the first run
+    if not configs:
+        raise ValueError("alphas names no transfer rate")
     _check_ranking(rank_k, tau, "rank_k")
     prepared = prepare_pair(ds_a, ds_b, cfg, k, seed)
     return [

@@ -79,6 +79,11 @@ def model_forward(model: RatingModel, x: np.ndarray):
     return h, caches
 
 
+def score(model: RatingModel, user_emb, item_emb) -> float:
+    """One scorer's rating of one (user, item) embedding pair, by `model_forward` on one row."""
+    return float(model_forward(model, np.concatenate([user_emb, item_emb]))[0][0])
+
+
 def model_backward(model: RatingModel, caches, dy: np.ndarray, need_dx: bool = True):
     """One scorer's backward pass, layer by layer: (dx, per-layer [(dW, db), ...]).
 

@@ -33,7 +33,6 @@ from dualrec.dualmodel import (
     entity_vectors,
     prepare_domain,
     save_dual_model,
-    score,
     shared_user_alignment,
     train_pair,
     train_pair_autoencoders,
@@ -42,7 +41,7 @@ from dualrec.features import FeatureSchema, FieldSpec, encode, require_disjoint_
 from dualrec.mapping import OrthogonalMap, init_map, orthogonality_defect
 from dualrec.numeric import make_rng
 from gradcheck import grad_check
-from single_domain import domain_embeddings, model_forward, train_single
+from single_domain import domain_embeddings, model_forward, score, train_single
 from test_training_kernel import step_batches
 
 
@@ -558,6 +557,19 @@ class TestBundle:
         with pytest.raises(ValueError, match="rs_a ends in 4 outputs, expected 1"):
             load_dual_model(path)
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("rs0_n", np.array(2.5), r"^rs_a \(bundle keys rs0_\*\): rs0_n=2.5 is not an integer$"),
+        ("rs1_n", np.array(0), r"^rs_b \(bundle keys rs1_\*\): rs1_n=0 below 1$"),
+        ("rs0_n", np.array(-1), r"^rs_a \(bundle keys rs0_\*\): rs0_n=-1 below 1$"),
+        ("rs0_n", np.array([2]), r"^rs_a \(bundle keys rs0_\*\): model bundle key 'rs0_n' holds shape \(1,\), expected \(\)$"),
+    ])
+    def test_a_scorer_layer_count_that_is_no_positive_integer_names_its_key(self, trained_small, tmp_path,
+                                                                           key, value, message):
+        dm, _ = trained_small
+        path = self.edited(dm, tmp_path, lambda a: a.update({key: value}))
+        with pytest.raises(ValueError, match=message):
+            load_dual_model(path)
+
     @pytest.mark.parametrize(
         "key, value, message",
         [
@@ -741,6 +753,25 @@ class TestMultiDomain:
             for r in range(5):
                 assert got[r] == pytest.approx(predict_from_embeddings(dm, k, u[r], i[r], bool(overlap[r])), abs=1e-12)
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_batch_prediction_is_its_oracle_composition_bytewise(self, n):
+        # random rows, overlap flags and transfer rates (0 among them), composed in predict_batch's order
+        ae = tiny_autoencoder()
+        rng = make_rng(19, n)
+        for case in range(20):
+            alpha = (0.0, 0.03, float(rng.uniform(0.0, 0.5)))[case % 3]
+            dm = new_dual_model([(ae, ae)] * n, alpha=alpha, seed=case, hidden=(5, 3))
+            size = int(rng.integers(1, 40))
+            u, i = rng.normal(size=(2, size, dm.embed_dim))
+            overlap = rng.random(size) < 0.5
+            alpha_vec = np.where(overlap, alpha, 0.0)
+            for k in range(n):
+                cross = sum(layer_by_layer(dm.domains[j].scorer, u @ dm.cross_matrix(j, k).T, i)
+                            for j in range(n) if j != k)
+                want = (1.0 - alpha_vec) * layer_by_layer(dm.domains[k].scorer, u, i) + alpha_vec / (n - 1) * cross
+                got = predict_batch(dm, k, rows_of(u, i, np.zeros(size), overlap))
+                assert got.tobytes() == want.tobytes(), (case, k)
+
     def test_cross_matrices_are_transpose_consistent(self):
         dm = three_domain_model(alpha=0.1)
         for j in range(3):
@@ -792,7 +823,7 @@ class TestMultiDomain:
 
 
 def composed(dm, k, u, i, in_overlap=True):
-    """A hybrid rating composed by hand through `score`, in predict_from_embeddings' order."""
+    """A hybrid rating composed by hand through the oracle's `score`, in predict_from_embeddings' order."""
     alpha = dm.alpha if in_overlap else 0.0
     within = score(dm.domains[k].scorer, u, i)
     if alpha == 0.0:
@@ -806,7 +837,7 @@ def composed(dm, k, u, i, in_overlap=True):
 
 def assert_predictions_follow(dm, write, seed=0):
     """After write() changes the scorers in place, every prediction of dm moves and equals its
-    composition through `score` bit for bit."""
+    composition through the oracle's `score` bit for bit."""
     (u,), (i,) = random_embeddings(dm, 1, seed)
     domains = range(len(dm.domains))
     before = [predict_from_embeddings(dm, k, u, i, in_overlap=False) for k in domains]

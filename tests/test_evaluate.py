@@ -263,6 +263,12 @@ class TestAlphaSweep:
         with pytest.raises(ValueError, match=r"alpha 0.5000001 outside \[0, 0.5\]"):
             alpha_sweep(ds_a, ds_b, [0.0, 0.5000001], small_cfg(), k=2, seed=0)
 
+    def test_an_empty_alpha_list_fails_before_anything_trains(self, small_pair, monkeypatch):
+        ds_a, ds_b, _ = small_pair
+        monkeypatch.setattr(dualmodel, "train_pair_autoencoders", None)  # training would raise a TypeError
+        with pytest.raises(ValueError, match="^alphas names no transfer rate$"):
+            alpha_sweep(ds_a, ds_b, [], small_cfg(), k=2)
+
 
 class TestPreparedPair:
     def test_fold_rows_equal_a_fresh_encoding_bytewise(self, small_pair):
