@@ -18,7 +18,8 @@ entrywise nonnegative; the targets can always be made nonnegative by adding
 the "positive perturbation" rank(X) * rating_scale to every rating first
 (see :func:`perturb` and :func:`check_conditions`).  The a and b
 factorizations of a problem, and the problems of one :func:`run_nmf_many`
-call, step as one stack of 2-D products.
+call, step as one stack of 2-D products, written into buffers allocated once
+per call (see :func:`_lockstep`).
 
 Loss bookkeeping.  The trace records the coupled objective routed through
 the reduction, (1-2a)^2 * (reduced residuals), which the multiplicative
@@ -37,14 +38,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from dualrec.numeric import as_matrix, make_rng
+from dualrec.numeric import as_matrix, check_integer, make_rng
 
 MU_EPS = 1e-12
 
 
 @dataclass
 class DualNmfProblem:
-    """Fixed inputs of the dual factorization: ratings, mixing matrix, rate."""
+    """Fixed inputs of the dual factorization: ratings, mixing matrix, rate.
+    Refuses a NaN, infinite or negative entry of v_a, v_b or x, naming the matrix."""
 
     v_a: np.ndarray
     v_b: np.ndarray
@@ -61,12 +63,14 @@ class DualNmfProblem:
         n = self.v_a.shape[0]
         if self.x.shape != (n, n):
             raise ValueError(f"mixing matrix shape {self.x.shape} must be ({n}, {n})")
-        if np.any(self.v_a < 0) or np.any(self.v_b < 0):
-            raise ValueError("rating matrices must be entrywise nonnegative")
-        if np.any(self.x < 0):
-            raise ValueError("mixing matrix must be entrywise nonnegative")
+        for name, a in (("v_a", self.v_a), ("v_b", self.v_b), ("mixing matrix", self.x)):
+            if not np.isfinite(a).all():
+                raise ValueError(f"{name} has a non-finite entry (NaN or inf)")
+            if np.minimum.reduce(a, None, initial=0.0) < 0.0:
+                raise ValueError(f"{name} must be entrywise nonnegative")
         if not 0.0 <= self.alpha < 0.5:
             raise ValueError(f"alpha must lie in [0, 0.5), got {self.alpha}")
+        check_integer("rank", self.rank)
         if not 1 <= self.rank <= min(self.v_a.shape):
             raise ValueError(f"rank must lie in [1, {min(self.v_a.shape)}], got {self.rank}")
 
@@ -99,8 +103,9 @@ def init_state(p: DualNmfProblem, seed: int) -> DualNmfState:
 
 
 def dual_loss(p: DualNmfProblem, s: DualNmfState) -> float:
-    """Coupled objective evaluated directly: both squared Frobenius residuals."""
-    _check_state_shapes(p, s)
+    """Coupled objective evaluated directly: both squared Frobenius residuals.
+    Refuses factors of the wrong shape or with a negative or non-finite entry."""
+    _check_state(p, s)
     ra = p.v_a - (1.0 - p.alpha) * (s.w_a @ s.h_a) - p.alpha * (p.x @ (s.w_b @ s.h_b))
     rb = p.v_b - (1.0 - p.alpha) * (s.w_b @ s.h_b) - p.alpha * (p.x.T @ (s.w_a @ s.h_a))
     return float(np.sum(ra * ra) + np.sum(rb * rb))
@@ -173,8 +178,10 @@ def run_nmf(p: DualNmfProblem, max_iters: int = 200_000, tol: float = 1e-8,
 
     The K = 1 case of :func:`run_nmf_many`, started from ``state`` (which is
     not mutated) when one is given and from ``init_state(p, seed)`` otherwise.
-    Refuses to run unless conditions (a), (b), (c) all hold (apply
-    :func:`perturb_problem` first when they do not).  The returned state
+    Refuses, before any step, a ``max_iters`` that is no integer >= 0, a ``tol``
+    that is NaN or negative, and a state whose factors are not finite and
+    nonnegative; and refuses to run unless conditions (a), (b), (c) all hold
+    (apply :func:`perturb_problem` first when they do not).  The returned state
     carries the full loss trace: entry 0 is the initial loss, one entry per
     step after that, each the coupled objective through the reduction,
     (1-2a)^2 (|M_A - W_A H_A|^2 + |M_B - W_B H_B|^2).  The default budget
@@ -192,7 +199,8 @@ def run_nmf_many(problems, seeds, max_iters: int = 200_000, tol: float = 1e-8) -
     returned state has the trace and factor bytes that ``run_nmf`` gives the
     problem alone, since every stacked product runs one 2-D product per slice.
     Refuses, naming the problem's index, a problem whose shape or rank differs
-    from problem 0's or whose conditions (a), (b), (c) fail.
+    from problem 0's or whose conditions (a), (b), (c) fail; ``max_iters`` and
+    ``tol`` are bounded as in ``run_nmf``.
     """
     problems, seeds = list(problems), list(seeds)
     if len(seeds) != len(problems):
@@ -205,7 +213,16 @@ def _lockstep(problems, states, max_iters, tol) -> list[DualNmfState]:
     targets m (K, 2, rows, cols), factors w (K, 2, rows, r) and h (K, 2, r, cols).
     Denominators are floored at MU_EPS, which leaves the exact multiplicative
     update (and its monotonicity guarantee) untouched wherever they exceed
-    the floor."""
+    the floor.
+
+    Workspace: seven (K, 2, ...) buffers allocated once take every product (prefix
+    slices of them once problems settle), and w and h take the updates.  The bits
+    are the plain expressions': the same 2-D products in the order (wt @ w) @ h,
+    (w @ h) @ ht and h * num / den, and the loss summed in IEEE-double Python floats."""
+    check_integer("max_iters", max_iters)
+    for name, v in (("max_iters", max_iters), ("tol", tol)):
+        if not v >= 0:
+            raise ValueError(f"{name}={v} is not a number" if v != v else f"{name}={v} below 0")
     for i, (p, s) in enumerate(zip(problems, states)):
         if (p.v_a.shape, p.rank) != (problems[0].v_a.shape, problems[0].rank):
             raise ValueError(f"problem {i}: shape {p.v_a.shape} and rank {p.rank} differ from problem 0's "
@@ -214,24 +231,37 @@ def _lockstep(problems, states, max_iters, tol) -> list[DualNmfState]:
         if failing:
             raise ValueError(f"problem {i}: convergence condition(s) {', '.join(failing)} not satisfied; "
                              "perturb the rating matrices or lower alpha")
-        _check_state_shapes(p, s)
+        _check_state(p, s)
     if not problems:
         return []
     m = np.array([reduce(p) for p in problems])
-    w = np.array([(s.w_a, s.w_b) for s in states])
-    h = np.array([(s.h_a, s.h_b) for s in states])
-    scale = np.array([1.0 - 2.0 * p.alpha for p in problems])
-    factor = scale * scale
-    traces = [[loss] for loss in _traced_losses(m, w, h, factor)]
+    # float64 whatever a warm start's dtype: the workspace is shaped and typed like w and h
+    w = np.array([(s.w_a, s.w_b) for s in states], dtype=float)
+    h = np.array([(s.h_a, s.h_b) for s in states], dtype=float)
+    # w and h are written in place, so their transposed views hold until the stack is compacted
+    wt, ht = w.swapaxes(-1, -2), h.swapaxes(-1, -2)
+    hnum, gram, hden, wnum, wh, wden, res = full = [np.empty_like(a) for a in (h, wt @ w, h, w, m, w, m)]
+    factor = [scale * scale for scale in (1.0 - 2.0 * p.alpha for p in problems)]
+    # call overhead is most of a step here: local names, a 0-d eps and out= by position (not to np.maximum)
+    matmul, multiply, divide, maximum, eps = np.matmul, np.multiply, np.divide, np.maximum, np.array(MU_EPS)
+
+    def losses() -> list[float]:
+        # each live problem's (1-2a)^2 (|R_A|^2 + |R_B|^2), summed as Python floats
+        np.subtract(m, matmul(w, h, wh), res)
+        e = np.add.reduce(multiply(res, res, res), axis=(-2, -1)).tolist()
+        return [f * (ea + eb) for f, (ea, eb) in zip(factor, e)]
+    traces = [[loss] for loss in losses()]
     live = list(range(len(problems)))
     out = [None] * len(problems)
     for _ in range(max_iters):
-        wt = w.swapaxes(-1, -2)
-        h = h * (wt @ m) / np.maximum(wt @ w @ h, MU_EPS)
-        ht = h.swapaxes(-1, -2)
-        w = w * (m @ ht) / np.maximum(w @ h @ ht, MU_EPS)
+        matmul(wt, m, hnum)
+        matmul(matmul(wt, w, gram), h, hden)
+        divide(multiply(h, hnum, hnum), maximum(hden, eps, out=hden), h)
+        matmul(m, ht, wnum)
+        matmul(matmul(w, h, wh), ht, wden)
+        divide(multiply(w, wnum, wnum), maximum(wden, eps, out=wden), w)
         settled = []
-        for j, loss in enumerate(_traced_losses(m, w, h, factor)):
+        for j, loss in enumerate(losses()):
             trace = traces[live[j]]
             trace.append(loss)
             if abs(trace[-2] - loss) < tol:
@@ -240,20 +270,15 @@ def _lockstep(problems, states, max_iters, tol) -> list[DualNmfState]:
             for j in settled:
                 out[live[j]] = _state(w[j], h[j], traces[live[j]])
             keep = [j for j in range(len(live)) if j not in settled]
-            m, w, h, factor = m[keep], w[keep], h[keep], factor[keep]
+            m, w, h, factor = m[keep], w[keep], h[keep], [factor[j] for j in keep]
             live = [live[j] for j in keep]
             if not live:
                 break
+            hnum, gram, hden, wnum, wh, wden, res = (buf[:len(live)] for buf in full)
+            wt, ht = w.swapaxes(-1, -2), h.swapaxes(-1, -2)
     for j, i in enumerate(live):
         out[i] = _state(w[j], h[j], traces[i])
     return out
-
-
-def _traced_losses(m, w, h, factor) -> list[float]:
-    """Each stacked problem's (1-2a)^2 (|R_A|^2 + |R_B|^2), as floats."""
-    r = m - w @ h
-    e = (r * r).sum(axis=(-2, -1))
-    return (factor * (e[:, 0] + e[:, 1])).tolist()
 
 
 def _state(w, h, trace) -> DualNmfState:
@@ -280,11 +305,16 @@ def make_random_problem(rows: int, cols: int, rank: int, alpha: float,
     return DualNmfProblem(v_a, v_b, x, alpha, rank)
 
 
-def _check_state_shapes(p: DualNmfProblem, s: DualNmfState):
+def _check_state(p: DualNmfProblem, s: DualNmfState):
+    """Refuse, naming the factor, one of the wrong shape or with a negative or
+    non-finite entry: the multiplicative updates keep their monotone guarantee
+    only on finite nonnegative factors."""
     m, n = p.v_a.shape
     r = p.rank
     expected = {"w_a": (m, r), "h_a": (r, n), "w_b": (m, r), "h_b": (r, n)}
     for name, shape in expected.items():
-        got = getattr(s, name).shape
-        if got != shape:
-            raise ValueError(f"factor {name} has shape {got}, expected {shape}")
+        f = getattr(s, name)
+        if f.shape != shape:
+            raise ValueError(f"factor {name} has shape {f.shape}, expected {shape}")
+        if not ((f >= 0.0) & (f < np.inf)).all():
+            raise ValueError(f"factor {name} has a negative or non-finite entry; factors must be finite and nonnegative")

@@ -103,8 +103,24 @@ class TestDualLoss:
 
     def test_problem_rejects_negative_entries(self):
         j = np.ones((3, 3))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^v_a must be entrywise nonnegative$"):
             DualNmfProblem(-j, j, np.eye(3), 0.1, rank=2)
+
+    @pytest.mark.parametrize("rank", [2.5, 2.0, True])
+    def test_problem_refuses_a_rank_that_is_no_integer(self, rank):
+        # 2.5 and True once passed the bound and failed on the first draw with a TypeError
+        j = np.ones((3, 3))
+        with pytest.raises(ValueError, match=f"^rank={rank} is not an integer$"):
+            DualNmfProblem(j, j, np.eye(3), 0.1, rank=rank)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["v_a", "v_b", "mixing matrix"])
+    def test_problem_refuses_a_non_finite_entry_naming_its_matrix(self, name, value):
+        # a NaN rating once passed, and the run was then refused with a wrong cause and remedy
+        mats = {"v_a": np.ones((3, 3)), "v_b": np.ones((3, 3)), "mixing matrix": np.eye(3)}
+        mats[name][1, 2] = value
+        with pytest.raises(ValueError, match=f"^{name} has a non-finite entry \\(NaN or inf\\)$"):
+            DualNmfProblem(mats["v_a"], mats["v_b"], mats["mixing matrix"], 0.1, rank=2)
 
 
 class TestReduce:
@@ -253,15 +269,18 @@ class TestRunNmf:
         t2 = run_nmf(p, max_iters=50, tol=0.0, seed=6).loss_trace
         assert t1 == t2
 
-    def test_bitwise_equal_to_stepping_mu_step(self):
-        # reference loop: the oracle's one-step update and traced loss, composed
-        p = perturb_problem(make_random_problem(8, 6, 2, 0.15, seed=6), 1.0)
-        s = init_state(p, seed=6)
+    @pytest.mark.parametrize("shape, alpha, seed, iters", [((8, 6, 2), 0.15, 6, 200), ((20, 15, 4), 0.1, 1, 2000)],
+                             ids=["8x6-rank2", "20x15-rank4"])
+    def test_bitwise_equal_to_stepping_mu_step(self, shape, alpha, seed, iters):
+        # reference loop: the oracle's one-step update and traced loss, composed;
+        # (20, 15, 4) is the nmf-lab default shape, which the in-place kernel steps
+        p = perturb_problem(make_random_problem(*shape, alpha, seed=seed), 1.0)
+        s = init_state(p, seed=seed)
         want = [coupled_loss_via_reduction(p, s)]
-        for _ in range(200):
+        for _ in range(iters):
             s = mu_step(p, s)
             want.append(coupled_loss_via_reduction(p, s))
-        got = run_nmf(p, max_iters=200, tol=0.0, seed=6)
+        got = run_nmf(p, max_iters=iters, tol=0.0, seed=seed)
         assert got.loss_trace == want
         for g, w in zip(got.factors(), s.factors()):
             assert np.array_equal(g, w)
@@ -276,6 +295,40 @@ class TestRunNmf:
         bad = DualNmfState(start.w_a, start.h_a, start.w_b[:, :1], start.h_b)
         with pytest.raises(ValueError, match="w_b"):
             run_nmf(p, max_iters=20, state=bad)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float32])
+    def test_warm_start_of_another_dtype_runs_as_its_float64_copy(self, dtype):
+        # the workspace takes the factors' dtype, so they must enter the stack as float64
+        p = perturb_problem(make_random_problem(8, 6, 2, 0.15, seed=6), 1.0)
+        start = DualNmfState(*(np.ceil(3.0 * f) for f in init_state(p, seed=1).factors()))
+        got = run_nmf(p, max_iters=20, tol=0.0, state=DualNmfState(*(f.astype(dtype) for f in start.factors())))
+        assert_same_run(got, run_nmf(p, max_iters=20, tol=0.0, state=start))
+        assert all(f.dtype == np.float64 for f in got.factors())
+
+    @pytest.mark.parametrize("value", [-1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["w_a", "h_a", "w_b", "h_b"])
+    def test_warm_start_with_a_negative_or_non_finite_factor_is_refused(self, name, value):
+        # one -1.0 in w_a once ran to NaN factors: the updates are monotone only on nonnegative factors
+        p = perturb_problem(make_random_problem(8, 6, 2, 0.15, seed=6), 1.0)
+        bad = init_state(p, seed=1)
+        getattr(bad, name)[1, 1] = value
+        with pytest.raises(ValueError, match=f"^factor {name} has a negative or non-finite entry; "
+                                             "factors must be finite and nonnegative$"):
+            run_nmf(p, max_iters=20, state=bad)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"max_iters": -5}, "max_iters=-5 below 0"),
+        ({"max_iters": True}, "max_iters=True is not an integer"),
+        ({"max_iters": 2.0}, "max_iters=2.0 is not an integer"),
+        ({"tol": np.nan}, "tol=nan is not a number"),
+        ({"tol": -1.0}, "tol=-1.0 below 0"),
+    ])
+    def test_a_budget_below_0_or_no_integer_and_a_tolerance_below_0_or_nan_are_refused(self, kwargs, message):
+        # once -5 ran 0 iterations, True ran 1, and tol=nan or -1.0 burnt the whole budget
+        p = perturb_problem(make_random_problem(8, 6, 2, 0.15, seed=6), 1.0)
+        for run in (lambda: run_nmf(p, **kwargs), lambda: run_nmf_many([p, p], [1, 2], **kwargs)):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                run()
 
 
 def ready_problem(rows, cols, rank, alpha, seed):
@@ -315,6 +368,11 @@ class TestRunNmfMany:
         problems = [ready_problem(5, 4, 2, alpha, seed) for seed, alpha in enumerate((0.0, 0.1, 0.2, 0.3))]
         got = run_nmf_many(problems, [7, 8, 9, 10], max_iters=3000, tol=1e-6)
         assert len({len(s.loss_trace) for s in got}) > 1, "no problem settled before another"
+        # each returned factor is its own copy, not a view into the stack the kernel writes in place
+        arrays = [a for s in got for a in s.factors()]
+        assert all(a.flags.owndata for a in arrays), "a returned factor views the stack"
+        for i, a in enumerate(arrays):
+            assert not any(np.shares_memory(a, b) for b in arrays[i + 1:]), "two returned factors share memory"
         for p, seed, s in zip(problems, [7, 8, 9, 10], got):
             assert_same_run(s, run_nmf(p, max_iters=3000, tol=1e-6, seed=seed))
 

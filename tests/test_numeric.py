@@ -562,7 +562,8 @@ class TestBlasPremise:
         # run_nmf_many steps the a and b factorizations of K problems as one
         # stack: targets (K, 2, 20, 15), factors (K, 2, 20, 4) and (K, 2, 4, 15).
         # A settled problem leaves the stack through a fancy-index take, and
-        # every problem left must keep the bits of its lone 2-D products.
+        # every problem left must keep the bits of its lone 2-D products, also
+        # where a product is written into the workspace buffers' prefix slices.
         rng = make_rng(47, k)
         m = rng.uniform(size=(k, 2, 20, 15))
         w = rng.uniform(size=(k, 2, 20, 4))
@@ -571,12 +572,18 @@ class TestBlasPremise:
             mk, wk, hk = m[keep], w[keep], h[keep]
             wt, ht = wk.swapaxes(-1, -2), hk.swapaxes(-1, -2)
             products = (wk @ hk, wt @ mk, mk @ ht, wt @ wk @ hk, wk @ hk @ ht)
+            # the in-place kernel writes each product into a prefix slice of a (K, 2, ...) buffer
+            buf = lambda *shape: np.empty((k, 2, *shape))[:len(keep)]
+            wh, hnum, wnum, gram, hden, wden = buf(20, 15), buf(4, 15), buf(20, 4), buf(4, 4), buf(4, 15), buf(20, 4)
+            written = (np.matmul(wk, hk, out=wh), np.matmul(wt, mk, out=hnum), np.matmul(mk, ht, out=wnum),
+                       np.matmul(np.matmul(wt, wk, out=gram), hk, out=hden), np.matmul(wh, ht, out=wden))
             for j, problem in enumerate(keep):
                 for f in range(2):
                     m2, w2, h2 = (np.ascontiguousarray(a[problem, f]) for a in (m, w, h))
                     alone = (w2 @ h2, w2.T @ m2, m2 @ h2.T, w2.T @ w2 @ h2, w2 @ h2 @ h2.T)
-                    for stacked, want in zip(products, alone):
+                    for stacked, put, want in zip(products, written, alone):
                         assert stacked[j, f].tobytes() == want.tobytes()
+                        assert put[j, f].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("width", [5, 20, 33])
     def test_the_encoder_pair_of_one_record(self, width):
