@@ -33,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from dualrec.numeric import (
-    DenseLayer, FlatStack, check_finite_step, dense_layer, dense_stack, flat_params, lockstep_steps, make_rng,
-    stack_backward, stack_forward,
+    DenseLayer, FlatStack, check_bound, check_finite_step, dense_layer, dense_stack, flat_params, lockstep_steps,
+    make_rng, stack_backward, stack_forward,
 )
 
 _L_AE_INIT = 0xAE01
@@ -66,10 +66,9 @@ class Autoencoder:
 
 
 def new_autoencoder(input_dim: int, embed_dim: int, seed: int, domain: str = "", entity: str = "user") -> Autoencoder:
+    check_bound("embed_dim", embed_dim, "[1, inf)", integer=True)
     if embed_dim > input_dim:
         raise ValueError(f"embed_dim {embed_dim} exceeds input dim {input_dim}; no bottleneck")
-    if embed_dim < 1:
-        raise ValueError("embed_dim must be >= 1")
     rng = make_rng(seed, _L_AE_INIT, _stream_tag(entity))
     return Autoencoder(
         encoder=dense_layer(rng, input_dim, embed_dim, "sigmoid"),
@@ -144,8 +143,9 @@ def train_autoencoders(
     for x in xs:
         if x.ndim != 2 or x.shape[0] < 1:
             raise ValueError("corpus must be a non-empty list of equal-length vectors")
-    if lr < 0:
-        raise ValueError("learning rate must be >= 0")
+    check_bound("lr", lr, "[0, inf)")
+    check_bound("epochs", epochs, "[1, inf)", integer=True)
+    check_bound("batch_size", batch_size, "[1, inf)", integer=True)
     out = [None] * len(xs)
     for width in dict.fromkeys(x.shape[1] for x in xs):
         # longest corpus first (a stable sort), so the corpora with rows left always lead the stack

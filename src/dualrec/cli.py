@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from dualrec import evaluate, features, nmflab
-from dualrec.dualmodel import TrainConfig, check_alpha, check_at_least, save_dual_model, train_pair
+from dualrec.dualmodel import TrainConfig, check_alpha, check_keys, save_dual_model, train_pair
 from dualrec.features import load_domain, load_schema, require_disjoint_items, save_schema, synth_pair, write_domain
 
 
@@ -68,26 +68,18 @@ class ExperimentConfig(TrainConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        check_at_least(self, ("folds",), 2)
-        check_at_least(
-            self, ("rank_k", "n_users", "n_items", "latent_dim", "nmf_rows", "nmf_cols", "nmf_rank", "nmf_iters"), 1
-        )
-        check_at_least(self, ("seed", "sigma", "nmf_tol"), 0)
-        for key, ok, bound in (
-            ("tau", 0.0 < self.tau < 1.0, "(0, 1)"),
-            ("rho", 0.0 <= self.rho <= 1.0, "[0, 1]"),
-            ("density", 0.0 < self.density <= 1.0, "(0, 1]"),
-            # the NMF reduction divides by 1 - 2 * alpha, so 0.5 is out
-            ("nmf_alpha", 0.0 <= self.nmf_alpha < 0.5, "[0, 0.5)"),
-            ("nmf_scale", self.nmf_scale > 0.0, "(0, inf)"),
-        ):
-            if not ok:
-                raise ValueError(f"{key}={getattr(self, key)} outside {bound}")
+        check_keys(self, ("folds",), "[2, inf)")
+        check_keys(self, ("rank_k", "n_users", "n_items", "latent_dim", "nmf_rows", "nmf_cols", "nmf_rank",
+                          "nmf_iters"), "[1, inf)")
+        check_keys(self, ("seed", "sigma", "nmf_tol"), "[0, inf)")
+        for key, bound in (("tau", "(0, 1)"), ("rho", "[0, 1]"), ("density", "(0, 1]"), ("nmf_scale", "(0, inf)"),
+                           ("nmf_alpha", "[0, 0.5)")):  # the NMF reduction divides by 1 - 2 * alpha, so 0.5 is out
+            check_keys(self, (key,), bound)
         rates = parse_alphas(self.alphas)
         if not rates:
             raise ValueError("alphas names no transfer rate")
-        for a in rates:
-            check_alpha(a, "alphas entry")
+        for i, a in enumerate(rates):
+            check_alpha(a, f"alphas[{i}]")
         if self.nmf_rank > min(self.nmf_rows, self.nmf_cols):
             raise ValueError(f"nmf_rank={self.nmf_rank} above min(nmf_rows, nmf_cols)={min(self.nmf_rows, self.nmf_cols)}")
 

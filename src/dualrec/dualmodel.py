@@ -75,7 +75,7 @@ from dualrec.autoencoder import Autoencoder, ae_encode, autoencoder_arrays, auto
 from dualrec.features import DomainDataset, FeatureSchema, encode, parse_schema, require_disjoint_items, schema_to_text
 from dualrec.mapping import OrthogonalMap, align_map, init_map, ortho_penalty, project_orthogonal
 from dualrec.numeric import (
-    DenseLayer, check_finite_step, check_integer, dense_layer, flat_params, layer_views, lockstep_steps, make_rng,
+    DenseLayer, check_bound, check_finite_step, dense_layer, flat_params, layer_views, lockstep_steps, make_rng,
     stack_backward, stack_forward, view_layers,
 )
 
@@ -87,32 +87,26 @@ _DUMP_VERSION = "dualrec-dual-1"
 
 def check_alpha(alpha: float, name: str = "alpha") -> None:
     """The transfer-rate bound of every rating model, [0, 0.5]; 0.5 weighs both channels alike."""
-    if not 0.0 <= alpha <= 0.5:
-        raise ValueError(f"{name} {alpha} outside [0, 0.5]")
+    check_bound(name, alpha, "[0, 0.5]")
 
 
-def check_at_least(cfg, keys, low) -> None:
-    """Raise ValueError naming the first of cfg's keys whose value is below low,
-    is NaN ("is not a number"), or is no integer where its dataclass field is
-    typed int. A tuple (typed tuple[int, ...]) is checked entry by entry, named
-    key[i]. A bool is no integer here; an np.int64 is."""
+def check_keys(cfg, keys, bound: str) -> None:
+    """`check_bound` on each of cfg's keys, as an integer where its dataclass
+    field is typed int; a tuple (typed tuple[int, ...]) entry by entry, named key[i]."""
     integral = {f.name for f in fields(cfg) if f.type in ("int", "tuple[int, ...]")}
     for key in keys:
         value = getattr(cfg, key)
         entries = [(f"{key}[{i}]", v) for i, v in enumerate(value)] if isinstance(value, tuple) else [(key, value)]
         for name, v in entries:
-            if key in integral:
-                check_integer(name, v)
-            if not v >= low:
-                raise ValueError(f"{name}={v} is not a number" if v != v else f"{name}={v} below {low}")
+            check_bound(name, v, bound, integer=key in integral)
 
 
 @dataclass
 class TrainConfig:
     """Knobs for the full pipeline; defaults are the package's standard run.
 
-    Every key is checked on construction, and an error names its key; an
-    infinite float key is refused as not finite.
+    Every key is checked on construction by `check_bound`, and an error
+    names its key.
     """
 
     alpha: float = 0.03
@@ -131,12 +125,9 @@ class TrainConfig:
 
     def __post_init__(self):
         self.hidden = tuple(self.hidden)
-        for f in fields(self):  # every float key, a subclass's too: an infinite value is never a setting
-            if f.type == "float" and getattr(self, f.name) in (np.inf, -np.inf):
-                raise ValueError(f"{f.name}={getattr(self, f.name)} is not finite")
         check_alpha(self.alpha)
-        check_at_least(self, ("embed_dim", "epochs", "batch_size", "ae_epochs", "ae_batch_size", "hidden"), 1)
-        check_at_least(self, ("tol", "lr_a", "lr_b", "lr_map", "penalty_weight", "ae_lr"), 0)
+        check_keys(self, ("embed_dim", "epochs", "batch_size", "ae_epochs", "ae_batch_size", "hidden"), "[1, inf)")
+        check_keys(self, ("tol", "lr_a", "lr_b", "lr_map", "penalty_weight", "ae_lr"), "[0, inf)")
 
 
 # ---------------------------------------------------------------------------
@@ -942,9 +933,7 @@ def _model_arrays(model: RatingModel, prefix: str) -> dict:
 
 def _model_from_arrays(data: _Bundle, prefix: str) -> RatingModel:
     n = data.shaped(f"{prefix}n", ())[()]  # the layer count
-    check_integer(f"{prefix}n", n)
-    if n < 1:
-        raise ValueError(f"{prefix}n={n} below 1")
+    check_bound(f"{prefix}n", n, "[1, inf)", integer=True)
     layers = [
         DenseLayer(
             np.array(data[f"{prefix}l{i}_w"]),

@@ -45,7 +45,7 @@ from dualrec.dualmodel import (
 )
 from dualrec.features import DomainDataset, FoldSplit, kfold, require_disjoint_items, write_csv
 from dualrec.mapping import OrthogonalMap
-from dualrec.numeric import check_integer
+from dualrec.numeric import check_bound
 
 
 def _paired(pred, truth):
@@ -78,12 +78,9 @@ class PrecisionRecall:
 
 
 def _check_ranking(k, tau: float, name: str = "k") -> None:
-    """Refuse a cutoff k, called name, that is no integer >= 1, and a tau outside (0, 1)."""
-    if not 0.0 < tau < 1.0:
-        raise ValueError(f"tau {tau} outside (0, 1)")
-    check_integer(name, k)
-    if k < 1:
-        raise ValueError(f"{name} must be >= 1")
+    """Refuse a tau outside (0, 1), and a cutoff k, called name, that is no integer >= 1."""
+    check_bound("tau", tau, "(0, 1)")
+    check_bound(name, k, "[1, inf)", integer=True)
 
 
 def precision_recall_at_k(user_ids, pred, truth, k: int = 5, tau: float = 0.5) -> PrecisionRecall:

@@ -34,14 +34,13 @@ from math import isfinite
 import numpy as np
 
 from dualrec.mapping import init_map
-from dualrec.numeric import check_integer, make_rng, sigmoid
+from dualrec.numeric import check_bound, make_rng, sigmoid
 
 KINDS = ("one_hot", "multi_hot", "numeric", "date")
 
 # rng stream labels, arbitrary but fixed
 _L_KFOLD = 0x06F0
 _L_SYNTH_USERS = 1
-_L_SYNTH_Q = 2
 _L_SYNTH_ITEMS = 3
 _L_SYNTH_EPS = 4
 _L_SYNTH_MASK = 5
@@ -78,8 +77,8 @@ class FieldSpec:
                     raise ValueError(f"field {self.name!r}: values must be one or more strings")
                 if len(set(self.values)) != len(self.values):
                     raise ValueError(f"field {self.name!r}: duplicate category values")
-            if self.buckets is not None and self.buckets < 1:
-                raise ValueError(f"field {self.name!r}: bucket count must be >= 1")
+            if self.buckets is not None:
+                check_bound(f"field {self.name!r}: buckets", self.buckets, "[1, inf)", integer=True)
         else:
             if self.lo is None or self.hi is None:
                 raise ValueError(f"field {self.name!r}: numeric/date fields need lo and hi")
@@ -456,8 +455,7 @@ class FoldSplit:
 
     def fold_indices(self, fold: int) -> tuple[np.ndarray, np.ndarray]:
         """(train record indices, test record indices) for one held-out fold."""
-        if not 0 <= fold < self.k:
-            raise ValueError(f"fold {fold} outside [0, {self.k})")
+        check_bound("fold", fold, f"[0, {self.k})", integer=True)
         test = np.flatnonzero(self.assignments == fold)
         train = np.flatnonzero(self.assignments != fold)
         return train, test
@@ -466,9 +464,7 @@ class FoldSplit:
 def kfold(dataset: DomainDataset, k: int, seed: int) -> FoldSplit:
     """Record-stratified split: permute interactions, deal round-robin."""
     n = len(dataset.interactions)
-    check_integer("k", k)
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
+    check_bound("k", k, "[2, inf)", integer=True)
     if k > n:
         raise ValueError(f"domain {dataset.domain_name!r} has {n} records, fewer than k={k} folds")
     rng = make_rng(seed, _L_KFOLD)
@@ -592,15 +588,13 @@ def synth_pair(
     Bernoulli(density) draw. Raw features are quantized random projections
     of the latents, so encoded features genuinely carry preference signal.
     """
+    check_bound("n_users", n_users, "[1, inf)", integer=True)
+    check_bound("n_items_per_domain", n_items_per_domain, "[1, inf)", integer=True)
+    check_bound("latent_dim", latent_dim, "[1, inf)", integer=True)
+    check_bound("cross_correlation", cross_correlation, "[0, 1]")
+    check_bound("noise", noise, "[0, inf)")
+    check_bound("density", density, "(0, 1]")
     rho = float(cross_correlation)
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError(f"cross_correlation {rho} outside [0, 1]")
-    if not 0.0 < density <= 1.0:
-        raise ValueError(f"density {density} outside (0, 1]")
-    if noise < 0:
-        raise ValueError(f"noise {noise} must be >= 0")
-    if min(n_users, n_items_per_domain, latent_dim) < 1:
-        raise ValueError("n_users, n_items_per_domain, latent_dim must be >= 1")
 
     u_a = make_rng(seed, _L_SYNTH_USERS).normal(size=(n_users, latent_dim))
     q = init_map(latent_dim, seed, domain_pair=("a", "b")).x

@@ -16,7 +16,7 @@ from functools import cache
 
 import numpy as np
 
-from dualrec.numeric import as_matrix, make_rng
+from dualrec.numeric import as_matrix, check_bound, make_rng
 
 ORTHO_TOL = 1e-6
 _NS_MAX_ITERS = 50
@@ -62,8 +62,7 @@ def init_map(d: int, seed: int, domain_pair: tuple[str, str] = ("a", "b")) -> Or
     two-domain model always has; any other pair draws from a stream of its
     own names, so the maps of an n-domain model start apart.
     """
-    if d < 1:
-        raise ValueError("mapping dimension must be >= 1")
+    check_bound("d", d, "[1, inf)", integer=True)
     names = () if tuple(domain_pair) == ("a", "b") else tuple(zlib.crc32(name.encode("utf-8")) for name in domain_pair)
     rng = make_rng(seed, 0x0A11, *names)
     g = rng.standard_normal((d, d))
@@ -126,10 +125,10 @@ def ortho_penalty(m):
     return (float(loss) if x.ndim == 2 else loss), 4.0 * x @ e
 
 
-def project_orthogonal(m: OrthogonalMap, tol: float = ORTHO_TOL) -> OrthogonalMap:
+def project_orthogonal(m: OrthogonalMap) -> OrthogonalMap:
     """Nearest-orthogonal projection by Newton-Schulz polar iteration.
 
-    Iterates X <- X (3I - X^T X) / 2 until ||X^T X - I||_F <= tol.  Inputs
+    Iterates X <- X (3I - X^T X) / 2 until ||X^T X - I||_F <= ORTHO_TOL.  Inputs
     far outside the iteration's convergence region are first scaled by
     1/||X||_F (the polar factor is scale-invariant), which brings every
     nonsingular matrix inside it.  Raises if 50 iterations do not converge,
@@ -143,10 +142,10 @@ def project_orthogonal(m: OrthogonalMap, tol: float = ORTHO_TOL) -> OrthogonalMa
         x = x / nrm
     eye = _identity(m.dim)
     for _ in range(_NS_MAX_ITERS):
-        if orthogonality_defect(x) <= tol:
+        if orthogonality_defect(x) <= ORTHO_TOL:
             return OrthogonalMap(x, m.domain_pair)
         x = x @ (3.0 * eye - x.T @ x) / 2.0
-    if orthogonality_defect(x) <= tol:
+    if orthogonality_defect(x) <= ORTHO_TOL:
         return OrthogonalMap(x, m.domain_pair)
     raise np.linalg.LinAlgError(
         "Newton-Schulz projection did not converge in 50 iterations; "

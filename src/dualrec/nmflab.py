@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from dualrec.numeric import as_matrix, check_integer, make_rng
+from dualrec.numeric import as_matrix, check_bound, make_rng
 
 MU_EPS = 1e-12
 
@@ -68,11 +68,8 @@ class DualNmfProblem:
                 raise ValueError(f"{name} has a non-finite entry (NaN or inf)")
             if np.minimum.reduce(a, None, initial=0.0) < 0.0:
                 raise ValueError(f"{name} must be entrywise nonnegative")
-        if not 0.0 <= self.alpha < 0.5:
-            raise ValueError(f"alpha must lie in [0, 0.5), got {self.alpha}")
-        check_integer("rank", self.rank)
-        if not 1 <= self.rank <= min(self.v_a.shape):
-            raise ValueError(f"rank must lie in [1, {min(self.v_a.shape)}], got {self.rank}")
+        check_bound("alpha", self.alpha, "[0, 0.5)")
+        check_bound("rank", self.rank, f"[1, {min(self.v_a.shape)}]", integer=True)
 
 
 @dataclass
@@ -131,8 +128,9 @@ def loss_decomposition(p: DualNmfProblem, s: DualNmfState):
     Returns (reduced_part, cross_part) with
     reduced_part = (1-2a)^2 (|R_A|^2 + |R_B|^2) and
     cross_part = 2a(1-a) |R_A + X R_B|^2; their sum equals dual_loss exactly
-    when X is orthogonal.
+    when X is orthogonal. Refuses factors as `dual_loss` does.
     """
+    _check_state(p, s)
     m_a, m_b = reduce(p)
     ra = m_a - s.w_a @ s.h_a
     rb = m_b - s.w_b @ s.h_b
@@ -159,10 +157,8 @@ def check_conditions(p: DualNmfProblem) -> dict:
 def perturb(v: np.ndarray, m: int, k: float) -> np.ndarray:
     """Positive perturbation: add m*k (mixing-matrix rank times rating scale)
     to every entry, which forces conditions b and c for moderate alpha."""
-    if k <= 0:
-        raise ValueError("rating scale k must be > 0")
-    if m < 0:
-        raise ValueError("rank m must be >= 0")
+    check_bound("m", m, "[0, inf)", integer=True)
+    check_bound("k", k, "(0, inf)")
     return as_matrix(v, "matrix") + float(m) * float(k)
 
 
@@ -219,10 +215,8 @@ def _lockstep(problems, states, max_iters, tol) -> list[DualNmfState]:
     slices of them once problems settle), and w and h take the updates.  The bits
     are the plain expressions': the same 2-D products in the order (wt @ w) @ h,
     (w @ h) @ ht and h * num / den, and the loss summed in IEEE-double Python floats."""
-    check_integer("max_iters", max_iters)
-    for name, v in (("max_iters", max_iters), ("tol", tol)):
-        if not v >= 0:
-            raise ValueError(f"{name}={v} is not a number" if v != v else f"{name}={v} below 0")
+    check_bound("max_iters", max_iters, "[0, inf)", integer=True)
+    check_bound("tol", tol, "[0, inf)")
     for i, (p, s) in enumerate(zip(problems, states)):
         if (p.v_a.shape, p.rank) != (problems[0].v_a.shape, problems[0].rank):
             raise ValueError(f"problem {i}: shape {p.v_a.shape} and rank {p.rank} differ from problem 0's "
@@ -298,6 +292,7 @@ def random_permutation_matrix(n: int, seed: int) -> np.ndarray:
 def make_random_problem(rows: int, cols: int, rank: int, alpha: float,
                         seed: int, scale: float = 1.0) -> DualNmfProblem:
     """Random problem with uniform(0, scale) ratings and a permutation mixing."""
+    check_bound("scale", scale, "(0, inf)")
     rng = make_rng(seed, 0xD0A1)
     v_a = rng.uniform(0.0, scale, size=(rows, cols))
     v_b = rng.uniform(0.0, scale, size=(rows, cols))

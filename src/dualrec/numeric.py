@@ -4,7 +4,8 @@ Matrices are plain 2-D float64 numpy arrays (row-major); vectors are 1-D
 float64 arrays.  Everything downstream (autoencoders, rating scorers, the
 orthogonal mapping, the NMF lab) builds on the handful of operations here:
 one stacked dense-layer kernel with exact analytic gradients, a stable
-sigmoid and the one finite check each training step runs. The training
+sigmoid, the one finite check each training step runs and the package's one
+check of a fixed bound, :func:`check_bound`. The training
 loops apply their SGD updates in place. The sigmoid is
 exp(min(z, 0)) / (1 + exp(-|z|)): no exp overflows, and it gives the bits
 of the sign-masked form (1 / (1 + exp(-z)) where z >= 0, exp(z) / (1 + exp(z))
@@ -40,11 +41,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
+from functools import cache
 
 import numpy as np
 
 ACTIVATIONS = ("identity", "sigmoid", "relu")
+_INTS, _NUMBERS = (int, np.integer), (int, float, np.integer, np.floating)  # the values check_bound takes, numpy's too
+_ends = cache(lambda bound: tuple(map(float, bound[1:-1].split(","))))  # (lo, hi) of each interval text, read once
 
 
 def make_rng(seed: int, *stream: int) -> np.random.Generator:
@@ -71,10 +74,21 @@ def as_vector(v, name: str = "vector") -> np.ndarray:
     return v
 
 
-def check_integer(name: str, value) -> None:
-    """Raise ValueError naming name unless value is an integer; a bool is none, an np.int64 is one."""
-    if not isinstance(value, Integral) or isinstance(value, bool):
-        raise ValueError(f"{name}={value} is not an integer")
+def check_bound(name: str, value, bound: str, integer: bool = False) -> None:
+    """The package's one check of a fixed bound, written as interval text ("[0, 0.5)", "(0, 1]", "[1, inf)") whose
+    brackets decide the check and which the message quotes. Refuses, in order: no integer where integer is set (a
+    bool is none, an np.int64 is one), a bool, text or NaN ("is not a number"), +-inf ("is not finite"), then a value
+    outside bound ("below lo" for [lo, inf))."""
+    if isinstance(value, bool) or not isinstance(value, _INTS if integer else _NUMBERS) or value != value:
+        raise ValueError(f"{name}={value} is not {'an integer' if integer else 'a number'}")
+    if value in (math.inf, -math.inf):
+        raise ValueError(f"{name}={value} is not finite")
+    lo, hi = _ends(bound)
+    if (lo <= value if bound[0] == "[" else lo < value) and (value <= hi if bound[-1] == "]" else value < hi):
+        return
+    if bound[0] == "[" and hi == math.inf:
+        raise ValueError(f"{name}={value} below {bound[1:].split(',')[0]}")
+    raise ValueError(f"{name}={value} outside {bound}")
 
 
 def sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

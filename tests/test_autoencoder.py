@@ -16,6 +16,7 @@ from dualrec.autoencoder import (
     reconstruction_loss,
     stack_autoencoders,
     train_autoencoder,
+    train_autoencoders,
 )
 from dualrec.numeric import FlatStack, make_rng, sigmoid
 from gradcheck import grad_check
@@ -55,6 +56,21 @@ class TestTraining:
     def test_embedding_wider_than_input_rejected(self):
         with pytest.raises(ValueError):
             new_autoencoder(input_dim=4, embed_dim=5, seed=0)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"epochs": -1}, "epochs=-1 below 1"),  # once returned autoencoders flagged trained after 0 epochs
+        ({"epochs": 0}, "epochs=0 below 1"),
+        ({"batch_size": 0}, "batch_size=0 below 1"),  # once "range() arg 3 must not be zero"
+    ])
+    def test_a_training_budget_below_one_is_refused(self, kwargs, message):
+        with pytest.raises(ValueError) as exc:
+            train_autoencoders([fixture_corpus(n=6, dim=4)], [("a", "user")], embed_dim=2, **kwargs)
+        assert str(exc.value) == message
+
+    def test_an_embedding_size_that_is_no_integer_is_refused(self):
+        # once a bare numpy TypeError
+        with pytest.raises(ValueError, match=r"^embed_dim=2\.5 is not an integer$"):
+            new_autoencoder(10, 2.5, 0)
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):

@@ -165,7 +165,7 @@ class TestConfig:
         assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_alpha_bound_named_in_error(self):
-        with pytest.raises(ValueError, match=r"^alpha 0.6 outside \[0, 0.5\]$"):
+        with pytest.raises(ValueError, match=r"^alpha=0.6 outside \[0, 0.5\]$"):
             ExperimentConfig(alpha=0.6)
 
     def test_hidden_is_a_config_key(self, tmp_path):
@@ -369,7 +369,7 @@ class TestTrainEval:
 class TestAlphaBound:
     """alpha 0.5 is accepted and 0.5000001 refused, with one message, on every path."""
 
-    MESSAGE = "alpha 0.5000001 outside [0, 0.5]"
+    MESSAGE = "alpha=0.5000001 outside [0, 0.5]"
 
     def test_train_config(self):
         assert TrainConfig(alpha=0.5).alpha == 0.5

@@ -162,14 +162,14 @@ class TestRunCv:
     def test_one_fold_fails_before_any_autoencoder_trains(self, small_pair, monkeypatch):
         ds_a, ds_b, _ = small_pair
         monkeypatch.setattr(dualmodel, "train_pair_autoencoders", None)
-        with pytest.raises(ValueError, match="k must be >= 2"):
+        with pytest.raises(ValueError, match=r"^k=1 below 2$"):
             run_cv(ds_a, ds_b, small_cfg(), k=1)
 
     @pytest.mark.parametrize("rank_k, tau, message", [
-        (0, 0.5, "rank_k must be >= 1"), (2.5, 0.5, "rank_k=2.5 is not an integer"),
+        (0, 0.5, "rank_k=0 below 1"), (2.5, 0.5, "rank_k=2.5 is not an integer"),
         (True, 0.5, "rank_k=True is not an integer"), (np.float64(3.0), 0.5, "rank_k=3.0 is not an integer"),
-        (5, 1.5, r"tau 1.5 outside \(0, 1\)"), (5, 0.0, r"tau 0.0 outside \(0, 1\)"),
-        (5, math.nan, r"tau nan outside \(0, 1\)"),
+        (5, 1.5, r"tau=1.5 outside \(0, 1\)"), (5, 0.0, r"tau=0.0 outside \(0, 1\)"),
+        (5, math.nan, "tau=nan is not a number"),
     ])
     @pytest.mark.parametrize("driver", ["run_cv", "alpha_sweep"])
     def test_bad_ranking_parameters_fail_by_name_before_anything_trains(self, small_pair, monkeypatch,
@@ -260,7 +260,7 @@ class TestAlphaSweep:
 
     def test_alphas_outside_range_rejected(self, small_pair):
         ds_a, ds_b, _ = small_pair
-        with pytest.raises(ValueError, match=r"alpha 0.5000001 outside \[0, 0.5\]"):
+        with pytest.raises(ValueError, match=r"^alpha=0.5000001 outside \[0, 0.5\]$"):
             alpha_sweep(ds_a, ds_b, [0.0, 0.5000001], small_cfg(), k=2, seed=0)
 
     def test_an_empty_alpha_list_fails_before_anything_trains(self, small_pair, monkeypatch):

@@ -49,6 +49,10 @@ class TestFieldSpec:
         with pytest.raises(ValueError):
             FieldSpec("bad", "one_hot")
 
+    def test_a_bucket_count_below_one_is_refused(self):
+        with pytest.raises(ValueError, match=r"^field 'city': buckets=0 below 1$"):
+            FieldSpec("city", "one_hot", buckets=0)
+
     def test_numeric_needs_ordered_range(self):
         with pytest.raises(ValueError):
             FieldSpec("age", "numeric", lo=10, hi=10)
@@ -574,6 +578,11 @@ def dataset_of(n, tiny_schema):
 
 
 class TestKfold:
+    def test_one_fold_is_refused_in_the_config_key_words(self, tiny_schema):
+        # once "k must be >= 2, got 1", where the CLI says "folds=1 below 2"
+        with pytest.raises(ValueError, match=r"^k=1 below 2$"):
+            kfold(dataset_of(10, tiny_schema), k=1, seed=0)
+
     def test_even_split(self, tiny_schema):
         split = kfold(dataset_of(10, tiny_schema), k=5, seed=0)
         sizes = [len(split.fold_indices(f)[1]) for f in range(5)]
@@ -682,3 +691,14 @@ class TestSynthPair:
             synth_pair(density=0.0)
         with pytest.raises(ValueError):
             synth_pair(noise=-0.1)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"noise": math.nan}, "noise=nan is not a number"),  # once wrote the noise-free pair, byte for byte
+        ({"n_users": 2.5}, "n_users=2.5 is not an integer"),  # once a bare numpy TypeError
+        ({"n_users": 0}, "n_users=0 below 1"),  # once named three parameters and not the value
+        ({"latent_dim": 0}, "latent_dim=0 below 1"),
+    ])
+    def test_each_parameter_is_refused_by_its_own_name(self, kwargs, message):
+        with pytest.raises(ValueError) as exc:
+            synth_pair(**kwargs)
+        assert str(exc.value) == message

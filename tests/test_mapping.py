@@ -40,8 +40,13 @@ class TestInitMap:
         np.testing.assert_array_equal(init_map(8, 5).x, init_map(8, 5).x)
 
     def test_dimension_below_one_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^d=0 below 1$"):
             init_map(0, 0)
+
+    def test_dimension_that_is_no_integer_rejected(self):
+        # once a bare numpy TypeError
+        with pytest.raises(ValueError, match=r"^d=2\.5 is not an integer$"):
+            init_map(2.5, 0)
 
 
 class TestTransfer:

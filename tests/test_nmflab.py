@@ -96,10 +96,23 @@ class TestDualLoss:
 
     def test_problem_validates_alpha_below_half(self):
         j = np.ones((3, 3))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^alpha=0.6 outside \[0, 0.5\)$"):
             DualNmfProblem(j, j, np.eye(3), 0.6, rank=2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^alpha=0.5 outside \[0, 0.5\)$"):
             DualNmfProblem(j, j, np.eye(3), 0.5, rank=2)
+
+    @pytest.mark.parametrize("scale", [0.0, -1.0])
+    def test_a_problem_scale_that_is_not_positive_is_refused(self, scale):
+        # 0 once built all-zero ratings and -1 failed with numpy's "high - low < 0"
+        with pytest.raises(ValueError) as exc:
+            make_random_problem(4, 3, 2, 0.1, seed=0, scale=scale)
+        assert str(exc.value) == f"scale={scale} outside (0, inf)"
+
+    @pytest.mark.parametrize("rank", [0, 4])
+    def test_problem_refuses_a_rank_outside_one_to_the_smaller_side(self, rank):
+        j = np.ones((3, 5))
+        with pytest.raises(ValueError, match=rf"^rank={rank} outside \[1, 3\]$"):
+            DualNmfProblem(j, j, np.eye(3), 0.1, rank=rank)
 
     def test_problem_rejects_negative_entries(self):
         j = np.ones((3, 3))
@@ -177,6 +190,11 @@ class TestPerturb:
             perturb(np.ones((2, 2)), 3, 0.0)
         with pytest.raises(ValueError):
             perturb(np.ones((2, 2)), -1, 1.0)
+
+    def test_a_nan_scale_is_refused(self):
+        # once returned a NaN matrix, which DualNmfProblem then blamed on v_a
+        with pytest.raises(ValueError, match=r"^k=nan is not a number$"):
+            perturb(np.ones((2, 2)), 3, np.nan)
 
 
 class TestMuStep:
@@ -407,6 +425,23 @@ class TestLossBookkeeping:
                 (1 - 2 * p.alpha) ** 2 * reduced_loss(p, s), rel=1e-12
             )
             s = mu_step(p, s)
+
+    def test_decomposition_refuses_a_factor_of_the_wrong_shape(self):
+        # once numpy's "matmul: Input operand 1 has a mismatch ...", naming no factor
+        p = perturb_problem(make_random_problem(8, 6, 2, 0.15, seed=6), 1.0)
+        s = init_state(p, seed=1)
+        s.w_a = np.ones((8, 3))
+        with pytest.raises(ValueError, match=r"^factor w_a has shape \(8, 3\), expected \(8, 2\)$"):
+            loss_decomposition(p, s)
+
+    def test_decomposition_refuses_a_negative_factor(self):
+        # once decomposed without a word
+        p = perturb_problem(make_random_problem(8, 6, 2, 0.15, seed=6), 1.0)
+        s = init_state(p, seed=1)
+        s.h_b[0, 0] = -1.0
+        with pytest.raises(ValueError, match="^factor h_b has a negative or non-finite entry; "
+                                             "factors must be finite and nonnegative$"):
+            loss_decomposition(p, s)
 
     def test_traced_loss_equals_scaled_reduced_loss(self):
         p = perturb_problem(make_random_problem(9, 7, 3, 0.2, seed=12), 1.0)

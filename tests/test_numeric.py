@@ -273,7 +273,7 @@ class TestSgdStep:
             train_autoencoder(corpus, embed_dim=3, lr=1e6, epochs=50, seed=0)
 
     def test_negative_lr_rejected(self):
-        with pytest.raises(ValueError, match="learning rate"):
+        with pytest.raises(ValueError, match=r"^lr=-0.1 below 0$"):
             train_autoencoder(make_rng(5).random(size=(4, 6)), embed_dim=3, lr=-0.1, epochs=1)
 
 

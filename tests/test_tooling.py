@@ -25,3 +25,12 @@ def test_a_numpy_runtime_warning_fails_its_test(tmp_path):
                          cwd=tmp_path, capture_output=True, text=True)
     assert run.returncode != 0
     assert "RuntimeWarning: overflow encountered in exp" in run.stdout
+
+
+def test_fixed_bounds_keep_one_validator():
+    # every fixed bound of a parameter or config key goes through numeric.check_bound; these are the forms it replaced
+    retired = ("check_integer", "check_at_least", "must be >=", "must be >", "must lie in")
+    found = [f"{path.name}:{n}: {line.strip()}" for path in sorted((ROOT / "src" / "dualrec").glob("*.py"))
+             for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
+             if any(form in line for form in retired)]
+    assert found == []
