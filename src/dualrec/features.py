@@ -534,18 +534,13 @@ def _latent_raw_features(
     trait_scores = 100.0 * sigmoid(latents @ p_trait)
     tag_scores = sigmoid(latents @ p_tags.T)
     coord_scores = 100.0 * sigmoid(latents @ basis)
-    out = []
-    for i in range(latents.shape[0]):
-        g = min(int(group_scores[i] * 4), 3)  # quartile bins of sigmoid score
-        raw = {
-            "group": f"{prefix}{g + 1}",
-            "trait": float(trait_scores[i]),
-            "tags": [f"t{j}" for j in range(6) if tag_scores[i, j] > 0.6],
-        }
-        for j in range(d):
-            raw[f"s{j}"] = float(coord_scores[i, j])
-        out.append(raw)
-    return out
+    coord_names = [f"s{j}" for j in range(d)]
+    rows = zip(group_scores.tolist(), trait_scores.tolist(), (tag_scores > 0.6).tolist(), coord_scores.tolist())
+    return [
+        {"group": f"{prefix}{min(int(g * 4), 3) + 1}", "trait": trait,  # group: quartile bins of sigmoid score
+         "tags": [f"t{j}" for j, on in enumerate(tags) if on], **dict(zip(coord_names, coords))}
+        for g, trait, tags, coords in rows
+    ]
 
 
 def _domain_interactions(
@@ -563,10 +558,9 @@ def _domain_interactions(
         scores = scores + noise_rng.normal(scale=sigma, size=scores.shape)
     ratings = np.clip(scores, 0.0, 1.0)
     mask = mask_rng.random(scores.shape) < density
-    records = []
-    for i, j in np.argwhere(mask):
-        records.append(InteractionRecord(user_ids[i], item_ids[j], float(ratings[i, j])))
-    return tuple(records)
+    rows, cols = np.nonzero(mask)  # row-major, as the records come out
+    return tuple(InteractionRecord(user_ids[i], item_ids[j], rating)
+                 for i, j, rating in zip(rows.tolist(), cols.tolist(), ratings[rows, cols].tolist()))
 
 
 def synth_pair(

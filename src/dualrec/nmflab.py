@@ -292,6 +292,8 @@ def random_permutation_matrix(n: int, seed: int) -> np.ndarray:
 def make_random_problem(rows: int, cols: int, rank: int, alpha: float,
                         seed: int, scale: float = 1.0) -> DualNmfProblem:
     """Random problem with uniform(0, scale) ratings and a permutation mixing."""
+    check_bound("rows", rows, "[1, inf)", integer=True)
+    check_bound("cols", cols, "[1, inf)", integer=True)
     check_bound("scale", scale, "(0, inf)")
     rng = make_rng(seed, 0xD0A1)
     v_a = rng.uniform(0.0, scale, size=(rows, cols))

@@ -91,6 +91,8 @@ LIBRARY = {
     "nmflab.rank": Row("rank", "[1, 3]", True, lambda v: DualNmfProblem(ONES, ONES, np.eye(3), 0.1, v)),
     "nmflab.perturb_m": Row("m", "[0, inf)", True, lambda v: perturb(ONES, v, 1.0)),
     "nmflab.perturb_k": Row("k", "(0, inf)", False, lambda v: perturb(ONES, 1, v)),
+    "nmflab.rows": Row("rows", "[1, inf)", True, lambda v: make_random_problem(v, 3, 1, 0.1, 0)),
+    "nmflab.cols": Row("cols", "[1, inf)", True, lambda v: make_random_problem(3, v, 1, 0.1, 0)),
     "nmflab.scale": Row("scale", "(0, inf)", False, lambda v: make_random_problem(3, 3, 2, 0.1, 0, scale=v)),
     "nmflab.max_iters": Row("max_iters", "[0, inf)", True, lambda v: run_nmf(NMF, max_iters=v)),
     "nmflab.tol": Row("tol", "[0, inf)", False, lambda v: run_nmf(NMF, max_iters=1, tol=v)),
@@ -183,7 +185,8 @@ AGREEING = [
     ("folds", "features.kfold"), ("rank_k", "evaluate.k"), ("tau", "evaluate.tau"),
     ("rho", "synth.cross_correlation"), ("sigma", "synth.noise"), ("density", "synth.density"),
     ("n_users", "synth.n_users"), ("n_items", "synth.n_items_per_domain"), ("latent_dim", "synth.latent_dim"),
-    ("nmf_alpha", "nmflab.alpha"), ("nmf_scale", "nmflab.scale"), ("nmf_tol", "nmflab.tol"),
+    ("nmf_rows", "nmflab.rows"), ("nmf_cols", "nmflab.cols"), ("nmf_alpha", "nmflab.alpha"),
+    ("nmf_scale", "nmflab.scale"), ("nmf_tol", "nmflab.tol"),
     ("embed_dim", "autoencoder.embed_dim"), ("ae_lr", "autoencoder.lr"), ("ae_epochs", "autoencoder.epochs"),
     ("ae_batch_size", "autoencoder.batch_size"),
 ]

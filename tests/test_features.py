@@ -14,11 +14,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dualrec import features
 from dualrec.features import (
     KINDS,
     DomainDataset,
     FeatureSchema,
     FieldSpec,
+    GroundTruth,
     InteractionRecord,
     encode,
     kfold,
@@ -625,7 +627,84 @@ class TestKfold:
         np.testing.assert_array_equal(split.assignments, kfold(ds, k=3, seed=0).assignments)
 
 
+def oracle_latent_raw_features(latents, proj_rng, prefix, frame=None):
+    """features._latent_raw_features entity by entity, reading one numpy scalar per field."""
+    d = latents.shape[1]
+    p_group = proj_rng.normal(size=d)
+    p_trait = proj_rng.normal(size=d)
+    p_tags = proj_rng.normal(size=(6, d))
+    basis, r = np.linalg.qr(proj_rng.normal(size=(d, d)))
+    basis = basis * np.sign(np.diag(r))
+    if frame is not None:
+        p_group = frame @ p_group
+        p_trait = frame @ p_trait
+        p_tags = p_tags @ frame.T
+        basis = frame @ basis
+    group_scores = sigmoid(latents @ p_group)
+    trait_scores = 100.0 * sigmoid(latents @ p_trait)
+    tag_scores = sigmoid(latents @ p_tags.T)
+    coord_scores = 100.0 * sigmoid(latents @ basis)
+    out = []
+    for i in range(latents.shape[0]):
+        g = min(int(group_scores[i] * 4), 3)
+        raw = {
+            "group": f"{prefix}{g + 1}",
+            "trait": float(trait_scores[i]),
+            "tags": [f"t{j}" for j in range(6) if tag_scores[i, j] > 0.6],
+        }
+        for j in range(d):
+            raw[f"s{j}"] = float(coord_scores[i, j])
+        out.append(raw)
+    return out
+
+
+def oracle_domain_interactions(users, items, user_ids, item_ids, density, mask_rng, noise_rng, sigma):
+    """features._domain_interactions record by record over np.argwhere, one numpy scalar per rating."""
+    scores = sigmoid(users @ items.T)
+    if sigma > 0:
+        scores = scores + noise_rng.normal(scale=sigma, size=scores.shape)
+    ratings = np.clip(scores, 0.0, 1.0)
+    mask = mask_rng.random(scores.shape) < density
+    return tuple(InteractionRecord(user_ids[i], item_ids[j], float(ratings[i, j])) for i, j in np.argwhere(mask))
+
+
+def typed(x):
+    """x with every leaf as (type name, repr): equal only for equal values of equal types, in equal order."""
+    if isinstance(x, InteractionRecord):
+        return ("record", *(typed(getattr(x, f.name)) for f in dataclasses.fields(x)))
+    if isinstance(x, dict):
+        return ("dict", *((k, typed(v)) for k, v in x.items()))
+    if isinstance(x, (list, tuple)):
+        return (type(x).__name__, *(typed(v) for v in x))
+    return (type(x).__name__, repr(x))
+
+
 class TestSynthPair:
+    @pytest.mark.parametrize("kwargs", [
+        {"noise": 0.02, "seed": 101},  # the standard pair
+        {},
+        {"n_users": 37, "n_items_per_domain": 11, "latent_dim": 5, "seed": 3},
+        {"n_users": 60, "n_items_per_domain": 25, "density": 1.0, "noise": 0.0, "seed": 4},
+        {"n_users": 100, "n_items_per_domain": 40, "density": 0.5, "noise": 0.5, "seed": 5},  # clips at 0 and 1
+    ], ids=["standard", "defaults", "odd-shape", "dense-noiseless", "clipped"])
+    def test_equals_the_per_record_oracle(self, kwargs, monkeypatch):
+        got = synth_pair(**kwargs)
+        monkeypatch.setattr(features, "_latent_raw_features", oracle_latent_raw_features)
+        monkeypatch.setattr(features, "_domain_interactions", oracle_domain_interactions)
+        want = synth_pair(**kwargs)
+        for ds, oracle in zip(got[:2], want[:2]):
+            assert len(ds.interactions) == len(oracle.interactions)
+            for n, (rec, rec_oracle) in enumerate(zip(ds.interactions, oracle.interactions)):
+                assert typed(rec) == typed(rec_oracle), n
+            for table, table_oracle in ((ds.user_features, oracle.user_features),
+                                        (ds.item_features, oracle.item_features)):
+                assert list(table) == list(table_oracle)
+                for eid, raw in table.items():
+                    assert typed(raw) == typed(table_oracle[eid]), eid
+        if kwargs.get("noise") == 0.5:
+            ratings = {r.rating for ds in got[:2] for r in ds.interactions}
+            assert {0.0, 1.0} <= ratings
+
     def test_perfect_correlation_aligns_probe_rankings(self):
         # rho=1, sigma=0: a shared user's score of any probe latent is identical
         # in both domains once the probe is expressed in each domain's frame
@@ -665,9 +744,13 @@ class TestSynthPair:
                       cross_correlation=0.8, noise=0.05, density=0.3, seed=77)
         a1, b1, t1 = synth_pair(**kwargs)
         a2, b2, t2 = synth_pair(**kwargs)
-        assert a1.interactions == a2.interactions
-        assert b1.interactions == b2.interactions
-        np.testing.assert_array_equal(t1.user_latents_b, t2.user_latents_b)
+        for ds1, ds2 in ((a1, a2), (b1, b2)):
+            assert ds1.interactions == ds2.interactions
+            assert ds1.user_features == ds2.user_features
+            assert ds1.item_features == ds2.item_features
+        for f in dataclasses.fields(GroundTruth):
+            v1, v2 = np.asarray(getattr(t1, f.name)), np.asarray(getattr(t2, f.name))
+            assert v1.dtype == v2.dtype and v1.shape == v2.shape and v1.tobytes() == v2.tobytes(), f.name
 
     def test_item_ids_disjoint_and_users_shared(self):
         ds_a, ds_b, _ = synth_pair(n_users=10, n_items_per_domain=5, latent_dim=4,
