@@ -44,12 +44,12 @@ def main():
         n_users=60, n_items_per_domain=25, latent_dim=4,
         cross_correlation=0.8, noise=0.05, density=0.3, seed=0,
     )
-    shared = ds_a.user_ids & ds_b.user_ids
+    shared = np.intersect1d(ds_a.user_ids, ds_b.user_ids)
     print(f"domain a: {len(ds_a.interactions)} interactions over "
           f"{len(ds_a.user_ids)} users x {len(ds_a.item_ids)} items")
     print(f"domain b: {len(ds_b.interactions)} interactions over "
           f"{len(ds_b.user_ids)} users x {len(ds_b.item_ids)} items")
-    print(f"shared users: {len(shared)}, shared items: {len(ds_a.item_ids & ds_b.item_ids)}")
+    print(f"shared users: {len(shared)}, shared items: {len(np.intersect1d(ds_a.item_ids, ds_b.item_ids))}")
     print(f"latent mixing matrix shape {truth.q.shape}, "
           f"first rating: {ds_a.interactions[0]}")
 

@@ -41,7 +41,7 @@ def main():
     print(f"mapping stayed orthogonal: defect {orthogonality_defect(dm.maps[(0, 1)].x):.2e}")
 
     print("\n== predictions from raw feature dicts ==")
-    uid = sorted(ds_a.user_ids & ds_b.user_ids)[0]
+    uid = np.intersect1d(ds_a.user_ids, ds_b.user_ids)[0]
     iid = ds_a.interactions[0].item_id
     user_raw = ds_a.user_features[uid]
     item_raw = ds_a.item_features[iid]

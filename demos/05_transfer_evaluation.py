@@ -20,7 +20,7 @@ def main():
         cross_correlation=0.8, noise=0.05, density=0.12, seed=11,
     )
     print(f"pair: {len(ds_a.interactions)} + {len(ds_b.interactions)} interactions, "
-          f"{len(ds_a.user_ids & ds_b.user_ids)} shared users")
+          f"{len(np.intersect1d(ds_a.user_ids, ds_b.user_ids))} shared users")
 
     cfg = TrainConfig(embed_dim=6, epochs=25, tol=0.0, hidden=(12, 6), ae_epochs=300)
     points = alpha_sweep(ds_a, ds_b, [0.0, 0.03, 0.1], cfg, k=3, seed=0)

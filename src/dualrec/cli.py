@@ -195,7 +195,7 @@ def cmd_synth(cfg: ExperimentConfig, out_dir: Path) -> int:
         save_schema(ds.item_schema, paths["item_schema"])
     np.savez(out_dir / "truth.npz", **dataclasses.asdict(truth))  # every field, ids as text arrays
     save_config(cfg, out_dir / "config.txt")
-    _log(f"synth: {len(ds_a.interactions)} + {len(ds_b.interactions)} interactions -> {out_dir}")
+    _log(f"synth: {len(ds_a.ratings)} + {len(ds_b.ratings)} interactions -> {out_dir}")
     return 0
 
 

@@ -485,41 +485,39 @@ class Rows:
         return [self.take(rows[k : k + 1, :, start : start + n]) if n else None for k, n in enumerate(sizes)]
 
 
-def entity_vectors(dataset: DomainDataset) -> tuple[tuple[dict, np.ndarray], tuple[dict, np.ndarray]]:
-    """The encoded feature vectors of every user and every item, each entity's
-    as (row of each id, matrix): the rows in sorted-id order, the order of the
-    autoencoders' corpora. A domain pair encodes each entity once and embeds
-    each matrix once (`encode_pair`), for its corpora, its warm map and its
-    embedding rows."""
-    out = []
-    for table, schema in ((dataset.user_features, dataset.user_schema), (dataset.item_features, dataset.item_schema)):
-        ids = sorted(table)
-        out.append(({e: k for k, e in enumerate(ids)}, np.stack([encode(schema, table[e]) for e in ids])))
-    return tuple(out)
+def entity_vectors(dataset: DomainDataset) -> tuple[np.ndarray, np.ndarray]:
+    """The encoded feature vectors of every user and every item, as (users,
+    items) matrices whose rows follow the dataset's sorted ids (`user_ids`,
+    `item_ids`), the order of the autoencoders' corpora. A domain pair encodes
+    each entity once and embeds each matrix once (`encode_pair`), for its
+    corpora, its warm map and its embedding rows."""
+    return tuple(np.stack([encode(schema, table[e]) for e in ids.tolist()]) for ids, table, schema in (
+        (dataset.user_ids, dataset.user_features, dataset.user_schema),
+        (dataset.item_ids, dataset.item_features, dataset.item_schema)))
 
 
 def prepare_domain(dataset: DomainDataset, embeddings, partner_users=None) -> Rows:
     """One domain's interactions as a table of embedding rows, in record order.
 
-    embeddings is the domain's (user, item) pair of (row of each id, embedding
-    matrix), its `entity_vectors` embedded by its encoders (`encode_pair`);
-    each record reads its user's and its item's row. partner_users is the
-    other domain's user-id set for overlap flags (all True when omitted).
+    embeddings is the domain's (user, item) pair of embedding matrices, its
+    `entity_vectors` embedded by its encoders (`encode_pair`); each
+    interaction reads its user's and its item's row. partner_users, the other
+    domain's user ids, sets the overlap flags (all True when omitted).
     """
-    recs = dataset.interactions
-    (user_rows, users), (item_rows, items) = embeddings
-    ui = np.concatenate([users[[user_rows[r.user_id] for r in recs]],
-                         items[[item_rows[r.item_id] for r in recs]]], axis=1)
-    overlap = np.array([partner_users is None or r.user_id in partner_users for r in recs], dtype=bool)
-    return Rows(ui, np.array([r.rating for r in recs], dtype=np.float64), overlap,
-                np.array([r.user_id for r in recs], dtype=np.str_), (0, len(recs)))
+    users, items = embeddings
+    ui = np.concatenate([users[dataset.users], items[dataset.items]], axis=1)
+    rates_there = np.full(len(dataset.user_ids), partner_users is None)  # per user of the domain
+    if partner_users is not None:  # np.isin would compare the object ids pair by pair
+        rates_there[np.intersect1d(dataset.user_ids, partner_users, return_indices=True)[1]] = True
+    user_ids = dataset.user_ids[dataset.users].astype(np.str_)
+    return Rows(ui, dataset.ratings.copy(), rates_there[dataset.users], user_ids, (0, len(ui)))
 
 
 def prepare_rows(datasets, embeddings) -> Rows:
     """The table of two domains' rows, domain b's after domain a's, each read
     from its embeddings (`prepare_domain`), with overlap flags from the
-    partner domain's users."""
-    users = [{r.user_id for r in ds.interactions} for ds in datasets]
+    users who rate in the partner domain."""
+    users = [ds.user_ids[np.unique(ds.users)] for ds in datasets]
     return Rows.join([prepare_domain(ds, emb, partner_users=users[1 - k])
                       for k, (ds, emb) in enumerate(zip(datasets, embeddings))])
 
@@ -854,7 +852,7 @@ def train_pair_autoencoders(
     and train in lockstep as one stack (`train_autoencoders`), whatever their
     row counts; no trace is computed, since nothing here reads one.
     """
-    corpora = [matrix for by_entity in vectors for _, matrix in by_entity]
+    corpora = [matrix for by_entity in vectors for matrix in by_entity]
     tags = [(ds.domain_name, entity) for ds in (ds_a, ds_b) for entity in ("user", "item")]
     (ua, _), (ia, _), (ub, _), (ib, _) = train_autoencoders(
         corpora, tags, embed_dim=cfg.embed_dim, lr=cfg.ae_lr, epochs=cfg.ae_epochs, batch_size=cfg.ae_batch_size,
@@ -874,9 +872,9 @@ def shared_user_alignment(ds_a: DomainDataset, ds_b: DomainDataset, embeddings) 
     Returns None when the overlap is below the embedding dimension, where
     the fit would be underdetermined.
     """
-    shared = sorted(set(ds_a.user_features) & set(ds_b.user_features))
-    paired = [users[[rows[u] for u in shared]] for (rows, users), _ in embeddings]
-    return None if len(shared) < paired[0].shape[1] else align_map(*paired)
+    _, *rows = np.intersect1d(ds_a.user_ids, ds_b.user_ids, assume_unique=True, return_indices=True)
+    paired = [users[at] for (users, _), at in zip(embeddings, rows)]
+    return None if len(rows[0]) < paired[0].shape[1] else align_map(*paired)
 
 
 def encode_pair(ds_a: DomainDataset, ds_b: DomainDataset, cfg: TrainConfig, seed: int):
@@ -889,7 +887,7 @@ def encode_pair(ds_a: DomainDataset, ds_b: DomainDataset, cfg: TrainConfig, seed
     """
     vectors = [entity_vectors(ds) for ds in (ds_a, ds_b)]
     encoders = train_pair_autoencoders(ds_a, ds_b, cfg, seed, vectors)
-    embeddings = [tuple((rows, ae_encode(ae, matrix)) for ae, (rows, matrix) in zip(aes, vecs))
+    embeddings = [tuple(ae_encode(ae, matrix) for ae, matrix in zip(aes, vecs))
                   for aes, vecs in zip(encoders, vectors)]
     # the alignment sees entity features only, never ratings
     return encoders, shared_user_alignment(ds_a, ds_b, embeddings), prepare_rows((ds_a, ds_b), embeddings)

@@ -94,30 +94,26 @@ def precision_recall_at_k(user_ids, pred, truth, k: int = 5, tau: float = 0.5) -
     """
     _check_ranking(k, tau)
     p, t = _paired(pred, truth)
-    ids = list(user_ids)
-    if len(ids) != p.shape[0]:
-        raise ValueError(f"{len(ids)} user ids vs {p.shape[0]} predictions")
-    by_user: dict = {}
-    for uid, pi, ti in zip(ids, p, t):
-        by_user.setdefault(uid, []).append((float(pi), float(ti)))
-    precisions = []
-    recalls = []
-    for uid in sorted(by_user):
-        items = by_user[uid]
-        order = np.argsort(-np.array([pi for pi, _ in items]), kind="stable")
-        top = min(k, len(items))
-        hits = sum(1 for j in order[:top] if items[j][1] >= tau)
-        n_relevant = sum(1 for _, ti in items if ti >= tau)
-        precisions.append(hits / top)
-        if n_relevant > 0:
-            recalls.append(hits / n_relevant)
+    ids = user_ids if isinstance(user_ids, np.ndarray) else np.array(list(user_ids), dtype=object)  # exact ids
+    users, user = np.unique(ids, return_inverse=True)  # users in sorted order
+    if len(user) != p.shape[0]:
+        raise ValueError(f"{len(user)} user ids vs {p.shape[0]} predictions")
+    order = np.lexsort((-p, user))  # by user, then by falling score; ties keep their order
+    counts = np.bincount(user)
+    top = np.minimum(counts, k)
+    ranked = user[order]
+    place = np.arange(len(order)) - (np.cumsum(counts) - counts)[ranked]  # in its user's list
+    relevant = t >= tau
+    hits = np.bincount(ranked, weights=relevant[order] & (place < top[ranked]), minlength=len(users))
+    n_relevant = np.bincount(user, weights=relevant, minlength=len(users))
+    recalls = hits[n_relevant > 0] / n_relevant[n_relevant > 0]
     defined = len(recalls) > 0
     return PrecisionRecall(
-        precision=float(np.mean(precisions)),
+        precision=float(np.mean(hits / top)),
         recall=float(np.mean(recalls)) if defined else math.nan,
         recall_defined=defined,
-        users_scored=len(by_user),
-        users_skipped_for_recall=len(by_user) - len(recalls),
+        users_scored=len(users),
+        users_skipped_for_recall=len(users) - len(recalls),
     )
 
 

@@ -16,6 +16,11 @@ Datasets are three CSV files per domain:
         one row per active value.
     schema:       one ``name,kind,spec`` line per field, see parse_schema.
 
+In memory a DomainDataset holds user_ids and item_ids, its feature tables'
+sorted ids, and per interaction the read-only columns users and items (intp
+indices into them), ratings (float64) and timestamps (int or None);
+`interactions` lists them as InteractionRecords, built on first use and kept.
+
 The synthetic generator produces a pair of domains whose per-user latents are
 correlated through a ground-truth orthogonal matrix, which makes
 mapping-recovery and transfer-benefit experiments possible.
@@ -26,9 +31,10 @@ from __future__ import annotations
 import csv
 import warnings
 import zlib
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 from math import isfinite
 
 import numpy as np
@@ -288,51 +294,85 @@ def load_schema(path) -> FeatureSchema:
 # datasets
 
 
-@dataclass(frozen=True)
-class InteractionRecord:
-    user_id: str
-    item_id: str
-    rating: float
-    timestamp: int | None = None
+class InteractionRecord(namedtuple("InteractionRecord", "user_id item_id rating timestamp")):
+    """One rating, as `DomainDataset.interactions` lists them."""
 
-    def __post_init__(self):
-        if not 0.0 <= self.rating <= 1.0:
-            raise ValueError(f"rating {self.rating} outside [0, 1]")
+    __slots__ = ()
+
+    def __new__(cls, user_id, item_id, rating, timestamp=None):
+        if _refused((rating,), _NUMBERS)[0]:
+            raise ValueError(f"rating {rating!r} is not a number")
+        if not 0.0 <= rating <= 1.0:
+            raise ValueError(f"rating {rating} outside [0, 1]")
+        return super().__new__(cls, user_id, item_id, rating, timestamp)
+
+    @classmethod
+    def _make(cls, iterable):  # and so _replace: each checks, as the constructor does
+        return cls(*iterable)
 
 
-@dataclass
+_NUMBERS = (int, float, np.integer, np.floating)
+
+
+def _refused(values, kinds) -> np.ndarray:
+    """Where a column holds a value of none of the kinds; a bool is none."""
+    bad = {kind for kind in set(map(type, values)) if not issubclass(kind, kinds) or kind is bool}
+    return np.array([type(v) in bad for v in values] if bad else np.zeros(len(values)), dtype=bool)
+
+
+def _index(ids: np.ndarray, wanted) -> np.ndarray:
+    """Each wanted id's index in ids, -1 where ids lacks it."""
+    at = dict(zip(ids.tolist(), range(len(ids))))
+    return np.fromiter(map(at.get, wanted, repeat(-1)), dtype=np.intp, count=len(wanted))
+
+
 class DomainDataset:
-    domain_name: str
-    interactions: tuple[InteractionRecord, ...]
-    user_features: dict
-    item_features: dict
-    user_schema: FeatureSchema
-    item_schema: FeatureSchema
+    """One domain's feature tables and interaction columns, as the module docstring lays them out."""
 
-    def __post_init__(self):
-        for rec in self.interactions:
-            if rec.user_id not in self.user_features:
-                raise ValueError(f"domain {self.domain_name!r}: no features for user {rec.user_id!r}")
-            if rec.item_id not in self.item_features:
-                raise ValueError(f"domain {self.domain_name!r}: no features for item {rec.item_id!r}")
+    def __init__(self, domain_name, interactions, user_features, item_features, user_schema, item_schema):
+        """The dataset of records (user id, item id, rating, timestamp), in their order."""
+        self._hold(domain_name, (user_features, item_features, user_schema, item_schema),
+                   *(list(zip(*interactions)) or [()] * 4))
+
+    def _hold(self, domain_name, tables, user_col, item_col, ratings, timestamps) -> None:
+        """Check and keep the tables and the columns of the records. The first record that a check refuses
+        is named: its rating, user, item or timestamp, in that order."""
+        self.domain_name = domain_name
+        self.user_features, self.item_features, self.user_schema, self.item_schema = tables
+        self.user_ids, self.item_ids = (np.array(sorted(table), dtype=object) for table in tables[:2])
+        users, items = _index(self.user_ids, user_col), _index(self.item_ids, item_col)
+        no_number = _refused(ratings, _NUMBERS)
+        rated = np.array([0.5 if no else r for r, no in zip(ratings, no_number)] if no_number.any() else ratings)
+        faults = np.array([no_number, ~((rated >= 0.0) & (rated <= 1.0)), users < 0, items < 0,
+                           _refused(timestamps, (int, np.integer, type(None)))])
+        if faults.any():
+            n = int(faults.any(axis=0).argmax())
+            raise ValueError(f"domain {domain_name!r}: " + (
+                f"record {n}: rating {ratings[n]!r} is not a number", f"record {n}: rating {ratings[n]} outside [0, 1]",
+                f"no features for user {user_col[n]!r}", f"no features for item {item_col[n]!r}",
+                f"record {n}: timestamp {timestamps[n]!r} is not an integer")[int(faults[:, n].argmax())])
+        self.users, self.items, self.ratings = users, items, rated.astype(np.float64, copy=False)
+        self.timestamps = np.fromiter(timestamps, dtype=object, count=len(timestamps))  # np.array checks each None
+        for column in (self.user_ids, self.item_ids, self.users, self.items, self.ratings, self.timestamps):
+            column.flags.writeable = False
+        self._records = None
 
     @property
-    def user_ids(self) -> set:
-        return set(self.user_features)
-
-    @property
-    def item_ids(self) -> set:
-        return set(self.item_features)
+    def interactions(self) -> tuple[InteractionRecord, ...]:
+        """The interactions as records, in record order."""
+        if self._records is None:  # tuple.__new__ skips the record's own check: the columns passed theirs
+            self._records = tuple(map(tuple.__new__, repeat(InteractionRecord), zip(
+                self.user_ids[self.users].tolist(), self.item_ids[self.items].tolist(), self.ratings.tolist(),
+                self.timestamps.tolist())))
+        return self._records
 
 
 def require_disjoint_items(a: DomainDataset, b: DomainDataset) -> None:
     """Item catalogs of a domain pair must not overlap; user sets may."""
-    shared = a.item_ids & b.item_ids
-    if shared:
-        some = sorted(shared)[:5]
-        raise ValueError(
-            f"domains {a.domain_name!r} and {b.domain_name!r} share {len(shared)} item ids, e.g. {some}"
-        )
+    shared = np.intersect1d(a.item_ids, b.item_ids, assume_unique=True)
+    if len(shared):
+        raise ValueError(f"domains {a.domain_name!r} and {b.domain_name!r} share {len(shared)} item ids, "
+                         f"e.g. {shared[:5].tolist()}")
 
 
 def _read_csv_rows(path, expected_header: list[str]):
@@ -370,8 +410,9 @@ def write_csv(path, header, rows) -> None:
         w.writerows(rows)
 
 
-def _read_interactions(path) -> tuple[InteractionRecord, ...]:
-    records = []
+def _read_interactions(path) -> list[tuple]:
+    """The file's rows as (user id, item id, rating, timestamp or None)."""
+    rows = []
     for ln, (user_id, item_id, rating_s, ts_s) in _read_csv_rows(
         path, ["user_id", "item_id", "rating", "timestamp"]
     ):
@@ -387,8 +428,8 @@ def _read_interactions(path) -> tuple[InteractionRecord, ...]:
                 ts = int(ts_s)
             except ValueError:
                 raise ValueError(f"{path}:{ln}: timestamp {ts_s!r} is not an integer") from None
-        records.append(InteractionRecord(user_id, item_id, rating, ts))
-    return tuple(records)
+        rows.append((user_id, item_id, rating, ts))
+    return rows
 
 
 def _read_features(path, schema: FeatureSchema) -> dict:
@@ -463,7 +504,7 @@ class FoldSplit:
 
 def kfold(dataset: DomainDataset, k: int, seed: int) -> FoldSplit:
     """Record-stratified split: permute interactions, deal round-robin."""
-    n = len(dataset.interactions)
+    n = len(dataset.ratings)
     check_bound("k", k, "[2, inf)", integer=True)
     if k > n:
         raise ValueError(f"domain {dataset.domain_name!r} has {n} records, fewer than k={k} folds")
@@ -543,26 +584,6 @@ def _latent_raw_features(
     ]
 
 
-def _domain_interactions(
-    users: np.ndarray,
-    items: np.ndarray,
-    user_ids,
-    item_ids,
-    density: float,
-    mask_rng,
-    noise_rng,
-    sigma: float,
-) -> tuple[InteractionRecord, ...]:
-    scores = sigmoid(users @ items.T)
-    if sigma > 0:
-        scores = scores + noise_rng.normal(scale=sigma, size=scores.shape)
-    ratings = np.clip(scores, 0.0, 1.0)
-    mask = mask_rng.random(scores.shape) < density
-    rows, cols = np.nonzero(mask)  # row-major, as the records come out
-    return tuple(InteractionRecord(user_ids[i], item_ids[j], rating)
-                 for i, j, rating in zip(rows.tolist(), cols.tolist(), ratings[rows, cols].tolist()))
-
-
 def synth_pair(
     n_users: int = 500,
     n_items_per_domain: int = 200,
@@ -615,26 +636,15 @@ def synth_pair(
         ("a", u_a, v_a, item_ids_a, raw_u_a, raw_v_a, 0),
         ("b", u_b, v_b, item_ids_b, raw_u_b, raw_v_b, 1),
     ):
-        interactions = _domain_interactions(
-            users,
-            items,
-            user_ids,
-            iids,
-            density,
-            make_rng(seed, _L_SYNTH_MASK, sub),
-            make_rng(seed, _L_SYNTH_NOISE, sub),
-            noise,
-        )
-        ds.append(
-            DomainDataset(
-                name,
-                interactions,
-                {uid: raw_users[i] for i, uid in enumerate(user_ids)},
-                {iid: raw_items[j] for j, iid in enumerate(iids)},
-                user_schema,
-                item_schema,
-            )
-        )
+        scores = sigmoid(users @ items.T)
+        if noise > 0:
+            scores = scores + make_rng(seed, _L_SYNTH_NOISE, sub).normal(scale=noise, size=scores.shape)
+        rows, cols = np.nonzero(make_rng(seed, _L_SYNTH_MASK, sub).random(scores.shape) < density)  # row-major
+        tables = dict(zip(user_ids, raw_users)), dict(zip(iids, raw_items)), user_schema, item_schema
+        ds.append(DomainDataset.__new__(DomainDataset))  # columns as they are: a tuple per record runs the gc
+        ds[-1]._hold(name, tables, np.array(user_ids, dtype=object)[rows].tolist(),
+                     np.array(iids, dtype=object)[cols].tolist(), np.clip(scores[rows, cols], 0.0, 1.0).tolist(),
+                     [None] * len(rows))
 
     truth = GroundTruth(q, u_a, u_b, v_a, v_b, user_ids, item_ids_a, item_ids_b)
     return ds[0], ds[1], truth
@@ -646,9 +656,9 @@ def synth_pair(
 
 def write_domain(dataset: DomainDataset, interactions_path, user_features_path, item_features_path) -> None:
     """Write a domain back out under the same CSV contracts load_domain reads."""
-    write_csv(interactions_path, ["user_id", "item_id", "rating", "timestamp"],
-              [[r.user_id, r.item_id, r.rating, "" if r.timestamp is None else r.timestamp]
-               for r in dataset.interactions])
+    write_csv(interactions_path, ["user_id", "item_id", "rating", "timestamp"], list(zip(
+        dataset.user_ids[dataset.users].tolist(), dataset.item_ids[dataset.items].tolist(), dataset.ratings.tolist(),
+        ["" if t is None else t for t in dataset.timestamps.tolist()])))
     for path, table, schema in (
         (user_features_path, dataset.user_features, dataset.user_schema),
         (item_features_path, dataset.item_features, dataset.item_schema),

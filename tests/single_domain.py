@@ -10,8 +10,6 @@ a sign-masked sigmoid and relu's mask taken from the pre-activation. The
 package's stacked kernel must give its bits.
 """
 
-import dataclasses
-
 import numpy as np
 
 from dualrec.autoencoder import ae_encode, train_autoencoder
@@ -115,13 +113,22 @@ def domain_autoencoders(dataset: DomainDataset, cfg, seed: int):
 def domain_embeddings(dataset: DomainDataset, aes):
     """One domain's (user, item) embeddings as `prepare_domain` reads them:
     its `entity_vectors`, each matrix embedded whole by its autoencoder."""
-    return tuple((rows, ae_encode(ae, matrix)) for ae, (rows, matrix) in zip(aes, entity_vectors(dataset)))
+    return tuple(ae_encode(ae, matrix) for ae, matrix in zip(aes, entity_vectors(dataset)))
+
+
+def remade(dataset: DomainDataset, **changes) -> DomainDataset:
+    """The dataset made again by its record constructor, with changes to its
+    records (interactions), feature tables or schemas."""
+    args = dict(domain_name=dataset.domain_name, interactions=dataset.interactions,
+                user_features=dataset.user_features, item_features=dataset.item_features,
+                user_schema=dataset.user_schema, item_schema=dataset.item_schema)
+    return DomainDataset(**(args | changes))
 
 
 def fold_rows(dataset: DomainDataset, embeddings, indices, partner_users=None) -> Rows:
     """The rows of the dataset's records at indices (a fold's training or test
     split): `prepare_domain` of the dataset that holds only those records."""
-    fold = dataclasses.replace(dataset, interactions=tuple(dataset.interactions[i] for i in indices))
+    fold = remade(dataset, interactions=[dataset.interactions[i] for i in indices])
     return prepare_domain(fold, embeddings, partner_users)
 
 

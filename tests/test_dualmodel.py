@@ -41,7 +41,7 @@ from dualrec.features import FeatureSchema, FieldSpec, encode, require_disjoint_
 from dualrec.mapping import OrthogonalMap, init_map, orthogonality_defect
 from dualrec.numeric import make_rng
 from gradcheck import grad_check
-from single_domain import domain_embeddings, model_forward, score, train_single
+from single_domain import domain_embeddings, model_forward, remade, score, train_single
 from test_training_kernel import step_batches
 
 
@@ -195,7 +195,7 @@ def wider_items(dm, datasets):
         ae, _ = train_autoencoder([encode(schema, raw) for raw in items.values()], embed_dim=dm.embed_dim,
                                   epochs=5, seed=0, domain=ds.domain_name, entity="item")
         domains.append(dataclasses.replace(dom, ae_item=ae, item_schema=schema))
-        wider.append(dataclasses.replace(ds, item_schema=schema, item_features=items))
+        wider.append(remade(ds, item_schema=schema, item_features=items))
     return DualModel(domains, dict(dm.maps), dm.alpha), wider
 
 
@@ -367,17 +367,13 @@ class TestTrainPair:
 
         keep = sorted(ds_b.user_features)[:3]  # below embed_dim=4
         recs = tuple(r for r in ds_b.interactions if r.user_id in keep)
-        tiny = dataclasses.replace(
-            ds_b,
-            interactions=recs,
-            user_features={u: ds_b.user_features[u] for u in keep},
-        )
+        tiny = remade(ds_b, interactions=recs, user_features={u: ds_b.user_features[u] for u in keep})
         embeddings = [domain_embeddings(ds, aes) for ds, aes in zip((ds_a, tiny), encoders)]
         assert shared_user_alignment(ds_a, tiny, embeddings) is None
 
     def test_domains_that_share_item_ids_are_refused_before_any_autoencoder_trains(self, small_pair, monkeypatch):
         ds_a, ds_b, _ = small_pair
-        shared = dataclasses.replace(ds_b, item_features={**ds_b.item_features, **ds_a.item_features})
+        shared = remade(ds_b, item_features={**ds_b.item_features, **ds_a.item_features})
         with pytest.raises(ValueError, match="share") as want:
             require_disjoint_items(ds_a, shared)  # the refusal of prepare_pair and cli.load_pair
         monkeypatch.setattr(dualmodel, "train_pair_autoencoders", None)  # training would raise a TypeError

@@ -1,7 +1,6 @@
 """Metrics, the cross-validation driver, the transfer-rate sweep, and emission."""
 
 import csv
-import dataclasses
 import json
 import math
 import tempfile
@@ -28,7 +27,7 @@ from dualrec.evaluate import (
 )
 from dualrec.features import kfold, synth_pair
 from dualrec.numeric import make_rng
-from single_domain import domain_autoencoders, domain_embeddings, fold_rows, model_forward, train_single
+from single_domain import domain_autoencoders, domain_embeddings, fold_rows, model_forward, remade, train_single
 
 
 class TestPointMetrics:
@@ -67,6 +66,42 @@ class TestPointMetrics:
             rmse([], [])
         with pytest.raises(ValueError):
             mae([1.0], [1.0, 2.0])
+
+
+def oracle_precision_recall_at_k(user_ids, pred, truth, k, tau):
+    """precision_recall_at_k user by user: each user's items ranked by a stable sort on falling score."""
+    by_user: dict = {}
+    for uid, pi, ti in zip(list(user_ids), np.asarray(pred, float), np.asarray(truth, float)):
+        by_user.setdefault(uid, []).append((float(pi), float(ti)))
+    precisions, recalls = [], []
+    for uid in sorted(by_user):
+        items = by_user[uid]
+        order = np.argsort(-np.array([pi for pi, _ in items]), kind="stable")
+        top = min(k, len(items))
+        hits = sum(1 for j in order[:top] if items[j][1] >= tau)
+        n_relevant = sum(1 for _, ti in items if ti >= tau)
+        precisions.append(hits / top)
+        if n_relevant > 0:
+            recalls.append(hits / n_relevant)
+    defined = len(recalls) > 0
+    return (float(np.mean(precisions)), float(np.mean(recalls)) if defined else math.nan, defined, len(by_user),
+            len(by_user) - len(recalls))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(st.tuples(st.sampled_from(["u", "u\0", "v", "x10", "x9"]), st.sampled_from([0.1, 0.5, 0.9, -0.0, 0.0]),
+                               st.sampled_from([0.0, 0.5, 0.49, 1.0])), min_size=1, max_size=40),
+       k=st.integers(1, 4), tau=st.sampled_from([0.5, 0.3, 0.99]), text=st.booleans())
+def test_ranking_equals_the_per_user_loop_bit_for_bit(rows, k, tau, text):
+    # tied scores (0.0 and -0.0 among them) keep their order, and users with one item count; ids come as a
+    # list, where "u\0" is its own user, or as a text array like `Rows.user_ids`, which drops trailing NULs
+    ids, pred, truth = zip(*rows)
+    ids = np.array(ids) if text else list(ids)
+    got = precision_recall_at_k(ids, pred, truth, k=k, tau=tau)
+    want = oracle_precision_recall_at_k(ids, pred, truth, k, tau)
+    fields = (got.precision, got.recall, got.recall_defined, got.users_scored, got.users_skipped_for_recall)
+    assert [np.float64(v).tobytes() if isinstance(v, float) else v for v in fields] == \
+        [np.float64(v).tobytes() if isinstance(v, float) else v for v in want]
 
 
 class TestPrecisionRecallAtK:
@@ -275,10 +310,10 @@ class TestPreparedPair:
         ds_a, ds_b, _ = small_pair
         # every fifth user of domain a has no domain-b ratings, so overlap flags vary
         only_a = sorted({r.user_id for r in ds_a.interactions})[::5]
-        ds_b = dataclasses.replace(ds_b, interactions=tuple(r for r in ds_b.interactions if r.user_id not in only_a))
+        ds_b = remade(ds_b, interactions=[r for r in ds_b.interactions if r.user_id not in only_a])
         cfg = small_cfg()
         prepared = prepare_pair(ds_a, ds_b, cfg, k=3, seed=2)
-        partners = ({r.user_id for r in ds_b.interactions}, {r.user_id for r in ds_a.interactions})
+        partners = (sorted({r.user_id for r in ds_b.interactions}), sorted({r.user_id for r in ds_a.interactions}))
         table = prepared.rows
         for k, (ds, split, aes, partner) in enumerate(zip((ds_a, ds_b), prepared.splits, prepared.encoders, partners)):
             embeddings = domain_embeddings(ds, aes)
@@ -322,23 +357,23 @@ class TestPreparedPair:
         prepared = prepare_pair(ds_a, ds_b, small_cfg(), k=2, seed=0)
         monkeypatch.setattr(evaluate, "fit_models", None)
         with pytest.raises(ValueError, match="prepared pair was built for other datasets"):
-            run_cv(ds_a, dataclasses.replace(ds_b), small_cfg(), k=2, seed=0, prepared=prepared)
+            run_cv(ds_a, remade(ds_b), small_cfg(), k=2, seed=0, prepared=prepared)
 
 
 def one_record_per_user(ds):
     first = {}
     for r in ds.interactions:
         first.setdefault(r.user_id, r)
-    return dataclasses.replace(ds, interactions=tuple(first.values()))
+    return remade(ds, interactions=list(first.values()))
 
 
 def all_ratings(ds, rating):
-    return dataclasses.replace(ds, interactions=tuple(dataclasses.replace(r, rating=rating) for r in ds.interactions))
+    return remade(ds, interactions=[r._replace(rating=rating) for r in ds.interactions])
 
 
 def users_renamed(ds, prefix):
-    return dataclasses.replace(
-        ds, interactions=tuple(dataclasses.replace(r, user_id=prefix + r.user_id) for r in ds.interactions),
+    return remade(
+        ds, interactions=[r._replace(user_id=prefix + r.user_id) for r in ds.interactions],
         user_features={prefix + u: raw for u, raw in ds.user_features.items()},
     )
 
@@ -363,7 +398,7 @@ class TestDegenerateData:
 
     def test_a_domain_with_fewer_records_than_folds_is_named(self, small_pair, monkeypatch):
         ds_a, ds_b, _ = small_pair
-        ds_a = dataclasses.replace(ds_a, interactions=ds_a.interactions[:2])
+        ds_a = remade(ds_a, interactions=ds_a.interactions[:2])
         monkeypatch.setattr(dualmodel, "train_pair_autoencoders", None)  # the split fails first
         with pytest.raises(ValueError, match=r"^domain 'a' has 2 records, fewer than k=3 folds$"):
             run_cv(ds_a, ds_b, small_cfg(), k=3, seed=0)

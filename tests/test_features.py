@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import inspect
 import io
 import math
 import re
@@ -31,7 +32,7 @@ from dualrec.features import (
     synth_pair,
     write_domain,
 )
-from dualrec.numeric import sigmoid
+from dualrec.numeric import make_rng, sigmoid
 
 
 def gender_field():
@@ -516,7 +517,7 @@ def written_domain(tmp_path_factory):
     ds, _, _ = synth_pair(n_users=8, n_items_per_domain=6, latent_dim=2, density=0.5, seed=3)
     schema = FeatureSchema(ds.user_schema.fields + (FieldSpec("city", "one_hot", buckets=8),))
     users = {u: {**raw, "city": f"c{k % 3}"} for k, (u, raw) in enumerate(sorted(ds.user_features.items()))}
-    ds = dataclasses.replace(ds, user_features=users, user_schema=schema)
+    ds = DomainDataset(ds.domain_name, ds.interactions, users, ds.item_features, schema, ds.item_schema)
     root = tmp_path_factory.mktemp("domain")
     paths = [root / name for name in ("i.csv", "u.csv", "v.csv")]
     write_domain(ds, *paths)
@@ -554,10 +555,127 @@ def test_a_domain_with_one_mutated_row_loads_and_encodes_or_names_the_file(writt
             encode(schema, raw)
 
 
+TRAIT = FeatureSchema((FieldSpec("trait", "numeric", lo=0, hi=10),))
+IDS = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\0"), min_size=1, max_size=4)
+STAMPS = st.one_of(st.none(), st.integers(-10**20, 10**20), st.integers(-2**63, 2**63 - 1).map(np.int64))
+
+
+def round_trip(ds, tmp):
+    paths = [Path(tmp) / name for name in ("i.csv", "u.csv", "v.csv")]
+    write_domain(ds, *paths)
+    return load_domain(*paths, ds.user_schema, ds.item_schema, ds.domain_name), paths
+
+
+@settings(max_examples=150, deadline=None)
+@given(users=st.lists(IDS, min_size=1, max_size=4, unique=True), items=st.lists(IDS, min_size=1, max_size=4, unique=True),
+       data=st.data())
+def test_records_come_back_from_csv_with_equal_columns(users, items, data):
+    rating = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+    records = data.draw(st.lists(st.tuples(st.sampled_from(users), st.sampled_from(items), rating, STAMPS),
+                                 max_size=12), label="records")
+    ds = DomainDataset("a", [InteractionRecord(*r) for r in records], {u: {"trait": 1.0} for u in users},
+                       {i: {"trait": 2.0} for i in items}, TRAIT, TRAIT)
+    assert ds.interactions == tuple(records)
+    with tempfile.TemporaryDirectory() as tmp:
+        back, _ = round_trip(ds, tmp)
+    assert back.interactions == ds.interactions
+    for name in ("user_ids", "item_ids", "users", "items", "ratings", "timestamps"):
+        got, want = getattr(back, name), getattr(ds, name)
+        assert (got.dtype, got.tolist()) == (want.dtype, want.tolist()), name
+    assert back.ratings.tobytes() == ds.ratings.tobytes()
+
+
+# a record's faults, each as (in-memory value, CSV cell, message in memory, message from the CSV reader)
+FAULTS = {
+    "rating text": ("x", "x", "rating 'x' is not a number", "rating 'x' is not a number"),
+    "rating above": (1.5, "1.5", "rating 1.5 outside [0, 1]", "rating 1.5 outside [0, 1]"),
+    "rating nan": (math.nan, "nan", "rating nan outside [0, 1]", "rating nan outside [0, 1]"),
+    "user": ("nobody", "nobody", "no features for user 'nobody'", "no features for user 'nobody'"),
+    "item": ("nothing", "nothing", "no features for item 'nothing'", "no features for item 'nothing'"),
+    "timestamp text": ("x", "x", "timestamp 'x' is not an integer", "timestamp 'x' is not an integer"),
+    "timestamp float": (7.0, "7.0", "timestamp 7.0 is not an integer", "timestamp '7.0' is not an integer"),
+}
+FIELD = {"rating": 2, "user": 0, "item": 1, "timestamp": 3}
+
+
+@settings(max_examples=200, deadline=None)
+@given(faults=st.lists(st.lists(st.sampled_from(sorted(FAULTS)), max_size=3, unique_by=lambda f: f.split()[0]),
+                       min_size=1, max_size=6).filter(any))
+def test_a_refusal_names_the_first_offending_record(faults):
+    # in memory: the first faulty record, and on it the rating, then the user, the item and the timestamp;
+    # from CSV: the reader's faults (rating, timestamp) by line, then the first unknown user or item
+    records, cells = [], []
+    for n, kinds in enumerate(faults):
+        record, row = ["u1", "i1", 0.25, n], ["u1", "i1", "0.25", str(n)]
+        for kind in kinds:
+            record[FIELD[kind.split()[0]]], row[FIELD[kind.split()[0]]] = FAULTS[kind][:2]
+        records.append(tuple.__new__(InteractionRecord, record))  # skips the record's own check
+        cells.append(row)
+    tables = {"u1": {"trait": 1.0}}, {"i1": {"trait": 1.0}}, TRAIT, TRAIT
+    order = ["rating", "user", "item", "timestamp"]
+    first = next(n for n, kinds in enumerate(faults) if kinds)
+    kind = min(faults[first], key=lambda f: order.index(f.split()[0]))
+    where = "" if kind in ("user", "item") else f"record {first}: "
+    with pytest.raises(ValueError) as exc:
+        DomainDataset("a", records, *tables)
+    assert str(exc.value) == f"domain 'a': {where}{FAULTS[kind][2]}"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "i.csv"
+        write_features = lambda name, table: write_feature_rows(Path(tmp) / name, [f"{e},trait,1" for e in table])
+        write_features("u.csv", tables[0])
+        write_features("v.csv", tables[1])
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerows([["user_id", "item_id", "rating", "timestamp"], *cells])
+        read = [n for n, kinds in enumerate(faults) if {f.split()[0] for f in kinds} & {"rating", "timestamp"}]
+        with pytest.raises(ValueError) as exc:
+            load_domain(path, Path(tmp) / "u.csv", Path(tmp) / "v.csv", TRAIT, TRAIT, "a")
+        if read:
+            kind = min((f for f in faults[read[0]] if f.split()[0] in ("rating", "timestamp")),
+                       key=lambda f: order.index(f.split()[0]))
+            assert str(exc.value) == f"{path}:{read[0] + 2}: {FAULTS[kind][3]}"
+        else:
+            assert str(exc.value) == (f"{path}: domain 'a': {FAULTS[kind][3]} (user features {Path(tmp) / 'u.csv'}, "
+                                      f"item features {Path(tmp) / 'v.csv'})")
+
+
+@pytest.mark.parametrize("rating", [np.float32(0.5), 1, np.int64(0), 0.75])
+def test_any_real_number_in_the_unit_interval_is_a_rating(rating):
+    ds = DomainDataset("a", [InteractionRecord("u", "i", rating)], {"u": {}}, {"i": {}}, TRAIT, TRAIT)
+    assert ds.ratings.dtype == np.float64 and ds.interactions[0].rating == rating
+
+
+@pytest.mark.parametrize("rating", [True, "0.5", None])
+def test_a_rating_that_would_not_read_back_from_csv_is_refused(rating):
+    # once a bare TypeError from the record's range comparison, or for a bool, a dataset that wrote "True"
+    with pytest.raises(ValueError, match=rf"^domain 'a': record 0: rating {re.escape(repr(rating))} is not a number$"):
+        DomainDataset("a", [tuple.__new__(InteractionRecord, ("u", "i", rating, None))], {"u": {}}, {"i": {}}, TRAIT, TRAIT)
+    with pytest.raises(ValueError, match=rf"^rating {re.escape(repr(rating))} is not a number$"):
+        InteractionRecord("u", "i", rating)
+
+
+def test_the_columns_are_read_only_and_the_records_are_built_once():
+    ds, _, _ = synth_pair(n_users=8, n_items_per_domain=6, latent_dim=2, density=0.5, seed=3)
+    assert ds.interactions is ds.interactions
+    for name in ("user_ids", "item_ids", "users", "items", "ratings", "timestamps"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(ds, name)[:1] = getattr(ds, name)[:1]
+    with pytest.raises(AttributeError):
+        ds.interactions = ()
+
+
 class TestInvariants:
     def test_rating_outside_unit_interval_rejected(self):
         with pytest.raises(ValueError):
             InteractionRecord("u", "i", 1.5)
+
+    def test_a_record_made_from_another_is_checked_too(self):
+        # as dataclasses.replace re-ran the check when records were dataclasses
+        record = InteractionRecord("u", "i", 0.5)
+        with pytest.raises(ValueError, match=r"^rating 1.5 outside \[0, 1\]$"):
+            record._replace(rating=1.5)
+        with pytest.raises(ValueError, match=r"^rating 'x' is not a number$"):
+            InteractionRecord._make(("u", "i", "x", None))
+        assert record._replace(rating=1.0) == InteractionRecord("u", "i", 1.0)
 
     def test_disjoint_items_enforced(self, tiny_schema):
         mk = lambda name, item: DomainDataset(
@@ -671,7 +789,7 @@ def oracle_domain_interactions(users, items, user_ids, item_ids, density, mask_r
 def typed(x):
     """x with every leaf as (type name, repr): equal only for equal values of equal types, in equal order."""
     if isinstance(x, InteractionRecord):
-        return ("record", *(typed(getattr(x, f.name)) for f in dataclasses.fields(x)))
+        return ("record", *(typed(getattr(x, name)) for name in x._fields))
     if isinstance(x, dict):
         return ("dict", *((k, typed(v)) for k, v in x.items()))
     if isinstance(x, (list, tuple)):
@@ -686,16 +804,27 @@ class TestSynthPair:
         {"n_users": 37, "n_items_per_domain": 11, "latent_dim": 5, "seed": 3},
         {"n_users": 60, "n_items_per_domain": 25, "density": 1.0, "noise": 0.0, "seed": 4},
         {"n_users": 100, "n_items_per_domain": 40, "density": 0.5, "noise": 0.5, "seed": 5},  # clips at 0 and 1
-    ], ids=["standard", "defaults", "odd-shape", "dense-noiseless", "clipped"])
+        {"n_users": 10_001, "n_items_per_domain": 3},  # u10000 sorts before u1001: ids leave generation order
+    ], ids=["standard", "defaults", "odd-shape", "dense-noiseless", "clipped", "ids-out-of-order"])
     def test_equals_the_per_record_oracle(self, kwargs, monkeypatch):
         got = synth_pair(**kwargs)
         monkeypatch.setattr(features, "_latent_raw_features", oracle_latent_raw_features)
-        monkeypatch.setattr(features, "_domain_interactions", oracle_domain_interactions)
         want = synth_pair(**kwargs)
-        for ds, oracle in zip(got[:2], want[:2]):
-            assert len(ds.interactions) == len(oracle.interactions)
-            for n, (rec, rec_oracle) in enumerate(zip(ds.interactions, oracle.interactions)):
+        args = inspect.signature(synth_pair).bind(**kwargs)
+        args.apply_defaults()
+        seed, truth = args.arguments["seed"], got[2]
+        for sub, (ds, oracle, users, items, item_ids) in enumerate(zip(
+            got[:2], want[:2], (truth.user_latents_a, truth.user_latents_b),
+            (truth.item_latents_a, truth.item_latents_b), (truth.item_ids_a, truth.item_ids_b),
+        )):
+            records = oracle_domain_interactions(
+                users, items, truth.user_ids, item_ids, args.arguments["density"],
+                make_rng(seed, features._L_SYNTH_MASK, sub), make_rng(seed, features._L_SYNTH_NOISE, sub),
+                args.arguments["noise"])
+            assert len(ds.interactions) == len(records)
+            for n, (rec, rec_oracle) in enumerate(zip(ds.interactions, records)):
                 assert typed(rec) == typed(rec_oracle), n
+            assert ds.user_ids.tolist() == sorted(truth.user_ids) and ds.item_ids.tolist() == sorted(item_ids)
             for table, table_oracle in ((ds.user_features, oracle.user_features),
                                         (ds.item_features, oracle.item_features)):
                 assert list(table) == list(table_oracle)
@@ -704,6 +833,8 @@ class TestSynthPair:
         if kwargs.get("noise") == 0.5:
             ratings = {r.rating for ds in got[:2] for r in ds.interactions}
             assert {0.0, 1.0} <= ratings
+        if kwargs.get("n_users") == 10_001:
+            assert list(truth.user_ids) != sorted(truth.user_ids)
 
     def test_perfect_correlation_aligns_probe_rankings(self):
         # rho=1, sigma=0: a shared user's score of any probe latent is identical

@@ -1,5 +1,6 @@
 """The test suite's own configuration in pyproject.toml."""
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -33,4 +34,18 @@ def test_fixed_bounds_keep_one_validator():
     found = [f"{path.name}:{n}: {line.strip()}" for path in sorted((ROOT / "src" / "dualrec").glob("*.py"))
              for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
              if any(form in line for form in retired)]
+    assert found == []
+
+
+def test_the_package_reads_interaction_columns_not_records():
+    # a dataset's interactions are columns; its record view (features.DomainDataset.interactions) serves callers
+    # only, so no package path loops over records: nothing reads `.interactions` or calls InteractionRecord(...)
+    found = []
+    for path in sorted((ROOT / "src" / "dualrec").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr == "interactions" and isinstance(node.ctx, ast.Load):
+                found.append(f"{path.name}:{node.lineno}: reads .interactions")
+            called = isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None))
+            if called == "InteractionRecord":
+                found.append(f"{path.name}:{node.lineno}: calls InteractionRecord")
     assert found == []

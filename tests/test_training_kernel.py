@@ -26,7 +26,7 @@ from dualrec.dualmodel import TrainConfig, fit, fit_models, train_pair
 from dualrec.features import synth_pair
 from dualrec.mapping import OrthogonalMap, ortho_penalty, project_orthogonal
 from dualrec.numeric import layer_views, make_rng, sigmoid
-from single_domain import domain_embeddings, oracle_sigmoid
+from single_domain import domain_embeddings, oracle_sigmoid, remade
 from single_domain import layer_backward as oracle_layer_backward
 from single_domain import layer_forward as oracle_layer_forward
 from single_domain import model_backward as oracle_model_backward
@@ -237,7 +237,7 @@ def partial_pair():
     ds_a, ds_b, _ = synth_pair(n_users=40, n_items_per_domain=15, latent_dim=4, density=0.4, seed=3)
     only_a = sorted({r.user_id for r in ds_a.interactions})[::5]
     kept = tuple(r for r in ds_b.interactions if r.user_id not in only_a)
-    return ds_a, dataclasses.replace(ds_b, interactions=kept), only_a
+    return ds_a, remade(ds_b, interactions=kept), only_a
 
 
 def bundle(dm) -> dict:
@@ -295,7 +295,7 @@ def test_train_pair_with_user_corpora_of_two_shapes_is_byte_identical_to_the_per
     # counts, and the user autoencoders draw their own shuffles
     ds_a, ds_b, only_a = partial_pair
     active = {r.user_id for r in ds_b.interactions}
-    ds_b = dataclasses.replace(ds_b, user_features={u: f for u, f in ds_b.user_features.items() if u in active})
+    ds_b = remade(ds_b, user_features={u: f for u, f in ds_b.user_features.items() if u in active})
     assert len(ds_a.user_features) != len(ds_b.user_features)
     assert_train_pair_matches_the_oracle((ds_a, ds_b, only_a), monkeypatch, alpha)
 
