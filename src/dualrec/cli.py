@@ -27,6 +27,7 @@ import dataclasses
 import os
 import sys
 from dataclasses import dataclass
+from itertools import count
 from pathlib import Path
 
 import numpy as np
@@ -193,7 +194,8 @@ def cmd_synth(cfg: ExperimentConfig, out_dir: Path) -> int:
         write_domain(ds, paths["interactions"], paths["user_features"], paths["item_features"])
         save_schema(ds.user_schema, paths["user_schema"])
         save_schema(ds.item_schema, paths["item_schema"])
-    np.savez(out_dir / "truth.npz", **dataclasses.asdict(truth))  # every field, ids as text arrays
+    # every field, ids as text arrays; dataclasses.asdict would deep-copy each array and id tuple
+    np.savez(out_dir / "truth.npz", **{f.name: getattr(truth, f.name) for f in dataclasses.fields(truth)})
     save_config(cfg, out_dir / "config.txt")
     _log(f"synth: {len(ds_a.ratings)} + {len(ds_b.ratings)} interactions -> {out_dir}")
     return 0
@@ -203,11 +205,7 @@ def cmd_train(cfg: ExperimentConfig, data_dir: Path, out_dir: Path) -> int:
     ds_a, ds_b = load_pair(data_dir)
     dm, (trace_a, trace_b) = train_pair(ds_a, ds_b, cfg, seed=cfg.seed)
     save_dual_model(dm, out_dir / "model.npz")
-    evaluate.write_trace_csv(
-        out_dir / "loss_trace.csv",
-        ["epoch", "loss_a", "loss_b"],
-        [(e, la, lb) for e, (la, lb) in enumerate(zip(trace_a, trace_b))],
-    )
+    evaluate.write_trace_csv(out_dir / "loss_trace.csv", ["epoch", "loss_a", "loss_b"], zip(count(), trace_a, trace_b))
     save_config(cfg, out_dir / "config.txt")
     _log(f"train: {len(trace_a) - 1} epochs -> {out_dir / 'model.npz'}")
     return 0
@@ -254,9 +252,7 @@ def cmd_nmf_lab(cfg: ExperimentConfig, out_dir: Path) -> int:
     conditions_after = nmflab.check_conditions(problem)
     state = nmflab.run_nmf(problem, max_iters=cfg.nmf_iters, tol=cfg.nmf_tol, seed=cfg.seed)
     trace = state.loss_trace
-    evaluate.write_trace_csv(
-        out_dir / "nmf_trace.csv", ["iteration", "loss"], list(enumerate(trace))
-    )
+    evaluate.write_trace_csv(out_dir / "nmf_trace.csv", ["iteration", "loss"], enumerate(trace))
     reduced_part, cross_part = nmflab.loss_decomposition(problem, state)
     summary = {
         "alpha": cfg.nmf_alpha,

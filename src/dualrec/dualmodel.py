@@ -437,8 +437,8 @@ class Rows:
     """Embedding rows of one or more domains in one table, domain k's at
     bounds[k]:bounds[k + 1]: ui (N, 2d) each row's user and item embeddings
     side by side, ratings (N,), overlap (N,) bool (the user also rates in the
-    partner domain) and user_ids (N,) str. weights (2, N), set by `weighted`,
-    holds each row's channel weights for one alpha."""
+    partner domain) and user_ids (N,) object, the exact ids. weights (2, N),
+    set by `weighted`, holds each row's channel weights for one alpha."""
 
     ui: np.ndarray
     ratings: np.ndarray
@@ -509,8 +509,7 @@ def prepare_domain(dataset: DomainDataset, embeddings, partner_users=None) -> Ro
     rates_there = np.full(len(dataset.user_ids), partner_users is None)  # per user of the domain
     if partner_users is not None:  # np.isin would compare the object ids pair by pair
         rates_there[np.intersect1d(dataset.user_ids, partner_users, return_indices=True)[1]] = True
-    user_ids = dataset.user_ids[dataset.users].astype(np.str_)
-    return Rows(ui, dataset.ratings.copy(), rates_there[dataset.users], user_ids, (0, len(ui)))
+    return Rows(ui, dataset.ratings.copy(), rates_there[dataset.users], dataset.user_ids[dataset.users], (0, len(ui)))
 
 
 def prepare_rows(datasets, embeddings) -> Rows:

@@ -331,16 +331,16 @@ def write_report_csv(path, reports) -> None:
     """
     k = reports[0].k
     write_csv(path, ["domain", "fold", "rmse", "mae", f"precision_at_{k}", f"recall_at_{k}"],
-              [[rep.domain, f.fold, *map(float, (f.rmse, f.mae, f.precision_at_k, f.recall_at_k))]
-               for rep in reports for f in rep.per_fold])
+              ([rep.domain, f.fold, *map(float, (f.rmse, f.mae, f.precision_at_k, f.recall_at_k))]
+               for rep in reports for f in rep.per_fold))
 
 
 def write_sweep_csv(path, points) -> None:
     """Fold-averaged metrics per (alpha, domain)."""
     k = points[0].report_a.k
     write_csv(path, ["alpha", "domain", "rmse", "mae", f"precision_at_{k}", f"recall_at_{k}"],
-              [[float(pt.alpha), rep.domain, *map(float, (rep.rmse, rep.mae, rep.precision_at_k, rep.recall_at_k))]
-               for pt in points for rep in (pt.report_a, pt.report_b)])
+              ([float(pt.alpha), rep.domain, *map(float, (rep.rmse, rep.mae, rep.precision_at_k, rep.recall_at_k))]
+               for pt in points for rep in (pt.report_a, pt.report_b)))
 
 
 def report_summary(reports) -> dict:

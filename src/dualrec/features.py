@@ -34,7 +34,7 @@ import zlib
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from math import isfinite
 
 import numpy as np
@@ -334,9 +334,9 @@ class DomainDataset:
         self._hold(domain_name, (user_features, item_features, user_schema, item_schema),
                    *(list(zip(*interactions)) or [()] * 4))
 
-    def _hold(self, domain_name, tables, user_col, item_col, ratings, timestamps) -> None:
-        """Check and keep the tables and the columns of the records. The first record that a check refuses
-        is named: its rating, user, item or timestamp, in that order."""
+    def _hold(self, domain_name, tables, user_col, item_col, ratings, timestamps) -> DomainDataset:
+        """Check and keep the tables and the columns of the records, and return the dataset. The first record
+        that a check refuses is named: its rating, user, item or timestamp, in that order."""
         self.domain_name = domain_name
         self.user_features, self.item_features, self.user_schema, self.item_schema = tables
         self.user_ids, self.item_ids = (np.array(sorted(table), dtype=object) for table in tables[:2])
@@ -356,6 +356,7 @@ class DomainDataset:
         for column in (self.user_ids, self.item_ids, self.users, self.items, self.ratings, self.timestamps):
             column.flags.writeable = False
         self._records = None
+        return self
 
     @property
     def interactions(self) -> tuple[InteractionRecord, ...]:
@@ -393,26 +394,29 @@ def _read_csv_rows(path, expected_header: list[str]):
 
 
 _PLAIN_CELLS = {str, float, int, bool}  # the csv module writes these as write_csv formats them
+_CHUNK_ROWS = 4096  # rows read, type-scanned and written at a time
 
 
 def write_csv(path, header, rows) -> None:
     """The package's one CSV writer: a string cell as it is, a float (np.float64
-    too) by the repr of the float it holds, anything else by str. Lists or
-    tuples of plain cells go to the csv module as they are; other rows are
-    formatted cell by cell."""
-    rows = rows if isinstance(rows, list) else list(rows)  # read twice: the type scans, then the writer
-    if not (set(map(type, rows)) <= {list, tuple} and set(map(type, chain.from_iterable(rows))) <= _PLAIN_CELLS):
-        rows = [[x if isinstance(x, str) else repr(float(x)) if isinstance(x, float) else str(x) for x in row]
-                for row in rows]
+    too) by the repr of the float it holds, anything else by str. The rows, any
+    iterable, are read once, _CHUNK_ROWS at a time; a chunk of lists or tuples of
+    plain cells goes to the csv module as it is, any other is formatted cell by
+    cell. A row that raises leaves at path the header and the chunks before its own."""
+    rows = iter(rows)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(list(header))
-        w.writerows(rows)
+        while chunk := list(islice(rows, _CHUNK_ROWS)):  # read twice: the type scans, then the writer
+            if not (set(map(type, chunk)) <= {list, tuple} and set(map(type, chain(*chunk))) <= _PLAIN_CELLS):
+                chunk = [[x if isinstance(x, str) else repr(float(x)) if isinstance(x, float) else str(x) for x in row]
+                         for row in chunk]
+            w.writerows(chunk)
 
 
-def _read_interactions(path) -> list[tuple]:
-    """The file's rows as (user id, item id, rating, timestamp or None)."""
-    rows = []
+def _read_interactions(path) -> tuple[list, list, list, list]:
+    """The file's columns: user ids, item ids, ratings and timestamps (int or None)."""
+    users, items, ratings, timestamps = columns = [], [], [], []
     for ln, (user_id, item_id, rating_s, ts_s) in _read_csv_rows(
         path, ["user_id", "item_id", "rating", "timestamp"]
     ):
@@ -428,8 +432,11 @@ def _read_interactions(path) -> list[tuple]:
                 ts = int(ts_s)
             except ValueError:
                 raise ValueError(f"{path}:{ln}: timestamp {ts_s!r} is not an integer") from None
-        rows.append((user_id, item_id, rating, ts))
-    return rows
+        users.append(user_id)
+        items.append(item_id)
+        ratings.append(rating)
+        timestamps.append(ts)
+    return columns
 
 
 def _read_features(path, schema: FeatureSchema) -> dict:
@@ -475,11 +482,10 @@ def load_domain(
     offending file and line number, a missing value with the file, the
     entity and the field.
     """
-    interactions = _read_interactions(interactions_path)
-    user_features = _read_features(user_features_path, user_schema)
-    item_features = _read_features(item_features_path, item_schema)
+    columns = _read_interactions(interactions_path)  # as columns: a tuple per record would run the gc
+    tables = _read_features(user_features_path, user_schema), _read_features(item_features_path, item_schema)
     try:
-        return DomainDataset(domain_name, interactions, user_features, item_features, user_schema, item_schema)
+        return DomainDataset.__new__(DomainDataset)._hold(domain_name, (*tables, user_schema, item_schema), *columns)
     except ValueError as exc:  # an entity that interactions_path rates and its features file lacks
         raise ValueError(f"{interactions_path}: {exc} (user features {user_features_path}, "
                          f"item features {item_features_path})") from None
@@ -641,10 +647,9 @@ def synth_pair(
             scores = scores + make_rng(seed, _L_SYNTH_NOISE, sub).normal(scale=noise, size=scores.shape)
         rows, cols = np.nonzero(make_rng(seed, _L_SYNTH_MASK, sub).random(scores.shape) < density)  # row-major
         tables = dict(zip(user_ids, raw_users)), dict(zip(iids, raw_items)), user_schema, item_schema
-        ds.append(DomainDataset.__new__(DomainDataset))  # columns as they are: a tuple per record runs the gc
-        ds[-1]._hold(name, tables, np.array(user_ids, dtype=object)[rows].tolist(),
-                     np.array(iids, dtype=object)[cols].tolist(), np.clip(scores[rows, cols], 0.0, 1.0).tolist(),
-                     [None] * len(rows))
+        ds.append(DomainDataset.__new__(DomainDataset)._hold(  # the columns as they are, no tuple per record
+            name, tables, np.array(user_ids, dtype=object)[rows].tolist(), np.array(iids, dtype=object)[cols].tolist(),
+            np.clip(scores[rows, cols], 0.0, 1.0).tolist(), [None] * len(rows)))
 
     truth = GroundTruth(q, u_a, u_b, v_a, v_b, user_ids, item_ids_a, item_ids_b)
     return ds[0], ds[1], truth
@@ -656,17 +661,17 @@ def synth_pair(
 
 def write_domain(dataset: DomainDataset, interactions_path, user_features_path, item_features_path) -> None:
     """Write a domain back out under the same CSV contracts load_domain reads."""
-    write_csv(interactions_path, ["user_id", "item_id", "rating", "timestamp"], list(zip(
+    write_csv(interactions_path, ["user_id", "item_id", "rating", "timestamp"], zip(
         dataset.user_ids[dataset.users].tolist(), dataset.item_ids[dataset.items].tolist(), dataset.ratings.tolist(),
-        ["" if t is None else t for t in dataset.timestamps.tolist()])))
+        ("" if t is None else t for t in dataset.timestamps.tolist())))
     for path, table, schema in (
         (user_features_path, dataset.user_features, dataset.user_schema),
         (item_features_path, dataset.item_features, dataset.item_schema),
     ):
-        write_csv(path, ["entity_id", "field", "value"], [
+        write_csv(path, ["entity_id", "field", "value"], (
             [eid, spec.name, v] for eid in sorted(table) for spec in schema.fields if spec.name in table[eid]
             for v in _field_cells(spec, table[eid][spec.name])
-        ])
+        ))
 
 
 def _field_cells(spec: FieldSpec, val):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dualrec import dualmodel, evaluate
+from dualrec import cli, dualmodel, evaluate, features, nmflab
 from dualrec.cli import ExperimentConfig, load_config, load_pair, main, save_config
 from dualrec.dualmodel import TrainConfig, load_dual_model
 from dualrec.evaluate import alpha_sweep
@@ -52,6 +52,12 @@ FLOAT_KEYS = [f.name for f in dataclasses.fields(ExperimentConfig) if f.type == 
 # values a one-line mutation of a config file is likely to meet, beside arbitrary text
 MUTATIONS = st.one_of(st.text(max_size=10), st.sampled_from(
     ["", "=", "#", "inf", "-inf", "nan", "1e309", "abc", "-1", "0", "2.5", "1e-320", "8,0", "alpha", "seed"]))
+
+
+def trace_text(header, rows) -> str:
+    """A trace table as every writer of the package wrote it: each float by repr, each int by str."""
+    return "".join(",".join(x if isinstance(x, str) else repr(float(x)) if isinstance(x, float) else str(x)
+                            for x in row) + "\r\n" for row in [header, *rows])
 
 
 def write_small_config(path, **extra):
@@ -302,6 +308,16 @@ class TestTrainEval:
         assert all(np.isfinite(losses_a))
         assert losses_a[-1] < losses_a[0]
 
+    def test_loss_trace_bytes_are_the_traces_written_cell_by_cell(self, pipeline_dir, tmp_path, monkeypatch):
+        _, cfg, data = pipeline_dir
+        runs = []
+        monkeypatch.setattr(cli, "train_pair", lambda *a, **kw: runs.append(dualmodel.train_pair(*a, **kw)) or runs[-1])
+        monkeypatch.setattr(features, "_CHUNK_ROWS", 2)  # 3 rows in 2 chunks
+        assert main(["train", "--config", str(cfg), "--data", str(data), "--out", str(tmp_path)]) == 0
+        (_, (trace_a, trace_b)), = runs
+        want = trace_text(["epoch", "loss_a", "loss_b"], list(zip(range(len(trace_a)), trace_a, trace_b)))
+        assert (tmp_path / "loss_trace.csv").read_bytes() == want.encode()
+
     def test_eval_report_parses_and_is_rerun_stable(self, pipeline_dir, tmp_path):
         _, cfg, data = pipeline_dir
         out1, out2 = tmp_path / "e1", tmp_path / "e2"
@@ -432,6 +448,15 @@ class TestNmfLab:
             assert main(["nmf-lab", "--alpha", "0.1", "--seed", "1", "--iters", "200", "--out", str(out)]) == 0
         assert (outs[0] / "nmf_trace.csv").read_bytes() == (outs[1] / "nmf_trace.csv").read_bytes()
         assert (outs[0] / "nmf_summary.json").read_bytes() == (outs[1] / "nmf_summary.json").read_bytes()
+
+    def test_trace_bytes_are_the_loss_trace_written_cell_by_cell(self, tmp_path, monkeypatch):
+        states, run_nmf = [], nmflab.run_nmf
+        monkeypatch.setattr(nmflab, "run_nmf", lambda *a, **kw: states.append(run_nmf(*a, **kw)) or states[-1])
+        monkeypatch.setattr(features, "_CHUNK_ROWS", 7)  # 201 rows in 29 chunks
+        assert main(["nmf-lab", "--alpha", "0.1", "--seed", "1", "--iters", "200", "--out", str(tmp_path)]) == 0
+        (state,) = states
+        want = trace_text(["iteration", "loss"], list(enumerate(state.loss_trace)))
+        assert (tmp_path / "nmf_trace.csv").read_bytes() == want.encode()
 
     def test_converged_follows_the_settling_rule_at_the_budget_edge(self, tmp_path):
         # a coupled problem (alpha > 0) that settles after a few hundred steps

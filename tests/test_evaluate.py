@@ -4,13 +4,15 @@ import csv
 import json
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from dualrec import dualmodel, evaluate
+from dualrec import dualmodel, evaluate, features
 from dualrec.dualmodel import TrainConfig, train_pair_autoencoders
 from dualrec.evaluate import (
     alpha_sweep,
@@ -25,7 +27,7 @@ from dualrec.evaluate import (
     write_sweep_csv,
     write_trace_csv,
 )
-from dualrec.features import kfold, synth_pair
+from dualrec.features import DomainDataset, FeatureSchema, FieldSpec, InteractionRecord, kfold, synth_pair
 from dualrec.numeric import make_rng
 from single_domain import domain_autoencoders, domain_embeddings, fold_rows, model_forward, remade, train_single
 
@@ -94,7 +96,7 @@ def oracle_precision_recall_at_k(user_ids, pred, truth, k, tau):
        k=st.integers(1, 4), tau=st.sampled_from([0.5, 0.3, 0.99]), text=st.booleans())
 def test_ranking_equals_the_per_user_loop_bit_for_bit(rows, k, tau, text):
     # tied scores (0.0 and -0.0 among them) keep their order, and users with one item count; ids come as a
-    # list, where "u\0" is its own user, or as a text array like `Rows.user_ids`, which drops trailing NULs
+    # list, where "u\0" is its own user, or as a text array, which drops trailing NULs
     ids, pred, truth = zip(*rows)
     ids = np.array(ids) if text else list(ids)
     got = precision_recall_at_k(ids, pred, truth, k=k, tau=tau)
@@ -102,6 +104,16 @@ def test_ranking_equals_the_per_user_loop_bit_for_bit(rows, k, tau, text):
     fields = (got.precision, got.recall, got.recall_defined, got.users_scored, got.users_skipped_for_recall)
     assert [np.float64(v).tobytes() if isinstance(v, float) else v for v in fields] == \
         [np.float64(v).tobytes() if isinstance(v, float) else v for v in want]
+
+
+def test_users_apart_by_a_trailing_nul_are_two_users_of_the_ranking():
+    # `Rows.user_ids` keeps the exact ids; a text array would read "u" and "u\0" as one user
+    trait = FeatureSchema((FieldSpec("trait", "numeric", lo=0.0, hi=1.0),))
+    ds = DomainDataset("a", [InteractionRecord(u, "i", 0.75) for u in ("u", "u\0")],
+                       {"u": {"trait": 0.5}, "u\0": {"trait": 0.5}}, {"i": {"trait": 0.5}}, trait, trait)
+    rows = dualmodel.prepare_domain(ds, (np.zeros((2, 1)), np.zeros((1, 1))))
+    assert rows.user_ids.tolist() == ["u", "u\0"]
+    assert precision_recall_at_k(rows.user_ids, [0.5, 0.5], rows.ratings, k=1).users_scored == 2
 
 
 class TestPrecisionRecallAtK:
@@ -473,17 +485,71 @@ TRACE_CELLS = st.one_of(
 )
 
 
-@settings(max_examples=200, deadline=None)
+PLAIN_CELLS = st.integers() | st.floats() | st.booleans() | TEXT
+FORMS = ["list", "iterator", "rows read once"]
+# by chunks of 2: plain, other (np.float64, None), plain (text that needs quotes, a bool), other (np.int64), ...
+MIXED_ROWS = [(0, 0.5), [1, 0.25], (2, np.float64(0.125)), (3, None), (4, 'say "x", y'), [5, True],
+              (6, np.int64(7)), (7, 1e-300), [8, "a\nb"], (9, -0.0), (10, np.float32(0.1))]
+
+
+def formed(rows, form):
+    """rows as a list, as an iterator, or as a list of rows that can each be read once."""
+    return {"list": rows, "iterator": iter(rows), "rows read once": [iter(row) for row in rows]}[form]
+
+
+@settings(max_examples=300, deadline=None)
 @given(header=st.lists(TEXT, max_size=3),
-       rows=st.lists(st.lists(TRACE_CELLS, max_size=4) | st.tuples(st.integers(0, 9), st.floats()), max_size=6),
-       form=st.sampled_from(["list", "iterator", "rows read once"]))
-def test_trace_csv_bytes_are_the_cell_by_cell_writers(header, rows, form):
-    given_rows = {"list": rows, "iterator": iter(rows), "rows read once": [iter(row) for row in rows]}[form]
-    with tempfile.TemporaryDirectory() as tmp:
+       rows=st.lists(st.lists(TRACE_CELLS, max_size=4) | st.tuples(st.integers(0, 9), st.floats())
+                     | st.lists(PLAIN_CELLS, max_size=4), max_size=12),
+       form=st.sampled_from(FORMS), chunk=st.sampled_from([1, 2, 3, features._CHUNK_ROWS]))
+@example(header=["iteration", "loss"], rows=MIXED_ROWS, form="list", chunk=2)
+@example(header=["iteration", "loss"], rows=MIXED_ROWS, form="iterator", chunk=3)
+@example(header=["iteration", "loss"], rows=MIXED_ROWS, form="rows read once", chunk=1)
+def test_trace_csv_bytes_are_the_cell_by_cell_writers(header, rows, form, chunk):
+    # chunks of 1-3 rows put plain and other cells in different chunks of one table
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(features, "_CHUNK_ROWS", chunk):
         got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
-        write_trace_csv(got, header, given_rows)
+        write_trace_csv(got, header, formed(rows, form))
         oracle_write_trace_csv(want, header, rows)
         assert got.read_bytes() == want.read_bytes()
+
+
+class Unprintable:
+    def __str__(self):
+        raise RuntimeError("cell broke")
+
+
+def test_a_row_that_raises_leaves_the_header_and_the_chunks_before_its_own(tmp_path, monkeypatch):
+    monkeypatch.setattr(features, "_CHUNK_ROWS", 2)
+
+    def broken_trace():
+        yield from MIXED_ROWS[:5]
+        raise RuntimeError("trace broke")
+
+    for rows, error in ((broken_trace(), "trace broke"), (MIXED_ROWS[:5] + [(5, Unprintable())], "cell broke")):
+        path = tmp_path / "t.csv"
+        path.write_text("an older table\n", encoding="utf-8")
+        with pytest.raises(RuntimeError, match=error):
+            write_trace_csv(path, ["iteration", "loss"], rows)
+        oracle_write_trace_csv(tmp_path / "want.csv", ["iteration", "loss"], MIXED_ROWS[:4])  # rows 4-5 share a chunk
+        assert path.read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_an_iterator_trace_is_written_in_a_small_fraction_of_the_list_forms_memory(tmp_path):
+    # the list form holds its list of tuples for the whole write, so building that list bounds its peak from below
+    trace = np.linspace(1.0, 0.5, 200_000).tolist()
+    peaks = []
+    for run in (lambda: list(enumerate(trace)),
+                lambda: write_trace_csv(tmp_path / "t.csv", ["i", "loss"], enumerate(trace))):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < peaks[0] / 10, peaks
+    oracle_write_trace_csv(tmp_path / "want.csv", ["i", "loss"], enumerate(trace))
+    assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 METRICS = st.floats() | st.floats().map(np.float64) | st.sampled_from([math.nan, np.float64(math.nan), -0.0])
